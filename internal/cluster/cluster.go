@@ -822,41 +822,31 @@ func runSimulated(ctx context.Context, cfg Config, workers []*worker, assigns []
 	return res, nil
 }
 
-// aggregate merges the workers' outputs into the final result. The timed
-// aggregation step is the deduplicating merge of the per-worker result sets
-// — the master-side work the paper's Figure 2 reports as "aggregation"
-// (their implementation concatenated result files). Building the indexed
-// result Graph afterwards is load-into-a-store post-processing that a serial
-// run pays identically, so it is excluded from the timing.
-//
-// With prov set the merge instead builds the indexed, lineage-preserving
-// union directly — walking each live worker's log in order and translating
-// lineage through AddWithLineage needs the union's own indexes, so the
-// indexed build cannot be split out of the timed section the way the plain
-// set merge can. First derivation wins across workers, which keeps the
-// merge deterministic: workers are walked in id order and each log in
-// append order.
+// aggregate merges the live workers' outputs into the final result: one
+// union graph, pre-sized from the workers' sizes, filled by walking each
+// worker's log — workers in id order, each log in append order, so the
+// result's log order is the same run to run and, with prov set, the first
+// derivation wins deterministically (Union carries lineage across when both
+// sides record it). The timed aggregation step is that single merge — the
+// master-side work the paper's Figure 2 reports as "aggregation" (their
+// implementation concatenated result files; ours deduplicates into the
+// indexed result in the same pass).
 //
 //powl:ignore wallclock aggregation is real master-side work, timed on the real clock in both modes (Simulated adds it on top of the reconstructed time).
 func aggregate(workers []*worker, coord *coordinator, prov bool) (*Result, error) {
 	maxLen := 0
 	for _, w := range workers {
-		if w.graph.Len() > maxLen {
-			maxLen = w.graph.Len()
-		}
+		maxLen = max(maxLen, w.graph.Len())
 	}
 	aggStart := time.Now()
-	var union *rdf.Graph
-	var merged map[rdf.Triple]struct{}
+	union := rdf.NewGraphCap(maxLen * 2)
 	if prov {
-		union = rdf.NewGraphCap(maxLen * 2)
 		union.EnableProv()
-	} else {
-		merged = make(map[rdf.Triple]struct{}, maxLen*2)
 	}
 	res := &Result{
 		PerWorker:   make([]Timings, len(workers)),
 		OutputSizes: make([]int, len(workers)),
+		Graph:       union,
 	}
 	for i, w := range workers {
 		res.PerWorker[i] = w.tm
@@ -866,34 +856,13 @@ func aggregate(workers []*worker, coord *coordinator, prov bool) (*Result, error
 		if coord.isDead(w.id) {
 			continue
 		}
-		// Zero-copy log walk: the merge only reads, so the shared view is safe.
-		if prov {
-			for _, t := range w.graph.TriplesSince(0) {
-				if lin, ok := w.graph.LineageOf(t); ok {
-					union.AddWithLineage(t, lin)
-				} else {
-					union.Add(t)
-				}
-			}
-		} else {
-			for _, t := range w.graph.TriplesSince(0) {
-				merged[t] = struct{}{}
-			}
-		}
+		union.Union(w.graph)
 		res.OutputSizes[i] = w.graph.Len()
 	}
 	agg := time.Since(aggStart)
 	for i := range res.PerWorker {
 		res.PerWorker[i].Aggregate = agg
 	}
-
-	if !prov {
-		union = rdf.NewGraphCap(len(merged))
-		for t := range merged {
-			union.Add(t)
-		}
-	}
-	res.Graph = union
 	return res, nil
 }
 

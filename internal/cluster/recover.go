@@ -200,26 +200,28 @@ func (s *DirCheckpoints) LoadLineage(worker int) ([]rdf.Lineage, error) {
 	return out, nil
 }
 
-// Load implements CheckpointStore, deduplicating across deltas.
+// Load implements CheckpointStore. Like the in-memory store it concatenates
+// the deltas as saved; adopters deduplicate through their graph's Add.
 func (s *DirCheckpoints) Load(worker int) ([]rdf.Triple, error) {
 	files, err := filepath.Glob(filepath.Join(s.dir, fmt.Sprintf("ckpt_w%02d_r*.nt", worker)))
 	if err != nil {
 		return nil, err
 	}
 	sort.Strings(files)
-	g := rdf.NewGraph()
+	var out []rdf.Triple
 	for _, f := range files {
 		fh, err := os.Open(f)
 		if err != nil {
 			return nil, err
 		}
-		_, rerr := ntriples.ReadGraph(fh, s.dict, g)
+		ts, rerr := ntriples.ReadTriples(fh, s.dict)
 		fh.Close()
 		if rerr != nil {
 			return nil, fmt.Errorf("cluster: checkpoint %s: %w", filepath.Base(f), rerr)
 		}
+		out = append(out, ts...)
 	}
-	return g.Triples(), nil
+	return out, nil
 }
 
 // RecoveryConfig arms transport-generic worker recovery on a Config.

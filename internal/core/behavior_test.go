@@ -19,21 +19,32 @@ func TestHybridEngineSuperLinearCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
-	measure := func(ds *datagen.Dataset) float64 {
-		res, err := MaterializeSerial(ds, HybridEngine)
-		if err != nil {
-			t.Fatal(err)
+	// Per-triple cost of each dataset, best of three interleaved passes: the
+	// host's speed drifts by tens of percent between seconds, and a pass
+	// over both sizes inside one drift window keeps their ratio meaningful.
+	measure := func(small, big *datagen.Dataset) (float64, float64) {
+		best := [2]float64{}
+		for pass := 0; pass < 3; pass++ {
+			for i, ds := range []*datagen.Dataset{small, big} {
+				res, err := MaterializeSerial(ds, HybridEngine)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s := res.Elapsed.Seconds() / float64(ds.Graph.Len()); pass == 0 || s < best[i] {
+					best[i] = s
+				}
+			}
 		}
-		return res.Elapsed.Seconds() / float64(ds.Graph.Len())
+		return best[0], best[1]
 	}
-	lubmSmall := measure(datagen.LUBM(datagen.LUBMConfig{Universities: 1, Seed: 7}))
-	lubmBig := measure(datagen.LUBM(datagen.LUBMConfig{Universities: 10, Seed: 7}))
+	lubmSmall, lubmBig := measure(datagen.LUBM(datagen.LUBMConfig{Universities: 1, Seed: 7}),
+		datagen.LUBM(datagen.LUBMConfig{Universities: 10, Seed: 7}))
 	if lubmBig < 1.25*lubmSmall {
 		t.Errorf("LUBM per-triple cost should grow ≥1.25x from 1 to 10 universities; got %.1fµs -> %.1fµs",
 			lubmSmall*1e6, lubmBig*1e6)
 	}
-	uobmSmall := measure(datagen.UOBM(datagen.UOBMConfig{Universities: 2, Seed: 7}))
-	uobmBig := measure(datagen.UOBM(datagen.UOBMConfig{Universities: 6, Seed: 7}))
+	uobmSmall, uobmBig := measure(datagen.UOBM(datagen.UOBMConfig{Universities: 2, Seed: 7}),
+		datagen.UOBM(datagen.UOBMConfig{Universities: 6, Seed: 7}))
 	if uobmBig > 2*uobmSmall {
 		t.Errorf("UOBM per-triple cost should stay near-flat; got %.1fµs -> %.1fµs",
 			uobmSmall*1e6, uobmBig*1e6)

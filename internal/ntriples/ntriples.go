@@ -202,25 +202,30 @@ func ParseTerm(s string) (rdf.Term, error) {
 	return t, nil
 }
 
+// ReadTriples parses all statements from r, interning terms into dict, and
+// returns the triples in input order, duplicates included. On error it
+// returns the triples parsed before it.
+func ReadTriples(r io.Reader, dict *rdf.Dict) ([]rdf.Triple, error) {
+	rd := NewReader(r)
+	var ts []rdf.Triple
+	for {
+		st, err := rd.Next()
+		if err == io.EOF {
+			return ts, nil
+		}
+		if err != nil {
+			return ts, err
+		}
+		ts = append(ts, rdf.Triple{S: dict.Intern(st.S), P: dict.Intern(st.P), O: dict.Intern(st.O)})
+	}
+}
+
 // ReadGraph parses all statements from r, interning terms into dict and
 // adding the triples to g. It returns the number of triples added (duplicates
 // are not double-counted).
 func ReadGraph(r io.Reader, dict *rdf.Dict, g *rdf.Graph) (int, error) {
-	rd := NewReader(r)
-	added := 0
-	for {
-		st, err := rd.Next()
-		if err == io.EOF {
-			return added, nil
-		}
-		if err != nil {
-			return added, err
-		}
-		t := rdf.Triple{S: dict.Intern(st.S), P: dict.Intern(st.P), O: dict.Intern(st.O)}
-		if g.Add(t) {
-			added++
-		}
-	}
+	ts, err := ReadTriples(r, dict)
+	return g.AddAll(ts), err
 }
 
 // Writer serializes triples as N-Triples lines.
@@ -234,10 +239,33 @@ func NewWriter(w io.Writer, dict *rdf.Dict) *Writer {
 	return &Writer{w: bufio.NewWriter(w), dict: dict}
 }
 
-// Write emits one triple as a terminated N-Triples line.
+// Write emits one triple as a terminated N-Triples line, appending the term
+// bytes straight into the buffer. The buffer's write error is sticky, so the
+// last write reports any earlier one.
 func (w *Writer) Write(t rdf.Triple) error {
-	_, err := w.w.WriteString(w.dict.FormatTriple(t) + " .\n")
+	w.term(t.S)
+	w.w.WriteByte(' ')
+	w.term(t.P)
+	w.w.WriteByte(' ')
+	w.term(t.O)
+	_, err := w.w.WriteString(" .\n")
 	return err
+}
+
+// term appends one term in N-Triples surface syntax, as rdf.Term.String
+// renders it.
+func (w *Writer) term(id rdf.ID) {
+	switch t := w.dict.Term(id); t.Kind {
+	case rdf.IRI:
+		w.w.WriteByte('<')
+		w.w.WriteString(t.Value)
+		w.w.WriteByte('>')
+	case rdf.Blank:
+		w.w.WriteString("_:")
+		w.w.WriteString(t.Value)
+	default:
+		w.w.WriteString(t.Value)
+	}
 }
 
 // WriteAll emits every triple in ts.

@@ -26,12 +26,12 @@ func (n *ExplainNode) IsDerived() bool { return n.Rule != "" }
 const DefaultExplainDepth = 16
 
 // offsetOf resolves t to its log offset without touching the writer's dedup
-// map: it scans the shorter of the two pinned two-bound posting prefixes,
+// table: it scans the shorter of the two pinned two-bound posting prefixes,
 // which carry the offset column. ok is false when t is not visible.
 func (s Snapshot) offsetOf(t Triple) (uint32, bool) {
 	w := uint32(len(s.log))
-	sp := cutEntries(s.g.bySP.get(key2(t.S, t.P)).entries(), w)
-	po := cutEntries(s.g.byPO.get(key2(t.P, t.O)).entries(), w)
+	sp := cutEntries(s.g.bySP.get(key2(t.S, t.P)), w)
+	po := cutEntries(s.g.byPO.get(key2(t.P, t.O)), w)
 	if len(sp) <= len(po) {
 		for _, e := range sp {
 			if e.Term == t.O && !s.dead.has(e.Off) {

@@ -25,15 +25,17 @@ import (
 // appending. There are no locks anywhere: the log and every posting list
 // publish their lengths atomically and never rewrite published entries, and
 // the index tables are open-addressing with atomic slot publication (see
-// index.go for the full argument).
+// index.go for the full argument). An insert allocates nothing per key:
+// posting entries sit in per-index chunk arenas, their headers inline in the
+// slot tables, and membership is an offset table compared through the log.
 //
 // All mutating methods (Add, AddAll, Union, Grow) and the dedup-consulting
 // reads (Has, and through it the fully-bound ForEachMatch/CountMatch case)
-// remain writer-only: they touch the private dedup map. Concurrent readers
+// remain writer-only: they touch the private dedup table. Concurrent readers
 // must go through Snapshot.
 type Graph struct {
-	log  tripleLog
-	set  map[Triple]uint32 // writer-only dedup; value = log offset
+	log  alog[Triple]
+	seen dedup // writer-only membership: the live log offsets
 	byS  index[uint32]
 	byP  index[uint32]
 	byO  index[uint32]
@@ -54,27 +56,32 @@ type Graph struct {
 func NewGraph() *Graph { return NewGraphCap(0) }
 
 // NewGraphCap returns an empty graph pre-sized for about n triples, which
-// avoids log regrowth and index rehashing when bulk-loading (e.g. when
-// aggregating worker outputs).
+// avoids log and dedup-table regrowth when bulk-loading.
 func NewGraphCap(n int) *Graph {
-	g := &Graph{set: make(map[Triple]uint32, n)}
+	g := &Graph{}
 	if n > 0 {
-		g.log.grow(n)
-		g.byS.presize(n/4 + 1)
-		g.byP.presize(64)
-		g.byO.presize(n/4 + 1)
-		g.bySP.presize(n)
-		g.byPO.presize(n/2 + 1)
+		g.Grow(n)
 	}
 	return g
 }
 
-// Grow pre-sizes the triple log for n additional triples. The posting lists
-// grow incrementally regardless; the log is the bulk of the appended bytes,
-// so reserving it up front is what the bulk-load paths (AddAll, Union)
-// benefit from.
+// Grow reserves room for n additional triples in the log and the dedup
+// table, the two structures sized by triple count. The index tables are
+// sized by distinct keys, which only a source graph knows (reserveKeys);
+// arenas grow a chunk at a time.
 func (g *Graph) Grow(n int) {
 	g.log.grow(n)
+	g.seen.reserve(g.log.view(), g.dead.Load(), n)
+}
+
+// reserveKeys readies the five index tables for src's distinct keys on top
+// of g's own — an upper bound on the union, exact when g is empty.
+func (g *Graph) reserveKeys(src *Graph) {
+	g.byS.presize(g.byS.count + src.byS.count)
+	g.byP.presize(g.byP.count + src.byP.count)
+	g.byO.presize(g.byO.count + src.byO.count)
+	g.bySP.presize(g.bySP.count + src.bySP.count)
+	g.byPO.presize(g.byPO.count + src.byPO.count)
 }
 
 // Add inserts t and reports whether it was not already present. Writer-only.
@@ -84,7 +91,7 @@ func (g *Graph) Grow(n int) {
 // below W. Appending the five postings — and, when recording, the provenance
 // record — first makes the log length the commit point.
 func (g *Graph) Add(t Triple) bool {
-	if _, ok := g.set[t]; ok {
+	if g.Has(t) {
 		return false
 	}
 	g.addNew(t, baseDerivation(), false)
@@ -94,15 +101,18 @@ func (g *Graph) Add(t Triple) bool {
 // addNew appends a triple known to be absent, with provenance record d when
 // recording is on, marking the offset derived when the insert came through a
 // derived path. Every insert path funnels through here so the publication
-// order (postings, then provenance, then log commit) is stated once.
+// order (postings, then provenance, then log commit) is stated once. The
+// dedup entry follows the commit, which keeps every offset in that table
+// below the published log length; its room is reserved first, because
+// growing the table refills it from the log.
 func (g *Graph) addNew(t Triple, d Derivation, derived bool) {
 	off := uint32(g.log.length())
-	g.set[t] = off
-	g.byS.getOrCreate(key1(t.S)).append1(off)
-	g.byP.getOrCreate(key1(t.P)).append1(off)
-	g.byO.getOrCreate(key1(t.O)).append1(off)
-	g.bySP.getOrCreate(key2(t.S, t.P)).append1(spEntry{Term: t.O, Off: off})
-	g.byPO.getOrCreate(key2(t.P, t.O)).append1(spEntry{Term: t.S, Off: off})
+	g.seen.reserve(g.log.view(), g.dead.Load(), 1)
+	g.byS.append1(key1(t.S), off)
+	g.byP.append1(key1(t.P), off)
+	g.byO.append1(key1(t.O), off)
+	g.bySP.append1(key2(t.S, t.P), spEntry{Term: t.O, Off: off})
+	g.byPO.append1(key2(t.P, t.O), spEntry{Term: t.S, Off: off})
 	if derived {
 		for int(off>>6) >= len(g.derived) {
 			g.derived = append(g.derived, 0)
@@ -113,6 +123,7 @@ func (g *Graph) addNew(t Triple, d Derivation, derived bool) {
 		g.prov.recs.append1(d)
 	}
 	g.log.append1(t)
+	g.seen.place(t, off)
 }
 
 // AddAll inserts every triple in ts and returns the number newly added.
@@ -128,9 +139,9 @@ func (g *Graph) AddAll(ts []Triple) int {
 }
 
 // Has reports whether t is in the graph. Writer-only (it reads the dedup
-// map); concurrent readers use Snapshot.Has.
+// table); concurrent readers use Snapshot.Has.
 func (g *Graph) Has(t Triple) bool {
-	_, ok := g.set[t]
+	_, ok := g.seen.find(g.log.view(), t)
 	return ok
 }
 
@@ -181,77 +192,37 @@ func (g *Graph) SortedTriples() []Triple {
 	return out
 }
 
-// cloneIndex rebuilds src's postings into dst: all lists land in a single
-// flat backing buffer of exactly cap total (capacity-capped subslices, so a
-// later append to any list reallocates instead of clobbering its
-// neighbour), which costs one big allocation instead of one per key.
-func cloneIndex[T any](dst, src *index[T], total int) {
-	dst.presize(src.count)
-	buf := make([]T, 0, total)
-	src.forEach(func(k uint64, p *posting[T]) {
-		v := p.view()
-		start := len(buf)
-		buf = append(buf, v...)
-		seg := buf[start:len(buf):len(buf)]
-		np := dst.getOrCreate(k)
-		np.arr.Store(&seg)
-		np.n.Store(uint32(len(seg)))
-	})
-}
-
-// Clone returns a deep copy of the graph. It copies the log and the index
-// posting lists directly — no per-triple re-insertion — so cloning costs a
-// handful of bulk copies plus one table insert per distinct index key.
-// Writer-only on g; the clone is a fresh graph owned by the caller.
+// Clone returns a deep copy of the graph: flat copies of the log, the dedup
+// table and each index's slot table and arena chunks, with no per-triple or
+// per-key re-insertion. Writer-only on g; the clone is a fresh graph owned
+// by the caller, and appends to either leave the other unchanged.
 func (g *Graph) Clone() *Graph {
-	v := g.log.view()
-	n := len(v)
-	dead := g.dead.Load()
-	c := &Graph{set: make(map[Triple]uint32, n)}
-	c.log.grow(n)
-	for i, t := range v {
-		if !dead.has(uint32(i)) {
-			c.set[t] = uint32(i)
-		}
-		c.log.append1(t)
-	}
+	c := &Graph{seen: dedup{slots: append([]uint32(nil), g.seen.slots...), shift: g.seen.shift, count: g.seen.count}}
+	g.log.cloneInto(&c.log)
 	// The tombstone set is immutable, so the clone shares it; the first
 	// Delete on either graph copies on write. The derived bitmap is
 	// writer-private and copied.
-	if dead != nil {
+	if dead := g.dead.Load(); dead != nil {
 		c.dead.Store(dead)
 	}
 	if len(g.derived) > 0 {
 		c.derived = append([]uint64(nil), g.derived...)
 	}
 	if g.prov != nil {
-		cp := &Prov{byName: make(map[string]uint16, len(g.prov.byName))}
-		recs := g.prov.recs.view()
-		cp.recs.grow(len(recs))
-		for _, d := range recs {
-			cp.recs.append1(d)
-		}
-		if names := g.prov.names.Load(); names != nil {
-			nn := make([]string, len(*names))
-			copy(nn, *names)
-			cp.names.Store(&nn)
-			for id, name := range nn {
-				cp.byName[name] = uint16(id)
-			}
-		}
+		c.prov = g.prov.cloneNames()
+		g.prov.recs.cloneInto(&c.prov.recs)
 		if len(g.prov.alt) > 0 {
-			cp.alt = make(map[uint32]Derivation, len(g.prov.alt))
+			c.prov.alt = make(map[uint32]Derivation, len(g.prov.alt))
 			for off, d := range g.prov.alt {
-				cp.alt[off] = d
+				c.prov.alt[off] = d
 			}
 		}
-		c.prov = cp
 	}
-	cloneIndex(&c.byS, &g.byS, n)
-	cloneIndex(&c.byP, &g.byP, n)
-	cloneIndex(&c.byO, &g.byO, n)
-	cloneIndex(&c.bySP, &g.bySP, n)
-	cloneIndex(&c.byPO, &g.byPO, n)
+	g.byS.cloneInto(&c.byS)
+	g.byP.cloneInto(&c.byP)
+	g.byO.cloneInto(&c.byO)
+	g.bySP.cloneInto(&c.bySP)
+	g.byPO.cloneInto(&c.byPO)
 	return c
 }
 
@@ -259,7 +230,7 @@ func (g *Graph) Clone() *Graph {
 // in any position matches all terms. Iteration stops early if fn returns
 // false. Iteration order is the insertion order of the matching triples. The
 // graph must not be mutated during iteration; writer-only (the fully-bound
-// case consults the dedup map) — concurrent readers use Snapshot.
+// case consults the dedup table) — concurrent readers use Snapshot.
 //
 //powl:allocfree every join probe of every engine lands here
 func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
@@ -271,7 +242,7 @@ func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
 			fn(t)
 		}
 	case s != Wildcard && p != Wildcard:
-		for _, e := range g.bySP.get(key2(s, p)).entries() {
+		for _, e := range g.bySP.get(key2(s, p)) {
 			if dead.has(e.Off) {
 				continue
 			}
@@ -280,7 +251,7 @@ func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
 			}
 		}
 	case p != Wildcard && o != Wildcard:
-		for _, e := range g.byPO.get(key2(p, o)).entries() {
+		for _, e := range g.byPO.get(key2(p, o)) {
 			if dead.has(e.Off) {
 				continue
 			}
@@ -292,7 +263,7 @@ func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
 		// Scan the shorter of the two posting lists; both sides index the
 		// same log, so either yields exactly the (s,·,o) matches.
 		log := g.log.view()
-		if sl, ol := g.byS.get(key1(s)).entries(), g.byO.get(key1(o)).entries(); len(sl) <= len(ol) {
+		if sl, ol := g.byS.get(key1(s)), g.byO.get(key1(o)); len(sl) <= len(ol) {
 			for _, off := range sl {
 				if dead.has(off) {
 					continue
@@ -313,7 +284,7 @@ func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
 		}
 	case s != Wildcard:
 		log := g.log.view()
-		for _, off := range g.byS.get(key1(s)).entries() {
+		for _, off := range g.byS.get(key1(s)) {
 			if dead.has(off) {
 				continue
 			}
@@ -323,7 +294,7 @@ func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
 		}
 	case p != Wildcard:
 		log := g.log.view()
-		for _, off := range g.byP.get(key1(p)).entries() {
+		for _, off := range g.byP.get(key1(p)) {
 			if dead.has(off) {
 				continue
 			}
@@ -333,7 +304,7 @@ func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
 		}
 	case o != Wildcard:
 		log := g.log.view()
-		for _, off := range g.byO.get(key1(o)).entries() {
+		for _, off := range g.byO.get(key1(o)) {
 			if dead.has(off) {
 				continue
 			}
@@ -353,15 +324,6 @@ func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
 	}
 }
 
-// entries returns the published posting view, tolerating a nil posting (key
-// absent from the index).
-func (p *posting[T]) entries() []T {
-	if p == nil {
-		return nil
-	}
-	return p.view()
-}
-
 // Match returns all triples matching the pattern as a slice.
 func (g *Graph) Match(s, p, o ID) []Triple {
 	var out []Triple
@@ -378,7 +340,7 @@ func (g *Graph) Match(s, p, o ID) []Triple {
 // is returned directly. (s,·,o) scans the shorter of the two posting lists.
 // The rule engines use this as the selectivity estimate for join ordering,
 // so it must stay cheap for every pattern shape. Writer-only (the
-// fully-bound case consults the dedup map).
+// fully-bound case consults the dedup table).
 //
 // Once the graph has tombstones, the O(1) index-backed shapes become upper
 // bounds (posting cardinalities count dead entries). That keeps the
@@ -396,14 +358,14 @@ func (g *Graph) CountMatch(s, p, o ID) int {
 		}
 		return 0
 	case s != Wildcard && p != Wildcard:
-		return g.bySP.get(key2(s, p)).length()
+		return g.bySP.length(key2(s, p))
 	case p != Wildcard && o != Wildcard:
-		return g.byPO.get(key2(p, o)).length()
+		return g.byPO.length(key2(p, o))
 	case s != Wildcard && o != Wildcard:
 		n := 0
 		dead := g.dead.Load()
 		log := g.log.view()
-		if sl, ol := g.byS.get(key1(s)).entries(), g.byO.get(key1(o)).entries(); len(sl) <= len(ol) {
+		if sl, ol := g.byS.get(key1(s)), g.byO.get(key1(o)); len(sl) <= len(ol) {
 			for _, off := range sl {
 				if log[off].O == o && !dead.has(off) {
 					n++
@@ -418,11 +380,11 @@ func (g *Graph) CountMatch(s, p, o ID) int {
 		}
 		return n
 	case s != Wildcard:
-		return g.byS.get(key1(s)).length()
+		return g.byS.length(key1(s))
 	case p != Wildcard:
-		return g.byP.get(key1(p)).length()
+		return g.byP.length(key1(p))
 	case o != Wildcard:
-		return g.byO.get(key1(o)).length()
+		return g.byO.length(key1(o))
 	default:
 		return g.LiveLen()
 	}
@@ -459,12 +421,14 @@ func (g *Graph) Subjects() map[ID]struct{} {
 }
 
 // Union adds every triple of other into g and returns the number newly
-// added. It walks other's log — deterministic order — and pre-sizes g's log
-// for the incoming bulk. When both graphs record provenance, each absorbed
-// triple carries its lineage across: the log walk guarantees premises land
-// before their dependents, so offset translation succeeds. Writer-only on g.
+// added. It walks other's log — deterministic order — and pre-sizes g's log,
+// dedup table and index tables from other's triple and key counts. When both
+// graphs record provenance, each absorbed triple carries its lineage across:
+// the log walk guarantees premises land before their dependents, so offset
+// translation succeeds. Writer-only on g.
 func (g *Graph) Union(other *Graph) int {
-	g.Grow(other.Len())
+	g.Grow(other.LiveLen())
+	g.reserveKeys(other)
 	dead := other.dead.Load()
 	n := 0
 	if g.prov != nil && other.prov != nil {

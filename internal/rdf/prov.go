@@ -44,60 +44,12 @@ func baseDerivation() Derivation {
 // IsDerived reports whether the record names a rule.
 func (d Derivation) IsDerived() bool { return d.Rule != NoRule }
 
-// provLog is the append-only Derivation log, structured exactly like
-// tripleLog: single writer appends, any goroutine reads the published
-// prefix.
-type provLog struct {
-	arr atomic.Pointer[[]Derivation]
-	n   atomic.Uint32
-}
-
-func (l *provLog) grow(n int) {
-	have := int(l.n.Load())
-	a := l.arr.Load()
-	if a != nil && have+n <= len(*a) {
-		return
-	}
-	c := growCap(have)
-	if c < have+n {
-		c = have + n
-	}
-	na := make([]Derivation, c)
-	if a != nil {
-		copy(na, (*a)[:have])
-	}
-	l.arr.Store(&na)
-}
-
-func (l *provLog) append1(d Derivation) {
-	n := int(l.n.Load())
-	a := l.arr.Load()
-	if a == nil || n == len(*a) {
-		l.grow(1)
-		a = l.arr.Load()
-	}
-	//powl:ignore atomicpub element write lands below the published length n; readers slice arr[:n.Load()], so the length store below is the commit point
-	(*a)[n] = d
-	l.n.Store(uint32(n + 1))
-}
-
-func (l *provLog) view() []Derivation {
-	n := l.n.Load()
-	if n == 0 {
-		return nil
-	}
-	a := l.arr.Load()
-	return (*a)[:n:n]
-}
-
-func (l *provLog) length() int { return int(l.n.Load()) }
-
 // Prov holds the provenance side-column plus the rule-name table that maps
 // the compact uint16 rule ids back to compiled-rule names. Rule names are
 // interned by the writer and published copy-on-write, so readers resolving
 // ids from a pinned snapshot never race the writer's interning.
 type Prov struct {
-	recs   provLog
+	recs   alog[Derivation] // one record per log offset, published like the triple log
 	names  atomic.Pointer[[]string]
 	byName map[string]uint16 // writer-only
 	// alt records at most one alternate derivation per log offset: the
@@ -134,6 +86,20 @@ func (p *Prov) RuleID(name string) uint16 {
 	p.names.Store(&next)
 	p.byName[name] = id
 	return id
+}
+
+// cloneNames returns a Prov with a private copy of p's rule-name table and
+// no records. Writer-only on p.
+func (p *Prov) cloneNames() *Prov {
+	cp := &Prov{byName: make(map[string]uint16, len(p.byName))}
+	if names := p.names.Load(); names != nil {
+		nn := append([]string(nil), *names...)
+		cp.names.Store(&nn)
+		for id, name := range nn {
+			cp.byName[name] = uint16(id)
+		}
+	}
+	return cp
 }
 
 // RuleName resolves a rule id to its name. Safe from any goroutine; returns
@@ -229,10 +195,9 @@ func (g *Graph) EnableProv() *Prov {
 // Prov returns the provenance side-column, or nil when recording is off.
 func (g *Graph) Prov() *Prov { return g.prov }
 
-// Offset returns the log offset of t, if present. Writer-only (dedup map).
+// Offset returns the log offset of t, if present. Writer-only (dedup table).
 func (g *Graph) Offset(t Triple) (uint32, bool) {
-	off, ok := g.set[t]
-	return off, ok
+	return g.seen.find(g.log.view(), t)
 }
 
 // AddDerived inserts t with an explicit derivation record and reports
@@ -240,7 +205,7 @@ func (g *Graph) Offset(t Triple) (uint32, bool) {
 // Writer-only. First derivation wins: re-deriving an existing triple does
 // not rewrite its record (records below the watermark are immutable).
 func (g *Graph) AddDerived(t Triple, d Derivation) bool {
-	if _, ok := g.set[t]; ok {
+	if g.Has(t) {
 		return false
 	}
 	g.addNew(t, d, true)
@@ -259,10 +224,10 @@ type Lineage struct {
 }
 
 // LineageOf resolves t's derivation record into transportable form.
-// Writer-only (offset lookup via the dedup map). ok is false when t is
+// Writer-only (offset lookup via the dedup table). ok is false when t is
 // absent or asserted rather than derived.
 func (g *Graph) LineageOf(t Triple) (Lineage, bool) {
-	off, ok := g.set[t]
+	off, ok := g.Offset(t)
 	if !ok || g.prov == nil {
 		return Lineage{}, false
 	}
@@ -293,7 +258,7 @@ func (g *Graph) lineageAt(t Triple, off uint32) (Lineage, bool) {
 // Reports whether t was newly added; an existing triple keeps its original
 // record (first wins). Writer-only. With provenance off it is exactly Add.
 func (g *Graph) AddWithLineage(t Triple, lin Lineage) bool {
-	if _, ok := g.set[t]; ok {
+	if g.Has(t) {
 		return false
 	}
 	if g.prov == nil {
@@ -306,7 +271,7 @@ func (g *Graph) AddWithLineage(t Triple, lin Lineage) bool {
 		if i >= len(d.Prem) {
 			break
 		}
-		if off, ok := g.set[p]; ok {
+		if off, ok := g.Offset(p); ok {
 			d.Prem[i] = off
 		}
 	}

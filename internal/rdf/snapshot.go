@@ -20,7 +20,7 @@ package rdf
 // keeps at most one superseded backing array alive.
 //
 // The fully-bound and (s,·,o) cases deliberately avoid the writer's private
-// dedup map: they scan the shorter of the two relevant pinned posting
+// dedup table: they scan the shorter of the two relevant pinned posting
 // prefixes instead.
 //
 // Deletions pin the same way: the snapshot captures the graph's tombstone
@@ -111,11 +111,11 @@ func cutEntries(v []spEntry, w uint32) []spEntry {
 
 // Has reports whether t is visible in the snapshot. It scans the shorter of
 // the (s,p) and (p,o) pinned posting prefixes rather than touching the
-// writer's dedup map.
+// writer's dedup table.
 func (s Snapshot) Has(t Triple) bool {
 	w := uint32(len(s.log))
-	sp := cutEntries(s.g.bySP.get(key2(t.S, t.P)).entries(), w)
-	po := cutEntries(s.g.byPO.get(key2(t.P, t.O)).entries(), w)
+	sp := cutEntries(s.g.bySP.get(key2(t.S, t.P)), w)
+	po := cutEntries(s.g.byPO.get(key2(t.P, t.O)), w)
 	if len(sp) <= len(po) {
 		for _, e := range sp {
 			if e.Term == t.O && !s.dead.has(e.Off) {
@@ -147,7 +147,7 @@ func (s Snapshot) ForEachMatch(sub, p, o ID, fn func(Triple) bool) {
 			fn(t)
 		}
 	case sub != Wildcard && p != Wildcard:
-		for _, e := range cutEntries(s.g.bySP.get(key2(sub, p)).entries(), w) {
+		for _, e := range cutEntries(s.g.bySP.get(key2(sub, p)), w) {
 			if s.dead.has(e.Off) {
 				continue
 			}
@@ -156,7 +156,7 @@ func (s Snapshot) ForEachMatch(sub, p, o ID, fn func(Triple) bool) {
 			}
 		}
 	case p != Wildcard && o != Wildcard:
-		for _, e := range cutEntries(s.g.byPO.get(key2(p, o)).entries(), w) {
+		for _, e := range cutEntries(s.g.byPO.get(key2(p, o)), w) {
 			if s.dead.has(e.Off) {
 				continue
 			}
@@ -165,8 +165,8 @@ func (s Snapshot) ForEachMatch(sub, p, o ID, fn func(Triple) bool) {
 			}
 		}
 	case sub != Wildcard && o != Wildcard:
-		sl := cutOffsets(s.g.byS.get(key1(sub)).entries(), w)
-		ol := cutOffsets(s.g.byO.get(key1(o)).entries(), w)
+		sl := cutOffsets(s.g.byS.get(key1(sub)), w)
+		ol := cutOffsets(s.g.byO.get(key1(o)), w)
 		if len(sl) <= len(ol) {
 			for _, off := range sl {
 				if s.dead.has(off) {
@@ -187,7 +187,7 @@ func (s Snapshot) ForEachMatch(sub, p, o ID, fn func(Triple) bool) {
 			}
 		}
 	case sub != Wildcard:
-		for _, off := range cutOffsets(s.g.byS.get(key1(sub)).entries(), w) {
+		for _, off := range cutOffsets(s.g.byS.get(key1(sub)), w) {
 			if s.dead.has(off) {
 				continue
 			}
@@ -196,7 +196,7 @@ func (s Snapshot) ForEachMatch(sub, p, o ID, fn func(Triple) bool) {
 			}
 		}
 	case p != Wildcard:
-		for _, off := range cutOffsets(s.g.byP.get(key1(p)).entries(), w) {
+		for _, off := range cutOffsets(s.g.byP.get(key1(p)), w) {
 			if s.dead.has(off) {
 				continue
 			}
@@ -205,7 +205,7 @@ func (s Snapshot) ForEachMatch(sub, p, o ID, fn func(Triple) bool) {
 			}
 		}
 	case o != Wildcard:
-		for _, off := range cutOffsets(s.g.byO.get(key1(o)).entries(), w) {
+		for _, off := range cutOffsets(s.g.byO.get(key1(o)), w) {
 			if s.dead.has(off) {
 				continue
 			}
@@ -252,13 +252,13 @@ func (s Snapshot) CountMatch(sub, p, o ID) int {
 		}
 		return 0
 	case sub != Wildcard && p != Wildcard:
-		return len(cutEntries(s.g.bySP.get(key2(sub, p)).entries(), w))
+		return len(cutEntries(s.g.bySP.get(key2(sub, p)), w))
 	case p != Wildcard && o != Wildcard:
-		return len(cutEntries(s.g.byPO.get(key2(p, o)).entries(), w))
+		return len(cutEntries(s.g.byPO.get(key2(p, o)), w))
 	case sub != Wildcard && o != Wildcard:
 		n := 0
-		sl := cutOffsets(s.g.byS.get(key1(sub)).entries(), w)
-		ol := cutOffsets(s.g.byO.get(key1(o)).entries(), w)
+		sl := cutOffsets(s.g.byS.get(key1(sub)), w)
+		ol := cutOffsets(s.g.byO.get(key1(o)), w)
 		if len(sl) <= len(ol) {
 			for _, off := range sl {
 				if s.log[off].O == o && !s.dead.has(off) {
@@ -274,11 +274,11 @@ func (s Snapshot) CountMatch(sub, p, o ID) int {
 		}
 		return n
 	case sub != Wildcard:
-		return len(cutOffsets(s.g.byS.get(key1(sub)).entries(), w))
+		return len(cutOffsets(s.g.byS.get(key1(sub)), w))
 	case p != Wildcard:
-		return len(cutOffsets(s.g.byP.get(key1(p)).entries(), w))
+		return len(cutOffsets(s.g.byP.get(key1(p)), w))
 	case o != Wildcard:
-		return len(cutOffsets(s.g.byO.get(key1(o)).entries(), w))
+		return len(cutOffsets(s.g.byO.get(key1(o)), w))
 	default:
 		return s.Len()
 	}

@@ -178,8 +178,11 @@ func TestSnapshotStableUnderConcurrentWriter(t *testing.T) {
 }
 
 // TestSnapshotOldPinSurvivesGrowth pins one early snapshot, then grows the
-// graph by orders of magnitude (forcing log and posting reallocation and
-// table rehashes) and verifies the old pin still reads its exact prefix.
+// graph by orders of magnitude — one subject/predicate pair's posting lists
+// move through the bump chunks into arena chunks of their own, every other
+// list relocates a few times, and every slot table rehashes — while a reader
+// goroutine keeps interrogating the pin. The old pin must answer all eight
+// pattern shapes exactly as its ten-triple prefix does, throughout.
 func TestSnapshotOldPinSurvivesGrowth(t *testing.T) {
 	g := NewGraph()
 	for i := 1; i <= 10; i++ {
@@ -187,12 +190,55 @@ func TestSnapshotOldPinSurvivesGrowth(t *testing.T) {
 	}
 	sn := g.Snapshot()
 	want := append([]Triple(nil), sn.Triples()...)
+	tabS, tabSP := g.byS.tab.Load(), g.bySP.tab.Load()
+
+	// Probes: inside the prefix, its last triple, and two the writer adds
+	// later on keys the prefix also uses.
+	probes := []Triple{want[0], want[9], {1, 1, 5000}, {2, 1, 3}}
+	checkPin := func() bool {
+		for _, tr := range probes {
+			for _, pat := range patternShapes(tr) {
+				n := refCount(want, pat[0], pat[1], pat[2])
+				if got := sn.CountMatch(pat[0], pat[1], pat[2]); got != n {
+					t.Errorf("old snapshot CountMatch(%v) = %d, want %d", pat, got, n)
+					return false
+				}
+				if got := len(sn.Match(pat[0], pat[1], pat[2])); got != n {
+					t.Errorf("old snapshot Match(%v) = %d rows, want %d", pat, got, n)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !done.Load() && checkPin() {
+		}
+	}()
 
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 50000; i++ {
 		g.Add(Triple{ID(rng.Intn(3000) + 1), ID(rng.Intn(20) + 1), ID(rng.Intn(3000) + 1)})
+		if i < 4*ownChunk {
+			g.Add(Triple{1, 1, ID(5000 + i)})
+		}
 	}
+	done.Store(true)
+	wg.Wait()
 
+	if n := len(g.bySP.get(key2(1, 1))); n <= 2*ownChunk {
+		t.Fatalf("(1,1) posting list has %d entries, want it past two chunks of its own", n)
+	}
+	if chunks := len(*g.bySP.chunks.Load()); chunks < 4 {
+		t.Fatalf("bySP arena has %d chunks, want several", chunks)
+	}
+	if g.byS.tab.Load() == tabS || g.bySP.tab.Load() == tabSP {
+		t.Fatal("slot tables did not rehash")
+	}
 	if sn.Len() != 10 {
 		t.Fatalf("old snapshot watermark moved: %d", sn.Len())
 	}
@@ -202,12 +248,10 @@ func TestSnapshotOldPinSurvivesGrowth(t *testing.T) {
 			t.Fatalf("old snapshot triple %d changed: %v != %v", i, got[i], want[i])
 		}
 	}
-	if n := sn.CountMatch(Wildcard, 1, Wildcard); n != 10 {
-		t.Fatalf("old snapshot CountMatch(·,1,·) = %d, want 10", n)
-	}
 	for _, tr := range want {
 		if !sn.Has(tr) {
 			t.Fatalf("old snapshot lost %v", tr)
 		}
 	}
+	checkPin()
 }

@@ -19,7 +19,7 @@ import (
 // A deleted triple may be re-added later; it then occupies a fresh log
 // offset while the dead offset stays dead, so "the triple" and "the offset"
 // diverge deliberately: liveness questions about offsets use tombSet.has,
-// liveness questions about triples use the dedup map (Graph.Has), which
+// liveness questions about triples use the dedup table (Graph.Has), which
 // Delete prunes.
 //
 // The nil tombSet is the fast path: a graph that has never seen a deletion
@@ -76,14 +76,14 @@ func (t *tombSet) countBelow(w uint32) int {
 // atomically in one step per batch — before the dedup entries are pruned —
 // so a concurrent Snapshot observes either none or all of the batch's
 // deletions, and a crash between the two steps leaves the published state
-// correct (RepairDedup reconciles the writer-private map).
+// correct (RepairDedup reconciles the writer-private table).
 func (g *Graph) Delete(ts []Triple) int {
 	if len(ts) == 0 {
 		return 0
 	}
 	offs := make([]uint32, 0, len(ts))
 	for _, t := range ts {
-		if off, ok := g.set[t]; ok {
+		if off, ok := g.Offset(t); ok {
 			offs = append(offs, off)
 		}
 	}
@@ -121,17 +121,13 @@ func (g *Graph) DeleteOffsets(offs []uint32) int {
 		return 0
 	}
 	g.dead.Store(&tombSet{bits: bits, n: old.count() + deleted})
-	// Prune the dedup map after publication so the triples can be re-added
-	// at fresh offsets. Guard on the stored offset: if a triple was already
-	// deleted and re-added, its map entry names the newer live offset and
-	// must survive.
+	// Prune the dedup table after publication so the triples can be
+	// re-added at fresh offsets. remove matches the offset, not the triple:
+	// if a triple was already deleted and re-added, its entry names the
+	// newer live offset and survives.
 	for _, off := range offs {
-		if int(off) >= len(logv) {
-			continue
-		}
-		t := logv[off]
-		if cur, ok := g.set[t]; ok && cur == off {
-			delete(g.set, t)
+		if int(off) < len(logv) {
+			g.seen.remove(logv, off)
 		}
 	}
 	return deleted
@@ -154,7 +150,7 @@ func (g *Graph) IsLiveOffset(off uint32) bool {
 // DeadTriples returns the tombstoned triples, sorted, for deterministic
 // persistence (the fscluster checkpoint sidecar). A triple deleted and
 // later re-added is live and therefore excluded. Writer-only (consults the
-// dedup map).
+// dedup table).
 func (g *Graph) DeadTriples() []Triple {
 	dead := g.dead.Load()
 	if dead.count() == 0 {
@@ -195,19 +191,12 @@ func (g *Graph) AssertedTriples() []Triple {
 	return out
 }
 
-// RepairDedup rebuilds the writer-private dedup map from the published log
+// RepairDedup rebuilds the writer-private dedup table from the published log
 // and tombstone set. The published (reader-visible) state is always
-// consistent on its own; the map is the only structure a writer-goroutine
+// consistent on its own; the table is the only structure a writer-goroutine
 // panic can leave half-updated, and this restores it. Writer-only.
 func (g *Graph) RepairDedup() {
-	dead := g.dead.Load()
-	clear(g.set)
-	for i, t := range g.log.view() {
-		off := uint32(i)
-		if !dead.has(off) {
-			g.set[t] = off
-		}
-	}
+	g.seen.rebuild(g.log.view(), g.dead.Load(), g.LiveLen())
 }
 
 // Compact rewrites the graph without its dead triples and returns the fresh
@@ -229,18 +218,11 @@ func (g *Graph) Compact() *Graph {
 	logv := g.log.view()
 	live := len(logv) - dead.count()
 	c := NewGraphCap(live)
+	c.reserveKeys(g)
 	var remap []uint32
 	if g.prov != nil {
-		cp := &Prov{byName: make(map[string]uint16, len(g.prov.byName))}
-		if names := g.prov.names.Load(); names != nil {
-			nn := make([]string, len(*names))
-			copy(nn, *names)
-			cp.names.Store(&nn)
-			for id, name := range nn {
-				cp.byName[name] = uint16(id)
-			}
-		}
-		c.prov = cp
+		c.prov = g.prov.cloneNames()
+		c.prov.recs.grow(live)
 		remap = make([]uint32, len(logv))
 		for i := range remap {
 			remap[i] = NoPremise

@@ -176,10 +176,10 @@ func TestRepairDedup(t *testing.T) {
 	g.Add(tr(1, 2, 3))
 	g.Add(tr(4, 5, 6))
 	g.Delete([]Triple{tr(1, 2, 3)})
-	// Simulate a writer panic between tombstone publication and map pruning:
-	// clobber the map and rebuild from published state.
-	g.set[tr(1, 2, 3)] = 0
-	delete(g.set, tr(4, 5, 6))
+	// Simulate a writer panic between tombstone publication and table
+	// pruning: clobber the table and rebuild from published state.
+	clear(g.seen.slots)
+	g.seen.place(tr(1, 2, 3), 0)
 	g.RepairDedup()
 	if g.Has(tr(1, 2, 3)) {
 		t.Fatal("RepairDedup resurrected a dead triple")

@@ -665,7 +665,7 @@ func (s *Server) maybeCompact() {
 		Dur: int64(pause), N: int64(dead)})
 }
 
-// recoverWriter repairs the graph after a mid-apply panic: the dedup map is
+// recoverWriter repairs the graph after a mid-apply panic: the dedup table is
 // rebuilt from the log (the only writer-private structure a torn mutation
 // can corrupt — posting lists and the provenance column tolerate entries
 // above the watermark by design), and the closure fixpoint every later

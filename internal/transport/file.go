@@ -118,15 +118,14 @@ func (f *File) Recv(ctx context.Context, round, to int) ([]rdf.Triple, error) {
 		if err != nil {
 			return nil, err
 		}
-		g := rdf.NewGraph()
-		_, perr := ntriples.ReadGraph(r, f.dict, g)
+		ts, perr := ntriples.ReadTriples(r, f.dict)
 		r.Close()
 		if perr != nil {
 			// A file that exists (rename is atomic) but does not parse is
 			// corrupt, not in flight: retrying cannot help.
 			return nil, fmt.Errorf("transport/file: %s: %w: %v", e.Name(), ErrMalformed, perr)
 		}
-		out = append(out, g.TriplesSince(0)...)
+		out = append(out, ts...)
 	}
 	return out, nil
 }

@@ -510,13 +510,13 @@ func (t *TCP) readLoop(conn net.Conn) {
 			t.touch(peer)
 			key := frameKey{hdr.Round, hdr.From, hdr.Seq}
 			if !t.alreadySeen(key) {
-				g := rdf.NewGraph()
-				if _, err := ntriples.ReadGraph(bytes.NewReader(payload), t.dict, g); err != nil {
+				ts, err := ntriples.ReadTriples(bytes.NewReader(payload), t.dict)
+				if err != nil {
 					t.fail(fmt.Errorf("transport/tcp: %w: %v", ErrMalformed, err))
 					return
 				}
 				t.markSeen(key)
-				t.deliver(int(hdr.Round), int(hdr.To), g.TriplesSince(0))
+				t.deliver(int(hdr.Round), int(hdr.To), ts)
 			}
 		default:
 			t.fail(fmt.Errorf("transport/tcp: %w: unknown frame type %d from peer %d",
