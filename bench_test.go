@@ -19,6 +19,7 @@ import (
 	"powl/internal/owlhorst"
 	"powl/internal/rdf"
 	"powl/internal/reason"
+	"powl/internal/rules"
 	"powl/internal/transport"
 )
 
@@ -222,7 +223,9 @@ func BenchmarkAblation_Delta(b *testing.B) {
 
 	for _, tc := range []struct {
 		name string
-		inc  reason.Incremental
+		inc  interface {
+			MaterializeFrom(*rdf.Graph, []rules.Rule, []rdf.Triple) int
+		}
 	}{
 		{"forward-delta", reason.Forward{}},
 		{"frontier-backward-delta", reason.Hybrid{FrontierDelta: true}},

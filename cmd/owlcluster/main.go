@@ -45,7 +45,7 @@ func main() {
 		run       = flag.Bool("run", false, "spawn owlnode processes locally and merge the closures")
 		nodeBin   = flag.String("node-bin", "", "owlnode binary for -run ('' = go run ./cmd/owlnode)")
 		engine    = flag.String("engine", "forward", "engine passed to the nodes")
-		threads   = flag.Int("threads", 0, "intra-worker parallel rule-firing goroutines per node (0 or 1 = serial)")
+		threads   = flag.Int("threads", 0, "intra-worker parallel rule-firing goroutines per node (0 or 1 = one, inline)")
 		transport = flag.String("transport", "file", "cluster transport: file (owlnode processes over the shared work dir), tcp or mem (in-process workers with transport-generic recovery)")
 		out       = flag.String("o", "", "merged closure output file (with -run)")
 		fault     = flag.String("fault", "", "fault-injection spec, e.g. \"crash=2\" or \"crash=2,drop=2,dropfrom=0,dropto=1\" (see internal/faultinject); crash targets -fault-node, the rest hits the transport")

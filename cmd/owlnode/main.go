@@ -25,7 +25,7 @@ func main() {
 		dir       = flag.String("dir", "powl-work", "shared work directory")
 		id        = flag.Int("id", -1, "this node's index (required)")
 		engine    = flag.String("engine", "forward", "rule engine: forward, rete, hybrid")
-		threads   = flag.Int("threads", 0, "intra-worker parallel rule-firing goroutines (0 or 1 = serial; rete ignores it)")
+		threads   = flag.Int("threads", 0, "intra-worker parallel rule-firing goroutines (0 or 1 = one, inline; rete ignores it)")
 		poll      = flag.Duration("poll", 20*time.Millisecond, "marker polling interval")
 		timeout   = flag.Duration("timeout", 10*time.Minute, "per-round peer wait timeout")
 		fault     = flag.String("fault", "", "fault-injection spec, e.g. \"crash=2\" (see internal/faultinject)")

@@ -50,7 +50,7 @@ func main() {
 		journal  = flag.String("journal", "", "JSONL journal path (empty = no journal)")
 		statsOut = flag.String("stats-out", "", "write final stats JSON here (empty = stderr)")
 		prov     = flag.Bool("prov", false, "record derivation provenance and serve POST /explain")
-		threads  = flag.Int("threads", 0, "intra-worker parallel rule-firing goroutines for writer-side closures (0 or 1 = serial)")
+		threads  = flag.Int("threads", 0, "intra-worker parallel rule-firing goroutines for writer-side closures (0 or 1 = one, inline)")
 		churn    = flag.Bool("churn-axiom", false, "arm the loadgen churn drill: make the churn predicate a subproperty of the probe marker")
 		cratio   = flag.Float64("compact-ratio", 0, "compact when dead/log exceeds this (0 = default, negative = never)")
 		cmin     = flag.Int("compact-min-dead", 0, "never compact below this many tombstones (0 = default)")

@@ -356,13 +356,13 @@ type worker struct {
 // phaseReason runs the local materialization to fixpoint (Algorithm 3
 // step 3) and returns its duration. The first round materializes fully;
 // subsequent rounds exploit that the graph was at fixpoint before the
-// received tuples arrived: nothing received means nothing to do, and an
-// Incremental engine closes over just the received seeds.
+// received tuples arrived: nothing received means nothing to do, otherwise
+// the engine closes over just the received seeds.
 //
 //powl:ignore wallclock measures the real phase duration that feeds Timings and, in Simulated mode, the reconstructed clock — an input to the cost model, not a timestamp in its output.
 func (w *worker) phaseReason(ctx context.Context, cfg Config) (time.Duration, error) {
 	// Attach the worker's rule collector so the engines profile per-rule
-	// work, and its piece collector so the parallel fire loop journals one
+	// work, and its piece collector so the fire loop journals one
 	// span per stratum firing; with Obs nil both return ctx unchanged.
 	ctx = obs.ContextWithRules(ctx, cfg.Obs.Rules(w.id))
 	ctx = obs.ContextWithPieces(ctx, cfg.Obs.Pieces(w.id))
@@ -371,16 +371,12 @@ func (w *worker) phaseReason(ctx context.Context, cfg Config) (time.Duration, er
 	var err error
 	switch {
 	case !w.materialized:
-		n, err = reason.MaterializeCtx(ctx, cfg.Engine, w.graph, w.rules)
+		n, err = cfg.Engine.MaterializeCtx(ctx, w.graph, w.rules)
 		w.materialized = true
 	case len(w.received) == 0:
 		// Fixpoint unchanged since last round.
 	default:
-		if inc, ok := cfg.Engine.(reason.Incremental); ok {
-			n, err = reason.MaterializeFromCtx(ctx, inc, w.graph, w.rules, w.received)
-		} else {
-			n, err = reason.MaterializeCtx(ctx, cfg.Engine, w.graph, w.rules)
-		}
+		n, err = cfg.Engine.MaterializeFromCtx(ctx, w.graph, w.rules, w.received)
 	}
 	w.tm.Derived += n
 	w.received = w.received[:0]

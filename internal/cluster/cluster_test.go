@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -244,18 +245,23 @@ func TestBarrierAbort(t *testing.T) {
 	}
 }
 
-// TestIncrementalRoundsMatchFull: a run whose engine supports incremental
-// re-materialization produces the same closure as one that always
-// re-materializes fully (hybrid vs a wrapper that hides the Incremental
-// interface).
+// TestIncrementalRoundsMatchFull: a run whose engine closes each round
+// incrementally over the received seeds produces the same closure as one
+// that re-materializes fully every round (invariant 5, through Run).
+// fullOnlyEngine is that second engine: its incremental close ignores the
+// seeds and re-runs the full materialization.
 type fullOnlyEngine struct{ reason.Engine }
+
+func (e fullOnlyEngine) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule, _ []rdf.Triple) (int, error) {
+	return e.MaterializeCtx(ctx, g, rs)
+}
 
 func TestIncrementalRoundsMatchFull(t *testing.T) {
 	f := newChainFixture(t, 14, 4)
 	fast := runModes(t, 4, transport.NewMem(), f, Simulated)
 
 	res, err := Run(Config{
-		Engine:    fullOnlyEngine{reason.Forward{}}, // Incremental hidden
+		Engine:    fullOnlyEngine{reason.Forward{}},
 		Transport: transport.NewMem(),
 		Router:    ownerRouter{f.owner},
 		Mode:      Simulated,

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -92,7 +93,8 @@ type Config struct {
 	// Threads fans rule firing inside each worker out over this many
 	// goroutines (reason.Forward.Threads): piecewise stratified scheduling
 	// with per-goroutine scratches, merged through the single-writer
-	// commit. 0 or 1 keeps every worker's fixpoint serial. Orthogonal to
+	// commit. 0 or 1 fires each worker's fixpoint on its own goroutine
+	// alone (the same loop with one shard). Orthogonal to
 	// Workers: Workers partitions the KB across processes, Threads fans the
 	// fixpoint out inside each one. The hybrid engines apply it to their
 	// incremental closes only; Rete ignores it (its memories are one
@@ -336,7 +338,10 @@ func MaterializeSerial(ds *datagen.Dataset, kind EngineKind) (*SerialResult, err
 	g.AddAll(instance)
 	g.Union(compiled.Schema)
 	start := time.Now()
-	n := engine.Materialize(g, compiled.InstanceRules)
+	n, err := engine.MaterializeCtx(context.Background(), g, compiled.InstanceRules)
+	if err != nil {
+		return nil, err
+	}
 	return &SerialResult{Graph: g, Inferred: n, Elapsed: time.Since(start)}, nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -174,11 +175,11 @@ func SerialRules(ds *datagen.Dataset, rs []rules.Rule, kind EngineKind) (*Serial
 	if err != nil {
 		return nil, err
 	}
-	if err := reason.ValidateRules(rs); err != nil {
-		return nil, err
-	}
 	g := ds.Graph.Clone()
 	start := time.Now()
-	n := engine.Materialize(g, rs)
+	n, err := engine.MaterializeCtx(context.Background(), g, rs)
+	if err != nil {
+		return nil, err
+	}
 	return &SerialResult{Graph: g, Inferred: n, Elapsed: time.Since(start)}, nil
 }

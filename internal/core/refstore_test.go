@@ -5,135 +5,15 @@ import (
 
 	"powl/internal/datagen"
 	"powl/internal/owlhorst"
-	"powl/internal/rdf"
-	"powl/internal/rules"
+	"powl/internal/refclosure"
 )
-
-// refStore is a deliberately naive triple store — a plain set plus one
-// by-predicate bucket — sharing no code with rdf.Graph's compact log and
-// posting-list indexes. It exists so the closure test below checks the
-// production store against an independent implementation, not against
-// itself.
-type refStore struct {
-	set map[rdf.Triple]struct{}
-	byP map[rdf.ID][]rdf.Triple
-	all []rdf.Triple
-}
-
-func newRefStore() *refStore {
-	return &refStore{set: map[rdf.Triple]struct{}{}, byP: map[rdf.ID][]rdf.Triple{}}
-}
-
-func (r *refStore) add(t rdf.Triple) bool {
-	if _, ok := r.set[t]; ok {
-		return false
-	}
-	r.set[t] = struct{}{}
-	r.byP[t.P] = append(r.byP[t.P], t)
-	r.all = append(r.all, t)
-	return true
-}
-
-// refBind extends the named-variable binding with one atom/triple match,
-// returning the variables it newly bound (for undo) and whether it matched.
-func refBind(a rules.Atom, t rdf.Triple, b map[string]rdf.ID) ([]string, bool) {
-	var fresh []string
-	undo := func() {
-		for _, v := range fresh {
-			delete(b, v)
-		}
-	}
-	for _, pv := range [3]struct {
-		spec rules.TermSpec
-		val  rdf.ID
-	}{{a.S, t.S}, {a.P, t.P}, {a.O, t.O}} {
-		if !pv.spec.IsVar {
-			if pv.spec.ID != pv.val {
-				undo()
-				return nil, false
-			}
-			continue
-		}
-		if cur, ok := b[pv.spec.Var]; ok {
-			if cur != pv.val {
-				undo()
-				return nil, false
-			}
-			continue
-		}
-		b[pv.spec.Var] = pv.val
-		fresh = append(fresh, pv.spec.Var)
-	}
-	return fresh, true
-}
-
-// refEvalBody enumerates body matches left to right (no reordering, no
-// selectivity tricks) and calls yield under each complete binding.
-func refEvalBody(st *refStore, body []rules.Atom, i int, b map[string]rdf.ID, yield func()) {
-	if i == len(body) {
-		yield()
-		return
-	}
-	a := body[i]
-	candidates := st.all
-	if !a.P.IsVar {
-		candidates = st.byP[a.P.ID]
-	} else if v, ok := b[a.P.Var]; ok {
-		candidates = st.byP[v]
-	}
-	// Appends during iteration are invisible to this range (len is
-	// snapshotted); the enclosing naive fixpoint loop re-runs the rule, so
-	// nothing is lost.
-	for _, t := range candidates {
-		if fresh, ok := refBind(a, t, b); ok {
-			refEvalBody(st, body, i+1, b, yield)
-			for _, v := range fresh {
-				delete(b, v)
-			}
-		}
-	}
-}
-
-func refInstantiate(a rules.Atom, b map[string]rdf.ID) rdf.Triple {
-	resolve := func(s rules.TermSpec) rdf.ID {
-		if s.IsVar {
-			return b[s.Var]
-		}
-		return s.ID
-	}
-	return rdf.Triple{S: resolve(a.S), P: resolve(a.P), O: resolve(a.O)}
-}
-
-// refClosure computes the closure of base under rs by naive (not semi-naive)
-// fixpoint iteration: every rule re-evaluated from scratch each pass until a
-// full pass derives nothing new.
-func refClosure(base []rdf.Triple, rs []rules.Rule) *refStore {
-	st := newRefStore()
-	for _, t := range base {
-		st.add(t)
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, r := range rs {
-			b := map[string]rdf.ID{}
-			refEvalBody(st, r.Body, 0, b, func() {
-				for _, h := range r.Head {
-					if st.add(refInstantiate(h, b)) {
-						changed = true
-					}
-				}
-			})
-		}
-	}
-	return st
-}
 
 // TestClosureMatchesReferenceStore materializes the Quick-scale LUBM and
 // UOBM datasets through the production path (compact graph store + forward
-// engine) and through the naive reference store above, and requires
-// identical closures. This is the end-to-end guard for the store rewrite:
-// any divergence in indexing, dedup, match extents, or join ordering shows
-// up as a closure mismatch here.
+// engine) and through the naive reference evaluator (package refclosure),
+// and requires identical closures. This is the end-to-end guard for the
+// store and the fire loop: any divergence in indexing, dedup, match
+// extents, or join ordering shows up as a closure mismatch here.
 func TestClosureMatchesReferenceStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("closure cross-check is slow under -short")
@@ -151,13 +31,13 @@ func TestClosureMatchesReferenceStore(t *testing.T) {
 
 			compiled := owlhorst.Compile(ds.Dict, ds.Graph)
 			base := append(owlhorst.SplitInstance(ds.Dict, ds.Graph), compiled.Schema.Triples()...)
-			ref := refClosure(base, compiled.InstanceRules)
+			ref := refclosure.Closure(base, compiled.InstanceRules)
 
-			if res.Graph.Len() != len(ref.set) {
-				t.Fatalf("closure size mismatch: graph store %d, reference %d", res.Graph.Len(), len(ref.set))
+			if res.Graph.Len() != len(ref) {
+				t.Fatalf("closure size mismatch: graph store %d, reference %d", res.Graph.Len(), len(ref))
 			}
 			for _, tr := range res.Graph.Triples() {
-				if _, ok := ref.set[tr]; !ok {
+				if _, ok := ref[tr]; !ok {
 					t.Fatalf("graph store derived %v; reference closure does not contain it", tr)
 				}
 			}

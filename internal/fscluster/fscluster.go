@@ -429,7 +429,7 @@ func RunNodeContext(ctx context.Context, cfg NodeConfig) (*NodeResult, error) {
 		reasonT0 := time.Now()
 		switch {
 		case !materialized:
-			d, err := reason.MaterializeCtx(ctx, cfg.Engine, n.g, n.rules)
+			d, err := cfg.Engine.MaterializeCtx(ctx, n.g, n.rules)
 			if err != nil {
 				return nil, err
 			}
@@ -438,12 +438,7 @@ func RunNodeContext(ctx context.Context, cfg NodeConfig) (*NodeResult, error) {
 		case len(n.received) == 0:
 			// Still at fixpoint.
 		default:
-			var d int
-			if inc, ok := cfg.Engine.(reason.Incremental); ok {
-				d, err = reason.MaterializeFromCtx(ctx, inc, n.g, n.rules, n.received)
-			} else {
-				d, err = reason.MaterializeCtx(ctx, cfg.Engine, n.g, n.rules)
-			}
+			d, err := cfg.Engine.MaterializeFromCtx(ctx, n.g, n.rules, n.received)
 			if err != nil {
 				return nil, err
 			}

@@ -6,14 +6,14 @@ import (
 	"time"
 )
 
-// PieceSpan is one stratum firing of the intra-worker parallel engine: the
+// PieceSpan is one stratum firing of the forward engine's fire loop: the
 // engine fired `Pieces` independent rule pieces at dependency level
-// `Stratum` over a `Delta`-triple queue across `Threads` goroutines,
-// committing `Derived` new triples, in `Dur`. Sweep is the firing's
-// position in the materialization (the parallel analogue of the semi-naive
-// round). Journalled as EvPiece events; with the same materialization run
-// at different thread counts, the per-span durations are what the
-// speedup@cores figure in BENCH_10.json is computed from.
+// `Stratum` over a `Delta`-triple queue across `Threads` shards (1 = inline
+// on the caller's goroutine), committing `Derived` new triples, in `Dur`.
+// Sweep is the firing's position in the materialization — the number
+// provenance records carry as Round. Journalled as EvPiece events; with the
+// same materialization run at different thread counts, the per-span
+// durations show where the threads help.
 type PieceSpan struct {
 	Stratum int
 	Pieces  int
@@ -57,8 +57,8 @@ func (c *PieceCollector) Snapshot() []PieceSpan {
 
 type piecesCtxKey struct{}
 
-// ContextWithPieces attaches a piece collector to ctx; the parallel engine
-// picks it up in MaterializeCtx. Attaching nil returns ctx unchanged.
+// ContextWithPieces attaches a piece collector to ctx; the forward engine's
+// fire loop picks it up, at any thread count. Attaching nil returns ctx unchanged.
 func ContextWithPieces(ctx context.Context, c *PieceCollector) context.Context {
 	if c == nil {
 		return ctx

@@ -53,43 +53,33 @@ func allocFixture() (*rdf.Graph, []rules.Rule, []rdf.Triple) {
 	return g, rs, deltas
 }
 
-// TestJoinPathZeroAllocs pins the steady-state join path at zero heap
-// allocations per delta triple: once the graph is at fixpoint and the
-// scratch buffers are warm, firing every trigger for a delta triple —
-// binding, selectivity ranking, index scans, head instantiation, and the
-// duplicate-suppressing emit — must not allocate. A regression here is the
-// per-firing garbage the compact store was built to eliminate.
-func TestJoinPathZeroAllocs(t *testing.T) {
-	g, rs, deltas := allocFixture()
-	// Close the graph so every emit during measurement hits the Has fast
-	// path (steady state: re-deriving known triples).
-	Forward{}.Materialize(g, rs)
-
+// joinPathAllocs measures the steady-state join path over g, which must be
+// at fixpoint under rs: every trigger of every stratum fired for every
+// delta triple — binding, selectivity ranking, index scans, head
+// instantiation — through the one emit the fire loop has (graph Has, then
+// the shard's Add), with one scratch and one shard, exactly what fireShard
+// owns. rec turns on the scratch's premise capture. It returns the
+// allocations per pass over deltas.
+func joinPathAllocs(t *testing.T, g *rdf.Graph, rs []rules.Rule, deltas []rdf.Triple, rec bool) float64 {
+	t.Helper()
 	crs := mustCompileRules(rs)
-	byPred := map[rdf.ID][]trigger{}
-	for i := range crs {
-		r := &crs[i]
-		for j, a := range r.body {
-			if a.p.isVar {
-				t.Fatalf("fixture rules must have constant predicates")
-			} else {
-				byPred[a.p.id] = append(byPred[a.p.id], trigger{r, j})
-			}
-		}
-	}
+	plans := planStrata(crs)
 	sc := newScratch(crs)
-	pending := map[rdf.Triple]struct{}{}
+	sc.rec = rec
+	sh := rdf.NewDeltaStage(1).Shard(0)
 	emit := func(tr rdf.Triple) {
 		if !g.Has(tr) {
-			pending[tr] = struct{}{}
+			sh.Add(tr)
 		}
 	}
 	fired := 0
 	run := func() {
 		for _, d := range deltas {
-			for _, tr := range byPred[d.P] {
-				m, _ := fireOn(g, sc, tr, d, emit)
-				fired += int(m)
+			for p := range plans {
+				for _, tr := range plans[p].triggers(d) {
+					m, _ := fireOn(g, sc, tr, d, emit)
+					fired += int(m)
+				}
 			}
 		}
 	}
@@ -97,11 +87,25 @@ func TestJoinPathZeroAllocs(t *testing.T) {
 	if fired == 0 {
 		t.Fatal("fixture produced no body matches; the test would measure nothing")
 	}
-	if len(pending) != 0 {
-		t.Fatalf("graph not at fixpoint: %d pending emits", len(pending))
+	if sh.Len() != 0 {
+		t.Fatalf("graph not at fixpoint: %d staged emits", sh.Len())
 	}
-	if avg := testing.AllocsPerRun(20, run); avg != 0 {
-		t.Errorf("join path allocates %.1f times per %d delta firings, want 0", avg, len(deltas))
+	return testing.AllocsPerRun(20, run)
+}
+
+// TestJoinPathZeroAllocs pins the steady-state join path at zero heap
+// allocations per delta triple: once the graph is at fixpoint and the
+// scratch buffers are warm, firing every trigger for a delta triple must
+// not allocate, whether the closure was reached on one shard or several. A
+// regression here is the per-firing garbage the compact store was built to
+// eliminate.
+func TestJoinPathZeroAllocs(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		g, rs, deltas := allocFixture()
+		Forward{Threads: threads}.Materialize(g, rs)
+		if avg := joinPathAllocs(t, g, rs, deltas, false); avg != 0 {
+			t.Errorf("threads=%d: join path allocates %.1f times per %d delta firings, want 0", threads, avg, len(deltas))
+		}
 	}
 }
 
@@ -109,7 +113,7 @@ func TestJoinPathZeroAllocs(t *testing.T) {
 // non-empty tombstone set: every index scan now filters through the pinned
 // bitset, and that filter must not cost an allocation either. The graph is
 // brought back to fixpoint through Retract (which rematerializes), so the
-// steady-state measurement below is identical in shape to the tombstone-free
+// steady-state measurement is identical in shape to the tombstone-free
 // test.
 func TestJoinPathZeroAllocsWithDeletions(t *testing.T) {
 	g, rs, deltas := allocFixture()
@@ -121,89 +125,9 @@ func TestJoinPathZeroAllocsWithDeletions(t *testing.T) {
 	if g.Dead() == 0 {
 		t.Fatal("retraction left no tombstones; test would not exercise the filter")
 	}
-	deltas = deltas[40:]
-
-	crs := mustCompileRules(rs)
-	byPred := map[rdf.ID][]trigger{}
-	for i := range crs {
-		r := &crs[i]
-		for j, a := range r.body {
-			byPred[a.p.id] = append(byPred[a.p.id], trigger{r, j})
-		}
-	}
-	sc := newScratch(crs)
-	pending := map[rdf.Triple]struct{}{}
-	emit := func(tr rdf.Triple) {
-		if !g.Has(tr) {
-			pending[tr] = struct{}{}
-		}
-	}
-	fired := 0
-	run := func() {
-		for _, d := range deltas {
-			for _, tr := range byPred[d.P] {
-				m, _ := fireOn(g, sc, tr, d, emit)
-				fired += int(m)
-			}
-		}
-	}
-	run()
-	if fired == 0 {
-		t.Fatal("fixture produced no body matches; the test would measure nothing")
-	}
-	if len(pending) != 0 {
-		t.Fatalf("graph not at fixpoint after retract: %d pending emits", len(pending))
-	}
-	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+	if avg := joinPathAllocs(t, g, rs, deltas[40:], false); avg != 0 {
 		t.Errorf("join path with tombstones allocates %.1f times per %d delta firings, want 0",
-			avg, len(deltas))
-	}
-}
-
-// TestJoinPathZeroAllocsParallelShard pins the steady-state property for
-// the parallel fire loop's per-shard path: a firing goroutine's emit stages
-// into its own DeltaStage shard instead of the round's pending map, and at
-// fixpoint (every conclusion already in the graph) the g.Has probe plus the
-// shard's dedup probe must not allocate. This is the per-goroutine mirror
-// of TestJoinPathZeroAllocs — one scratch, one shard, exactly what each
-// worker of fireShard owns.
-func TestJoinPathZeroAllocsParallelShard(t *testing.T) {
-	g, rs, deltas := allocFixture()
-	Forward{Threads: 4}.Materialize(g, rs)
-
-	crs := mustCompileRules(rs)
-	byPred := map[rdf.ID][]trigger{}
-	for i := range crs {
-		r := &crs[i]
-		for j, a := range r.body {
-			byPred[a.p.id] = append(byPred[a.p.id], trigger{r, j})
-		}
-	}
-	sc := newScratch(crs)
-	sh := rdf.NewDeltaStage(1).Shard(0)
-	emit := func(tr rdf.Triple) {
-		if !g.Has(tr) {
-			sh.Add(tr)
-		}
-	}
-	fired := 0
-	run := func() {
-		for _, d := range deltas {
-			for _, tr := range byPred[d.P] {
-				m, _ := fireOn(g, sc, tr, d, emit)
-				fired += int(m)
-			}
-		}
-	}
-	run()
-	if fired == 0 {
-		t.Fatal("fixture produced no body matches; the test would measure nothing")
-	}
-	if sh.Len() != 0 {
-		t.Fatalf("graph not at fixpoint: %d staged emits", sh.Len())
-	}
-	if avg := testing.AllocsPerRun(20, run); avg != 0 {
-		t.Errorf("per-shard join path allocates %.1f times per %d delta firings, want 0", avg, len(deltas))
+			avg, len(deltas)-40)
 	}
 }
 

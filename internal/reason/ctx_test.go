@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
+	"powl/internal/obs"
 	"powl/internal/rdf"
 	"powl/internal/rules"
 )
@@ -27,8 +29,8 @@ func bigChain(n int) (*rdf.Graph, []rules.Rule) {
 	return g, rs
 }
 
-func ctxEngines() []ContextEngine {
-	return []ContextEngine{Forward{}, Rete{}, Hybrid{}, Hybrid{SharedTable: true}}
+func ctxEngines() []plainEngine {
+	return []plainEngine{Forward{}, Rete{}, Hybrid{}, Hybrid{SharedTable: true}}
 }
 
 func TestMaterializeCtxCancelledUpFront(t *testing.T) {
@@ -66,32 +68,58 @@ func TestMaterializeFromCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, e := range ctxEngines() {
-		inc, ok := any(e).(IncrementalContext)
-		if !ok {
-			t.Fatalf("%s does not implement IncrementalContext", e.Name())
-		}
 		g, rs := bigChain(32)
 		seed := g.Triples()[:1]
-		if _, err := inc.MaterializeFromCtx(ctx, g, rs, seed); !errors.Is(err, context.Canceled) {
+		if _, err := e.MaterializeFromCtx(ctx, g, rs, seed); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want Canceled", e.Name(), err)
 		}
 	}
 }
 
-// TestMaterializeCtxHelperFallback: the helper must work for engines that
-// do not implement ContextEngine.
-type plainEngine struct{ Engine }
+// countdownCtx reports no error for its first `left` Err calls and
+// context.Canceled from then on: a cancellation that lands at a known
+// probe, whichever goroutine makes it.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
 
-func TestMaterializeCtxHelperFallback(t *testing.T) {
-	g, rs := bigChain(16)
-	n, err := MaterializeCtx(context.Background(), plainEngine{Forward{}}, g, rs)
-	if err != nil || n == 0 {
-		t.Fatalf("fallback: n=%d err=%v", n, err)
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := MaterializeCtx(ctx, plainEngine{Forward{}}, rdf.NewGraph(), rs); !errors.Is(err, context.Canceled) {
-		t.Fatalf("fallback ignored cancelled ctx: %v", err)
+	return nil
+}
+
+// TestCancelLandsMidSweep pins the probe cadence of the fire loop for a
+// delta far below 1,024 triples per thread — every incremental close the
+// live writer runs: ctx must be probed at each chunk claim, so a
+// cancellation that arrives during a sweep stops it before the delta is
+// exhausted and surfaces as the context's error. One rule over 1,000
+// triples is a single sweep in which every delta triple is exactly one
+// firing, so the rule profile counts the triples fired.
+func TestCancelLandsMidSweep(t *testing.T) {
+	const n = 1000
+	dict := rdf.NewDict()
+	p := dict.InternIRI("http://t/p")
+	rs := rules.MustParse("@prefix t: <http://t/> .\n[cp: (?x t:p ?y) -> (?x t:q ?y)]", dict)
+	for _, threads := range []int{1, 2} {
+		g := rdf.NewGraph()
+		for i := 0; i < n; i++ {
+			g.Add(rdf.Triple{S: dict.InternIRI(fmt.Sprintf("http://t/s%d", i)), P: p, O: dict.InternIRI(fmt.Sprintf("http://t/o%d", i))})
+		}
+		rc := &obs.RuleCollector{}
+		// Three clean probes: the sweep-top check and two chunk claims.
+		ctx := &countdownCtx{Context: obs.ContextWithRules(context.Background(), rc)}
+		ctx.left.Store(3)
+		_, err := Forward{Threads: threads}.MaterializeCtx(ctx, g, rs)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("threads=%d: err = %v, want Canceled", threads, err)
+		}
+		fired := rc.Snapshot()["cp"].Firings
+		if fired == 0 || fired >= n {
+			t.Errorf("threads=%d: %d of %d delta triples fired; the sweep must start and stop before its delta is exhausted", threads, fired, n)
+		}
 	}
 }
 

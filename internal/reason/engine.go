@@ -1,8 +1,9 @@
-// Package reason provides the two rule engines behind powl's reasoning, both
+// Package reason provides the rule engines behind powl's reasoning, all
 // operating on datalog rules over RDF triples:
 //
-//   - Forward: semi-naive bottom-up evaluation to fixpoint. Fast, and the
-//     reference implementation the parallel results are checked against.
+//   - Forward: semi-naive bottom-up evaluation to fixpoint — one fire loop
+//     (parallel.go) at any thread count. Fast, and the engine every
+//     production path runs.
 //   - Hybrid: the strategy of the paper's §V — the ontology is first
 //     compiled into instance rules (package owlhorst), then a tabled SLD
 //     backward engine materializes the KB by issuing one "all statements
@@ -23,54 +24,30 @@ import (
 	"powl/internal/rules"
 )
 
-// Engine materializes the closure of a graph under a rule set.
+// Engine materializes the closure of a graph under a rule set. It is the
+// one contract the cluster layers hold a reasoner to (paper §V: any
+// reasoner with datalog semantics fits): a cancellable full
+// materialization and a cancellable incremental close. Forward, Hybrid and
+// Rete implement it, and each also offers plain Materialize/MaterializeFrom
+// convenience methods that run under context.Background and panic on an
+// inexecutable rule set.
 type Engine interface {
 	// Name identifies the engine in reports ("forward", "hybrid").
 	Name() string
-	// Materialize adds all derivable triples to g and returns the number of
-	// triples added.
-	Materialize(g *rdf.Graph, rs []rules.Rule) int
-}
-
-// ContextEngine is implemented by engines whose fixpoint loop is
-// cancellable: MaterializeCtx checks ctx between iterations and stops with
-// ctx.Err() when it is cancelled or its deadline passes, leaving g in a
-// consistent (sound but possibly incomplete) state. All three built-in
-// engines implement it; the cluster layer uses it to enforce per-round
-// deadlines and run cancellation.
-type ContextEngine interface {
-	Engine
+	// MaterializeCtx adds all derivable triples to g and returns the number
+	// of triples added. It stops with ctx.Err() when ctx is cancelled or
+	// its deadline passes, leaving g in a consistent (sound but possibly
+	// incomplete) state; the cluster layer uses this to enforce per-round
+	// deadlines and run cancellation.
 	MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule) (int, error)
-}
-
-// IncrementalContext is the cancellable counterpart of Incremental.
-type IncrementalContext interface {
-	Incremental
+	// MaterializeFromCtx adds all triples derivable from g given that g was
+	// closed under rs before the seed tuples were inserted, and returns the
+	// number added. The cluster workers use it for every round after the
+	// first: the graph was at fixpoint at the end of the previous round, so
+	// only derivations involving the newly received seeds can be missing.
+	// Calling it with an arbitrary (non-closed) g is not complete — use
+	// MaterializeCtx for that.
 	MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) (int, error)
-}
-
-// MaterializeCtx runs e under ctx when the engine supports cancellation and
-// falls back to the plain blocking call otherwise.
-func MaterializeCtx(ctx context.Context, e Engine, g *rdf.Graph, rs []rules.Rule) (int, error) {
-	if ce, ok := e.(ContextEngine); ok {
-		return ce.MaterializeCtx(ctx, g, rs)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return e.Materialize(g, rs), nil
-}
-
-// MaterializeFromCtx is MaterializeCtx for the incremental path. The caller
-// must already know inc implements Incremental.
-func MaterializeFromCtx(ctx context.Context, inc Incremental, g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) (int, error) {
-	if ic, ok := inc.(IncrementalContext); ok {
-		return ic.MaterializeFromCtx(ctx, g, rs, seeds)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return inc.MaterializeFrom(g, rs, seeds), nil
 }
 
 // slotTerm is a body/head position in compiled form: either a constant ID or

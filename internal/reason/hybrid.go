@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"powl/internal/obs"
 	"powl/internal/rdf"
 	"powl/internal/rules"
 )
@@ -50,8 +49,9 @@ func (h Hybrid) Name() string {
 	return "hybrid"
 }
 
-// Materialize implements Engine. Like Forward.Materialize it panics on a
-// rule set that fails ValidateRules — validate caller-supplied rules first.
+// Materialize is MaterializeCtx without cancellation. Like
+// Forward.Materialize it panics on a rule set that fails ValidateRules —
+// validate caller-supplied rules first.
 func (h Hybrid) Materialize(g *rdf.Graph, rs []rules.Rule) int {
 	n, err := h.MaterializeCtx(context.Background(), g, rs)
 	if err != nil {
@@ -60,9 +60,8 @@ func (h Hybrid) Materialize(g *rdf.Graph, rs []rules.Rule) int {
 	return n
 }
 
-// MaterializeCtx implements ContextEngine: the per-resource query loop
-// checks ctx before each resource, so cancellation lands within one
-// backward query.
+// MaterializeCtx implements Engine: the per-resource query loop checks ctx
+// before each resource, so cancellation lands within one backward query.
 func (h Hybrid) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule) (int, error) {
 	crs, err := compileRules(rs)
 	if err != nil {
@@ -81,19 +80,7 @@ func (h Hybrid) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rul
 	}
 	sort.Slice(resources, func(i, j int) bool { return resources[i] < resources[j] })
 
-	prov := g.Prov()
-	var (
-		sampler *obs.DeriveSampler
-		provIDs []uint16
-	)
-	if prov != nil {
-		sampler = obs.DerivesFrom(ctx)
-		provIDs = make([]uint16, len(crs))
-		for i := range crs {
-			provIDs[i] = prov.RuleID(crs[i].name)
-		}
-	}
-
+	rec := newDerivRecorder(ctx, g, crs)
 	added := 0
 	var s *solver
 	var pending []rdf.Triple
@@ -102,12 +89,7 @@ func (h Hybrid) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rul
 			return added, err
 		}
 		if s == nil || !h.SharedTable {
-			s = newSolver(g, crs)
-			s.prof = prof
-			if prov != nil {
-				s.rec = true
-				s.lin = map[rdf.Triple]pendDeriv{}
-			}
+			s = newSolver(g, crs, prof, rec)
 		}
 		goal := rdf.Triple{S: r, P: rdf.Wildcard, O: rdf.Wildcard}
 		e := s.solve(goal)
@@ -119,13 +101,7 @@ func (h Hybrid) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rul
 			}
 		}
 		for _, t := range pending {
-			if prov == nil {
-				// Derived-marking insert: keeps the graph's derived bitset
-				// accurate for the provenance-off Retract fallback.
-				if g.AddDerived(t, rdf.Derivation{}) {
-					added++
-				}
-			} else if s.addDerivedFromLin(provIDs, sampler, t) {
+			if s.addDerived(t) {
 				added++
 			}
 		}
@@ -133,33 +109,23 @@ func (h Hybrid) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rul
 	return added, nil
 }
 
-// addDerivedFromLin inserts t with the lineage the solver captured at yield
-// time. Backward-chained premises may themselves still be pending (tabled
-// answers not yet inserted), so premise offsets resolve best-effort:
-// unresolvable slots record NoPremise. The rule attribution is always exact.
-func (s *solver) addDerivedFromLin(provIDs []uint16, sampler *obs.DeriveSampler, t rdf.Triple) bool {
+// addDerived inserts a pending answer. With provenance on it carries the
+// lineage the solver captured at yield time: backward-chained premises may
+// themselves still be pending (tabled answers not yet inserted), so premise
+// offsets resolve best-effort, while the rule attribution is always exact;
+// the backward engines have no round structure, so records carry round 0.
+// Without a captured lineage (provenance off, lin nil) the triple is still
+// marked derived — the derived bit is what the provenance-off Retract
+// fallback keys its delete-and-rematerialize on.
+func (s *solver) addDerived(t rdf.Triple) bool {
 	pd, ok := s.lin[t]
 	if !ok {
 		return s.g.AddDerived(t, rdf.Derivation{})
 	}
-	d := rdf.Derivation{
-		Rule: provIDs[pd.rule.idx],
-		Prem: [3]uint32{rdf.NoPremise, rdf.NoPremise, rdf.NoPremise},
-	}
-	for i := 0; i < int(pd.np); i++ {
-		if off, ok := s.g.Offset(pd.prem[i]); ok {
-			d.Prem[i] = off
-		}
-	}
-	if !s.g.AddDerived(t, d) {
+	if !s.rec.add(t, pd, 0) {
 		return false
 	}
 	s.prof.addDerived(pd.rule.idx, 1, 0)
-	if sampler != nil {
-		if off, ok := s.g.Offset(t); ok {
-			sampler.Sample(pd.rule.name, 0, off)
-		}
-	}
 	return true
 }
 
@@ -203,16 +169,20 @@ type solver struct {
 	// keeps the steady state allocation-free instead.
 	envPool []env
 	maxSlot int
-	// rec enables provenance capture: each first derivation of a non-base
-	// answer stores its rule and instantiated premises in lin, which the
-	// driver consults when it inserts pending answers into the graph.
-	rec bool
+	// rec, when non-nil, enables provenance capture: each first derivation
+	// of a non-base answer stores its rule and instantiated premises in
+	// lin, which addDerived resolves through rec when the driver inserts
+	// pending answers into the graph.
+	rec *derivRecorder
 	lin map[rdf.Triple]pendDeriv
 }
 
-func newSolver(g *rdf.Graph, crs []cRule) *solver {
+func newSolver(g *rdf.Graph, crs []cRule, prof *ruleProf, rec *derivRecorder) *solver {
 	s := &solver{g: g, rules: crs, table: map[rdf.Triple]*tableEntry{},
-		byHeadPred: map[rdf.ID][]headRef{}, maxSlot: 1}
+		byHeadPred: map[rdf.ID][]headRef{}, maxSlot: 1, prof: prof, rec: rec}
+	if rec != nil {
+		s.lin = map[rdf.Triple]pendDeriv{}
+	}
 	for ri := range crs {
 		r := &crs[ri]
 		if r.nslot > s.maxSlot {
@@ -311,7 +281,7 @@ func (s *solver) solve(goal rdf.Triple) *tableEntry {
 // evaluateOnce runs one resolution pass for e's goal: base facts plus every
 // rule whose head unifies, with bodies evaluated left-to-right.
 //
-//powl:ignore wallclock per-rule profiling clock, same contract as forward.materialize.
+//powl:ignore wallclock per-rule profiling clock, same contract as fireShard.
 func (s *solver) evaluateOnce(e *tableEntry) {
 	goal := e.goal
 	s.g.ForEachMatch(goal.S, goal.P, goal.O, func(t rdf.Triple) bool {
@@ -330,7 +300,7 @@ func (s *solver) evaluateOnce(e *tableEntry) {
 			s.evalBody(e, r, 0, env, func() {
 				t := env.instantiate(hAtom)
 				if matchesGoal(t, goal) {
-					if s.rec {
+					if s.rec != nil {
 						s.captureLin(r, env, t)
 					}
 					s.addAnswer(e, t)
@@ -349,7 +319,7 @@ func (s *solver) evaluateOnce(e *tableEntry) {
 			t := env.instantiate(hAtom)
 			if matchesGoal(t, goal) {
 				s.prof.firings[r.idx]++
-				if s.rec {
+				if s.rec != nil {
 					s.captureLin(r, env, t)
 				}
 				s.addAnswer(e, t)
@@ -388,16 +358,11 @@ func (s *solver) captureLin(r *cRule, en env, t rdf.Triple) {
 	if _, ok := s.lin[t]; ok {
 		return
 	}
-	pd := pendDeriv{rule: r}
-	np := len(r.body)
-	if np > len(pd.prem) {
-		np = len(pd.prem)
+	var prem [3]rdf.Triple
+	for i := range min(len(r.body), len(prem)) {
+		prem[i] = en.instantiate(r.body[i])
 	}
-	for i := 0; i < np; i++ {
-		pd.prem[i] = en.instantiate(r.body[i])
-	}
-	pd.np = uint8(np)
-	s.lin[t] = pd
+	s.lin[t] = capture(r, prem)
 }
 
 func (s *solver) addAnswer(e *tableEntry, t rdf.Triple) {

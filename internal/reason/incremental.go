@@ -4,29 +4,14 @@ import (
 	"context"
 	"sort"
 
-	"powl/internal/obs"
 	"powl/internal/rdf"
 	"powl/internal/rules"
 )
 
-// Incremental is implemented by engines that can re-establish the closure of
-// an already-materialized graph after new tuples arrive, without redoing the
-// full materialization. The cluster workers use it for every round after the
-// first: the graph was at fixpoint at the end of the previous round, so only
-// derivations involving the newly received seed tuples can be missing.
-type Incremental interface {
-	// MaterializeFrom adds all triples derivable from g given that g was
-	// closed under rs before the seed tuples were inserted. It returns the
-	// number of triples added. Calling it with an arbitrary (non-closed) g
-	// is not complete — use Materialize for that.
-	MaterializeFrom(g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) int
-}
-
-// MaterializeFrom implements Incremental for the forward engine: it is the
-// semi-naive round with the delta seeded by the new tuples instead of the
-// whole graph. Because g was previously at fixpoint, every missing
-// derivation joins at least one seed, so seeding the delta with the seeds is
-// complete.
+// MaterializeFrom is MaterializeFromCtx without cancellation: the fire loop
+// with the delta seeded by the new tuples instead of the whole graph.
+// Because g was previously at fixpoint, every missing derivation joins at
+// least one seed, so seeding the delta with the seeds is complete.
 func (f Forward) MaterializeFrom(g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) int {
 	n, err := f.MaterializeFromCtx(context.Background(), g, rs, seeds)
 	if err != nil {
@@ -38,7 +23,7 @@ func (f Forward) MaterializeFrom(g *rdf.Graph, rs []rules.Rule, seeds []rdf.Trip
 	return n
 }
 
-// MaterializeFromCtx implements IncrementalContext.
+// MaterializeFromCtx implements Engine.
 func (f Forward) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) (int, error) {
 	if len(seeds) == 0 {
 		return 0, ctx.Err()
@@ -46,7 +31,8 @@ func (f Forward) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rule
 	return f.materialize(ctx, g, rs, seeds)
 }
 
-// MaterializeFrom implements Incremental for the hybrid engine.
+// MaterializeFrom is the hybrid engine's incremental close, without
+// cancellation.
 //
 // By default the delta is closed bottom-up with the forward engine's
 // semi-naive round: the paper's expensive per-resource backward driver is
@@ -67,8 +53,8 @@ func (h Hybrid) MaterializeFrom(g *rdf.Graph, rs []rules.Rule, seeds []rdf.Tripl
 	return n
 }
 
-// MaterializeFromCtx implements IncrementalContext; the frontier loop
-// checks ctx per batch.
+// MaterializeFromCtx implements Engine; the frontier loop checks ctx per
+// batch.
 func (h Hybrid) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) (int, error) {
 	if len(seeds) == 0 {
 		return 0, ctx.Err()
@@ -111,22 +97,7 @@ func (h Hybrid) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rules
 	// the incremental close is powl's own wrapper-level machinery, so it
 	// uses tabling efficiently.
 	added := 0
-	s := newSolver(g, crs)
-	s.prof = prof
-	prov := g.Prov()
-	var (
-		sampler *obs.DeriveSampler
-		provIDs []uint16
-	)
-	if prov != nil {
-		sampler = obs.DerivesFrom(ctx)
-		provIDs = make([]uint16, len(crs))
-		for i := range crs {
-			provIDs[i] = prov.RuleID(crs[i].name)
-		}
-		s.rec = true
-		s.lin = map[rdf.Triple]pendDeriv{}
-	}
+	s := newSolver(g, crs, prof, newDerivRecorder(ctx, g, crs))
 	var pending []rdf.Triple
 	for len(frontier) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -153,16 +124,7 @@ func (h Hybrid) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rules
 			}
 		}
 		for _, t := range pending {
-			ok := false
-			if prov == nil {
-				// Mark derived even without records (see forward.go): the
-				// derived bit is what the provenance-off Retract fallback
-				// keys its delete-and-rematerialize on.
-				ok = g.AddDerived(t, rdf.Derivation{})
-			} else {
-				ok = s.addDerivedFromLin(provIDs, sampler, t)
-			}
-			if ok {
+			if s.addDerived(t) {
 				added++
 				addWithNeighbors(t.S)
 				addWithNeighbors(t.O)

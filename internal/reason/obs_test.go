@@ -30,7 +30,7 @@ func chainFx(n int) (*fx, []rdf.Triple) {
 // collector, must attribute its work to the firing rule, and the profiled
 // run must produce the same closure as the unprofiled one.
 func TestRuleProfilesMatchAcrossEngines(t *testing.T) {
-	for _, e := range []ContextEngine{Forward{}, Rete{}, Hybrid{}, Hybrid{SharedTable: true}} {
+	for _, e := range []Engine{Forward{}, Rete{}, Hybrid{}, Hybrid{SharedTable: true}} {
 		f, _ := chainFx(12)
 		rs := f.parse(`[tr: (?x t:p ?y) (?y t:p ?z) -> (?x t:p ?z)]`)
 

@@ -11,114 +11,81 @@ import (
 	"powl/internal/rules"
 )
 
-// Intra-worker parallel rule firing.
-//
-// The paper's parallelism stops at the partition boundary: each cluster
-// worker runs its OWL-Horst fixpoint single-threaded. This file fans the
-// fixpoint itself out over Forward.Threads goroutines, built on two
-// invariants the rest of the repo already established:
-//
-//   - The graph is single-writer/multi-reader: during a *fire phase* no
-//     goroutine mutates the graph — firing goroutines read it (Has,
-//     CountMatch, ForEachMatch, Offset) and stage their conclusions into
-//     per-goroutine DeltaStage shards. All log appends, posting-list
-//     publications, and provenance writes happen in the *commit phase*, on
-//     the coordinator goroutine, after the fork has joined. The WaitGroup
-//     join is the happens-before edge between the two phases, so the MVCC
-//     publication invariants (graph.go) are untouched.
-//   - The join path is per-scratch zero-alloc: each firing goroutine
-//     creates its own scratch inside the goroutine and never shares it
-//     (the sharedscratch invariant, enforced by owlvet), so the serial
-//     engine's 0-allocs/op steady state holds per shard.
+// The fire loop: the one semi-naive evaluation every Forward run goes
+// through, at any shard count.
 //
 // Scheduling is piecewise stratified (pieces.go): the compiled rule set is
 // decomposed into dependency pieces grouped by level, each stratum keeps
 // its own delta queue, and strata are swept in topological order so
-// conclusions cascade downward within one sweep. Within a stratum the
-// pieces are mutually independent, so the whole stratum's delta is chunked
-// and claimed from a shared atomic cursor — the work-stealing fallback
-// that keeps goroutines busy when a few delta triples are far more
-// expensive than the rest (skew).
+// conclusions cascade downward within one pass over the strata. One
+// stratum firing plus its commit is a *sweep*; sweeps are numbered from 1
+// and are what provenance records carry as Round.
 //
-// Determinism contract: the closure is set-identical to the serial run,
-// and with provenance on the derived-triple set is too; every record still
-// round-trips through the verifier. Firing order differs, so *which*
-// derivation is recorded for a multiply-derivable triple (and the log
-// order within a sweep) may differ — exactly the latitude the serial
-// engine already takes by iterating its pending set in map order. Journal
-// counts (per-rule firings/derived/duplicates) reconcile with the work
-// performed.
+// A sweep has two phases, built on two invariants the rest of the repo
+// already established:
+//
+//   - The graph is single-writer/multi-reader: during the *fire phase* no
+//     goroutine mutates the graph — shards read it (Offset, CountMatch,
+//     ForEachMatch) and stage their conclusions into their own DeltaStage
+//     shard. All log appends, posting-list publications and provenance
+//     writes happen in the *commit phase*, on the caller's goroutine, after
+//     the shards have returned. With several shards the WaitGroup join is
+//     the happens-before edge between the two phases, so the MVCC
+//     publication invariants (graph.go) are untouched.
+//   - The join path is per-scratch zero-alloc: each shard creates its own
+//     scratch inside the goroutine that uses it and never shares it (the
+//     sharedscratch invariant, enforced by owlvet).
+//
+// Forward.Threads is the shard count. One shard (Threads <= 1, and any
+// delta below parallelMinDelta) fires inline on the caller's goroutine: no
+// goroutine, no WaitGroup. Several shards claim chunks of the stratum's
+// delta from a shared atomic cursor — the work-stealing fallback that
+// keeps goroutines busy when a few delta triples are far more expensive
+// than the rest (skew). Within a stratum the pieces are mutually
+// independent, so the whole stratum's delta fans out with no barrier
+// between pieces.
+//
+// Determinism contract: the closure, and with provenance on the
+// derived-triple set, is the same at every shard count, and every record
+// round-trips through the verifier. With one shard the run is also
+// reproducible: triggers are dispatched in rule order, conclusions are
+// staged in firing order and committed in staging order, so the log, the
+// recorded derivations and the alternates are identical run to run. With
+// several shards the chunk claims race, so log order within a sweep and
+// *which* derivation is recorded for a multiply-derivable triple may
+// differ between runs. Journal counts (per-rule firings/derived/duplicates)
+// reconcile with the work performed.
 
-// parallelMinDelta is the queue size below which a stratum is fired inline
-// on the coordinator goroutine: forking over a handful of triples costs
-// more than the join work itself. Incremental closes over small seed sets
-// (the live-serving path) take this branch and behave exactly like the
-// serial engine plus one staging hop.
+// parallelMinDelta is the queue size below which a stratum is fired on one
+// shard whatever Forward.Threads says: forking over a handful of triples
+// costs more than the join work itself. Incremental closes over small seed
+// sets (the live-serving path) take this branch.
 const parallelMinDelta = 128
 
-// parallelMinChunk is the smallest delta chunk a goroutine claims; claims
-// this coarse keep the atomic cursor off the per-triple path.
+// parallelMinChunk is the smallest delta chunk a shard claims; claims this
+// coarse keep the atomic cursor off the per-triple path.
 const parallelMinChunk = 64
 
-// stratumPlan indexes one stratum's body atoms by predicate, the same
-// trigger scheme as the serial loop but scoped to the stratum's rules.
+// trigger marks that a delta triple with a given predicate may instantiate
+// body atom atomIdx of rule.
+type trigger struct {
+	rule    *cRule
+	atomIdx int
+}
+
+// stratumPlan is one stratum's trigger index: body atoms by predicate
+// constant, so a delta triple only visits rules it can trigger. Atoms with
+// a variable predicate are triggered by every triple; they form anyPred and
+// are also appended to every byPred list, so dispatch is one lookup.
 type stratumPlan struct {
 	byPred  map[rdf.ID][]trigger
 	anyPred []trigger
 	pieces  int
 }
 
-func (p *stratumPlan) empty() bool { return len(p.byPred) == 0 && len(p.anyPred) == 0 }
-
-// wants reports whether t can trigger any rule of this stratum.
-func (p *stratumPlan) wants(t rdf.Triple) bool {
-	if len(p.anyPred) > 0 {
-		return true
-	}
-	_, ok := p.byPred[t.P]
-	return ok
-}
-
-// parRun carries one parallel materialization's shared state. Everything a
-// firing goroutine writes is indexed by its shard number; the scratches
-// themselves are *not* here — each goroutine creates its own and never
-// publishes it (the sharedscratch invariant).
-type parRun struct {
-	g       *rdf.Graph
-	crs     []cRule
-	threads int
-
-	stage    *rdf.DeltaStage
-	sidecars [][]pendDeriv              // per shard, aligned with its staged triples (prov on)
-	alts     []map[rdf.Triple]pendDeriv // per shard, first alternate candidate per duplicate (prov on)
-
-	prov    *rdf.Prov
-	provIDs []uint16
-	sampler *obs.DeriveSampler
-
-	// Per-shard profile tallies: ruleProf's slices are not goroutine-safe,
-	// so shards tally locally and the coordinator folds them in after each
-	// fork joins.
-	prof    *ruleProf
-	profOn  bool
-	firings [][]int64
-	matches [][]int64
-	times   [][]time.Duration
-	dups    [][]int64 // prov on: duplicate firings per rule, per shard
-
-	// Coordinator-only provenance accounting, folded into prof at the end.
-	derivedOf, dupOf []int64
-}
-
-// materializeParallel is the Threads>1 fire loop; see the file comment for
-// the phase discipline and determinism contract.
-//
-//powl:ignore wallclock per-piece spans and per-rule profiling accumulate real durations, mirroring the serial loop; both are disabled when no collector is attached.
-func (f Forward) materializeParallel(ctx context.Context, g *rdf.Graph, rs []rules.Rule, delta []rdf.Triple) (int, error) {
-	crs, err := compileRules(rs)
-	if err != nil {
-		return 0, err
-	}
+// planStrata stratifies crs and indexes each stratum's triggers, in rule
+// order within a stratum.
+func planStrata(crs []cRule) []stratumPlan {
 	strata := stratify(crs)
 	plans := make([]stratumPlan, len(strata))
 	for s, ps := range strata {
@@ -137,49 +104,88 @@ func (f Forward) materializeParallel(ctx context.Context, g *rdf.Graph, rs []rul
 				}
 			}
 		}
+		if len(plan.anyPred) > 0 {
+			for p, trs := range plan.byPred {
+				plan.byPred[p] = append(trs, plan.anyPred...)
+			}
+		}
 	}
+	return plans
+}
 
+// triggers returns the triggers of this stratum that t can fire.
+func (p *stratumPlan) triggers(t rdf.Triple) []trigger {
+	if trs, ok := p.byPred[t.P]; ok {
+		return trs
+	}
+	return p.anyPred
+}
+
+// fireRun carries one materialization's state. Everything a shard writes
+// during a fire phase is indexed by its shard number; the scratches are
+// *not* here — each shard creates its own and never publishes it (the
+// sharedscratch invariant).
+type fireRun struct {
+	g     *rdf.Graph
+	crs   []cRule
+	stage *rdf.DeltaStage // one shard per Forward.Threads
+
+	// Provenance on: rec turns captured firings into records at commit (it
+	// writes Prov, so shards never call it); sidecars[w] is aligned with
+	// shard w's staged triples, alts[w] holds the first alternate-derivation
+	// candidate per duplicate conclusion.
+	rec      *derivRecorder
+	sidecars [][]pendDeriv
+	alts     []map[rdf.Triple]pendDeriv
+
+	// Profiling on: ruleProf's slices are not goroutine-safe, so each shard
+	// tallies into its own and the caller folds them in after the join.
+	prof  *ruleProf
+	tally []*ruleProf
+}
+
+// materialize runs semi-naive evaluation from the given initial delta,
+// which it only reads; see the file comment for the phase discipline and
+// the determinism contract.
+//
+//powl:ignore wallclock per-piece spans accumulate real durations; recorded only when a collector is attached.
+func (f Forward) materialize(ctx context.Context, g *rdf.Graph, rs []rules.Rule, delta []rdf.Triple) (int, error) {
+	crs, err := compileRules(rs)
+	if err != nil {
+		return 0, err
+	}
+	plans := planStrata(crs)
 	prof := newRuleProf(ctx, crs)
 	defer prof.flush()
 	spans := obs.PiecesFrom(ctx)
 
-	r := &parRun{
-		g: g, crs: crs, threads: f.Threads,
-		stage:  rdf.NewDeltaStage(f.Threads),
-		prof:   prof,
-		profOn: prof != nil,
+	threads := max(f.Threads, 1)
+	r := &fireRun{
+		g: g, crs: crs,
+		stage: rdf.NewDeltaStage(threads),
+		rec:   newDerivRecorder(ctx, g, crs),
+		prof:  prof,
 	}
-	if r.profOn {
-		r.firings = perShardInt64(f.Threads, len(crs))
-		r.matches = perShardInt64(f.Threads, len(crs))
-		r.times = make([][]time.Duration, f.Threads)
-		for i := range r.times {
-			r.times[i] = make([]time.Duration, len(crs))
+	if prof != nil {
+		r.tally = make([]*ruleProf, threads)
+		for w := range r.tally {
+			r.tally[w] = newTally(crs)
 		}
 	}
-	if prov := g.Prov(); prov != nil {
-		r.prov = prov
-		r.sampler = obs.DerivesFrom(ctx)
-		r.provIDs = make([]uint16, len(crs))
-		for i := range crs {
-			r.provIDs[i] = prov.RuleID(crs[i].name)
+	if r.rec != nil {
+		r.sidecars = make([][]pendDeriv, threads)
+		r.alts = make([]map[rdf.Triple]pendDeriv, threads)
+		for w := range r.alts {
+			r.alts[w] = map[rdf.Triple]pendDeriv{}
 		}
-		r.sidecars = make([][]pendDeriv, f.Threads)
-		r.alts = make([]map[rdf.Triple]pendDeriv, f.Threads)
-		for i := range r.alts {
-			r.alts[i] = map[rdf.Triple]pendDeriv{}
-		}
-		r.dups = perShardInt64(f.Threads, len(crs))
-		r.derivedOf = make([]int64, len(crs))
-		r.dupOf = make([]int64, len(crs))
 	}
 
-	// Queue the initial delta at every stratum with a matching trigger. The
-	// three-index slice caps capacity so routing appends can never scribble
-	// on the caller's backing array.
-	queues := make([][]rdf.Triple, len(strata))
+	// Queue the initial delta at every stratum. The three-index slice caps
+	// capacity so routing appends can never scribble on the caller's
+	// backing array (which may be the graph's own log).
+	queues := make([][]rdf.Triple, len(plans))
 	for s := range plans {
-		if !plans[s].empty() {
+		if len(plans[s].byPred) > 0 || len(plans[s].anyPred) > 0 {
 			queues[s] = delta[:len(delta):len(delta)]
 		}
 	}
@@ -210,7 +216,7 @@ func (f Forward) materializeParallel(ctx context.Context, g *rdf.Graph, rs []rul
 			// consume them — including this one, for recursive pieces.
 			for _, t := range fresh {
 				for s2 := range plans {
-					if plans[s2].wants(t) {
+					if len(plans[s2].triggers(t)) > 0 {
 						queues[s2] = append(queues[s2], t)
 					}
 				}
@@ -218,47 +224,28 @@ func (f Forward) materializeParallel(ctx context.Context, g *rdf.Graph, rs []rul
 			if spans != nil {
 				spans.Record(obs.PieceSpan{
 					Stratum: s, Pieces: plans[s].pieces, Sweep: sweep,
-					Threads: f.Threads, Delta: len(d), Derived: len(fresh),
+					Threads: threads, Delta: len(d), Derived: len(fresh),
 					Dur: time.Since(start),
 				})
 			}
 		}
 		if !progressed {
-			break
+			return added, nil
 		}
 	}
-	if r.prov != nil {
-		for i := range crs {
-			if r.derivedOf[i] != 0 || r.dupOf[i] != 0 {
-				prof.addDerived(i, r.derivedOf[i], r.dupOf[i])
-			}
-		}
-	}
-	return added, nil
 }
 
-func perShardInt64(shards, rules int) [][]int64 {
-	out := make([][]int64, shards)
-	for i := range out {
-		out[i] = make([]int64, rules)
-	}
-	return out
-}
-
-// fireStratum fans d out over the run's goroutines. Chunks are claimed
-// from a shared atomic cursor — the work-stealing fallback: a goroutine
-// that drew cheap triples keeps claiming chunks while a slow one is still
-// inside its own, so a skewed delta cannot serialize the stratum. Small
-// deltas fire inline on the coordinator (shard 0) instead of forking.
-func (r *parRun) fireStratum(ctx context.Context, plan *stratumPlan, d []rdf.Triple) error {
-	nw := r.threads
+// fireStratum fires d through the stratum's triggers on up to all of the
+// run's shards. Chunks are claimed from a shared atomic cursor — the
+// work-stealing fallback: a shard that drew cheap triples keeps claiming
+// chunks while a slow one is still inside its own, so a skewed delta cannot
+// serialize the stratum. One shard fires inline on the caller's goroutine.
+func (r *fireRun) fireStratum(ctx context.Context, plan *stratumPlan, d []rdf.Triple) error {
+	nw := r.stage.Shards()
 	if len(d) < parallelMinDelta {
 		nw = 1
 	}
-	chunk := len(d) / (nw * 4)
-	if chunk < parallelMinChunk {
-		chunk = parallelMinChunk
-	}
+	chunk := max(len(d)/(nw*4), parallelMinChunk)
 	var next atomic.Int64
 	var failed atomic.Bool
 	if nw == 1 {
@@ -274,243 +261,149 @@ func (r *parRun) fireStratum(ctx context.Context, plan *stratumPlan, d []rdf.Tri
 		}
 		wg.Wait()
 	}
-	r.mergeProf()
+	if r.prof != nil {
+		for _, tl := range r.tally {
+			r.prof.fold(tl)
+		}
+	}
 	if failed.Load() {
 		return ctx.Err()
 	}
 	return nil
 }
 
-// fireShard is one goroutine's share of a stratum firing. The scratch is
-// created here, inside the goroutine that uses it, and never escapes — the
-// sharedscratch invariant owlvet enforces. During the firing the graph is
-// read-only (every conclusion is staged into this goroutine's shard), so
-// the concurrent Has/CountMatch/ForEachMatch/Offset calls race with
-// nothing; the coordinator is parked on the WaitGroup until every shard
-// returns.
+// fireShard is one shard's share of a stratum firing, and the only place
+// rules are fired from. The scratch is created here, inside the goroutine
+// that uses it, and never escapes — the sharedscratch invariant owlvet
+// enforces. During the firing the graph is read-only (every conclusion is
+// staged into this shard), so concurrent shards' Offset/CountMatch/
+// ForEachMatch calls race with nothing; the caller is parked on the
+// WaitGroup, or is this very goroutine, until every shard returns.
 //
-//powl:ignore wallclock chained per-rule profiling timestamps, mirroring the serial fire loop; disabled when no collector is attached.
-func (r *parRun) fireShard(ctx context.Context, plan *stratumPlan, d []rdf.Triple, w int, next *atomic.Int64, chunk int, failed *atomic.Bool) {
+// ctx is probed once per chunk claim and every 256 triples within a chunk,
+// so cancellation lands within 256 delta triples' firings however small
+// the delta; the staged conclusions of a cancelled sweep are dropped, which
+// leaves the graph sound but incomplete.
+//
+//powl:ignore wallclock chained per-rule profiling timestamps; disabled when no collector is attached.
+func (r *fireRun) fireShard(ctx context.Context, plan *stratumPlan, d []rdf.Triple, w int, next *atomic.Int64, chunk int, failed *atomic.Bool) {
 	sc := newScratch(r.crs)
 	sh := r.stage.Shard(w)
 	g := r.g
-	var emit func(rdf.Triple)
-	if r.prov == nil {
-		emit = func(t rdf.Triple) {
-			if !g.Has(t) {
-				sh.Add(t)
-			}
-		}
-	} else {
-		sc.rec = true
-		alt := r.alts[w]
-		dup := r.dups[w]
-		emit = func(t rdf.Triple) {
-			if g.Has(t) {
-				dup[sc.cur.idx]++
-				// First independent re-derivation of an existing triple:
-				// buffer it as the offset's alternate candidate — the
-				// coordinator records it at commit, because Prov is
-				// coordinator-write-only. The AltAt probe is a concurrent
-				// read of a map nothing writes during the fire phase, and
-				// it is what keeps this path allocation-free once the
-				// alternate is on record.
-				if len(sc.cur.body) > len(sc.prem) {
-					return
-				}
-				if _, have := alt[t]; have {
-					return
-				}
-				if off, ok := g.Offset(t); ok {
-					if _, has := r.prov.AltAt(off); has {
-						return
-					}
-				}
-				alt[t] = capturePend(sc)
-				return
-			}
-			if !sh.Add(t) {
-				// Same-shard duplicate: the primary has no offset yet, so
-				// always buffer; the commit resolves it after the insert.
-				dup[sc.cur.idx]++
-				if _, have := alt[t]; !have && len(sc.cur.body) <= len(sc.prem) {
-					alt[t] = capturePend(sc)
-				}
-				return
-			}
-			r.sidecars[w] = append(r.sidecars[w], capturePend(sc))
+	var tl *ruleProf
+	if r.prof != nil {
+		tl = r.tally[w]
+	}
+	emit := func(t rdf.Triple) {
+		if !g.Has(t) {
+			sh.Add(t)
 		}
 	}
-	for {
-		if failed.Load() {
-			return
+	if r.rec != nil {
+		// Capture the firing rule and its premises (held in the scratch by
+		// fireOn/joinRest) next to every staged conclusion. The emit above
+		// is untouched by provenance, so the disabled path stays zero-alloc
+		// per delta triple.
+		sc.rec = true
+		alt := r.alts[w]
+		emit = func(t rdf.Triple) {
+			off, inGraph := g.Offset(t)
+			if !inGraph && sh.Add(t) {
+				r.sidecars[w] = append(r.sidecars[w], capture(sc.cur, sc.prem))
+				return
+			}
+			// A duplicate firing is an independent derivation of a triple
+			// that is in the graph or already staged by this shard. Buffer
+			// the first one per triple as its alternate candidate; commit
+			// records it once the triple has an offset. The AltAt probe is
+			// a read of a map nothing writes during the fire phase, and it
+			// is what keeps this path allocation-free once the alternate is
+			// on record.
+			if tl != nil {
+				tl.dup[sc.cur.idx]++
+			}
+			if len(sc.cur.body) > len(sc.prem) {
+				return
+			}
+			if _, have := alt[t]; have {
+				return
+			}
+			if inGraph {
+				if _, on := r.rec.prov.AltAt(off); on {
+					return
+				}
+			}
+			alt[t] = capture(sc.cur, sc.prem)
 		}
-		c := next.Add(1) - 1
-		lo := int(c) * chunk
+	}
+	for !failed.Load() {
+		lo := (int(next.Add(1)) - 1) * chunk
 		if lo >= len(d) {
 			return
 		}
-		hi := lo + chunk
-		if hi > len(d) {
-			hi = len(d)
+		if ctx.Err() != nil {
+			failed.Store(true)
+			return
 		}
-		for i, t := range d[lo:hi] {
+		for i, t := range d[lo:min(lo+chunk, len(d))] {
 			if i&255 == 255 && ctx.Err() != nil {
 				failed.Store(true)
 				return
 			}
-			if !r.profOn {
-				for _, tr := range plan.byPred[t.P] {
-					fireOn(g, sc, tr, t, emit)
-				}
-				for _, tr := range plan.anyPred {
-					fireOn(g, sc, tr, t, emit)
-				}
-			} else {
-				t0 := time.Now()
-				for _, tr := range plan.byPred[t.P] {
-					m, fr := fireOn(g, sc, tr, t, emit)
-					t1 := time.Now()
-					r.firings[w][tr.rule.idx] += fr
-					r.matches[w][tr.rule.idx] += m
-					r.times[w][tr.rule.idx] += t1.Sub(t0)
-					t0 = t1
-				}
-				for _, tr := range plan.anyPred {
-					m, fr := fireOn(g, sc, tr, t, emit)
-					t1 := time.Now()
-					r.firings[w][tr.rule.idx] += fr
-					r.matches[w][tr.rule.idx] += m
-					r.times[w][tr.rule.idx] += t1.Sub(t0)
-					t0 = t1
-				}
+			var t0 time.Time
+			if tl != nil {
+				t0 = time.Now()
 			}
-		}
-	}
-}
-
-// capturePend snapshots the current firing's provenance out of the
-// scratch: the rule plus its first three premises, body-atom order.
-func capturePend(sc *scratch) pendDeriv {
-	pd := pendDeriv{rule: sc.cur}
-	np := len(sc.cur.body)
-	if np > len(pd.prem) {
-		np = len(pd.prem)
-	}
-	copy(pd.prem[:np], sc.prem[:np])
-	pd.np = uint8(np)
-	return pd
-}
-
-// mergeProf folds the shards' tallies into the shared profile and zeroes
-// them for the next firing. Coordinator-only, after the fork joins.
-func (r *parRun) mergeProf() {
-	if !r.profOn {
-		return
-	}
-	for w := range r.firings {
-		for i := range r.crs {
-			if r.firings[w][i] != 0 || r.matches[w][i] != 0 || r.times[w][i] != 0 {
-				r.prof.add(i, r.firings[w][i], r.matches[w][i], r.times[w][i])
-				r.firings[w][i], r.matches[w][i], r.times[w][i] = 0, 0, 0
+			for _, tr := range plan.triggers(t) {
+				m, fr := fireOn(g, sc, tr, t, emit)
+				if tl != nil {
+					// Chained timestamps: consecutive activations share one
+					// clock read, so profiling costs one time.Now per fireOn.
+					t1 := time.Now()
+					tl.add(tr.rule.idx, fr, m, t1.Sub(t0))
+					t0 = t1
+				}
 			}
 		}
 	}
 }
 
 // commit drains the stage into the log — the single-writer commit the MVCC
-// publication invariants require — and returns the triples that were new
-// to the graph, appended to fresh. Cross-shard duplicates lose the
-// AddDerived race and are recorded as the winner's alternate derivation,
-// which is exactly what the serial engine's same-round duplicate handling
-// records. Coordinator-only.
-func (r *parRun) commit(sweep int, fresh []rdf.Triple) []rdf.Triple {
-	r16 := uint16(sweep)
-	if sweep > int(^uint16(0)) {
-		r16 = ^uint16(0)
-	}
+// publication invariants require — in shard order, each shard in staging
+// order, and returns the triples that were new to the graph, appended to
+// fresh. A triple staged by two shards loses the second AddDerived and is
+// recorded as the winner's alternate derivation. Caller's goroutine only.
+func (r *fireRun) commit(sweep int, fresh []rdf.Triple) []rdf.Triple {
 	for w := 0; w < r.stage.Shards(); w++ {
 		sh := r.stage.Shard(w)
-		if r.prov == nil {
+		if r.rec == nil {
 			for _, t := range sh.Triples() {
-				// AddDerived rather than Add, as in the serial loop: the
-				// derived bit is what the provenance-off Retract fallback
-				// keys on.
+				// AddDerived rather than Add: even without provenance
+				// records the graph tracks which offsets are engine-derived,
+				// which is what the provenance-off Retract fallback keys on.
 				if r.g.AddDerived(t, rdf.Derivation{}) {
 					fresh = append(fresh, t)
 				}
 			}
-		} else {
-			side := r.sidecars[w]
-			for i, t := range sh.Triples() {
-				pd := side[i]
-				if r.g.AddDerived(t, r.resolve(pd, r16)) {
-					fresh = append(fresh, t)
-					r.derivedOf[pd.rule.idx]++
-					if r.sampler != nil {
-						if off, ok := r.g.Offset(t); ok {
-							r.sampler.Sample(pd.rule.name, sweep, off)
-						}
-					}
-				} else {
-					r.dupOf[pd.rule.idx]++
-					r.recordAlt(t, pd, r16)
-				}
+			sh.Reset()
+			continue
+		}
+		for i, t := range sh.Triples() {
+			pd := r.sidecars[w][i]
+			if r.rec.add(t, pd, sweep) {
+				fresh = append(fresh, t)
+				r.prof.addDerived(pd.rule.idx, 1, 0)
+			} else {
+				r.prof.addDerived(pd.rule.idx, 0, 1)
+				r.rec.addAlt(t, pd, sweep)
 			}
-			r.sidecars[w] = side[:0]
 		}
 		sh.Reset()
-	}
-	if r.prov != nil {
-		for w := range r.alts {
-			for t, pd := range r.alts[w] {
-				r.recordAlt(t, pd, r16)
-			}
-			clear(r.alts[w])
+		r.sidecars[w] = r.sidecars[w][:0]
+		for t, pd := range r.alts[w] {
+			r.rec.addAlt(t, pd, sweep)
 		}
-		for w := range r.dups {
-			for i, n := range r.dups[w] {
-				if n != 0 {
-					r.dupOf[i] += n
-					r.dups[w][i] = 0
-				}
-			}
-		}
+		clear(r.alts[w])
 	}
 	return fresh
-}
-
-// resolve rebuilds pd on its premises' current log offsets. Premises were
-// graph triples at fire time (or delta seeds the caller never inserted, in
-// which case the slot stays NoPremise and the record is fragile — same as
-// the serial path).
-func (r *parRun) resolve(pd pendDeriv, round uint16) rdf.Derivation {
-	d := rdf.Derivation{
-		Rule:  r.provIDs[pd.rule.idx],
-		Round: round,
-		Prem:  [3]uint32{rdf.NoPremise, rdf.NoPremise, rdf.NoPremise},
-	}
-	for i := 0; i < int(pd.np); i++ {
-		if off, ok := r.g.Offset(pd.prem[i]); ok {
-			d.Prem[i] = off
-		}
-	}
-	return d
-}
-
-// recordAlt records pd as t's alternate derivation when t is live, the
-// rule's whole body fits the record, and no alternate is on file yet.
-// Coordinator-only (Prov writes).
-func (r *parRun) recordAlt(t rdf.Triple, pd pendDeriv, round uint16) {
-	if len(pd.rule.body) > len(pd.prem) {
-		return
-	}
-	off, ok := r.g.Offset(t)
-	if !ok {
-		return
-	}
-	if _, have := r.prov.AltAt(off); have {
-		return
-	}
-	r.prov.RecordAlt(off, r.resolve(pd, round))
 }

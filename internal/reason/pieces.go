@@ -1,7 +1,7 @@
 package reason
 
-// Piece stratification: the static analysis behind the intra-worker
-// parallel fire loop (parallel.go), after the piece decomposition of
+// Piece stratification: the static analysis behind the fire loop's
+// schedule (parallel.go), after the piece decomposition of
 // "Parallelisable Existential Rules: a Story of Pieces".
 //
 // Rule i *feeds* rule j when some head atom of i can produce a triple that

@@ -31,8 +31,15 @@ func newRuleProf(ctx context.Context, crs []cRule) *ruleProf {
 	if rc == nil {
 		return nil
 	}
+	p := newTally(crs)
+	p.rc = rc
+	return p
+}
+
+// newTally returns a zeroed tally with no collector behind it: a fire-loop
+// shard's private counters, folded into the run's ruleProf by fold.
+func newTally(crs []cRule) *ruleProf {
 	p := &ruleProf{
-		rc:      rc,
 		names:   make([]string, len(crs)),
 		firings: make([]int64, len(crs)),
 		matches: make([]int64, len(crs)),
@@ -62,6 +69,18 @@ func (p *ruleProf) addDerived(idx int, derived, dup int64) {
 	}
 	p.derived[idx] += derived
 	p.dup[idx] += dup
+}
+
+// fold adds shard's tallies into p and zeroes them. The fire loop gives each
+// shard a collector-less ruleProf of its own (the slices are not
+// goroutine-safe) and folds them in on the caller's goroutine after the
+// shards return.
+func (p *ruleProf) fold(shard *ruleProf) {
+	for i := range p.names {
+		p.add(i, shard.firings[i], shard.matches[i], shard.time[i])
+		p.dup[i] += shard.dup[i]
+		shard.firings[i], shard.matches[i], shard.time[i], shard.dup[i] = 0, 0, 0, 0
+	}
 }
 
 // flush pushes the tally into the shared collector — every compiled rule,

@@ -1,10 +1,6 @@
 package reason
 
-import (
-	"testing"
-
-	"powl/internal/rdf"
-)
+import "testing"
 
 // TestJoinPathZeroAllocsProvCapture pins the provenance-recording join path:
 // with sc.rec set, fireOn and joinRest additionally write the firing rule
@@ -14,43 +10,15 @@ import (
 func TestJoinPathZeroAllocsProvCapture(t *testing.T) {
 	g, rs, deltas := allocFixture()
 	Forward{}.Materialize(g, rs)
-
-	crs := mustCompileRules(rs)
-	byPred := map[rdf.ID][]trigger{}
-	for i := range crs {
-		r := &crs[i]
-		for j, a := range r.body {
-			byPred[a.p.id] = append(byPred[a.p.id], trigger{r, j})
-		}
-	}
-	sc := newScratch(crs)
-	sc.rec = true
-	pending := map[rdf.Triple]struct{}{}
-	emit := func(tr rdf.Triple) {
-		if !g.Has(tr) {
-			pending[tr] = struct{}{}
-		}
-	}
-	run := func() {
-		for _, d := range deltas {
-			for _, tr := range byPred[d.P] {
-				fireOn(g, sc, tr, d, emit)
-			}
-		}
-	}
-	run()
-	if len(pending) != 0 {
-		t.Fatalf("graph not at fixpoint: %d pending emits", len(pending))
-	}
-	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+	if avg := joinPathAllocs(t, g, rs, deltas, true); avg != 0 {
 		t.Errorf("recording join path allocates %.1f times per run, want 0", avg)
 	}
 }
 
 // The Materialize pair below is what CI diffs for BENCH_7: the full
 // semi-naive materialization with provenance off versus on, same fixture.
-// The on-path cost is the side-column append, the pendProv bookkeeping, and
-// offset resolution at round flush.
+// The on-path cost is the side-column append, the per-shard sidecar, and
+// offset resolution at commit.
 
 func BenchmarkMaterializeProvOff(b *testing.B) {
 	g0, rs, _ := allocFixture()

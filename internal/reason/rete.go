@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"powl/internal/obs"
 	"powl/internal/rdf"
 	"powl/internal/rules"
 )
@@ -24,9 +23,10 @@ type Rete struct{}
 // Name implements Engine.
 func (Rete) Name() string { return "rete" }
 
-// Materialize implements Engine. The assert set is a read-only view of the
-// log: the network's emits grow g past the view's end, which is safe — the
-// log is append-only, so the snapshot's contents never move.
+// Materialize is MaterializeCtx without cancellation. The assert set is a
+// read-only view of the log: the network's emits grow g past the view's
+// end, which is safe — the log is append-only, so the snapshot's contents
+// never move.
 func (r Rete) Materialize(g *rdf.Graph, rs []rules.Rule) int {
 	n, err := r.materialize(context.Background(), g, rs, g.Triples())
 	if err != nil {
@@ -37,18 +37,18 @@ func (r Rete) Materialize(g *rdf.Graph, rs []rules.Rule) int {
 	return n
 }
 
-// MaterializeCtx implements ContextEngine: the assert loop checks ctx
-// between assertions, so cancellation lands within one network activation.
+// MaterializeCtx implements Engine: the assert loop checks ctx between
+// assertions, so cancellation lands within one network activation.
 func (r Rete) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule) (int, error) {
 	return r.materialize(ctx, g, rs, g.Triples())
 }
 
-// MaterializeFrom implements Incremental: Rete is inherently incremental —
-// the network is rebuilt, loaded with the existing closure, and then only
-// the seeds need asserting; assertion order is irrelevant because the
-// memories make every join retroactive. (Rebuilding costs one pass over g;
-// a long-lived network handle would amortize it, but the cluster worker API
-// exchanges plain graphs.)
+// MaterializeFrom is MaterializeFromCtx without cancellation. Rete is
+// inherently incremental — the network is rebuilt, loaded with the existing
+// closure, and then only the seeds need asserting; assertion order is
+// irrelevant because the memories make every join retroactive. (Rebuilding
+// costs one pass over g; a long-lived network handle would amortize it, but
+// the cluster worker API exchanges plain graphs.)
 func (r Rete) MaterializeFrom(g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) int {
 	n, err := r.MaterializeFromCtx(context.Background(), g, rs, seeds)
 	if err != nil {
@@ -57,7 +57,7 @@ func (r Rete) MaterializeFrom(g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple)
 	return n
 }
 
-// MaterializeFromCtx implements IncrementalContext.
+// MaterializeFromCtx implements Engine.
 func (r Rete) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) (int, error) {
 	if len(seeds) == 0 {
 		return 0, ctx.Err()
@@ -92,45 +92,18 @@ func (Rete) materialize(ctx context.Context, g *rdf.Graph, rs []rules.Rule, asse
 	// (assertSet is the log, queue entries were just Added), so premise
 	// offsets always resolve. Rete has no round structure; records carry
 	// round 0.
-	prov := g.Prov()
-	var derivedOf, dupOf []int64
-	if prov != nil {
-		sampler := obs.DerivesFrom(ctx)
-		provIDs := make([]uint16, len(crs))
-		for i := range crs {
-			provIDs[i] = prov.RuleID(crs[i].name)
-		}
-		derivedOf = make([]int64, len(crs))
-		dupOf = make([]int64, len(crs))
+	if rec := newDerivRecorder(ctx, g, crs); rec != nil {
 		net.rec = true
 		emit = func(t rdf.Triple) {
 			idx := net.fireRule.idx
 			if g.Has(t) {
-				dupOf[idx]++
+				net.prof.addDerived(idx, 0, 1)
 				return
 			}
-			d := rdf.Derivation{
-				Rule: provIDs[idx],
-				Prem: [3]uint32{rdf.NoPremise, rdf.NoPremise, rdf.NoPremise},
-			}
-			nb := len(net.fireRule.body)
-			if nb > len(net.firePrem) {
-				nb = len(net.firePrem)
-			}
-			for i := 0; i < nb; i++ {
-				if off, ok := g.Offset(net.firePrem[i]); ok {
-					d.Prem[i] = off
-				}
-			}
-			if g.AddDerived(t, d) {
+			if rec.add(t, capture(net.fireRule, net.firePrem), 0) {
 				added++
 				queue = append(queue, t)
-				derivedOf[idx]++
-				if sampler != nil {
-					if off, ok := g.Offset(t); ok {
-						sampler.Sample(net.fireRule.name, 0, off)
-					}
-				}
+				net.prof.addDerived(idx, 1, 0)
 			}
 		}
 	}
@@ -152,13 +125,6 @@ func (Rete) materialize(ctx context.Context, g *rdf.Graph, rs []rules.Rule, asse
 		t := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		net.assert(t, emit)
-	}
-	if prov != nil {
-		for i := range crs {
-			if derivedOf[i] != 0 || dupOf[i] != 0 {
-				net.prof.addDerived(i, derivedOf[i], dupOf[i])
-			}
-		}
 	}
 	return added, nil
 }
@@ -310,7 +276,7 @@ func buildNetwork(crs []cRule) *network {
 // assert feeds one triple through the network, calling emit for each head
 // instantiation produced.
 //
-//powl:ignore wallclock per-rule profiling clock, same contract as forward.materialize.
+//powl:ignore wallclock per-rule profiling clock, same contract as fireShard.
 func (n *network) assert(t rdf.Triple, emit func(rdf.Triple)) {
 	if n.prof == nil {
 		for _, a := range n.alphasByPred[t.P] {

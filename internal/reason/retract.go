@@ -369,18 +369,8 @@ func (r *Retractor) deriveOnce(g *rdf.Graph, t rdf.Triple) (rdf.Derivation, bool
 		if !r.joinAll(g, cr, 0, e) {
 			return rdf.Derivation{}, false
 		}
-		d := rdf.Derivation{Rule: g.Prov().RuleID(cr.name),
-			Prem: [3]uint32{rdf.NoPremise, rdf.NoPremise, rdf.NoPremise}}
-		np := len(cr.body)
-		if np > len(d.Prem) {
-			np = len(d.Prem)
-		}
-		for i := 0; i < np; i++ {
-			if off, ok := g.Offset(r.prem[i]); ok {
-				d.Prem[i] = off
-			}
-		}
-		return d, true
+		np := min(len(cr.body), len(r.prem))
+		return rdf.Derivation{Rule: g.Prov().RuleID(cr.name), Prem: premOffsets(g, r.prem[:np])}, true
 	}
 	for _, ht := range r.byHead[t.P] {
 		if d, ok := tryHead(ht); ok {

@@ -82,7 +82,7 @@ type KB struct {
 	Rules []rules.Rule
 	// Threads is the intra-worker fan-out every writer-side closure
 	// (load-time materialize, insert close, retraction rederive, crash
-	// recovery) runs at. 0 or 1 keeps the serial engine.
+	// recovery) runs at. 0 or 1 fires on the writer goroutine alone.
 	Threads int
 }
 
@@ -107,7 +107,7 @@ type BuildConfig struct {
 	Prov bool
 	// Threads is the intra-worker parallel fan-out for the load-time
 	// materialize, carried into the KB for every later writer-side
-	// closure. 0 or 1 keeps the serial engine.
+	// closure. 0 or 1 fires on the calling goroutine alone.
 	Threads int
 }
 
