@@ -170,7 +170,8 @@ type Result struct {
 	Elapsed time.Duration
 	// PerWorker timing breakdowns (Figure 2's categories).
 	PerWorker []cluster.Timings
-	// PartitionTime is the cost of the partitioning step (Table I).
+	// PartitionTime is the cost of the partitioning step (Table I):
+	// ownership computation plus triple assignment, nothing else.
 	PartitionTime time.Duration
 	// Metrics holds bal/IR for the data strategy (nil for rule strategy).
 	Metrics *partition.Metrics
@@ -187,8 +188,6 @@ type Result struct {
 
 // Materialize runs the configured parallel reasoner over the dataset and
 // returns the materialized KB.
-//
-//powl:ignore wallclock cost-model timing is a real measurement reported as a duration, never a timestamp in serialized output.
 func Materialize(ds *datagen.Dataset, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	compiled := owlhorst.Compile(ds.Dict, ds.Graph)
@@ -219,24 +218,11 @@ func Materialize(ds *datagen.Dataset, cfg Config) (*Result, error) {
 			Instance: instance,
 			Skip:     owlhorst.SchemaElements(ds.Dict, compiled.Schema),
 		}
-		var costModelTime time.Duration
-		if gp, ok := pol.(partition.GraphPolicy); ok {
-			// Refine the graph policy's balance objective with an a-priori
-			// cost model: a node's reasoning load tracks its degree in the
-			// *closure*, not the base graph, so estimate it with one cheap
-			// forward-engine pass. This is the weighting the paper suggests
-			// when distribution knowledge is available (§III-B); its cost
-			// counts toward the measured partitioning time.
-			t0 := time.Now()
-			gp.CostWeights = closureCostWeights(instance, compiled)
-			costModelTime = time.Since(t0)
-			pol = gp
-		}
 		pres, err := partition.Partition(in, cfg.Workers, pol)
 		if err != nil {
 			return nil, err
 		}
-		res.PartitionTime = pres.Elapsed + costModelTime
+		res.PartitionTime = pres.Elapsed
 		m := partition.ComputeMetrics(in, pres)
 		res.Metrics = &m
 		assigns = make([]cluster.Assignment, cfg.Workers)
@@ -246,7 +232,7 @@ func Materialize(ds *datagen.Dataset, cfg Config) (*Result, error) {
 			base = append(base, schema...)
 			assigns[i] = cluster.Assignment{Base: base, Rules: compiled.InstanceRules}
 		}
-		router = ownerRouter{owner: pres.Owner}
+		router = newOwnerRouter(pres.Owner, cfg.Workers)
 
 	case RulePartitioning:
 		rres, err := rulepart.Partition(compiled.InstanceRules, cfg.Workers, rulepart.Options{
@@ -345,43 +331,64 @@ func MaterializeSerial(ds *datagen.Dataset, kind EngineKind) (*SerialResult, err
 	return &SerialResult{Graph: g, Inferred: n, Elapsed: time.Since(start)}, nil
 }
 
-// closureCostWeights estimates each node's reasoning cost as 2 plus its
-// degree in the forward closure of the instance data.
-func closureCostWeights(instance []rdf.Triple, compiled *owlhorst.Compiled) map[rdf.ID]int64 {
-	g := rdf.NewGraphCap(2 * len(instance))
-	g.AddAll(instance)
-	g.Union(compiled.Schema)
-	reason.Forward{}.Materialize(g, compiled.InstanceRules)
-	w := map[rdf.ID]int64{}
-	for _, t := range g.TriplesSince(0) {
-		w[t.S]++
-		w[t.O]++
-	}
-	for id := range w {
-		w[id] += 2
-	}
-	return w
-}
-
 // ownerRouter implements the data-partitioning routing rule of §IV: a tuple
 // goes to the owner of its subject and the owner of its object. Terms
 // without an owner (schema resources, replicated everywhere) route nowhere.
+// Every possible answer is a sub-slice of one table built up front, so
+// routing a tuple allocates nothing.
 type ownerRouter struct {
-	owner map[rdf.ID]int
+	k     int
+	owner []int32 // by rdf.ID; -1 for unowned terms
+	pairs []int   // (p, q) at 2·(p·k+q); its diagonal (p, p) doubles as the one-element answers
 }
 
-// Destinations implements cluster.Router.
-func (r ownerRouter) Destinations(t rdf.Triple, from int) []int {
-	var out []int
-	if p, ok := r.owner[t.S]; ok && p != from {
-		out = append(out, p)
-	}
-	if q, ok := r.owner[t.O]; ok && q != from {
-		if len(out) == 0 || out[0] != q {
-			out = append(out, q)
+func newOwnerRouter(owner map[rdf.ID]int, k int) ownerRouter {
+	r := ownerRouter{k: k, pairs: make([]int, 2*k*k)}
+	for p := 0; p < k; p++ {
+		for q := 0; q < k; q++ {
+			r.pairs[2*(p*k+q)], r.pairs[2*(p*k+q)+1] = p, q
 		}
 	}
-	return out
+	var max rdf.ID
+	for id := range owner {
+		if id > max {
+			max = id
+		}
+	}
+	r.owner = make([]int32, int(max)+1)
+	for id := range r.owner {
+		r.owner[id] = -1
+	}
+	for id, p := range owner {
+		r.owner[id] = int32(p)
+	}
+	return r
+}
+
+// dest is the owner of id, or -1 if it has none or is the sender itself.
+func (r ownerRouter) dest(id rdf.ID, from int) int {
+	if int(id) >= len(r.owner) || int(r.owner[id]) == from {
+		return -1
+	}
+	return int(r.owner[id])
+}
+
+// Destinations implements cluster.Router. Callers only read the result.
+func (r ownerRouter) Destinations(t rdf.Triple, from int) []int {
+	p, q := r.dest(t.S, from), r.dest(t.O, from)
+	if p < 0 {
+		p, q = q, -1
+	}
+	switch {
+	case p < 0:
+		return nil
+	case q < 0 || q == p:
+		i := 2 * (p*r.k + p)
+		return r.pairs[i : i+1 : i+1]
+	default:
+		i := 2 * (p*r.k + q)
+		return r.pairs[i : i+2 : i+2]
+	}
 }
 
 func engineFor(kind EngineKind, threads int) (reason.Engine, error) {

@@ -75,7 +75,7 @@ func MaterializeRules(ds *datagen.Dataset, rs []rules.Rule, cfg Config) (*Result
 		for i := range assigns {
 			assigns[i] = cluster.Assignment{Base: pres.Parts[i], Rules: rs}
 		}
-		router = ownerRouter{owner: pres.Owner}
+		router = newOwnerRouter(pres.Owner, cfg.Workers)
 
 	case RulePartitioning:
 		rres, err := rulepart.Partition(rs, cfg.Workers, rulepart.Options{

@@ -15,8 +15,8 @@ func TestRebalanceLowerBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loads := Loads(g, part, k)
-		avg := float64(g.TotalVWeight()) / float64(k)
+		loads := partLoads(g, part, k)
+		avg := float64(g.totalVWeight()) / float64(k)
 		for p, l := range loads {
 			if float64(l) < 0.5*avg {
 				t.Errorf("k=%d: part %d starved: load %d vs avg %.0f", k, p, l, avg)
@@ -34,17 +34,17 @@ func TestCoarsenPreservesWeight(t *testing.T) {
 	if !ok {
 		t.Skip("matching stalled on this instance")
 	}
-	if res.g.TotalVWeight() != g.TotalVWeight() {
+	if res.g.totalVWeight() != g.totalVWeight() {
 		t.Fatalf("coarsening changed total vertex weight: %d -> %d",
-			g.TotalVWeight(), res.g.TotalVWeight())
+			g.totalVWeight(), res.g.totalVWeight())
 	}
-	if res.g.N() >= g.N() {
-		t.Fatalf("coarsening did not shrink: %d -> %d", g.N(), res.g.N())
+	if res.g.n >= g.n {
+		t.Fatalf("coarsening did not shrink: %d -> %d", g.n, res.g.n)
 	}
 	// Every fine vertex maps to a valid coarse vertex.
-	for v := 0; v < g.N(); v++ {
+	for v := 0; v < g.n; v++ {
 		cv := res.fineToCoarse[v]
-		if cv < 0 || int(cv) >= res.g.N() {
+		if cv < 0 || int(cv) >= res.g.n {
 			t.Fatalf("vertex %d maps to invalid coarse vertex %d", v, cv)
 		}
 	}
@@ -57,7 +57,7 @@ func TestRefineNeverIncreasesCut(t *testing.T) {
 		g := randomGraph(120, 360, seed)
 		rng := rand.New(rand.NewSource(seed))
 		k := 4
-		part := make([]int, g.N())
+		part := make([]int, g.n)
 		for i := range part {
 			part[i] = rng.Intn(k)
 		}
@@ -103,10 +103,10 @@ func TestImbalanceMetric(t *testing.T) {
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(2, 3, 1)
 	g := b.Build()
-	if imb := Imbalance(g, []int{0, 0, 0, 1}, 2); imb < 0.49 || imb > 0.51 {
+	if imb := imbalance(g, []int{0, 0, 0, 1}, 2); imb < 0.49 || imb > 0.51 {
 		t.Fatalf("Imbalance = %f, want 0.5 (3 vs 1)", imb)
 	}
-	if Imbalance(g, []int{0, 0, 1, 1}, 2) != 0 {
+	if imbalance(g, []int{0, 0, 1, 1}, 2) != 0 {
 		t.Fatal("balanced partition must have imbalance 0")
 	}
 }

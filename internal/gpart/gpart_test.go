@@ -39,15 +39,13 @@ func TestBuilderMergesParallelEdgesAndDropsSelfLoops(t *testing.T) {
 	b.AddEdge(1, 0, 3)
 	b.AddEdge(2, 2, 5)
 	g := b.Build()
-	if g.Degree(0) != 1 || g.Degree(1) != 1 {
-		t.Fatalf("degrees = %d,%d; want 1,1", g.Degree(0), g.Degree(1))
+	if deg := g.xadj[1] - g.xadj[0]; deg != 1 || g.xadj[2]-g.xadj[1] != 1 {
+		t.Fatalf("degrees = %d,%d; want 1,1", deg, g.xadj[2]-g.xadj[1])
 	}
-	var w int64
-	g.ForEachNeighbor(0, func(u int, ew int64) { w = ew })
-	if w != 5 {
+	if w := g.adjwgt[g.xadj[0]]; w != 5 {
 		t.Fatalf("merged weight = %d, want 5", w)
 	}
-	if g.Degree(2) != 0 {
+	if g.xadj[3] != g.xadj[2] {
 		t.Fatal("self loop survived")
 	}
 }
@@ -90,19 +88,19 @@ func TestPartitionCoversAndBalances(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", name, k, err)
 			}
-			if len(part) != g.N() {
+			if len(part) != g.n {
 				t.Fatalf("%s k=%d: part len %d", name, k, len(part))
 			}
-			loads := Loads(g, part, k)
+			loads := partLoads(g, part, k)
 			var total int64
 			for p, l := range loads {
-				if l == 0 && g.N() >= 4*k {
+				if l == 0 && g.n >= 4*k {
 					t.Errorf("%s k=%d: part %d is empty", name, k, p)
 				}
 				total += l
 			}
-			if total != g.TotalVWeight() {
-				t.Fatalf("%s k=%d: loads sum %d != total %d (vertex lost or duplicated)", name, k, total, g.TotalVWeight())
+			if total != g.totalVWeight() {
+				t.Fatalf("%s k=%d: loads sum %d != total %d (vertex lost or duplicated)", name, k, total, g.totalVWeight())
 			}
 			for _, p := range part {
 				if p < 0 || p >= k {
@@ -110,7 +108,7 @@ func TestPartitionCoversAndBalances(t *testing.T) {
 				}
 			}
 			// Generous balance bound; the refiner targets 5%.
-			if imb := Imbalance(g, part, k); imb > 0.5 {
+			if imb := imbalance(g, part, k); imb > 0.5 {
 				t.Errorf("%s k=%d: imbalance %.2f too high", name, k, imb)
 			}
 		}
@@ -163,7 +161,7 @@ func TestPartitionRespectsVertexWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	if part[0] == part[1] {
-		t.Errorf("both heavy vertices in part %d; imbalance %.2f", part[0], Imbalance(g, part, 2))
+		t.Errorf("both heavy vertices in part %d; imbalance %.2f", part[0], imbalance(g, part, 2))
 	}
 }
 
@@ -173,11 +171,11 @@ func TestEdgeCutAndLoads(t *testing.T) {
 	if cut := EdgeCut(g, part); cut != 2 {
 		t.Fatalf("EdgeCut = %d, want 2", cut)
 	}
-	loads := Loads(g, part, 2)
+	loads := partLoads(g, part, 2)
 	if loads[0] != 2 || loads[1] != 2 {
 		t.Fatalf("Loads = %v", loads)
 	}
-	if imb := Imbalance(g, part, 2); imb != 0 {
+	if imb := imbalance(g, part, 2); imb != 0 {
 		t.Fatalf("Imbalance = %f, want 0", imb)
 	}
 }
@@ -211,11 +209,11 @@ func TestPartitionProperty(t *testing.T) {
 			return false
 		}
 		var total int64
-		loads := Loads(g, part, k)
+		loads := partLoads(g, part, k)
 		for _, l := range loads {
 			total += l
 		}
-		return total == g.TotalVWeight()
+		return total == g.totalVWeight()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,6 @@ package partition
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"time"
@@ -39,28 +38,50 @@ type Input struct {
 	Skip map[rdf.ID]struct{}
 }
 
-func (in *Input) skip(id rdf.ID) bool {
-	_, ok := in.Skip[id]
-	return ok
+// index is the dense resource table every lookup in this package goes
+// through: tab[id] is the rank of id among the n partitionable resources
+// (subjects and objects of the instance triples, minus schema elements) in
+// ascending ID order, and -1 for every other ID. Dictionary IDs are dense,
+// so the table is sized by the largest ID in Instance — no Dict needed.
+func (in *Input) index() (tab []int32, n int) {
+	var max rdf.ID
+	for _, t := range in.Instance {
+		if t.S > max {
+			max = t.S
+		}
+		if t.O > max {
+			max = t.O
+		}
+	}
+	tab = make([]int32, int(max)+1)
+	for _, t := range in.Instance {
+		tab[t.S], tab[t.O] = 1, 1
+	}
+	for id := range in.Skip {
+		if int(id) < len(tab) {
+			tab[id] = 0
+		}
+	}
+	for id, seen := range tab {
+		tab[id] = -1
+		if seen != 0 {
+			tab[id] = int32(n)
+			n++
+		}
+	}
+	return tab, n
 }
 
 // Nodes returns the distinct partitionable resources (subjects and objects
 // of the instance triples, minus schema elements), sorted by ID.
 func (in *Input) Nodes() []rdf.ID {
-	set := map[rdf.ID]struct{}{}
-	for _, t := range in.Instance {
-		if !in.skip(t.S) {
-			set[t.S] = struct{}{}
-		}
-		if !in.skip(t.O) {
-			set[t.O] = struct{}{}
+	tab, n := in.index()
+	out := make([]rdf.ID, 0, n)
+	for id, v := range tab {
+		if v >= 0 {
+			out = append(out, rdf.ID(id))
 		}
 	}
-	out := make([]rdf.ID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -95,25 +116,30 @@ func Partition(in *Input, k int, pol Policy) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("partition: policy %s: %w", pol.Name(), err)
 	}
+	// own[id] is the owner of id, -1 for schema elements.
+	own, _ := in.index()
+	for id, v := range own {
+		if v < 0 {
+			continue
+		}
+		p, ok := owner[rdf.ID(id)]
+		if !ok {
+			return nil, fmt.Errorf("partition: policy %s left node %d unowned", pol.Name(), id)
+		}
+		own[id] = int32(p)
+	}
 	parts := make([][]rdf.Triple, k)
+	for i := range parts {
+		parts[i] = make([]rdf.Triple, 0, len(in.Instance)/k) // its share before replication
+	}
 	for _, t := range in.Instance {
-		po, sOwned := owner[t.S]
-		if !sOwned && !in.skip(t.S) {
-			return nil, fmt.Errorf("partition: policy %s left node %d unowned", pol.Name(), t.S)
-		}
-		qo, oOwned := owner[t.O]
-		if !oOwned && !in.skip(t.O) {
-			return nil, fmt.Errorf("partition: policy %s left node %d unowned", pol.Name(), t.O)
-		}
-		switch {
-		case sOwned && oOwned:
+		switch po, qo := own[t.S], own[t.O]; {
+		case po >= 0 && qo >= 0 && po != qo:
 			parts[po] = append(parts[po], t)
-			if qo != po {
-				parts[qo] = append(parts[qo], t)
-			}
-		case sOwned:
+			parts[qo] = append(parts[qo], t)
+		case po >= 0:
 			parts[po] = append(parts[po], t)
-		case oOwned:
+		case qo >= 0:
 			parts[qo] = append(parts[qo], t)
 		default:
 			// Both endpoints are schema elements; such triples are part of
@@ -140,27 +166,26 @@ type Metrics struct {
 	TriplesPerPart []int
 }
 
-// ComputeMetrics derives Bal and IR for a partitioning result.
+// ComputeMetrics derives Bal and IR for res, a partitioning of in.
 func ComputeMetrics(in *Input, res *Result) Metrics {
 	m := Metrics{
 		NodesPerPart:   make([]int, res.K),
 		TriplesPerPart: make([]int, res.K),
 	}
-	totalNodes := len(in.Nodes())
+	tab, totalNodes := in.index()
+	last := make([]int32, len(tab)) // 1 + the latest part that counted the node
 	sum := 0
 	for i, part := range res.Parts {
-		nodes := map[rdf.ID]struct{}{}
 		for _, t := range part {
-			if !in.skip(t.S) {
-				nodes[t.S] = struct{}{}
-			}
-			if !in.skip(t.O) {
-				nodes[t.O] = struct{}{}
+			for _, id := range [2]rdf.ID{t.S, t.O} {
+				if tab[id] >= 0 && last[id] != int32(i+1) {
+					last[id] = int32(i + 1)
+					m.NodesPerPart[i]++
+				}
 			}
 		}
-		m.NodesPerPart[i] = len(nodes)
 		m.TriplesPerPart[i] = len(part)
-		sum += len(nodes)
+		sum += m.NodesPerPart[i]
 	}
 	m.Bal = stddev(m.NodesPerPart)
 	if totalNodes > 0 {
@@ -206,67 +231,66 @@ func stddev(xs []int) float64 {
 // cut — and therefore replication and communication.
 type GraphPolicy struct {
 	Opts gpart.Options
-	// CostWeights optionally refines the balance objective with an a-priori
-	// per-node reasoning-cost estimate (the paper suggests exactly this kind
-	// of weighting when knowledge about the data distribution is available,
-	// §III-B). Nodes absent from the map keep the structural default
-	// (2 + degree).
+	// CostWeights optionally replaces the balance objective's per-node
+	// weight with the caller's own reasoning-cost estimate (the paper
+	// suggests exactly this kind of weighting when knowledge about the data
+	// distribution is available, §III-B). Nodes absent from the map keep the
+	// structural default (2 + degree).
 	CostWeights map[rdf.ID]int64
 }
 
 // Name implements Policy.
 func (GraphPolicy) Name() string { return "graph" }
 
-// Owners implements Policy.
+// Owners implements Policy. With fewer nodes than k it partitions into as
+// many parts as there are nodes: the higher-numbered parts own nothing, and
+// Partition returns them empty rather than failing.
 func (p GraphPolicy) Owners(in *Input, k int) (map[rdf.ID]int, error) {
-	nodes := in.Nodes()
-	if len(nodes) == 0 {
+	idx, n := in.index()
+	if n == 0 {
 		return map[rdf.ID]int{}, nil
 	}
-	if k > len(nodes) {
-		k = len(nodes)
+	if k > n {
+		k = n
 	}
-	idx := make(map[rdf.ID]int, len(nodes))
-	for i, id := range nodes {
-		idx[id] = i
-	}
-	b := gpart.NewBuilder(len(nodes))
+	b := gpart.NewBuilder(n)
 	// Vertex weight models per-resource reasoning cost: a constant for the
 	// per-resource query plus the resource's triple count (every adjacent
 	// triple is enumerated by the engines). Balancing this weight rather
 	// than bare node counts keeps the slowest partition close to the mean.
-	weights := make([]int64, len(nodes))
+	weights := make([]int64, n)
 	for i := range weights {
 		weights[i] = 2
 	}
 	for _, t := range in.Instance {
-		si, sok := idx[t.S]
-		oi, ook := idx[t.O]
-		if sok {
+		si, oi := idx[t.S], idx[t.O]
+		if si >= 0 {
 			weights[si]++
 		}
-		if ook {
+		if oi >= 0 {
 			weights[oi]++
 		}
-		if sok && ook {
-			b.AddEdge(si, oi, 1)
+		if si >= 0 && oi >= 0 {
+			b.AddEdge(int(si), int(oi), 1)
+		}
+	}
+	for id, w := range p.CostWeights {
+		if int(id) < len(idx) && idx[id] >= 0 {
+			weights[idx[id]] = w
 		}
 	}
 	for i, w := range weights {
 		b.SetVWeight(i, w)
 	}
-	for id, w := range p.CostWeights {
-		if i, ok := idx[id]; ok {
-			b.SetVWeight(i, w)
-		}
-	}
 	part, err := gpart.Partition(b.Build(), k, p.Opts)
 	if err != nil {
 		return nil, err
 	}
-	owner := make(map[rdf.ID]int, len(nodes))
-	for i, id := range nodes {
-		owner[id] = part[i]
+	owner := make(map[rdf.ID]int, n)
+	for id, i := range idx {
+		if i >= 0 {
+			owner[rdf.ID(id)] = part[i]
+		}
 	}
 	return owner, nil
 }
@@ -281,25 +305,24 @@ func (HashPolicy) Name() string { return "hash" }
 
 // Owners implements Policy.
 func (HashPolicy) Owners(in *Input, k int) (map[rdf.ID]int, error) {
-	owner := map[rdf.ID]int{}
-	for _, t := range in.Instance {
-		for _, id := range [2]rdf.ID{t.S, t.O} {
-			if in.skip(id) {
-				continue
-			}
-			if _, ok := owner[id]; !ok {
-				owner[id] = hashTerm(in.Dict.Term(id)) % k
-			}
+	idx, n := in.index()
+	owner := make(map[rdf.ID]int, n)
+	for id, i := range idx {
+		if i >= 0 {
+			owner[rdf.ID(id)] = hashTerm(in.Dict.Term(rdf.ID(id))) % k
 		}
 	}
 	return owner, nil
 }
 
+// hashTerm is 32-bit FNV-1a over the term's kind byte and text, top bit
+// cleared.
 func hashTerm(t rdf.Term) int {
-	h := fnv.New32a()
-	h.Write([]byte{byte(t.Kind)})
-	h.Write([]byte(t.Value))
-	return int(h.Sum32() & 0x7fffffff)
+	h := (uint32(2166136261) ^ uint32(byte(t.Kind))) * 16777619
+	for i := 0; i < len(t.Value); i++ {
+		h = (h ^ uint32(t.Value[i])) * 16777619
+	}
+	return int(h & 0x7fffffff)
 }
 
 // DomainPolicy is the paper's domain-specific policy: a dataset-supplied
