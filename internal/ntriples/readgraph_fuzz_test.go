@@ -16,7 +16,10 @@ import (
 // wrapped as transport.ErrMalformed. The properties under test are the ones
 // the reconnecting TCP mesh depends on: no panic, termination on any input,
 // and the malformed-payload class being fatal — never retried — under
-// transport.DefaultClassify (re-dialing cannot repair corrupt bytes).
+// transport.DefaultClassify (re-dialing cannot repair corrupt bytes). The
+// block reader underneath must also agree with the statement-at-a-time
+// reader — triples, dictionary and error — at every block size and
+// GOMAXPROCS, into a dictionary that already holds some of the terms.
 func FuzzReadGraph(f *testing.F) {
 	seeds := []string{
 		"<http://x/s> <http://x/p> <http://x/o> .",
@@ -27,7 +30,9 @@ func FuzzReadGraph(f *testing.F) {
 		"<http://x/s>\n<http://x/p>\n<http://x/o> .",  // stray newlines
 		strings.Repeat("<a> <b> <c> .\n", 10) + "<d>", // good prefix, torn tail
 		"",
+		"# c\r\n\n<a> <b> \"e\\\"s\\\\c\"@en .\r\n\t_:x\t<b>\t<a> .\n<a> <b> \"e\\\"s\\\\c\"@en .\n<a> <b> c .\n<z> <b> <a> .",
 	}
+	pre := []rdf.Term{{Kind: rdf.IRI, Value: "b"}, {Kind: rdf.IRI, Value: "http://x/p"}}
 	for _, s := range seeds {
 		f.Add(s)
 	}
@@ -46,6 +51,7 @@ func FuzzReadGraph(f *testing.F) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("ReadGraph looped on %d-byte payload", len(payload))
 		}
+		ntriples.CheckReadTriples(t, payload, pre)
 		if err == nil {
 			if n < 0 {
 				t.Fatalf("accepted payload reported %d triples", n)

@@ -27,24 +27,24 @@ type Compiled struct {
 // hybrid strategy: one ground rule per schema axiom. The input graph is not
 // modified.
 func Compile(dict *rdf.Dict, g *rdf.Graph) *Compiled {
-	v := newVocabIDs(dict)
+	split := newSchemaSplit(dict)
 	schema := rdf.NewGraph()
 	for _, t := range g.TriplesSince(0) {
-		if v.isSchemaTriple(dict, t) {
+		if split.isSchema(t) {
 			schema.Add(t)
 		}
 	}
 	reason.Forward{}.Materialize(schema, MetaRules(dict))
-	return &Compiled{Schema: schema, InstanceRules: generate(dict, v, schema)}
+	return &Compiled{Schema: schema, InstanceRules: generate(dict, split.vocabIDs, schema)}
 }
 
 // SplitInstance returns the instance (non-schema) triples of g, the inputs
 // to data partitioning per Algorithm 1 step 1.
 func SplitInstance(dict *rdf.Dict, g *rdf.Graph) []rdf.Triple {
-	v := newVocabIDs(dict)
+	split := newSchemaSplit(dict)
 	var out []rdf.Triple
 	for _, t := range g.TriplesSince(0) {
-		if !v.isSchemaTriple(dict, t) {
+		if !split.isSchema(t) {
 			out = append(out, t)
 		}
 	}
@@ -121,20 +121,37 @@ func newVocabIDs(dict *rdf.Dict) *vocabIDs {
 	}
 }
 
-// isSchemaTriple reports whether t belongs to the ontology (TBox) rather
-// than the instance data, per Algorithm 1 step 1 ("remove all the tuples
-// involving the schema elements").
-func (v *vocabIDs) isSchemaTriple(dict *rdf.Dict, t rdf.Triple) bool {
+// schemaSplit tells schema triples from instance triples for one pass over
+// a graph, resolving each predicate outside the vocabulary switch to its
+// namespace once rather than once per triple.
+type schemaSplit struct {
+	*vocabIDs
+	terms []rdf.Term // the dictionary's term view
+	ns    []int8     // by predicate ID: 0 not yet seen, 1 schema namespace, -1 other
+}
+
+// newSchemaSplit interns the vocabulary into dict and takes its term view,
+// which covers every ID of a graph built over dict before the call.
+func newSchemaSplit(dict *rdf.Dict) *schemaSplit {
+	v := newVocabIDs(dict)
+	terms := dict.TermView()
+	return &schemaSplit{vocabIDs: v, terms: terms, ns: make([]int8, len(terms)+1)}
+}
+
+// isSchema reports whether t belongs to the ontology (TBox) rather than the
+// instance data, per Algorithm 1 step 1 ("remove all the tuples involving
+// the schema elements").
+func (s *schemaSplit) isSchema(t rdf.Triple) bool {
 	switch t.P {
-	case v.subClassOf, v.subPropertyOf, v.domain, v.rng, v.equivClass,
-		v.equivProp, v.inverseOf, v.onProperty, v.hasValue,
-		v.someValuesFrom, v.allValuesFrom, v.intersectionOf, v.first, v.rest:
+	case s.subClassOf, s.subPropertyOf, s.domain, s.rng, s.equivClass,
+		s.equivProp, s.inverseOf, s.onProperty, s.hasValue,
+		s.someValuesFrom, s.allValuesFrom, s.intersectionOf, s.first, s.rest:
 		return true
-	case v.typ:
+	case s.typ:
 		switch t.O {
-		case v.transitive, v.symmetric, v.functional, v.inverseFunctional,
-			v.owlClass, v.rdfsClass, v.restriction, v.objectProp,
-			v.datatypeProp, v.rdfProperty:
+		case s.transitive, s.symmetric, s.functional, s.inverseFunctional,
+			s.owlClass, s.rdfsClass, s.restriction, s.objectProp,
+			s.datatypeProp, s.rdfProperty:
 			return true
 		}
 		return false
@@ -142,8 +159,13 @@ func (v *vocabIDs) isSchemaTriple(dict *rdf.Dict, t rdf.Triple) bool {
 		// A predicate from a schema namespace (e.g. rdfs:label) counts as
 		// schema metadata; instance predicates live in application
 		// namespaces.
-		term := dict.Term(t.P)
-		return term.Kind == rdf.IRI && vocab.IsSchemaIRI(term.Value)
+		if s.ns[t.P] == 0 {
+			s.ns[t.P] = -1
+			if term := s.terms[t.P-1]; term.Kind == rdf.IRI && vocab.IsSchemaIRI(term.Value) {
+				s.ns[t.P] = 1
+			}
+		}
+		return s.ns[t.P] == 1
 	}
 }
 

@@ -18,11 +18,11 @@ func TestSplitCoversEverything(t *testing.T) {
 		datagen.MDC(datagen.MDCConfig{Fields: 2, Seed: 7}),
 	}
 	for _, ds := range datasets {
-		v := newVocabIDs(ds.Dict)
+		split := newSchemaSplit(ds.Dict)
 		instance := SplitInstance(ds.Dict, ds.Graph)
 		nSchema := 0
 		for _, tr := range ds.Graph.Triples() {
-			if v.isSchemaTriple(ds.Dict, tr) {
+			if split.isSchema(tr) {
 				nSchema++
 			}
 		}
@@ -32,7 +32,7 @@ func TestSplitCoversEverything(t *testing.T) {
 		}
 		// No instance triple classifies as schema.
 		for _, tr := range instance {
-			if v.isSchemaTriple(ds.Dict, tr) {
+			if split.isSchema(tr) {
 				t.Errorf("%s: instance triple classified as schema: %s",
 					ds.Name, ds.Dict.FormatTriple(tr))
 				break

@@ -67,6 +67,18 @@ func BenchmarkGraphMatchPO(b *testing.B) {
 	}
 }
 
+var sinkTriples []Triple
+
+func BenchmarkSortedTriples(b *testing.B) {
+	g, _ := benchGraph(50000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkTriples = g.SortedTriples()
+	}
+	b.ReportMetric(float64(g.Len()), "triples/op")
+}
+
 func BenchmarkDictIntern(b *testing.B) {
 	d := NewDict()
 	terms := make([]Term, 4096)

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -37,6 +38,57 @@ func (d *Dict) Intern(t Term) ID {
 	id = ID(len(d.terms))
 	d.ids[t] = id
 	return id
+}
+
+// InternAll interns ts in order under one write lock and returns their IDs
+// appended to ids. Each term new to the dictionary is stored as a private
+// copy — the new terms' bytes share one allocation per call — so ts may be
+// views of a buffer the caller reuses. The IDs are exactly those a loop of
+// Intern over ts would assign.
+func (d *Dict) InternAll(ts []Term, ids []ID) []ID {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	base, size := len(ids), 0
+	for _, t := range ts {
+		id := d.ids[t] // 0 when absent: no term has ID 0
+		if id == 0 {
+			size += len(t.Value)
+		}
+		ids = append(ids, id)
+	}
+	var arena strings.Builder
+	arena.Grow(size)
+	for i, t := range ts {
+		if ids[base+i] == 0 {
+			arena.WriteString(t.Value)
+		}
+	}
+	copied := arena.String()
+	for i, t := range ts {
+		if ids[base+i] != 0 {
+			continue
+		}
+		t.Value, copied = copied[:len(t.Value)], copied[len(t.Value):]
+		id, ok := d.ids[t] // an earlier duplicate in ts interned it already
+		if !ok {
+			d.terms = append(d.terms, t)
+			id = ID(len(d.terms))
+			d.ids[t] = id
+		}
+		ids[base+i] = id
+	}
+	return ids
+}
+
+// TermView returns the dictionary's term table as of the call: view[i] is
+// the term with ID i+1. The table is append-only below its length, so the
+// view stays valid, and reads of it take no lock, while other goroutines
+// keep interning; a holder that meets an ID beyond it takes a new view. The
+// caller must not modify it.
+func (d *Dict) TermView() []Term {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.terms[:len(d.terms):len(d.terms)]
 }
 
 // InternIRI interns an IRI given its text (without angle brackets).

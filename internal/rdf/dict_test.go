@@ -2,9 +2,11 @@ package rdf
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDictInternAssignsDenseIDs(t *testing.T) {
@@ -120,6 +122,86 @@ func TestDictConcurrentIntern(t *testing.T) {
 		for i := 0; i < perG; i++ {
 			if ids[g][i] != ids[0][i] {
 				t.Fatalf("goroutine %d saw ID %d for term %d, goroutine 0 saw %d", g, ids[g][i], i, ids[0][i])
+			}
+		}
+	}
+}
+
+// TestDictInternAllMatchesIntern: InternAll assigns what a loop of Intern
+// assigns — over terms already present, duplicates within one call and one
+// value under several kinds — and keeps its own copy of every new value.
+func TestDictInternAllMatchesIntern(t *testing.T) {
+	buf := []byte("http://x/ahttp://x/bb0")
+	view := func(lo, hi int) string { return unsafe.String(&buf[lo], hi-lo) }
+	ts := []Term{
+		{Kind: IRI, Value: view(0, 10)}, {Kind: IRI, Value: "pre"}, {Kind: Blank, Value: view(20, 22)},
+		{Kind: IRI, Value: view(10, 20)}, {Kind: IRI, Value: view(0, 10)}, {Kind: Literal, Value: view(20, 22)},
+		{Kind: Blank, Value: view(20, 22)},
+	}
+	ref, d := NewDict(), NewDict()
+	ref.InternIRI("pre")
+	d.InternIRI("pre")
+	var want []ID
+	for _, tm := range ts {
+		tm.Value = strings.Clone(tm.Value)
+		want = append(want, ref.Intern(tm))
+	}
+	got := d.InternAll(ts, []ID{42})
+	if fmt.Sprint(got) != fmt.Sprint(append([]ID{42}, want...)) {
+		t.Fatalf("InternAll = %v, a loop of Intern gives %v after the prefix 42", got, want)
+	}
+	for i := range buf {
+		buf[i] = '#'
+	}
+	for id := ID(1); int(id) <= ref.Len(); id++ {
+		if d.Term(id) != ref.Term(id) {
+			t.Fatalf("term %d is %v, want %v", id, d.Term(id), ref.Term(id))
+		}
+	}
+	if d.Len() != ref.Len() {
+		t.Fatalf("Len = %d, want %d", d.Len(), ref.Len())
+	}
+}
+
+// TestDictTermViewUnderInterning reads term views while other goroutines
+// intern, one term at a time and in batches: every entry of every view
+// equals the term the dictionary ends up with under that ID.
+func TestDictTermViewUnderInterning(t *testing.T) {
+	d := NewDict()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				if g%2 == 0 {
+					d.InternIRI(fmt.Sprintf("http://x/%d", i))
+					continue
+				}
+				d.InternAll([]Term{{Kind: Blank, Value: fmt.Sprint(i)}, {Kind: IRI, Value: fmt.Sprintf("http://x/%d", i)}}, nil)
+			}
+		}(g)
+	}
+	seen := make([][]Term, 64)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := range seen {
+			seen[i] = d.TermView()
+			n := 0
+			for _, tm := range seen[i] {
+				n += len(tm.Value) // read every entry while the writers append
+			}
+			if n < len(seen[i]) {
+				t.Errorf("view of %d terms holds %d bytes", len(seen[i]), n)
+			}
+		}
+	}()
+	wg.Wait()
+	for _, v := range seen {
+		for i, tm := range v {
+			if got := d.Term(ID(i + 1)); got != tm {
+				t.Fatalf("view entry %d is %v, the dictionary has %v", i, tm, got)
 			}
 		}
 	}

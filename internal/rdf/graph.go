@@ -1,7 +1,8 @@
 package rdf
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 )
 
@@ -184,12 +185,88 @@ func (g *Graph) TriplesSince(n int) []Triple {
 	return v[n:]
 }
 
-// SortedTriples returns all triples ordered by (S, P, O), for deterministic
-// output.
+// SortedTriples returns all live triples ordered by (S, P, O), for
+// deterministic output, as a fresh slice. IDs are dense, so the log is
+// counting-sorted on the subject — tombstones dropped in the counting scan —
+// and each subject's run is then ordered by (P, O). A graph whose largest
+// subject ID is large next to its triple count (a small graph over a big
+// dictionary) is comparison-sorted instead, so the count table never
+// outweighs the output.
 func (g *Graph) SortedTriples() []Triple {
-	out := g.Triples()
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	log := g.log.view()
+	dead := g.dead.Load()
+	out := make([]Triple, len(log)-dead.count())
+	var maxS ID
+	for _, t := range log {
+		maxS = max(maxS, t.S)
+	}
+	if int(maxS) > sparseSubjects*len(out) {
+		n := 0
+		for i, t := range log {
+			if !dead.has(uint32(i)) {
+				out[n] = t
+				n++
+			}
+		}
+		slices.SortFunc(out, compareTriples)
+		return out
+	}
+	// end[s+1] counts subject s; the prefix sum turns end[s] into the start
+	// of s's run, and the scatter advances it to the run's end.
+	end := make([]uint32, int(maxS)+2)
+	for i, t := range log {
+		if !dead.has(uint32(i)) {
+			end[t.S+1]++
+		}
+	}
+	for s := 1; s < len(end); s++ {
+		end[s] += end[s-1]
+	}
+	for i, t := range log {
+		if !dead.has(uint32(i)) {
+			out[end[t.S]] = t
+			end[t.S]++
+		}
+	}
+	lo := uint32(0)
+	for _, hi := range end[:maxS+1] {
+		sortRun(out[lo:hi])
+		lo = hi
+	}
 	return out
+}
+
+// sparseSubjects is the largest ratio of subject ID to triple count that
+// SortedTriples counting-sorts: its count table costs 4 bytes per ID against
+// the output's 12 per triple.
+const sparseSubjects = 4
+
+// sortRun orders one subject's triples by (P, O): insertion sort for the
+// short runs that are nearly all of them, pdqsort for a hub.
+func sortRun(run []Triple) {
+	if len(run) > 16 {
+		slices.SortFunc(run, compareTriples)
+		return
+	}
+	for i := 1; i < len(run); i++ {
+		t := run[i]
+		j := i
+		for ; j > 0 && compareTriples(t, run[j-1]) < 0; j-- {
+			run[j] = run[j-1]
+		}
+		run[j] = t
+	}
+}
+
+// compareTriples orders triples by (S, P, O), as Triple.Less does.
+func compareTriples(a, b Triple) int {
+	if c := cmp.Compare(a.S, b.S); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.P, b.P); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.O, b.O)
 }
 
 // Clone returns a deep copy of the graph: flat copies of the log, the dedup
@@ -486,6 +563,6 @@ func (g *Graph) Diff(other *Graph) []Triple {
 			out = append(out, t)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, compareTriples)
 	return out
 }

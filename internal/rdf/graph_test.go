@@ -110,6 +110,65 @@ func TestGraphSortedTriplesIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestSortedTriplesMatchesSortSlice checks the counting sort against a
+// comparison sort of Triples: with tombstones (a deleted triple re-added
+// leaves a dead and a live copy in the log), on subject IDs too sparse to
+// count (the fallback), and with a 50k-triple hub beside runs of every
+// short length.
+func TestSortedTriplesMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dense := NewGraph()
+	for i := 0; i < 20000; i++ {
+		dense.Add(tr(ID(1+rng.Intn(3000)), ID(1+rng.Intn(20)), ID(1+rng.Intn(3000))))
+	}
+	var doomed []Triple
+	for i, t := range dense.TriplesSince(0) {
+		if i%7 == 0 {
+			doomed = append(doomed, t)
+		}
+	}
+	dense.Delete(doomed)
+	for _, t := range doomed[:100] {
+		dense.Add(t)
+	}
+
+	sparse := NewGraph()
+	for i := 0; i < 500; i++ {
+		sparse.Add(tr(ID(1+rng.Intn(1<<30)), ID(1+rng.Intn(5)), ID(1+rng.Intn(100))))
+	}
+
+	hub := NewGraph()
+	for i := 0; i < 50000; i++ {
+		hub.Add(tr(7, ID(1+rng.Intn(40)), ID(1+rng.Intn(1<<20))))
+	}
+	for s := ID(8); s < 40; s++ {
+		for n := ID(0); n < s-8; n++ {
+			hub.Add(tr(s, ID(1+rng.Intn(3)), ID(1+rng.Intn(1000))))
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		g    *Graph
+	}{{"dense with tombstones", dense}, {"sparse subjects", sparse}, {"hub", hub}} {
+		name, g := c.name, c.g
+		want := g.Triples()
+		sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
+		got := g.SortedTriples()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d triples, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: SortedTriples[%d] = %v, want %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	if got := NewGraph().SortedTriples(); got == nil || len(got) != 0 {
+		t.Fatalf("empty graph sorts to %#v, want an empty slice", got)
+	}
+}
+
 func TestGraphCloneIsDeep(t *testing.T) {
 	g := NewGraph()
 	g.Add(tr(1, 2, 3))

@@ -2,7 +2,7 @@ package rdf
 
 // DeltaStage is the sharded staging area for concurrently produced delta
 // triples: one shard per firing goroutine, each an append buffer with a
-// local dedup set. It is how the parallel fire loop keeps the graph's
+// local dedup table. It is how the parallel fire loop keeps the graph's
 // single-writer contract intact — goroutines never touch the graph's
 // mutable state, they stage into their own shard, and the coordinator
 // drains every shard into the log after the fork joins.
@@ -24,14 +24,7 @@ type DeltaStage struct {
 
 // NewDeltaStage returns a stage with n shards (n < 1 is treated as 1).
 func NewDeltaStage(n int) *DeltaStage {
-	if n < 1 {
-		n = 1
-	}
-	s := &DeltaStage{shards: make([]StageShard, n)}
-	for i := range s.shards {
-		s.shards[i].seen = map[Triple]struct{}{}
-	}
-	return s
+	return &DeltaStage{shards: make([]StageShard, max(n, 1))}
 }
 
 // Shards returns the shard count.
@@ -49,20 +42,23 @@ func (d *DeltaStage) Len() int {
 	return n
 }
 
-// StageShard is one goroutine's staging buffer.
+// StageShard is one goroutine's staging buffer. Its dedup table is the
+// store's: open addressing over offsets into buf, compared through buf, so
+// staging allocates nothing per triple and a reused shard nothing at all.
 type StageShard struct {
-	seen map[Triple]struct{}
+	seen dedup
 	buf  []Triple
 }
 
 // Add stages t unless this shard already holds it, reporting whether it was
 // staged. At a materialization's fixpoint nothing is staged, so the
-// steady-state cost is one map probe — no allocation.
+// steady-state cost is one table probe — no allocation.
 func (s *StageShard) Add(t Triple) bool {
-	if _, ok := s.seen[t]; ok {
+	if _, ok := s.seen.find(s.buf, t); ok {
 		return false
 	}
-	s.seen[t] = struct{}{}
+	s.seen.reserve(s.buf, nil, 1)
+	s.seen.place(t, uint32(len(s.buf)))
 	s.buf = append(s.buf, t)
 	return true
 }
@@ -74,9 +70,11 @@ func (s *StageShard) Len() int { return len(s.buf) }
 // view into the shard's buffer — valid until the next Add or Reset.
 func (s *StageShard) Triples() []Triple { return s.buf }
 
-// Reset empties the shard, keeping its map and buffer capacity so a reused
-// stage stops allocating once it has seen its high-water mark.
+// Reset empties the shard, clearing its table in place and keeping the
+// buffer's capacity, so a reused stage stops allocating once it has seen
+// its high-water mark.
 func (s *StageShard) Reset() {
-	clear(s.seen)
+	clear(s.seen.slots)
+	s.seen.count = 0
 	s.buf = s.buf[:0]
 }
