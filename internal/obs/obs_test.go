@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -218,17 +219,20 @@ func TestRunFlushProfiles(t *testing.T) {
 	run := NewRun(sink, NewRegistry())
 	run.Rules(1).Record("sc-a", 5, 6, time.Millisecond)
 	run.Rules(0).Record("sc-b", 1, 1, time.Microsecond)
+	run.Pieces(0).Record(PieceSpan{Stratum: 1, Pieces: 2, Sweep: 3, Threads: 1, Delta: 40, Derived: 5, Activations: 60})
 	run.Transport().Batch(0, 1, 10, 1024)
 	run.Transport().Retried("send")
 	run.Transport().Slept(3 * time.Millisecond)
 	run.FlushProfiles(42)
 
 	events := sink.Events()
-	var profiles, transports, retries []Event
+	var profiles, pieces, transports, retries []Event
 	for _, e := range events {
 		switch e.Type {
 		case EvRuleProfile:
 			profiles = append(profiles, e)
+		case EvPiece:
+			pieces = append(pieces, e)
 		case EvTransport:
 			transports = append(transports, e)
 		case EvRetry:
@@ -237,6 +241,10 @@ func TestRunFlushProfiles(t *testing.T) {
 	}
 	if len(profiles) != 2 || profiles[0].Worker != 0 || profiles[1].Worker != 1 {
 		t.Errorf("profiles = %+v", profiles)
+	}
+	if len(pieces) != 1 || pieces[0].Name != "stratum-1/2p" || pieces[0].Round != 3 ||
+		pieces[0].N != 40 || pieces[0].N2 != 5 || pieces[0].N3 != 1 || pieces[0].N4 != 60 {
+		t.Errorf("pieces = %+v", pieces)
 	}
 	if len(transports) != 1 || transports[0].Name != "0->1" || transports[0].Bytes != 1024 {
 		t.Errorf("transports = %+v", transports)
@@ -312,6 +320,8 @@ func TestSummarizeAndReport(t *testing.T) {
 		{Type: EvRuleProfile, Worker: 0, Name: "sc-x", N: 3, N2: 4, Dur: int64(time.Millisecond)},
 		{Type: EvRuleProfile, Worker: 1, Name: "sc-x", N: 1, N2: 1, Dur: int64(time.Millisecond)},
 		{Type: EvTransport, Worker: 0, Name: "0->1", N: 1, N2: 10, Bytes: 100},
+		{Type: EvPiece, Worker: 1, Name: "stratum-0/1p", Round: 1, N: 30, N2: 4, N3: 1, N4: 45},
+		{Type: EvPiece, Worker: 1, Name: "stratum-1/1p", Round: 2, N: 10, N2: 0, N3: 1, N4: 5},
 		{Type: EvRunEnd, Dur: int64(10 * time.Millisecond), Worker: MasterWorker, N: 2},
 	}
 	workers, rules, transports, _ := Summarize(events)
@@ -335,7 +345,12 @@ func TestSummarizeAndReport(t *testing.T) {
 	var buf bytes.Buffer
 	WriteReport(&buf, events, 5)
 	out := buf.String()
-	for _, want := range []string{"sc-x", "imbalance", "Transport:", "run: 2 rounds"} {
+	// Worker 1's fire loop: 2 sweeps, 40 delta triples, 50 activations.
+	fireRow := regexp.MustCompile(`(?m)^\s+1\s+2\s+40\s+50\s+1\.25$`)
+	if !fireRow.MatchString(out) {
+		t.Errorf("report has no fire-loop row for worker 1 at 1.25 activations per delta triple:\n%s", out)
+	}
+	for _, want := range []string{"sc-x", "imbalance", "Fire loop:", "Transport:", "run: 2 rounds"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}

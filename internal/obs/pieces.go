@@ -10,18 +10,21 @@ import (
 // engine fired `Pieces` independent rule pieces at dependency level
 // `Stratum` over a `Delta`-triple queue across `Threads` shards (1 = inline
 // on the caller's goroutine), committing `Derived` new triples, in `Dur`.
-// Sweep is the firing's position in the materialization — the number
-// provenance records carry as Round. Journalled as EvPiece events; with the
-// same materialization run at different thread counts, the per-span
-// durations show where the threads help.
+// Activations counts the rule activations (one rule body seeded with one
+// delta triple) the shards made; per delta triple it is the dispatch's
+// efficiency. Sweep is the firing's position in the materialization — the
+// number provenance records carry as Round. Journalled as EvPiece events;
+// with the same materialization run at different thread counts, the
+// per-span durations show where the threads help.
 type PieceSpan struct {
-	Stratum int
-	Pieces  int
-	Sweep   int
-	Threads int
-	Delta   int
-	Derived int
-	Dur     time.Duration
+	Stratum     int
+	Pieces      int
+	Sweep       int
+	Threads     int
+	Delta       int
+	Derived     int
+	Activations int
+	Dur         time.Duration
 }
 
 // PieceCollector accumulates piece spans across materialize calls. The

@@ -76,9 +76,9 @@ func Summarize(events []Event) (workers []WorkerProfile, rules map[string]RuleSt
 
 // WriteReport renders the post-run text report: the top-k rules by
 // cumulative time, the per-worker phase table with the busy-time imbalance
-// factor (max/mean — 1.0 is a perfectly balanced run), and the transport
-// totals. This is what `owlcluster -report` and `experiments -journal`
-// print after a run.
+// factor (max/mean — 1.0 is a perfectly balanced run), the fire loop's
+// rule activations per delta triple, and the transport totals. This is
+// what `owlcluster -report` and `experiments -journal` print after a run.
 func WriteReport(w io.Writer, events []Event, topK int) {
 	workers, rules, transports, retries := Summarize(events)
 
@@ -145,6 +145,8 @@ func WriteReport(w io.Writer, events []Event, topK int) {
 		}
 	}
 
+	writeFireLoop(w, events)
+
 	if len(transports) > 0 {
 		var msgs, triples, bytes int64
 		for _, e := range transports {
@@ -171,5 +173,44 @@ func WriteReport(w io.Writer, events []Event, topK int) {
 		case EvRunEnd:
 			fmt.Fprintf(w, "\nrun: %d rounds, elapsed %v\n", e.N, e.Duration().Round(time.Microsecond))
 		}
+	}
+}
+
+// writeFireLoop renders the piece events per worker: sweeps, delta triples
+// fired and rule activations per delta triple — how many rule bodies the
+// dispatch seeded with each triple.
+func writeFireLoop(w io.Writer, events []Event) {
+	type fire struct{ sweeps, delta, acts int64 }
+	byWorker := map[int]*fire{}
+	for _, e := range events {
+		if e.Type != EvPiece {
+			continue
+		}
+		f := byWorker[e.Worker]
+		if f == nil {
+			f = &fire{}
+			byWorker[e.Worker] = f
+		}
+		f.sweeps++
+		f.delta += e.N
+		f.acts += e.N4
+	}
+	if len(byWorker) == 0 {
+		return
+	}
+	workers := make([]int, 0, len(byWorker))
+	for wk := range byWorker {
+		workers = append(workers, wk)
+	}
+	sort.Ints(workers)
+	fmt.Fprintf(w, "\nFire loop:\n")
+	fmt.Fprintf(w, "  %-8s %8s %12s %12s %14s\n", "worker", "sweeps", "delta", "activations", "per delta")
+	for _, wk := range workers {
+		f := byWorker[wk]
+		per := 0.0
+		if f.delta > 0 {
+			per = float64(f.acts) / float64(f.delta)
+		}
+		fmt.Fprintf(w, "  %-8d %8d %12d %12d %14.2f\n", wk, f.sweeps, f.delta, f.acts, per)
 	}
 }

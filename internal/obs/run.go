@@ -145,7 +145,7 @@ func (r *Run) FlushProfiles(ts int64) {
 				Name:  fmt.Sprintf("stratum-%d/%dp", sp.Stratum, sp.Pieces),
 				Round: sp.Sweep,
 				N:     int64(sp.Delta), N2: int64(sp.Derived), N3: int64(sp.Threads),
-				Dur: int64(sp.Dur),
+				N4: int64(sp.Activations), Dur: int64(sp.Dur),
 			})
 		}
 	}

@@ -9,14 +9,18 @@ import (
 )
 
 // allocFixture builds a graph and rule set exercising the full join path:
-// a two-atom transitive-style chain rule and a three-atom rule, over data
-// dense enough that joins succeed and fail on every delta triple.
+// a two-atom transitive-style chain rule, a three-atom rule, and a
+// same-subj-shaped rule whose variable-predicate atom every triple
+// activates (as OWL-Horst's owl:sameAs rules are; the fixture has no
+// pSame triple, as LUBM has none), over data dense enough that joins
+// succeed and fail on every delta triple.
 func allocFixture() (*rdf.Graph, []rules.Rule, []rdf.Triple) {
 	const (
 		pLink = rdf.ID(1)
 		pType = rdf.ID(2)
 		pNear = rdf.ID(3)
 		cNode = rdf.ID(4)
+		pSame = rdf.ID(5)
 	)
 	rs := []rules.Rule{
 		{
@@ -35,6 +39,14 @@ func allocFixture() (*rdf.Graph, []rules.Rule, []rdf.Triple) {
 				{S: rules.Var("y"), P: rules.Const(pType), O: rules.Const(cNode)},
 			},
 			Head: []rules.Atom{{S: rules.Var("x"), P: rules.Const(pNear), O: rules.Var("y")}},
+		},
+		{
+			Name: "same-subj",
+			Body: []rules.Atom{
+				{S: rules.Var("x"), P: rules.Const(pSame), O: rules.Var("y")},
+				{S: rules.Var("x"), P: rules.Var("p"), O: rules.Var("o")},
+			},
+			Head: []rules.Atom{{S: rules.Var("y"), P: rules.Var("p"), O: rules.Var("o")}},
 		},
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -76,7 +88,7 @@ func joinPathAllocs(t *testing.T, g *rdf.Graph, rs []rules.Rule, deltas []rdf.Tr
 	run := func() {
 		for _, d := range deltas {
 			for p := range plans {
-				for _, tr := range plans[p].triggers(d) {
+				for _, tr := range plans[p].idx.lookup(d) {
 					m, _ := fireOn(g, sc, tr, d, emit)
 					fired += int(m)
 				}

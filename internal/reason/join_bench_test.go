@@ -8,20 +8,16 @@ import (
 
 // BenchmarkJoinFireOn measures the steady-state per-delta join path: the
 // graph is at fixpoint, so every firing runs the full bind → selectivity
-// rank → index scan → emit-dedup sequence without growing anything. This is
-// the path the zero-allocation regression test pins; allocs/op here should
-// stay at 0.
+// rank → index scan → emit-dedup sequence without growing anything. Triggers
+// come from the product's dispatch — every stratum's atom index, the one
+// joinPathAllocs uses — so the variable-predicate atoms the fire loop seeds
+// with every triple are fired too. This is the path the zero-allocation
+// regression test pins; allocs/op here should stay at 0.
 func BenchmarkJoinFireOn(b *testing.B) {
 	g, rs, deltas := allocFixture()
 	Forward{}.Materialize(g, rs)
 	crs := mustCompileRules(rs)
-	byPred := map[rdf.ID][]trigger{}
-	for i := range crs {
-		r := &crs[i]
-		for j, a := range r.body {
-			byPred[a.p.id] = append(byPred[a.p.id], trigger{r, j})
-		}
-	}
+	plans := planStrata(crs)
 	sc := newScratch(crs)
 	emit := func(tr rdf.Triple) {
 		if !g.Has(tr) {
@@ -32,8 +28,10 @@ func BenchmarkJoinFireOn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d := deltas[i%len(deltas)]
-		for _, tr := range byPred[d.P] {
-			fireOn(g, sc, tr, d, emit)
+		for p := range plans {
+			for _, tr := range plans[p].idx.lookup(d) {
+				fireOn(g, sc, tr, d, emit)
+			}
 		}
 	}
 }

@@ -45,6 +45,11 @@ import (
 // independent, so the whole stratum's delta fans out with no barrier
 // between pieces.
 //
+// Dispatch: a delta triple activates only the triggers the stratum's atom
+// index returns for its predicate and object (atomindex.go), skipping those
+// markDead found unable to produce anything this sweep. Both filters remove
+// only firings that would have emitted nothing.
+//
 // Determinism contract: the closure, and with provenance on the
 // derived-triple set, is the same at every shard count, and every record
 // round-trips through the verifier. With one shard the run is also
@@ -66,59 +71,61 @@ const parallelMinDelta = 128
 // coarse keep the atomic cursor off the per-triple path.
 const parallelMinChunk = 64
 
-// trigger marks that a delta triple with a given predicate may instantiate
-// body atom atomIdx of rule.
-type trigger struct {
-	rule    *cRule
-	atomIdx int
-}
-
-// stratumPlan is one stratum's trigger index: body atoms by predicate
-// constant, so a delta triple only visits rules it can trigger. Atoms with
-// a variable predicate are triggered by every triple; they form anyPred and
-// are also appended to every byPred list, so dispatch is one lookup.
+// stratumPlan is one stratum's dispatch: its body atoms as triggers, in
+// rule order, and the atom index over them that picks the ones a delta
+// triple can match.
 type stratumPlan struct {
-	byPred  map[rdf.ID][]trigger
-	anyPred []trigger
-	pieces  int
+	trs    []trigger
+	idx    atomIndex
+	pieces int
 }
 
 // planStrata stratifies crs and indexes each stratum's triggers, in rule
-// order within a stratum.
+// order within a stratum. Trigger ids number the rule set's body atoms in
+// plan order.
 func planStrata(crs []cRule) []stratumPlan {
 	strata := stratify(crs)
 	plans := make([]stratumPlan, len(strata))
+	var atoms []cAtom
+	id := 0
 	for s, ps := range strata {
-		plan := &plans[s]
-		plan.pieces = len(ps)
-		plan.byPred = map[rdf.ID][]trigger{}
+		var trs []trigger
+		atoms = atoms[:0]
 		for _, pc := range ps {
 			for _, ri := range pc.rules {
 				r := &crs[ri]
 				for j, a := range r.body {
-					if a.p.isVar {
-						plan.anyPred = append(plan.anyPred, trigger{r, j})
-					} else {
-						plan.byPred[a.p.id] = append(plan.byPred[a.p.id], trigger{r, j})
-					}
+					trs = append(trs, trigger{rule: r, atomIdx: j, id: id})
+					atoms = append(atoms, a)
+					id++
 				}
 			}
 		}
-		if len(plan.anyPred) > 0 {
-			for p, trs := range plan.byPred {
-				plan.byPred[p] = append(trs, plan.anyPred...)
-			}
-		}
+		plans[s] = stratumPlan{trs: trs, idx: newAtomIndex(trs, atoms), pieces: len(ps)}
 	}
 	return plans
 }
 
-// triggers returns the triggers of this stratum that t can fire.
-func (p *stratumPlan) triggers(t rdf.Triple) []trigger {
-	if trs, ok := p.byPred[t.P]; ok {
-		return trs
+// markDead sets dead[tr.id] for each trigger of the stratum that cannot
+// produce anything this sweep — another atom of its body has an empty
+// extent with only its constants bound (same-subj while the graph holds no
+// owl:sameAs triple) — and clears it for the rest. It is joinRest's "an empty
+// extent annihilates the join" exit taken once per sweep instead of once per
+// firing, and exact: the fire phase joins only against the graph, which no
+// one writes until the commit, and CountMatch never reports 0 for a
+// non-empty extent.
+func (p *stratumPlan) markDead(g *rdf.Graph, dead []bool) {
+	for _, tr := range p.trs {
+		dead[tr.id] = false
+		for k, a := range tr.rule.body {
+			// A variable's id is 0, rdf.Wildcard: the atom with only its
+			// constants bound.
+			if k != tr.atomIdx && g.CountMatch(a.s.id, a.p.id, a.o.id) == 0 {
+				dead[tr.id] = true
+				break
+			}
+		}
 	}
-	return p.anyPred
 }
 
 // fireRun carries one materialization's state. Everything a shard writes
@@ -142,29 +149,45 @@ type fireRun struct {
 	// tallies into its own and the caller folds them in after the join.
 	prof  *ruleProf
 	tally []*ruleProf
+
+	// dead is the per-sweep trigger mask (markDead), indexed by trigger id
+	// and written only before the shards start; acts[w] is shard w's fireOn
+	// count in the current sweep.
+	dead []bool
+	acts []int
 }
 
 // materialize runs semi-naive evaluation from the given initial delta,
 // which it only reads; see the file comment for the phase discipline and
 // the determinism contract.
-//
-//powl:ignore wallclock per-piece spans accumulate real durations; recorded only when a collector is attached.
 func (f Forward) materialize(ctx context.Context, g *rdf.Graph, rs []rules.Rule, delta []rdf.Triple) (int, error) {
 	crs, err := compileRules(rs)
 	if err != nil {
 		return 0, err
 	}
-	plans := planStrata(crs)
+	return f.fire(ctx, g, crs, planStrata(crs), delta)
+}
+
+// fire is materialize over compiled rules and their plans.
+//
+//powl:ignore wallclock per-piece spans accumulate real durations; recorded only when a collector is attached.
+func (f Forward) fire(ctx context.Context, g *rdf.Graph, crs []cRule, plans []stratumPlan, delta []rdf.Triple) (int, error) {
 	prof := newRuleProf(ctx, crs)
 	defer prof.flush()
 	spans := obs.PiecesFrom(ctx)
 
 	threads := max(f.Threads, 1)
+	ntr := 0
+	for s := range plans {
+		ntr += plans[s].idx.n
+	}
 	r := &fireRun{
 		g: g, crs: crs,
 		stage: rdf.NewDeltaStage(threads),
 		rec:   newDerivRecorder(ctx, g, crs),
 		prof:  prof,
+		dead:  make([]bool, ntr),
+		acts:  make([]int, threads),
 	}
 	if prof != nil {
 		r.tally = make([]*ruleProf, threads)
@@ -185,7 +208,7 @@ func (f Forward) materialize(ctx context.Context, g *rdf.Graph, rs []rules.Rule,
 	// backing array (which may be the graph's own log).
 	queues := make([][]rdf.Triple, len(plans))
 	for s := range plans {
-		if len(plans[s].byPred) > 0 || len(plans[s].anyPred) > 0 {
+		if plans[s].idx.n > 0 {
 			queues[s] = delta[:len(delta):len(delta)]
 		}
 	}
@@ -207,16 +230,17 @@ func (f Forward) materialize(ctx context.Context, g *rdf.Graph, rs []rules.Rule,
 			progressed = true
 			sweep++
 			start := time.Now()
-			if err := r.fireStratum(ctx, &plans[s], d); err != nil {
+			acts, err := r.fireStratum(ctx, &plans[s], d)
+			if err != nil {
 				return added, err
 			}
 			fresh = r.commit(sweep, fresh[:0])
 			added += len(fresh)
-			// Route the sweep's conclusions to every stratum that can
-			// consume them — including this one, for recursive pieces.
+			// Route the sweep's conclusions to every stratum with an atom
+			// they can match — including this one, for recursive pieces.
 			for _, t := range fresh {
 				for s2 := range plans {
-					if len(plans[s2].triggers(t)) > 0 {
+					if len(plans[s2].idx.lookup(t)) > 0 {
 						queues[s2] = append(queues[s2], t)
 					}
 				}
@@ -225,7 +249,7 @@ func (f Forward) materialize(ctx context.Context, g *rdf.Graph, rs []rules.Rule,
 				spans.Record(obs.PieceSpan{
 					Stratum: s, Pieces: plans[s].pieces, Sweep: sweep,
 					Threads: threads, Delta: len(d), Derived: len(fresh),
-					Dur: time.Since(start),
+					Activations: acts, Dur: time.Since(start),
 				})
 			}
 		}
@@ -240,11 +264,13 @@ func (f Forward) materialize(ctx context.Context, g *rdf.Graph, rs []rules.Rule,
 // work-stealing fallback: a shard that drew cheap triples keeps claiming
 // chunks while a slow one is still inside its own, so a skewed delta cannot
 // serialize the stratum. One shard fires inline on the caller's goroutine.
-func (r *fireRun) fireStratum(ctx context.Context, plan *stratumPlan, d []rdf.Triple) error {
+// It returns the activations — fireOn calls — the shards made.
+func (r *fireRun) fireStratum(ctx context.Context, plan *stratumPlan, d []rdf.Triple) (int, error) {
 	nw := r.stage.Shards()
 	if len(d) < parallelMinDelta {
 		nw = 1
 	}
+	plan.markDead(r.g, r.dead)
 	chunk := max(len(d)/(nw*4), parallelMinChunk)
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -266,10 +292,14 @@ func (r *fireRun) fireStratum(ctx context.Context, plan *stratumPlan, d []rdf.Tr
 			r.prof.fold(tl)
 		}
 	}
-	if failed.Load() {
-		return ctx.Err()
+	acts := 0
+	for _, n := range r.acts[:nw] {
+		acts += n
 	}
-	return nil
+	if failed.Load() {
+		return acts, ctx.Err()
+	}
+	return acts, nil
 }
 
 // fireShard is one shard's share of a stratum firing, and the only place
@@ -336,25 +366,32 @@ func (r *fireRun) fireShard(ctx context.Context, plan *stratumPlan, d []rdf.Trip
 			alt[t] = capture(sc.cur, sc.prem)
 		}
 	}
+	dead := r.dead
+	acts := 0
+claim:
 	for !failed.Load() {
 		lo := (int(next.Add(1)) - 1) * chunk
 		if lo >= len(d) {
-			return
+			break
 		}
 		if ctx.Err() != nil {
 			failed.Store(true)
-			return
+			break
 		}
 		for i, t := range d[lo:min(lo+chunk, len(d))] {
 			if i&255 == 255 && ctx.Err() != nil {
 				failed.Store(true)
-				return
+				break claim
 			}
 			var t0 time.Time
 			if tl != nil {
 				t0 = time.Now()
 			}
-			for _, tr := range plan.triggers(t) {
+			for _, tr := range plan.idx.lookup(t) {
+				if dead[tr.id] {
+					continue
+				}
+				acts++
 				m, fr := fireOn(g, sc, tr, t, emit)
 				if tl != nil {
 					// Chained timestamps: consecutive activations share one
@@ -366,6 +403,7 @@ func (r *fireRun) fireShard(ctx context.Context, plan *stratumPlan, d []rdf.Trip
 			}
 		}
 	}
+	r.acts[w] = acts
 }
 
 // commit drains the stage into the log — the single-writer commit the MVCC

@@ -225,8 +225,9 @@ func TestOneThreadClosureIsReproducible(t *testing.T) {
 
 // TestParallelProfileReconciles pins the journal-count side of the
 // contract: with a rule collector and piece collector attached, the
-// per-rule derived tallies must sum to the triples actually added, and the
-// per-piece spans must account for the same total.
+// per-rule derived tallies must sum to the triples actually added, the
+// per-piece spans must account for the same total, and the shards' rule
+// activations must fold to exactly what one shard makes.
 func TestParallelProfileReconciles(t *testing.T) {
 	fx := parallelFixtures(t)[0] // lubm
 	g := fx.base(true)
@@ -255,15 +256,29 @@ func TestParallelProfileReconciles(t *testing.T) {
 	if len(spans) == 0 {
 		t.Fatal("no piece spans recorded")
 	}
-	spanDerived := 0
+	spanDerived, acts := 0, 0
 	for _, sp := range spans {
 		spanDerived += sp.Derived
+		acts += sp.Activations
 		if sp.Threads != 4 {
 			t.Errorf("span records %d threads, want 4", sp.Threads)
 		}
 	}
 	if spanDerived != added {
 		t.Errorf("piece spans account for %d derived, engine added %d", spanDerived, added)
+	}
+	// Every sweep fires the same delta set against the same graph at any
+	// thread count, so the shards' folded activations equal one shard's.
+	one := &obs.PieceCollector{}
+	if _, err := (reason.Forward{Threads: 1}).MaterializeCtx(obs.ContextWithPieces(context.Background(), one), fx.base(true), fx.rs); err != nil {
+		t.Fatal(err)
+	}
+	acts1 := 0
+	for _, sp := range one.Snapshot() {
+		acts1 += sp.Activations
+	}
+	if acts == 0 || acts != acts1 {
+		t.Errorf("4 shards made %d activations, one shard %d", acts, acts1)
 	}
 }
 

@@ -68,12 +68,6 @@ type RetractStats struct {
 	Propagated int
 }
 
-// headTrigger locates one head atom of one compiled rule.
-type headTrigger struct {
-	rule    *cRule
-	headIdx int
-}
-
 // Retractor maintains the closure of one graph under deletions. It is
 // writer-side state: call Retract from the same single goroutine that owns
 // the graph. The consumers index is built lazily from the provenance
@@ -94,8 +88,7 @@ type Retractor struct {
 
 	rs      []rules.Rule
 	crs     []cRule
-	byHead  map[rdf.ID][]headTrigger
-	anyHead []headTrigger
+	heads   atomIndex      // head atoms; trigger.atomIdx indexes the rule's head
 	bodyLen map[string]int // rule name → body atom count
 
 	env  env
@@ -134,9 +127,9 @@ func (r *Retractor) SetRules(rs []rules.Rule) error {
 	}
 	r.rs = rs
 	r.crs = crs
-	r.byHead = map[rdf.ID][]headTrigger{}
-	r.anyHead = nil
 	r.bodyLen = make(map[string]int, len(crs))
+	var trs []trigger
+	var atoms []cAtom
 	maxSlot := 1
 	for i := range crs {
 		cr := &crs[i]
@@ -145,13 +138,11 @@ func (r *Retractor) SetRules(rs []rules.Rule) error {
 		}
 		r.bodyLen[cr.name] = len(cr.body)
 		for hi, h := range cr.head {
-			if h.p.isVar {
-				r.anyHead = append(r.anyHead, headTrigger{cr, hi})
-			} else {
-				r.byHead[h.p.id] = append(r.byHead[h.p.id], headTrigger{cr, hi})
-			}
+			trs = append(trs, trigger{rule: cr, atomIdx: hi})
+			atoms = append(atoms, h)
 		}
 	}
+	r.heads = newAtomIndex(trs, atoms)
 	r.env = make(env, maxSlot)
 	// Drop per-graph state: the rule-name → body-length cache and the
 	// fragility classification both depend on the rule set, so the next
@@ -345,11 +336,11 @@ func (r *Retractor) altDerivation(g *rdf.Graph, logv []rdf.Triple, alt rdf.Deriv
 }
 
 // deriveOnce looks for one derivation of t from the current live graph: for
-// every rule head unifiable with t it joins the full body through the
-// index, stopping at the first complete match. It returns the provenance
-// record of that derivation.
+// every rule head the head index offers for t it joins the full body
+// through the graph's index, stopping at the first complete match. It
+// returns the provenance record of that derivation.
 func (r *Retractor) deriveOnce(g *rdf.Graph, t rdf.Triple) (rdf.Derivation, bool) {
-	tryHead := func(ht headTrigger) (rdf.Derivation, bool) {
+	for _, ht := range r.heads.lookup(t) {
 		cr := ht.rule
 		if cr.nslot > len(r.env) {
 			// Defensive: SetRules sizes env for the widest rule, so this only
@@ -362,25 +353,15 @@ func (r *Retractor) deriveOnce(g *rdf.Graph, t rdf.Triple) (rdf.Derivation, bool
 		for i := range e {
 			e[i] = 0
 		}
-		if _, ok := e.bindTriple(cr.head[ht.headIdx], t); !ok {
-			return rdf.Derivation{}, false
+		if _, ok := e.bindTriple(cr.head[ht.atomIdx], t); !ok {
+			continue
 		}
 		r.prem = [3]rdf.Triple{}
 		if !r.joinAll(g, cr, 0, e) {
-			return rdf.Derivation{}, false
+			continue
 		}
 		np := min(len(cr.body), len(r.prem))
 		return rdf.Derivation{Rule: g.Prov().RuleID(cr.name), Prem: premOffsets(g, r.prem[:np])}, true
-	}
-	for _, ht := range r.byHead[t.P] {
-		if d, ok := tryHead(ht); ok {
-			return d, true
-		}
-	}
-	for _, ht := range r.anyHead {
-		if d, ok := tryHead(ht); ok {
-			return d, true
-		}
 	}
 	return rdf.Derivation{}, false
 }
