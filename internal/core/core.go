@@ -319,10 +319,7 @@ func MaterializeSerial(ds *datagen.Dataset, kind EngineKind) (*SerialResult, err
 		return nil, err
 	}
 	compiled := owlhorst.Compile(ds.Dict, ds.Graph)
-	instance := owlhorst.SplitInstance(ds.Dict, ds.Graph)
-	g := rdf.NewGraphCap(len(instance) + compiled.Schema.Len())
-	g.AddAll(instance)
-	g.Union(compiled.Schema)
+	g := compiled.Start(ds.Graph)
 	start := time.Now()
 	n, err := engine.MaterializeCtx(context.Background(), g, compiled.InstanceRules)
 	if err != nil {

@@ -22,14 +22,14 @@ type Compiled struct {
 	InstanceRules []rules.Rule
 }
 
-// Compile splits g into schema and instance triples, closes the schema under
-// the OWL-Horst meta rules, and emits the instance rule set of the paper's
-// hybrid strategy: one ground rule per schema axiom. The input graph is not
-// modified.
+// Compile splits g's live triples into schema and instance triples, closes
+// the schema under the OWL-Horst meta rules, and emits the instance rule set
+// of the paper's hybrid strategy: one ground rule per schema axiom. The input
+// graph is not modified.
 func Compile(dict *rdf.Dict, g *rdf.Graph) *Compiled {
 	split := newSchemaSplit(dict)
 	schema := rdf.NewGraph()
-	for _, t := range g.TriplesSince(0) {
+	for _, t := range g.Snapshot().Triples() {
 		if split.isSchema(t) {
 			schema.Add(t)
 		}
@@ -38,12 +38,25 @@ func Compile(dict *rdf.Dict, g *rdf.Graph) *Compiled {
 	return &Compiled{Schema: schema, InstanceRules: generate(dict, split.vocabIDs, schema)}
 }
 
-// SplitInstance returns the instance (non-schema) triples of g, the inputs
-// to data partitioning per Algorithm 1 step 1.
+// Start returns the graph a closure under the instance rules starts from: a
+// copy of base in which every triple reads as asserted, with provenance off,
+// plus the schema closure not already in it. As a set that is base's live
+// instance triples plus Schema, because Schema starts from exactly base's
+// schema triples; it costs one flat copy of base instead of inserting its
+// triples again. base is not modified.
+func (c *Compiled) Start(base *rdf.Graph) *rdf.Graph {
+	g := base.Clone()
+	g.ForgetDerivations()
+	g.Union(c.Schema)
+	return g
+}
+
+// SplitInstance returns the live instance (non-schema) triples of g, the
+// inputs to data partitioning per Algorithm 1 step 1.
 func SplitInstance(dict *rdf.Dict, g *rdf.Graph) []rdf.Triple {
 	split := newSchemaSplit(dict)
 	var out []rdf.Triple
-	for _, t := range g.TriplesSince(0) {
+	for _, t := range g.Snapshot().Triples() {
 		if !split.isSchema(t) {
 			out = append(out, t)
 		}
@@ -65,11 +78,11 @@ func SchemaElements(dict *rdf.Dict, schema *rdf.Graph) map[rdf.ID]struct{} {
 		out[t.O] = struct{}{}
 	}
 	// Vocabulary IRIs that may appear in instance triples even when the
-	// schema never mentions them (e.g. rdf:type itself).
-	for id := rdf.ID(1); int(id) <= dict.Len(); id++ {
-		term := dict.Term(id)
+	// schema never mentions them (e.g. rdf:type itself). The term view
+	// resolves every ID without a lock per term.
+	for i, term := range dict.TermView() {
 		if term.Kind == rdf.IRI && vocab.IsSchemaIRI(term.Value) {
-			out[id] = struct{}{}
+			out[rdf.ID(i+1)] = struct{}{}
 		}
 	}
 	return out

@@ -35,6 +35,17 @@ func BenchmarkGraphAdd(b *testing.B) {
 	b.ReportMetric(float64(len(ts)), "triples/op")
 }
 
+// BenchmarkGraphAddAll is BenchmarkGraphAdd's triples through one range
+// insert: the bulk load path ReadGraph and cluster workers take.
+func BenchmarkGraphAddAll(b *testing.B) {
+	_, ts := benchGraph(50000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewGraph().AddAll(ts)
+	}
+	b.ReportMetric(float64(len(ts)), "triples/op")
+}
+
 func BenchmarkGraphMatchSP(b *testing.B) {
 	g, ts := benchGraph(50000)
 	b.ResetTimer()

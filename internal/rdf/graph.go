@@ -86,57 +86,94 @@ func (g *Graph) reserveKeys(src *Graph) {
 }
 
 // Add inserts t and reports whether it was not already present. Writer-only.
-//
-// The log append is last deliberately: it publishes the new watermark, and a
-// Snapshot pinned at watermark W must see every index entry for the triples
-// below W. Appending the five postings — and, when recording, the provenance
-// record — first makes the log length the commit point.
 func (g *Graph) Add(t Triple) bool {
-	if g.Has(t) {
-		return false
-	}
-	g.addNew(t, baseDerivation(), false)
-	return true
-}
-
-// addNew appends a triple known to be absent, with provenance record d when
-// recording is on, marking the offset derived when the insert came through a
-// derived path. Every insert path funnels through here so the publication
-// order (postings, then provenance, then log commit) is stated once. The
-// dedup entry follows the commit, which keeps every offset in that table
-// below the published log length; its room is reserved first, because
-// growing the table refills it from the log.
-func (g *Graph) addNew(t Triple, d Derivation, derived bool) {
-	off := uint32(g.log.length())
-	g.seen.reserve(g.log.view(), g.dead.Load(), 1)
-	g.byS.append1(key1(t.S), off)
-	g.byP.append1(key1(t.P), off)
-	g.byO.append1(key1(t.O), off)
-	g.bySP.append1(key2(t.S, t.P), spEntry{Term: t.O, Off: off})
-	g.byPO.append1(key2(t.P, t.O), spEntry{Term: t.S, Off: off})
-	if derived {
-		for int(off>>6) >= len(g.derived) {
-			g.derived = append(g.derived, 0)
-		}
-		g.derived[off>>6] |= 1 << (off & 63)
-	}
-	if g.prov != nil {
-		g.prov.recs.append1(d)
-	}
-	g.log.append1(t)
-	g.seen.place(t, off)
+	return g.insert([]Triple{t}, baseDerivation(), false) == 1
 }
 
 // AddAll inserts every triple in ts and returns the number newly added.
+// Writer-only.
 func (g *Graph) AddAll(ts []Triple) int {
-	g.Grow(len(ts))
-	n := 0
-	for _, t := range ts {
-		if g.Add(t) {
-			n++
+	return g.insert(ts, baseDerivation(), false)
+}
+
+// insert appends the triples of ts that are not in the graph yet, in input
+// order, and returns how many it added: record d for each when provenance is
+// on, their offsets marked derived when derived is set. Every write path
+// inserts through it — Add and AddAll, Union, AddDerived and AddDerivedAll,
+// AddWithLineage, Compact — so the publication order is stated here once:
+//
+//  1. Dedup and log. Each triple is probed in the dedup table, compared
+//     through the whole reserved log array, so a duplicate within ts meets
+//     the copy placed moments before; a new one is written into the log
+//     past the published length and placed in the table.
+//  2. Columns. For the new range [base, n), each index's postings in a pass
+//     of its own, then the provenance records and the derived bits.
+//  3. Commit. One store of the log length publishes the range. Every
+//     posting and record of it was written before that store, so a Snapshot
+//     that pins any watermark sees a fully indexed prefix (index.go).
+//
+// Only inside this call does the writer-private dedup table hold offsets at
+// or past the published length; RepairDedup rebuilds it from the published
+// log should a writer panic strand them there. Room is reserved at the first
+// new triple, so a batch of duplicates grows nothing.
+func (g *Graph) insert(ts []Triple, d Derivation, derived bool) int {
+	base := g.log.length()
+	log := g.log.reserved()
+	n := base
+	for i, t := range ts {
+		if _, ok := g.seen.find(log[:n], t); ok {
+			continue
+		}
+		if n == base {
+			g.Grow(len(ts) - i)
+			log = g.log.reserved()
+		}
+		g.log.put(n, t)
+		g.seen.place(t, uint32(n))
+		n++
+	}
+	if n == base {
+		return 0
+	}
+	g.indexRange(log[base:n], uint32(base))
+	if derived {
+		for len(g.derived) < (n+63)>>6 {
+			g.derived = append(g.derived, 0)
+		}
+		for off := base; off < n; off++ {
+			g.derived[off>>6] |= 1 << (off & 63)
 		}
 	}
-	return n
+	if g.prov != nil {
+		g.prov.recs.grow(n - base)
+		for off := base; off < n; off++ {
+			g.prov.recs.put(off, d)
+		}
+		g.prov.recs.publish(n)
+	}
+	g.log.publish(n)
+	return n - base
+}
+
+// indexRange writes the postings of the log range ts, which starts at offset
+// base, one index at a time: each pass walks the range once and touches one
+// slot table and one arena, instead of all five per triple.
+func (g *Graph) indexRange(ts []Triple, base uint32) {
+	for i, t := range ts {
+		g.byS.append1(key1(t.S), base+uint32(i))
+	}
+	for i, t := range ts {
+		g.byP.append1(key1(t.P), base+uint32(i))
+	}
+	for i, t := range ts {
+		g.byO.append1(key1(t.O), base+uint32(i))
+	}
+	for i, t := range ts {
+		g.bySP.append1(key2(t.S, t.P), spEntry{Term: t.O, Off: base + uint32(i)})
+	}
+	for i, t := range ts {
+		g.byPO.append1(key2(t.P, t.O), spEntry{Term: t.S, Off: base + uint32(i)})
+	}
 }
 
 // Has reports whether t is in the graph. Writer-only (it reads the dedup
@@ -499,17 +536,18 @@ func (g *Graph) Subjects() map[ID]struct{} {
 
 // Union adds every triple of other into g and returns the number newly
 // added. It walks other's log — deterministic order — and pre-sizes g's log,
-// dedup table and index tables from other's triple and key counts. When both
-// graphs record provenance, each absorbed triple carries its lineage across:
-// the log walk guarantees premises land before their dependents, so offset
-// translation succeeds. Writer-only on g.
+// dedup table and index tables from other's triple and key counts. Each run
+// of live offsets goes in as one range insert. When both graphs record
+// provenance, each absorbed triple instead carries its lineage across, one
+// at a time: the log walk guarantees premises land before their dependents,
+// so offset translation succeeds. Writer-only on g.
 func (g *Graph) Union(other *Graph) int {
 	g.Grow(other.LiveLen())
 	g.reserveKeys(other)
-	dead := other.dead.Load()
+	log, dead := other.log.view(), other.dead.Load()
 	n := 0
 	if g.prov != nil && other.prov != nil {
-		for i, t := range other.log.view() {
+		for i, t := range log {
 			if dead.has(uint32(i)) {
 				continue
 			}
@@ -523,13 +561,15 @@ func (g *Graph) Union(other *Graph) int {
 		}
 		return n
 	}
-	for i, t := range other.log.view() {
-		if dead.has(uint32(i)) {
-			continue
+	for lo := 0; lo < len(log); lo++ {
+		hi := lo
+		for hi < len(log) && !dead.has(uint32(hi)) {
+			hi++
 		}
-		if g.Add(t) {
-			n++
+		if hi > lo {
+			n += g.insert(log[lo:hi], baseDerivation(), false)
 		}
+		lo = hi // the dead offset the run stopped at, or the end
 	}
 	return n
 }

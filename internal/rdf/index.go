@@ -41,9 +41,10 @@ type spEntry struct {
 
 // alog is an append-only array with an atomically published length: the
 // triple log — the graph's backbone and the snapshot watermark's meaning —
-// and the provenance side-column. The single writer appends; readers take
-// view(). The backing array is published before the length that makes its
-// new tail element reachable.
+// and the provenance side-column. The single writer reserves room (grow),
+// writes elements past the published length (put) and publishes a new
+// length once (publish); readers take view(). The backing array is
+// published before the length that makes its new tail reachable.
 type alog[T any] struct {
 	arr atomic.Pointer[[]T]
 	n   atomic.Uint32
@@ -64,21 +65,29 @@ func (l *alog[T]) grow(n int) {
 	l.arr.Store(&na)
 }
 
-// append1 appends one element and publishes the new length. Writer-only.
-// On the triple log this is the commit point of Graph.Add: every index
-// append for the triple happens before it, so a reader that observes length
-// n sees a fully indexed prefix of n triples.
-func (l *alog[T]) append1(x T) {
-	n := int(l.n.Load())
-	a := l.arr.Load()
-	if a == nil || n == len(*a) {
-		l.grow(1)
-		a = l.arr.Load()
+// reserved returns the whole backing array: the published prefix and the
+// room grow reserved past it, which only put writes. Writer-only.
+func (l *alog[T]) reserved() []T {
+	if a := l.arr.Load(); a != nil {
+		return *a
 	}
-	//powl:ignore atomicpub element write lands below the published length n; view() slices arr[:n.Load()], so the length store below is the commit point
-	(*a)[n] = x
-	l.n.Store(uint32(n + 1))
+	return nil
 }
+
+// put writes x at index i, at or past the published length and inside the
+// room grow reserved. Nothing reads it until publish covers i. Writer-only.
+//
+//powl:ignore atomicpub every write lands at or past the published length; view() slices arr[:n.Load()], so the length store in publish is the commit point
+func (l *alog[T]) put(i int, x T) {
+	a := l.arr.Load()
+	(*a)[i] = x
+}
+
+// publish makes the first n elements visible. On the triple log this is the
+// commit point of an insert: every posting and record for the new range is
+// written before it, so a reader that observes length n sees a fully
+// indexed prefix of n triples. Writer-only.
+func (l *alog[T]) publish(n int) { l.n.Store(uint32(n)) }
 
 // view returns the published prefix. Safe from any goroutine; the returned
 // slice is immutable (capacity-capped, contents never rewritten). The length
@@ -333,7 +342,8 @@ func (ix *index[T]) cloneInto(dst *index[T]) {
 // dedup is the writer-private membership table: open addressing over log
 // offsets, keys compared through the log, so it holds four pointer-free
 // bytes per slot at no more than half load. It holds exactly the live
-// offsets, every one below the published log length.
+// offsets, every one below the published log length except inside
+// Graph.insert, which places a new range's offsets before it publishes them.
 type dedup struct {
 	slots []uint32 // log offset + 1; 0 = empty
 	shift uint

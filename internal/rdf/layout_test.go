@@ -178,6 +178,10 @@ func TestBulkPathAllocs(t *testing.T) {
 	if perTriple := add / float64(len(ts)); perTriple > 0.05 {
 		t.Errorf("Add allocates %.0f times for %d triples (%.3f/triple), want <= 0.05/triple", add, len(ts), perTriple)
 	}
+	addAll := testing.AllocsPerRun(3, func() { NewGraph().AddAll(ts) })
+	if perTriple := addAll / float64(len(ts)); perTriple > 0.05 {
+		t.Errorf("AddAll allocates %.0f times for %d triples (%.3f/triple), want <= 0.05/triple", addAll, len(ts), perTriple)
+	}
 	if clone := testing.AllocsPerRun(3, func() { g.Clone() }); clone > 500 {
 		t.Errorf("Clone of %d triples allocates %.0f times, want <= 500", g.Len(), clone)
 	}

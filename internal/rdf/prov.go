@@ -5,9 +5,9 @@ import "sync/atomic"
 // Provenance is a structure-of-arrays side-column to the triple log: one
 // fixed-size Derivation record per log offset, appended by the same single
 // writer that appends the triple, published under the same MVCC discipline.
-// The invariant tying the two logs together is publication order: Graph.Add
-// appends the provenance record *before* the triple-log append that commits
-// the watermark, so at every instant
+// The invariant tying the two logs together is publication order: an insert
+// publishes its provenance records *before* the triple-log length store that
+// commits the watermark, so at every instant
 //
 //	prov.Len() >= log.length()
 //
@@ -186,10 +186,21 @@ func (g *Graph) EnableProv() *Prov {
 	n := g.log.length()
 	p.recs.grow(n)
 	for i := 0; i < n; i++ {
-		p.recs.append1(baseDerivation())
+		p.recs.put(i, baseDerivation())
 	}
+	p.recs.publish(n)
 	g.prov = p
 	return p
+}
+
+// ForgetDerivations makes every triple of g read as asserted: it drops the
+// provenance side-column, recorded rule names included, and the derived
+// marks. What is left is a base a materialization can start from as if each
+// triple had been added with Add. Writer-only, and like EnableProv it must
+// run before the graph is shared with concurrent readers.
+func (g *Graph) ForgetDerivations() {
+	g.prov = nil
+	g.derived = nil
 }
 
 // Prov returns the provenance side-column, or nil when recording is off.
@@ -205,11 +216,15 @@ func (g *Graph) Offset(t Triple) (uint32, bool) {
 // Writer-only. First derivation wins: re-deriving an existing triple does
 // not rewrite its record (records below the watermark are immutable).
 func (g *Graph) AddDerived(t Triple, d Derivation) bool {
-	if g.Has(t) {
-		return false
-	}
-	g.addNew(t, d, true)
-	return true
+	return g.insert([]Triple{t}, d, true) == 1
+}
+
+// AddDerivedAll is AddDerived for every triple of ts in one range insert:
+// the new triples are marked derived and, with provenance on, each records
+// d. It returns the number newly added; they are TriplesSince the length
+// before the call, in the order of ts. Writer-only.
+func (g *Graph) AddDerivedAll(ts []Triple, d Derivation) int {
+	return g.insert(ts, d, true)
 }
 
 // Lineage is the transportable form of one derivation: self-contained (it
@@ -262,8 +277,7 @@ func (g *Graph) AddWithLineage(t Triple, lin Lineage) bool {
 		return false
 	}
 	if g.prov == nil {
-		g.addNew(t, Derivation{}, true)
-		return true
+		return g.insert([]Triple{t}, Derivation{}, true) == 1
 	}
 	d := Derivation{Rule: g.prov.RuleID(lin.Rule), Round: lin.Round,
 		Prem: [3]uint32{NoPremise, NoPremise, NoPremise}}
@@ -275,6 +289,5 @@ func (g *Graph) AddWithLineage(t Triple, lin Lineage) bool {
 			d.Prem[i] = off
 		}
 	}
-	g.addNew(t, d, true)
-	return true
+	return g.insert([]Triple{t}, d, true) == 1
 }

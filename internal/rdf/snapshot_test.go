@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -182,7 +183,8 @@ func TestSnapshotStableUnderConcurrentWriter(t *testing.T) {
 // move through the bump chunks into arena chunks of their own, every other
 // list relocates a few times, and every slot table rehashes — while a reader
 // goroutine keeps interrogating the pin. The old pin must answer all eight
-// pattern shapes exactly as its ten-triple prefix does, throughout.
+// pattern shapes exactly as its ten-triple prefix does, throughout. Then a
+// reader races one large AddAll, which must publish all or nothing.
 func TestSnapshotOldPinSurvivesGrowth(t *testing.T) {
 	g := NewGraph()
 	for i := 1; i <= 10; i++ {
@@ -254,4 +256,84 @@ func TestSnapshotOldPinSurvivesGrowth(t *testing.T) {
 		}
 	}
 	checkPin()
+
+	// One large AddAll commits with one length store. A reader racing it
+	// sees the graph either without the batch or with all of it; a pin
+	// taken before the insert sees none of it and one taken after sees all
+	// of it, on every pattern shape.
+	batch := make([]Triple, 40000)
+	for i := range batch {
+		batch[i] = Triple{ID(rng.Intn(8000) + 1), ID(rng.Intn(20) + 1), ID(rng.Intn(8000) + 1)}
+	}
+	batch = append(batch, batch[:100]...) // duplicates within the batch
+	batch = append(batch, want...)        // and of triples already present
+	fresh := map[Triple]struct{}{}
+	for _, tr := range batch {
+		if !g.Has(tr) {
+			fresh[tr] = struct{}{}
+		}
+	}
+	pre := g.Snapshot()
+	before, after := pre.Len(), pre.Len()+len(fresh)
+	var probe []Triple
+	for _, tr := range batch[:len(batch)/2] {
+		if _, ok := fresh[tr]; ok && len(probe) < 8 && !slices.Contains(probe, tr) {
+			probe = append(probe, tr)
+		}
+	}
+	preCount := map[[3]ID]int{}
+	for _, tr := range probe {
+		for _, pat := range patternShapes(tr) {
+			preCount[pat] = pre.CountMatch(pat[0], pat[1], pat[2])
+		}
+	}
+	done.Store(false)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !done.Load() {
+			cur := g.Snapshot()
+			if w := cur.Len(); w != before && w != after {
+				t.Errorf("reader pinned %d triples mid-insert, want %d or %d", w, before, after)
+				return
+			}
+			for _, tr := range probe {
+				if cur.Has(tr) != (cur.Len() == after) {
+					t.Errorf("pin of %d triples: Has(%v) = %v", cur.Len(), tr, cur.Has(tr))
+					return
+				}
+				if pre.Has(tr) {
+					t.Errorf("pre-insert pin sees %v", tr)
+					return
+				}
+			}
+			if !checkPin() {
+				return
+			}
+		}
+	}()
+	if n := g.AddAll(batch); n != len(fresh) {
+		t.Errorf("AddAll added %d, want %d", n, len(fresh))
+	}
+	done.Store(true)
+	wg.Wait()
+	post := g.Snapshot()
+	if pre.Len() != before || post.Len() != after {
+		t.Fatalf("pins hold %d and %d triples, want %d and %d", pre.Len(), post.Len(), before, after)
+	}
+	for tr := range fresh {
+		if pre.Has(tr) || !post.Has(tr) {
+			t.Fatalf("%v: pre-insert pin Has = %v, post-insert pin Has = %v", tr, pre.Has(tr), post.Has(tr))
+		}
+	}
+	for _, tr := range probe {
+		for _, pat := range patternShapes(tr) {
+			if got := pre.CountMatch(pat[0], pat[1], pat[2]); got != preCount[pat] {
+				t.Fatalf("pre-insert pin CountMatch(%v) = %d, want %d", pat, got, preCount[pat])
+			}
+			if got, want := post.CountMatch(pat[0], pat[1], pat[2]), len(g.Match(pat[0], pat[1], pat[2])); got != want {
+				t.Fatalf("post-insert pin CountMatch(%v) = %d, graph has %d", pat, got, want)
+			}
+		}
+	}
 }

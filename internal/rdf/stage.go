@@ -16,8 +16,8 @@ package rdf
 //     firing goroutines have been joined.
 //
 // Shards dedup only their own triples; the same triple staged by two
-// shards is resolved at drain time by the graph insert itself (AddDerived
-// reports whether the triple was new).
+// shards is resolved at drain time by the graph insert itself, which adds
+// only the first copy.
 type DeltaStage struct {
 	shards []StageShard
 }

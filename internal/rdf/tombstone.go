@@ -249,7 +249,7 @@ func (g *Graph) Compact() *Graph {
 			}
 			remap[off] = uint32(c.log.length())
 		}
-		c.addNew(t, d, g.IsDerivedOffset(off))
+		c.insert([]Triple{t}, d, g.IsDerivedOffset(off))
 	}
 	return c
 }

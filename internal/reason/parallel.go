@@ -215,7 +215,6 @@ func (f Forward) fire(ctx context.Context, g *rdf.Graph, crs []cRule, plans []st
 
 	added := 0
 	sweep := 0
-	var fresh []rdf.Triple
 	for {
 		progressed := false
 		for s := range plans {
@@ -234,7 +233,7 @@ func (f Forward) fire(ctx context.Context, g *rdf.Graph, crs []cRule, plans []st
 			if err != nil {
 				return added, err
 			}
-			fresh = r.commit(sweep, fresh[:0])
+			fresh := r.commit(sweep)
 			added += len(fresh)
 			// Route the sweep's conclusions to every stratum with an atom
 			// they can match — including this one, for recursive pieces.
@@ -408,28 +407,26 @@ claim:
 
 // commit drains the stage into the log — the single-writer commit the MVCC
 // publication invariants require — in shard order, each shard in staging
-// order, and returns the triples that were new to the graph, appended to
-// fresh. A triple staged by two shards loses the second AddDerived and is
-// recorded as the winner's alternate derivation. Caller's goroutine only.
-func (r *fireRun) commit(sweep int, fresh []rdf.Triple) []rdf.Triple {
+// order, and returns the triples that were new to the graph: the log range
+// the commit appended, a read-only view. Without provenance each shard goes
+// in as one range insert; with it, triple by triple, and a triple staged by
+// two shards loses the second AddDerived and is recorded as the winner's
+// alternate derivation. Caller's goroutine only.
+func (r *fireRun) commit(sweep int) []rdf.Triple {
+	base := r.g.Len()
 	for w := 0; w < r.stage.Shards(); w++ {
 		sh := r.stage.Shard(w)
 		if r.rec == nil {
-			for _, t := range sh.Triples() {
-				// AddDerived rather than Add: even without provenance
-				// records the graph tracks which offsets are engine-derived,
-				// which is what the provenance-off Retract fallback keys on.
-				if r.g.AddDerived(t, rdf.Derivation{}) {
-					fresh = append(fresh, t)
-				}
-			}
+			// Derived rather than plain inserts: even without provenance
+			// records the graph tracks which offsets are engine-derived,
+			// which is what the provenance-off Retract fallback keys on.
+			r.g.AddDerivedAll(sh.Triples(), rdf.Derivation{})
 			sh.Reset()
 			continue
 		}
 		for i, t := range sh.Triples() {
 			pd := r.sidecars[w][i]
 			if r.rec.add(t, pd, sweep) {
-				fresh = append(fresh, t)
 				r.prof.addDerived(pd.rule.idx, 1, 0)
 			} else {
 				r.prof.addDerived(pd.rule.idx, 0, 1)
@@ -443,5 +440,5 @@ func (r *fireRun) commit(sweep int, fresh []rdf.Triple) []rdf.Triple {
 		}
 		clear(r.alts[w])
 	}
-	return fresh
+	return r.g.TriplesSince(base)
 }

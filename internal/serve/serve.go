@@ -114,13 +114,10 @@ type BuildConfig struct {
 // Build is the general KB constructor behind BuildKB/BuildKBProv.
 func Build(dict *rdf.Dict, base *rdf.Graph, bc BuildConfig) *KB {
 	compiled := owlhorst.Compile(dict, base)
-	instance := owlhorst.SplitInstance(dict, base)
-	g := rdf.NewGraphCap(2 * (len(instance) + compiled.Schema.Len()))
+	g := compiled.Start(base)
 	if bc.Prov {
 		g.EnableProv()
 	}
-	g.AddAll(instance)
-	g.Union(compiled.Schema)
 	reason.Forward{Threads: bc.Threads}.Materialize(g, compiled.InstanceRules)
 	return &KB{Dict: dict, Graph: g, Rules: compiled.InstanceRules, Threads: bc.Threads}
 }
