@@ -35,27 +35,28 @@ import (
 	"powl/internal/rio"
 )
 
+var (
+	in        = flag.String("in", "", "input RDF file, .nt or .ttl (required)")
+	dir       = flag.String("dir", "powl-work", "shared work directory")
+	k         = flag.Int("k", 4, "number of cluster nodes")
+	policy    = flag.String("policy", "graph", "data partitioning policy: graph, hash")
+	seed      = flag.Int64("seed", 42, "partitioner seed")
+	run       = flag.Bool("run", false, "spawn owlnode processes locally and merge the closures")
+	nodeBin   = flag.String("node-bin", "", "owlnode binary for -run ('' = go run ./cmd/owlnode)")
+	engine    = flag.String("engine", "forward", "engine passed to the nodes")
+	threads   = flag.Int("threads", 0, "intra-worker parallel rule-firing goroutines per node (0 or 1 = one, inline)")
+	transport = flag.String("transport", "file", "cluster transport: file (owlnode processes over the shared work dir), tcp or mem (in-process workers with transport-generic recovery)")
+	out       = flag.String("o", "", "merged closure output file (with -run)")
+	fault     = flag.String("fault", "", "fault-injection spec, e.g. \"crash=2\" or \"crash=2,drop=2,dropfrom=0,dropto=1\" (see internal/faultinject); crash targets -fault-node, the rest hits the transport")
+	faultNode = flag.Int("fault-node", -1, "node receiving the -fault spec (-1 = last node)")
+	deadline  = flag.Duration("round-deadline", 2*time.Second, "supervisor: how long a node may trail a round before being declared dead (with -run)")
+	journal   = flag.String("journal", "", "write the merged run journal (JSONL) to this file (with -run)")
+	trace     = flag.String("trace", "", "write a Chrome/Perfetto trace-event file to this file (with -run)")
+	report    = flag.Bool("report", false, "print the profile report — top rules, per-worker phases, transport totals (with -run)")
+	debugAddr = flag.String("debug-addr", "", "serve the master's /metrics and /debug/pprof on this address")
+)
+
 func main() {
-	var (
-		in        = flag.String("in", "", "input RDF file, .nt or .ttl (required)")
-		dir       = flag.String("dir", "powl-work", "shared work directory")
-		k         = flag.Int("k", 4, "number of cluster nodes")
-		policy    = flag.String("policy", "graph", "data partitioning policy: graph, hash")
-		seed      = flag.Int64("seed", 42, "partitioner seed")
-		run       = flag.Bool("run", false, "spawn owlnode processes locally and merge the closures")
-		nodeBin   = flag.String("node-bin", "", "owlnode binary for -run ('' = go run ./cmd/owlnode)")
-		engine    = flag.String("engine", "forward", "engine passed to the nodes")
-		threads   = flag.Int("threads", 0, "intra-worker parallel rule-firing goroutines per node (0 or 1 = one, inline)")
-		transport = flag.String("transport", "file", "cluster transport: file (owlnode processes over the shared work dir), tcp or mem (in-process workers with transport-generic recovery)")
-		out       = flag.String("o", "", "merged closure output file (with -run)")
-		fault     = flag.String("fault", "", "fault-injection spec, e.g. \"crash=2\" or \"crash=2,drop=2,dropfrom=0,dropto=1\" (see internal/faultinject); crash targets -fault-node, the rest hits the transport")
-		faultNode = flag.Int("fault-node", -1, "node receiving the -fault spec (-1 = last node)")
-		deadline  = flag.Duration("round-deadline", 2*time.Second, "supervisor: how long a node may trail a round before being declared dead (with -run)")
-		journal   = flag.String("journal", "", "write the merged run journal (JSONL) to this file (with -run)")
-		trace     = flag.String("trace", "", "write a Chrome/Perfetto trace-event file to this file (with -run)")
-		report    = flag.Bool("report", false, "print the profile report — top rules, per-worker phases, transport totals (with -run)")
-		debugAddr = flag.String("debug-addr", "", "serve the master's /metrics and /debug/pprof on this address")
-	)
 	flag.Parse()
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "missing -in")
@@ -96,12 +97,7 @@ func main() {
 		if !*run {
 			fatal(fmt.Errorf("-transport %s runs the cluster in-process; add -run", *transport))
 		}
-		runInProcess(dict, g, inProcOpts{
-			in: *in, dir: *dir, k: *k, policy: *policy, seed: *seed,
-			engine: *engine, transport: *transport, out: *out, threads: *threads,
-			fault: *fault, faultNode: *faultNode, deadline: *deadline,
-			journal: *journal, trace: *trace, report: *report,
-		})
+		runInProcess(dict, g)
 		return
 	}
 
@@ -222,17 +218,7 @@ func main() {
 	mergeDur := time.Since(mergeStart)
 	fmt.Fprintf(os.Stderr, "merged closure: %d triples (%d inferred) in %v total\n",
 		merged.Len(), merged.Len()-n, time.Since(start).Round(time.Millisecond))
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := ntriples.WriteGraph(f, mdict, merged); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
-	}
+	writeClosure(*out, mdict, merged)
 
 	if obsWanted {
 		events, err := mergeJournals(layout, *k)
@@ -248,40 +234,8 @@ func main() {
 				Worker: obs.MasterWorker, Phase: obs.PhaseAggregate},
 			obs.Event{Type: obs.EvRunEnd, TS: last + int64(mergeDur),
 				Dur: int64(time.Since(start)), Worker: obs.MasterWorker})
-		if *journal != "" {
-			if err := writeJournal(*journal, events); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote journal %s (%d events)\n", *journal, len(events))
-		}
-		if *trace != "" {
-			f, err := os.Create(*trace)
-			if err != nil {
-				fatal(err)
-			}
-			if err := obs.WriteTrace(f, events); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote trace %s (load at ui.perfetto.dev)\n", *trace)
-		}
-		if *report {
-			obs.WriteReport(os.Stdout, events, 10)
-		}
+		writeObs(events, *journal, *trace, *report)
 	}
-}
-
-// inProcOpts carries the flag values the in-process path consumes.
-type inProcOpts struct {
-	in, dir, policy, engine, transport, out, journal, trace string
-	k, faultNode, threads                                   int
-	seed                                                    int64
-	deadline                                                time.Duration
-	fault                                                   string
-	report                                                  bool
 }
 
 // runInProcess executes the cluster inside this process over the tcp or mem
@@ -291,19 +245,19 @@ type inProcOpts struct {
 // crash=N becomes the -fault-node worker's fail-stop schedule, while
 // send/recv/delay faults and the drop=N connection severing wrap the
 // transport itself.
-func runInProcess(dict *rdf.Dict, g *rdf.Graph, o inProcOpts) {
-	ds := &datagen.Dataset{Name: o.in, Dict: dict, Graph: g}
+func runInProcess(dict *rdf.Dict, g *rdf.Graph) {
+	ds := &datagen.Dataset{Name: *in, Dict: dict, Graph: g}
 
 	var inject []*faultinject.Injector
 	var trFault *faultinject.Injector
-	if o.fault != "" {
-		fcfg, err := faultinject.ParseSpec(o.fault)
+	if *fault != "" {
+		fcfg, err := faultinject.ParseSpec(*fault)
 		if err != nil {
 			fatal(err)
 		}
 		if fcfg.CrashRound > 0 {
-			inject = make([]*faultinject.Injector, o.k)
-			inject[o.faultNode] = faultinject.New(faultinject.Config{CrashRound: fcfg.CrashRound})
+			inject = make([]*faultinject.Injector, *k)
+			inject[*faultNode] = faultinject.New(faultinject.Config{CrashRound: fcfg.CrashRound})
 			fcfg.CrashRound = 0
 		}
 		if fcfg != (faultinject.Config{}) {
@@ -311,15 +265,18 @@ func runInProcess(dict *rdf.Dict, g *rdf.Graph, o inProcOpts) {
 		}
 	}
 
-	if err := os.MkdirAll(o.dir, 0o755); err != nil {
+	// A fresh checkpoint directory: an adopter must never replay the deltas
+	// of an earlier run in the same -dir.
+	ckdir := fscluster.Layout{Dir: *dir}.CkptDir()
+	if err := os.RemoveAll(ckdir); err != nil {
 		fatal(err)
 	}
-	store, err := cluster.NewDirCheckpoints(o.dir, dict)
+	store, err := cluster.NewDirCheckpoints(ckdir, dict)
 	if err != nil {
 		fatal(err)
 	}
 
-	obsWanted := o.journal != "" || o.trace != "" || o.report
+	obsWanted := *journal != "" || *trace != "" || *report
 	var sink *obs.MemSink
 	var orun *obs.Run
 	if obsWanted {
@@ -329,14 +286,14 @@ func runInProcess(dict *rdf.Dict, g *rdf.Graph, o inProcOpts) {
 
 	start := time.Now()
 	res, err := core.Materialize(ds, core.Config{
-		Workers:        o.k,
-		Policy:         core.PolicyKind(o.policy),
-		Engine:         core.EngineKind(o.engine),
-		Threads:        o.threads,
-		Transport:      core.TransportKind(o.transport),
-		Seed:           o.seed,
+		Workers:        *k,
+		Policy:         core.PolicyKind(*policy),
+		Engine:         core.EngineKind(*engine),
+		Threads:        *threads,
+		Transport:      core.TransportKind(*transport),
+		Seed:           *seed,
 		Obs:            orun,
-		Recovery:       &cluster.RecoveryConfig{Store: store, RoundDeadline: o.deadline},
+		Recovery:       &cluster.RecoveryConfig{Store: store, RoundDeadline: *deadline},
 		Inject:         inject,
 		TransportFault: trFault,
 	})
@@ -350,43 +307,55 @@ func runInProcess(dict *rdf.Dict, g *rdf.Graph, o inProcOpts) {
 	fmt.Fprintf(os.Stderr, "closure: %d triples (%d inferred) in %d rounds, %v total\n",
 		res.Graph.Len(), res.Inferred, res.Rounds, time.Since(start).Round(time.Millisecond))
 
-	if o.out != "" {
-		f, err := os.Create(o.out)
+	writeClosure(*out, dict, res.Graph)
+	if obsWanted {
+		writeObs(sink.Events(), *journal, *trace, *report)
+	}
+}
+
+// writeClosure writes the merged closure to path, when one was asked for.
+func writeClosure(path string, dict *rdf.Dict, g *rdf.Graph) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := ntriples.WriteGraph(f, dict, g); err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+}
+
+// writeObs writes the run's journal and trace and prints its report, each
+// when its flag asked for it.
+func writeObs(events []obs.Event, journal, trace string, report bool) {
+	if journal != "" {
+		if err := writeJournal(journal, events); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "wrote journal %s (%d events)\n", journal, len(events))
+	}
+	if trace != "" {
+		f, err := os.Create(trace)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		if err := ntriples.WriteGraph(f, dict, res.Graph); err != nil {
+		if err := obs.WriteTrace(f, events); err != nil {
+			f.Close()
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", o.out)
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "wrote trace %s (load at ui.perfetto.dev)\n", trace)
 	}
-
-	if obsWanted {
-		events := sink.Events()
-		if o.journal != "" {
-			if err := writeJournal(o.journal, events); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote journal %s (%d events)\n", o.journal, len(events))
-		}
-		if o.trace != "" {
-			f, err := os.Create(o.trace)
-			if err != nil {
-				fatal(err)
-			}
-			if err := obs.WriteTrace(f, events); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote trace %s (load at ui.perfetto.dev)\n", o.trace)
-		}
-		if o.report {
-			obs.WriteReport(os.Stdout, events, 10)
-		}
+	if report {
+		obs.WriteReport(os.Stdout, events, 10)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -170,6 +171,22 @@ func Run(cfg Config, assigns []Assignment) (*Result, error) {
 	return RunContext(context.Background(), cfg, assigns)
 }
 
+// check validates the fields every run needs and normalizes Recovery, so all
+// of a run's workers share one checkpoint store.
+func (cfg *Config) check() error {
+	if cfg.Engine == nil || cfg.Transport == nil || cfg.Router == nil {
+		return fmt.Errorf("cluster: config requires Engine, Transport and Router")
+	}
+	if cfg.MaxRounds <= 0 {
+		cfg.MaxRounds = 1000
+	}
+	if cfg.Recovery != nil {
+		rc := cfg.Recovery.withDefaults()
+		cfg.Recovery = &rc
+	}
+	return nil
+}
+
 // RunContext executes Algorithm 3 over the given assignments under ctx.
 // Cancelling ctx aborts the run (the barrier wakes all workers), and
 // cfg.RoundTimeout additionally bounds each worker's individual rounds.
@@ -180,80 +197,45 @@ func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result,
 	if k == 0 {
 		return nil, fmt.Errorf("cluster: no assignments")
 	}
-	if cfg.Engine == nil || cfg.Transport == nil || cfg.Router == nil {
-		return nil, fmt.Errorf("cluster: config requires Engine, Transport and Router")
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 1000
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	cfg.Obs.Emit(obs.Event{Type: obs.EvRunStart, TS: cfg.Obs.Now(),
 		Worker: obs.MasterWorker, Name: cfg.Engine.Name(), N: int64(k)})
 
 	start := time.Now()
+	var m local
+	if cfg.Mode == Concurrent {
+		m.bar = newBarrier(k)
+	}
+	if cfg.Recovery != nil {
+		m.coord = newCoordinator(k, *cfg.Recovery, m.bar, cfg.Obs, assigns)
+	}
 	workers := make([]*worker, k)
 	for i := range workers {
-		g := rdf.NewGraphCap(len(assigns[i].Base))
-		if cfg.Provenance {
-			// Enable before the base load so the side-column is built in
-			// lockstep instead of backfilled; base tuples read as asserted.
-			g.EnableProv()
-		}
-		g.AddAll(assigns[i].Base)
-		workers[i] = &worker{
-			id:    i,
-			graph: g,
-			rules: assigns[i].Rules,
-			// Base tuples are known to every worker that should have them
-			// (the partitioner placed them); the shipping watermark starts
-			// past them so they are never re-shipped.
-			shipped: g.Len(),
-		}
-		workers[i].inj = cfg.injector(i)
+		workers[i] = newWorker(cfg, i, assigns[i], m)
 	}
-
 	if cfg.Mode == Simulated {
-		return runSimulated(ctx, cfg, workers, assigns, maxRounds)
+		return runSimulated(ctx, cfg, workers, m.coord)
 	}
 
-	bar := newBarrier(k)
-	var coord *coordinator
-	if cfg.Recovery != nil {
-		coord = newCoordinator(k, cfg.Recovery.withDefaults(), bar, cfg.Obs, assigns)
-		for _, w := range workers {
-			w.coord = coord
-		}
-	}
+	coord := m.coord
 	errs := make([]error, k)
+	rounds := make([]int, k)
 	var wg sync.WaitGroup
-	rounds := 0
-	var roundsMu sync.Mutex
-
-	cancels := make([]context.CancelFunc, k)
-	for i := range workers {
+	for i, w := range workers {
 		// Under recovery each worker gets its own cancellable context so
 		// the coordinator can interrupt one declared dead mid-phase without
 		// touching its peers.
 		wctx := ctx
 		if coord != nil {
-			var wcancel context.CancelFunc
-			wctx, wcancel = context.WithCancel(ctx)
-			cancels[i] = wcancel
-			coord.cancels[i] = wcancel
+			wctx, coord.cancels[i] = context.WithCancel(ctx)
 		}
 		wg.Add(1)
 		go func(w *worker, wctx context.Context) {
 			defer wg.Done()
-			r, err := w.run(wctx, cfg, bar, maxRounds)
-			if err != nil {
-				errs[w.id] = err
-			}
-			roundsMu.Lock()
-			if r > rounds {
-				rounds = r
-			}
-			roundsMu.Unlock()
-		}(workers[i], wctx)
+			rounds[w.id], errs[w.id] = w.run(wctx, cfg, 0)
+		}(w, wctx)
 	}
 	detCancel := func() {}
 	if coord != nil {
@@ -263,16 +245,12 @@ func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result,
 	}
 	wg.Wait()
 	detCancel()
-	for _, c := range cancels {
-		if c != nil {
-			c()
-		}
-	}
 	if coord != nil {
-		// A stepped-aside worker is not a run failure: its partition was
-		// adopted and the survivors finished the fixpoint.
-		for i, err := range errs {
-			if errors.Is(err, errWorkerDead) {
+		for i, cancel := range coord.cancels {
+			cancel()
+			// A stepped-aside worker is not a run failure: its partition was
+			// adopted and the survivors finished the fixpoint.
+			if errors.Is(errs[i], errWorkerDead) {
 				errs[i] = nil
 			}
 		}
@@ -292,10 +270,36 @@ func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result,
 	if coord != nil {
 		res.Recovered = coord.recoveredMap()
 	}
-	res.Rounds = rounds
+	res.Rounds = slices.Max(rounds)
 	res.Elapsed = time.Since(start)
 	finishRun(cfg.Obs, res, aggAt)
 	return res, nil
+}
+
+// RunWorker runs worker id's round loop in this process, reaching its peers
+// through cfg.Transport and m: the deployment where every worker is an OS
+// process of its own. A start above 0 rejoins a run in progress: the worker
+// first replays its own persisted state — base, checkpoints, and its inbox
+// of the rounds before start — through the adoption path, then enters the
+// loop at round start. It returns the worker's final graph.
+func RunWorker(ctx context.Context, cfg Config, id, start int, m Membership) (*rdf.Graph, Timings, error) {
+	if err := cfg.check(); err != nil {
+		return nil, Timings{}, err
+	}
+	a, err := m.Assignment(id)
+	if err != nil {
+		return nil, Timings{}, err
+	}
+	w := newWorker(cfg, id, a, m)
+	if start > 0 {
+		if _, err := w.absorb(ctx, cfg, id, start-1); err != nil {
+			return nil, w.tm, fmt.Errorf("cluster: worker %d rejoin: %w", id, err)
+		}
+		w.shipped = w.graph.Len()
+	}
+	_, err = w.run(ctx, cfg, start)
+	cfg.Obs.FlushProfiles(cfg.Obs.Now())
+	return w.graph, w.tm, err
 }
 
 // finishRun emits the master-side tail of the journal: the aggregation
@@ -333,7 +337,7 @@ type worker struct {
 	// reship holds adopted checkpoint triples that sit below the watermark
 	// but still need routing: a dead peer may have derived them without
 	// completing its sends, so the adopter re-routes them (receivers
-	// deduplicate). Empty except after an adoption.
+	// deduplicate). Empty except after an adoption or rejoin.
 	reship map[rdf.Triple]struct{}
 	tm     Timings
 	// materialized is set after the first full materialization; later
@@ -342,15 +346,37 @@ type worker struct {
 	// received holds the tuples absorbed in the previous round's receive
 	// phase — the seeds of the next incremental materialization.
 	received []rdf.Triple
-	// coord is the run's recovery coordinator (nil when recovery is off;
-	// its methods are nil-safe).
-	coord *coordinator
+	// m is the worker's view of its peers: barrier, deaths, adoptions.
+	m Membership
+	// store receives the worker's per-round deltas (nil without recovery).
+	store CheckpointStore
 	// inj optionally injects this worker's scheduled faults (crash-at-round).
 	inj *faultinject.Injector
 	// adopted lists the dead peers' partition ids this worker absorbed;
 	// their inboxes are drained alongside its own and sends to them are
 	// short-circuited (the partition lives here now).
 	adopted []int
+}
+
+// newWorker loads worker id's base tuples into a fresh graph.
+func newWorker(cfg Config, id int, a Assignment, m Membership) *worker {
+	g := rdf.NewGraphCap(len(a.Base))
+	if cfg.Provenance {
+		// Enable before the base load so the side-column is built in
+		// lockstep instead of backfilled; base tuples read as asserted.
+		g.EnableProv()
+	}
+	g.AddAll(a.Base)
+	w := &worker{id: id, graph: g, rules: a.Rules, m: m, inj: cfg.injector(id),
+		// Base tuples are known to every worker that should have them (the
+		// partitioner placed them); the shipping watermark starts past them
+		// so they are never re-shipped.
+		shipped: g.Len(),
+	}
+	if cfg.Recovery != nil {
+		w.store = cfg.Recovery.Store
+	}
+	return w
 }
 
 // phaseReason runs the local materialization to fixpoint (Algorithm 3
@@ -392,29 +418,36 @@ func (w *worker) phaseReason(ctx context.Context, cfg Config) (time.Duration, er
 // number sent and the phase duration. The delta is read straight off the
 // graph's append-only log above the shipping watermark — the reason phase's
 // new derivations — plus any adopted checkpoint triples queued for
-// re-routing.
+// re-routing. With provenance on, each triple's derivation record rides
+// along to the checkpoint and, on a transport.LineageCarrier, to the peers.
 //
 //powl:ignore wallclock measures the real phase duration that feeds Timings and the Simulated reconstruction.
 func (w *worker) phaseSend(ctx context.Context, cfg Config, round int) (int, time.Duration, error) {
 	t0 := time.Now()
-	var adoptedSet map[int]bool
-	if len(w.adopted) > 0 {
-		adoptedSet = make(map[int]bool, len(w.adopted))
-		for _, v := range w.adopted {
-			adoptedSet[v] = true
-		}
-	}
+	prov := w.graph.Prov() != nil
 	var delta []rdf.Triple
+	var lins []rdf.Lineage
 	outbox := map[int][]rdf.Triple{}
+	linbox := map[int][]rdf.Lineage{}
 	route := func(t rdf.Triple) {
 		delta = append(delta, t)
+		var lin rdf.Lineage
+		hasLin := false
+		if prov {
+			if lin, hasLin = w.graph.LineageOf(t); hasLin {
+				lins = append(lins, lin)
+			}
+		}
 		for _, dst := range cfg.Router.Destinations(t, w.id) {
 			// A destination this worker adopted is this worker: the triple
 			// is already in its graph and marked sent.
-			if adoptedSet[dst] {
+			if slices.Contains(w.adopted, dst) {
 				continue
 			}
 			outbox[dst] = append(outbox[dst], t)
+			if hasLin {
+				linbox[dst] = append(linbox[dst], lin)
+			}
 		}
 	}
 	for _, t := range w.graph.TriplesSince(w.shipped) {
@@ -436,16 +469,13 @@ func (w *worker) phaseSend(ctx context.Context, cfg Config, round int) (int, tim
 	}
 	// Checkpoint the delta before any send leaves: if this worker dies
 	// mid-send, its adopter replays the delta and re-routes it (receivers
-	// deduplicate), so a half-finished send phase loses nothing. With
-	// provenance on and a lineage-capable store, the delta's lineage is
-	// checkpointed alongside, so the adopter can replay derivations with
-	// their records intact.
-	if w.coord != nil && len(delta) > 0 {
-		if err := w.coord.store.Save(w.id, round, delta); err != nil {
+	// deduplicate), so a half-finished send phase loses nothing.
+	if w.store != nil && len(delta) > 0 {
+		if err := w.store.Save(w.id, round, delta); err != nil {
 			return 0, 0, fmt.Errorf("cluster: worker %d checkpoint: %w", w.id, err)
 		}
-		if ls, ok := w.coord.store.(LineageCheckpointStore); ok && w.graph.Prov() != nil {
-			if err := ls.SaveLineage(w.id, round, lineageOfAll(w.graph, delta)); err != nil {
+		if ls, ok := w.store.(LineageCheckpointStore); ok && len(lins) > 0 {
+			if err := ls.SaveLineage(w.id, round, lins); err != nil {
 				return 0, 0, fmt.Errorf("cluster: worker %d lineage checkpoint: %w", w.id, err)
 			}
 		}
@@ -461,17 +491,14 @@ func (w *worker) phaseSend(ctx context.Context, cfg Config, round int) (int, tim
 	}
 	sort.Ints(dsts)
 	lc, _ := cfg.Transport.(transport.LineageCarrier)
-	if w.graph.Prov() == nil {
-		lc = nil
-	}
 	nSent := 0
 	for _, dst := range dsts {
 		ts := outbox[dst]
 		if err := cfg.Transport.Send(ctx, round, w.id, dst, ts); err != nil {
 			return 0, 0, fmt.Errorf("cluster: worker %d send: %w", w.id, err)
 		}
-		if lc != nil {
-			if err := lc.SendLineage(ctx, round, w.id, dst, lineageOfAll(w.graph, ts)); err != nil {
+		if lc != nil && prov {
+			if err := lc.SendLineage(ctx, round, w.id, dst, linbox[dst]); err != nil {
 				return 0, 0, fmt.Errorf("cluster: worker %d send lineage: %w", w.id, err)
 			}
 		}
@@ -490,59 +517,53 @@ func (w *worker) phaseSend(ctx context.Context, cfg Config, round int) (int, tim
 //powl:ignore wallclock measures the real phase duration that feeds Timings and the Simulated reconstruction.
 func (w *worker) phaseRecv(ctx context.Context, cfg Config, round int) (time.Duration, error) {
 	t0 := time.Now()
-	in, err := cfg.Transport.Recv(ctx, round, w.id)
-	if err != nil {
-		return 0, fmt.Errorf("cluster: worker %d recv: %w", w.id, err)
-	}
-	for _, v := range w.adopted {
-		more, merr := cfg.Transport.Recv(ctx, round, v)
-		if merr != nil {
-			return 0, fmt.Errorf("cluster: worker %d recv (adopted %d): %w", w.id, v, merr)
-		}
-		in = append(in, more...)
-	}
 	// Lineage of the received triples, when the transport ships it and this
 	// worker records provenance. Records are matched by triple value: the
-	// triple boxes and the lineage boxes are drained independently, so
+	// triple files or boxes and the lineage ones are read independently, so
 	// positional alignment cannot be assumed.
-	var linMap map[rdf.Triple]rdf.Lineage
-	if lc, ok := cfg.Transport.(transport.LineageCarrier); ok && w.graph.Prov() != nil {
-		ls, lerr := lc.RecvLineage(ctx, round, w.id)
-		if lerr != nil {
-			return 0, fmt.Errorf("cluster: worker %d recv lineage: %w", w.id, lerr)
+	lc, _ := cfg.Transport.(transport.LineageCarrier)
+	if w.graph.Prov() == nil {
+		lc = nil
+	}
+	var in []rdf.Triple
+	var lins []rdf.Lineage
+	for _, to := range append([]int{w.id}, w.adopted...) {
+		ts, err := cfg.Transport.Recv(ctx, round, to)
+		if err != nil {
+			return 0, fmt.Errorf("cluster: worker %d recv (inbox %d): %w", w.id, to, err)
 		}
-		for _, v := range w.adopted {
-			more, merr := lc.RecvLineage(ctx, round, v)
-			if merr != nil {
-				return 0, fmt.Errorf("cluster: worker %d recv lineage (adopted %d): %w", w.id, v, merr)
-			}
-			ls = append(ls, more...)
+		if in == nil {
+			in = ts // the common single inbox: no copy
+		} else {
+			in = append(in, ts...)
 		}
-		if len(ls) > 0 {
-			linMap = make(map[rdf.Triple]rdf.Lineage, len(ls))
-			for _, l := range ls {
-				linMap[l.T] = l
+		if lc != nil {
+			ls, err := lc.RecvLineage(ctx, round, to)
+			if err != nil {
+				return 0, fmt.Errorf("cluster: worker %d recv lineage (inbox %d): %w", w.id, to, err)
 			}
+			lins = append(lins, ls...)
 		}
 	}
 	// Checkpoint received tuples before absorbing them: they may seed
 	// derivations that exist nowhere else once the senders have marked them
 	// shipped, so an adopter of *this* worker must be able to replay them.
-	if w.coord != nil && len(in) > 0 {
-		if err := w.coord.store.Save(w.id, round, in); err != nil {
+	if w.store != nil && len(in) > 0 {
+		if err := w.store.Save(w.id, round, in); err != nil {
 			return 0, fmt.Errorf("cluster: worker %d recv checkpoint: %w", w.id, err)
 		}
-		if ls, ok := w.coord.store.(LineageCheckpointStore); ok && len(linMap) > 0 {
-			lins := make([]rdf.Lineage, 0, len(linMap))
-			for _, t := range in {
-				if l, ok := linMap[t]; ok {
-					lins = append(lins, l)
-				}
-			}
+		if ls, ok := w.store.(LineageCheckpointStore); ok && len(lins) > 0 {
 			if err := ls.SaveLineage(w.id, round, lins); err != nil {
 				return 0, fmt.Errorf("cluster: worker %d recv lineage checkpoint: %w", w.id, err)
 			}
 		}
+	}
+	var linMap map[rdf.Triple]rdf.Lineage
+	for _, l := range lins {
+		if linMap == nil {
+			linMap = make(map[rdf.Triple]rdf.Lineage, len(lins))
+		}
+		linMap[l.T] = l
 	}
 	for _, t := range in {
 		added := false
@@ -596,70 +617,73 @@ func roundCtx(ctx context.Context, cfg Config) (context.Context, context.CancelF
 	return ctx, func() {}
 }
 
-// run is one worker's round loop in Concurrent mode.
+// ErrCrashed marks a worker stopped by its fault injector's crash schedule
+// with nobody left to adopt its partition (no recovery in this process).
+var ErrCrashed = errors.New("cluster: worker crashed (fault injection)")
+
+// run is one worker's round loop from round start on; in-process runs and
+// node processes differ only in the Membership behind it.
 //
 //powl:ignore wallclock barrier-wait duration is a real measurement (Concurrent mode only; Simulated derives Sync analytically).
-func (w *worker) run(ctx context.Context, cfg Config, bar *barrier, maxRounds int) (int, error) {
-	round := 0
-	for ; round < maxRounds; round++ {
+func (w *worker) run(ctx context.Context, cfg Config, round int) (int, error) {
+	for ; round < cfg.MaxRounds; round++ {
 		// Scheduled fail-stop: the worker dies at the top of the round,
-		// before doing any of its work. With recovery armed it reports its
-		// own death (the detector would find it anyway, just slower) and
-		// steps aside; without, the run aborts as it always did.
+		// before doing any of its work. In-process recovery takes its own
+		// report of the death (the detector would find it anyway, just
+		// slower) and the worker steps aside; otherwise the run aborts, or —
+		// in a node process — peers see its markers stop.
 		if w.inj.Crash(round) {
 			cfg.Obs.Emit(obs.Event{Type: obs.EvFault, TS: cfg.Obs.Now(),
 				Worker: w.id, Round: round, Name: "crash"})
-			if w.coord != nil {
-				w.coord.workerDied(w.id, round, "crash")
+			if w.m.Died(w.id, round, "crash") {
 				return round, errWorkerDead
 			}
-			bar.abort()
-			return round, fmt.Errorf("cluster: worker %d crashed (injected) at round %d", w.id, round)
+			w.m.Abort()
+			return round, fmt.Errorf("%w: worker %d at round %d", ErrCrashed, w.id, round)
 		}
-		if w.coord.isDead(w.id) {
+		if w.m.Dead(w.id) {
 			return round, errWorkerDead
 		}
 		rctx, cancel := roundCtx(ctx, cfg)
 		if err := w.adoptPending(rctx, cfg, round); err != nil {
 			cancel()
-			return round, w.stepAsideOr(bar, err)
+			return round, w.stepAsideOr(err)
 		}
 
 		rd, err := w.phaseReason(rctx, cfg)
 		if err != nil {
 			cancel()
-			return round, w.stepAsideOr(bar, err)
+			return round, w.stepAsideOr(err)
 		}
 		emitPhase(cfg.Obs, w.id, round, obs.PhaseReason, rd, 0)
 
 		nSent, sd, err := w.phaseSend(rctx, cfg, round)
 		if err != nil {
 			cancel()
-			return round, w.stepAsideOr(bar, err)
+			return round, w.stepAsideOr(err)
 		}
 		emitPhase(cfg.Obs, w.id, round, obs.PhaseSend, sd, int64(nSent))
 
 		// Barrier with global sent-count reduction. The round deadline
 		// covers the wait: a worker stuck here because a peer died wakes
 		// with DeadlineExceeded instead of hanging forever.
-		w.coord.atBarrier(w.id, round)
 		t0 := time.Now()
-		totalSent, ok, berr := bar.syncCtx(rctx, nSent)
+		totalSent, berr := w.m.Sync(rctx, w.id, round, nSent)
 		syncD := time.Since(t0)
 		w.tm.Sync += syncD
-		if berr != nil {
-			cancel()
-			return round, w.stepAsideOr(bar,
-				fmt.Errorf("cluster: worker %d barrier (round %d): %w", w.id, round, berr))
-		}
-		if !ok {
+		if errors.Is(berr, ErrPeerAbort) {
 			cancel()
 			return round, ErrPeerAbort
+		}
+		if berr != nil {
+			cancel()
+			return round, w.stepAsideOr(
+				fmt.Errorf("cluster: worker %d barrier (round %d): %w", w.id, round, berr))
 		}
 		// Declared dead while waiting (a detector false positive, or a
 		// cancellation that lost the race with the release): the partition
 		// has been reassigned, so step aside rather than double-own it.
-		if w.coord.isDead(w.id) {
+		if w.m.Dead(w.id) {
 			cancel()
 			return round, errWorkerDead
 		}
@@ -668,7 +692,7 @@ func (w *worker) run(ctx context.Context, cfg Config, bar *barrier, maxRounds in
 		vd, err := w.phaseRecv(rctx, cfg, round)
 		cancel()
 		if err != nil {
-			return round, w.stepAsideOr(bar, err)
+			return round, w.stepAsideOr(err)
 		}
 		emitPhase(cfg.Obs, w.id, round, obs.PhaseRecv, vd, 0)
 
@@ -694,18 +718,11 @@ func (w *worker) run(ctx context.Context, cfg Config, bar *barrier, maxRounds in
 // round's slowest worker, and all receives after that — so the exported
 // trace shows the parallel schedule the reconstruction asserts, not the
 // sequential execution that measured it.
-func runSimulated(ctx context.Context, cfg Config, workers []*worker, assigns []Assignment, maxRounds int) (*Result, error) {
-	var coord *coordinator
-	if cfg.Recovery != nil {
-		coord = newCoordinator(len(workers), cfg.Recovery.withDefaults(), nil, cfg.Obs, assigns)
-		for _, w := range workers {
-			w.coord = coord
-		}
-	}
+func runSimulated(ctx context.Context, cfg Config, workers []*worker, coord *coordinator) (*Result, error) {
 	var simElapsed time.Duration
 	var roundStats []RoundStat
 	rounds := 0
-	for round := 0; round < maxRounds; round++ {
+	for round := 0; round < cfg.MaxRounds; round++ {
 		rounds = round + 1
 		vt := int64(simElapsed)
 		cfg.Obs.Emit(obs.Event{Type: obs.EvRoundStart, TS: vt,
@@ -721,7 +738,7 @@ func runSimulated(ctx context.Context, cfg Config, workers []*worker, assigns []
 			cfg.Obs.Emit(obs.Event{Type: obs.EvFault, TS: vt,
 				Worker: w.id, Round: round, Name: "crash"})
 			if coord == nil {
-				return nil, fmt.Errorf("cluster: worker %d crashed (injected) at round %d", w.id, round)
+				return nil, fmt.Errorf("%w: worker %d at round %d", ErrCrashed, w.id, round)
 			}
 			coord.workerDied(w.id, round, "crash")
 		}
@@ -860,18 +877,6 @@ func aggregate(workers []*worker, coord *coordinator, prov bool) (*Result, error
 		res.PerWorker[i].Aggregate = agg
 	}
 	return res, nil
-}
-
-// lineageOfAll collects the lineage of every derived triple among ts (base
-// triples contribute nothing).
-func lineageOfAll(g *rdf.Graph, ts []rdf.Triple) []rdf.Lineage {
-	var lins []rdf.Lineage
-	for _, t := range ts {
-		if lin, ok := g.LineageOf(t); ok {
-			lins = append(lins, lin)
-		}
-	}
-	return lins
 }
 
 // barrier is a reusable k-party barrier that also sums a per-round integer

@@ -73,11 +73,11 @@ func TestProvenanceSurvivesCluster(t *testing.T) {
 }
 
 // TestProvenanceWithoutLineageTransport: a transport that cannot carry
-// lineage degrades shipped triples to asserted, but the run still closes
-// and locally derived triples keep their records.
+// lineage (TCP) degrades shipped triples to asserted, but the run still
+// closes and locally derived triples keep their records.
 func TestProvenanceWithoutLineageTransport(t *testing.T) {
 	f := newChainFixture(t, 10, 2)
-	tr, err := transport.NewFile(t.TempDir(), f.dict)
+	tr, err := transport.NewTCP(2, f.dict)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,16 +20,17 @@ import (
 	"powl/internal/transport"
 )
 
-// This file is the transport-generic recovery layer: the fscluster-only
-// design of PR 1 (checkpoints + supervise + adopt), generalized so it works
-// identically over Mem, File and TCP. Workers checkpoint their per-round
-// deltas into a pluggable CheckpointStore; a failure detector watches
-// barrier progress (and transport Health when the transport reports it);
-// and when a worker dies, the lowest-numbered live worker adopts its
-// partition — base tuples, checkpointed deltas, undelivered inbox, rules —
-// and re-derives. Forward inference is deterministic and monotone, so the
-// reconstructed state re-converges to the same closure as the serial
-// fixpoint; receivers deduplicate re-routed triples through Graph.Add.
+// This file is the recovery layer, one implementation for every transport
+// and both deployments. Workers checkpoint their per-round deltas into a
+// pluggable CheckpointStore; a failure detector watches barrier progress
+// (in-process: the coordinator below, with transport Health when the
+// transport reports it; across processes: fscluster's supervisor over the
+// done-markers); and when a worker dies, the lowest-numbered live worker
+// adopts its partition — base tuples, checkpointed deltas, inbox, rules —
+// and re-derives. A restarted worker rejoins through the same replay.
+// Forward inference is deterministic and monotone, so the reconstructed
+// state re-converges to the same closure as the serial fixpoint; receivers
+// deduplicate re-routed triples through Graph.Add.
 
 // CheckpointStore persists per-worker deltas so a dead worker's state can
 // be replayed by its adopter. Implementations must be safe for concurrent
@@ -122,52 +124,54 @@ type DirCheckpoints struct {
 }
 
 // NewDirCheckpoints returns a store writing under dir (created if needed),
-// interning through dict.
+// interning through dict. A store reopened over a directory in use (a
+// restarted worker) numbers its files past every existing one, so it never
+// renames over an earlier incarnation's deltas.
 func NewDirCheckpoints(dir string, dict *rdf.Dict) (*DirCheckpoints, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: checkpoint dir: %w", err)
 	}
-	return &DirCheckpoints{dir: dir, dict: dict}, nil
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: checkpoint dir: %w", err)
+	}
+	return &DirCheckpoints{dir: dir, dict: dict, seq: len(ents)}, nil
 }
 
-// Save implements CheckpointStore: serialize, write to a temp name, rename —
-// a crash mid-write leaves a .tmp file Load ignores, never a torn delta.
+// Save implements CheckpointStore.
 func (s *DirCheckpoints) Save(worker, round int, delta []rdf.Triple) error {
 	if len(delta) == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	s.seq++
-	name := fmt.Sprintf("ckpt_w%02d_r%03d_s%04d.nt", worker, round, s.seq)
-	s.mu.Unlock()
-	var buf bytes.Buffer
-	w := ntriples.NewWriter(&buf, s.dict)
-	if err := w.WriteAll(delta); err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	tmp := filepath.Join(s.dir, name+".tmp")
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(s.dir, name))
+	return s.write("ckpt", worker, round, ".nt", func(w io.Writer) error {
+		nw := ntriples.NewWriter(w, s.dict)
+		if err := nw.WriteAll(delta); err != nil {
+			return err
+		}
+		return nw.Flush()
+	})
 }
 
 // SaveLineage implements LineageCheckpointStore: one JSONL sidecar per
-// delta (ntriples lineage codec), atomically renamed like the triple
-// checkpoints.
+// delta (ntriples lineage codec).
 func (s *DirCheckpoints) SaveLineage(worker, round int, lins []rdf.Lineage) error {
 	if len(lins) == 0 {
 		return nil
 	}
+	return s.write("lin", worker, round, ".jsonl", func(w io.Writer) error {
+		return ntriples.WriteLineage(w, s.dict, lins)
+	})
+}
+
+// write serializes one file to a temp name and renames it into place — a
+// crash mid-write leaves a .tmp file the loaders ignore, never a torn delta.
+func (s *DirCheckpoints) write(kind string, worker, round int, ext string, enc func(io.Writer) error) error {
 	s.mu.Lock()
 	s.seq++
-	name := fmt.Sprintf("lin_w%02d_r%03d_s%04d.jsonl", worker, round, s.seq)
+	name := fmt.Sprintf("%s_w%02d_r%03d_s%04d%s", kind, worker, round, s.seq, ext)
 	s.mu.Unlock()
 	var buf bytes.Buffer
-	if err := ntriples.WriteLineage(&buf, s.dict, lins); err != nil {
+	if err := enc(&buf); err != nil {
 		return err
 	}
 	tmp := filepath.Join(s.dir, name+".tmp")
@@ -175,53 +179,50 @@ func (s *DirCheckpoints) SaveLineage(worker, round int, lins []rdf.Lineage) erro
 		return err
 	}
 	return os.Rename(tmp, filepath.Join(s.dir, name))
-}
-
-// LoadLineage implements LineageCheckpointStore.
-func (s *DirCheckpoints) LoadLineage(worker int) ([]rdf.Lineage, error) {
-	files, err := filepath.Glob(filepath.Join(s.dir, fmt.Sprintf("lin_w%02d_r*.jsonl", worker)))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(files)
-	var out []rdf.Lineage
-	for _, f := range files {
-		fh, err := os.Open(f)
-		if err != nil {
-			return nil, err
-		}
-		lins, rerr := ntriples.ReadLineage(fh, s.dict)
-		fh.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("cluster: lineage %s: %w", filepath.Base(f), rerr)
-		}
-		out = append(out, lins...)
-	}
-	return out, nil
 }
 
 // Load implements CheckpointStore. Like the in-memory store it concatenates
 // the deltas as saved; adopters deduplicate through their graph's Add.
 func (s *DirCheckpoints) Load(worker int) ([]rdf.Triple, error) {
-	files, err := filepath.Glob(filepath.Join(s.dir, fmt.Sprintf("ckpt_w%02d_r*.nt", worker)))
+	var out []rdf.Triple
+	err := s.read("ckpt", worker, ".nt", func(r io.Reader) error {
+		ts, err := ntriples.ReadTriples(r, s.dict)
+		out = append(out, ts...)
+		return err
+	})
+	return out, err
+}
+
+// LoadLineage implements LineageCheckpointStore.
+func (s *DirCheckpoints) LoadLineage(worker int) ([]rdf.Lineage, error) {
+	var out []rdf.Lineage
+	err := s.read("lin", worker, ".jsonl", func(r io.Reader) error {
+		ls, err := ntriples.ReadLineage(r, s.dict)
+		out = append(out, ls...)
+		return err
+	})
+	return out, err
+}
+
+// read decodes every file of one kind saved for the worker, in name order.
+func (s *DirCheckpoints) read(kind string, worker int, ext string, dec func(io.Reader) error) error {
+	files, err := filepath.Glob(filepath.Join(s.dir, fmt.Sprintf("%s_w%02d_r*%s", kind, worker, ext)))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sort.Strings(files)
-	var out []rdf.Triple
 	for _, f := range files {
 		fh, err := os.Open(f)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ts, rerr := ntriples.ReadTriples(fh, s.dict)
+		derr := dec(fh)
 		fh.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("cluster: checkpoint %s: %w", filepath.Base(f), rerr)
+		if derr != nil {
+			return fmt.Errorf("cluster: checkpoint %s: %w", filepath.Base(f), derr)
 		}
-		out = append(out, ts...)
 	}
-	return out, nil
+	return nil
 }
 
 // RecoveryConfig arms transport-generic worker recovery on a Config.
@@ -478,110 +479,182 @@ func (c *coordinator) detect(ctx context.Context, tr transport.Transport) {
 	}
 }
 
-// adoptPending absorbs any dead peers assigned to this worker: each
-// victim's base partition, every checkpointed delta it saved before dying,
-// its undelivered inbox, and its rules are merged into this worker's state,
-// and the absorbed tuples seed the next incremental materialization.
-// Already-routed knowledge (base, delivered inbox) is swallowed by advancing
-// the shipping watermark past the adoption; checkpointed triples are queued
-// in `reship` so the next send phase re-routes them — the victim may have
-// died before its last sends completed, and receivers deduplicate through
-// Graph.Add.
+// Membership is what one worker's round loop needs from the rest of its
+// run: the round barrier with its sent-count reduction, and the view of who
+// is dead and whose partitions this worker must adopt. An in-process run
+// backs it with one shared barrier and recovery coordinator; a node process
+// of the shared-file-system deployment (internal/fscluster) backs it with
+// done-marker and dead files. A worker calls its Membership from one
+// goroutine.
+type Membership interface {
+	// Sync posts the worker's sent count for the round, waits until every
+	// live worker has posted, and returns their sum. ErrPeerAbort means
+	// another worker failed the run.
+	Sync(ctx context.Context, id, round, sent int) (int, error)
+	// Dead reports whether worker id has been declared dead.
+	Dead(id int) bool
+	// Pending claims the partitions of dead workers assigned to id.
+	Pending(id int) []int
+	// Died reports id's own fail-stop at round. False means nobody in this
+	// process will adopt the partition, so the worker fails the run instead.
+	Died(id, round int, cause string) bool
+	// Abort fails the run for every worker still waiting at the barrier.
+	Abort()
+	// Assignment returns worker v's base tuples and rules.
+	Assignment(v int) (Assignment, error)
+}
+
+// local is the in-process Membership: the run's barrier (nil in Simulated
+// mode) and its recovery coordinator (nil without recovery).
+type local struct {
+	bar   *barrier
+	coord *coordinator
+}
+
+func (l local) Sync(ctx context.Context, id, round, sent int) (int, error) {
+	l.coord.atBarrier(id, round)
+	total, ok, err := l.bar.syncCtx(ctx, sent)
+	if err == nil && !ok {
+		err = ErrPeerAbort
+	}
+	return total, err
+}
+
+func (l local) Dead(id int) bool     { return l.coord.isDead(id) }
+func (l local) Pending(id int) []int { return l.coord.takePending(id) }
+
+func (l local) Died(id, round int, cause string) bool {
+	if l.coord == nil {
+		return false
+	}
+	l.coord.workerDied(id, round, cause)
+	return true
+}
+
+func (l local) Abort() {
+	if l.bar != nil {
+		l.bar.abort()
+	}
+}
+
+func (l local) Assignment(v int) (Assignment, error) { return l.coord.assigns[v], nil }
+
+// adoptPending absorbs the dead peers assigned to this worker, then moves
+// the shipping watermark past everything absorbed: base and inbox tuples are
+// already routed, and checkpointed ones wait in reship.
 func (w *worker) adoptPending(ctx context.Context, cfg Config, round int) error {
-	victims := w.coord.takePending(w.id)
-	if len(victims) > 0 && w.reship == nil {
-		w.reship = map[rdf.Triple]struct{}{}
-	}
-	// Lineage-capable stores/transports let the adopter keep the victim's
-	// derivation records; without them the adoption degrades to lineage-free
-	// replay and the triples read as asserted in the adopter's log.
-	var linStore LineageCheckpointStore
-	var linCarrier transport.LineageCarrier
-	if w.graph.Prov() != nil && len(victims) > 0 {
-		linStore, _ = w.coord.store.(LineageCheckpointStore)
-		linCarrier, _ = cfg.Transport.(transport.LineageCarrier)
-	}
-	addAdopted := func(t rdf.Triple, vlin map[rdf.Triple]rdf.Lineage) bool {
-		if lin, ok := vlin[t]; ok {
-			return w.graph.AddWithLineage(t, lin)
-		}
-		return w.graph.Add(t)
-	}
+	victims := w.m.Pending(w.id)
 	for _, v := range victims {
-		absorbed := 0
-		for _, t := range w.coord.assigns[v].Base {
-			// Base tuples were placed by the partitioner; never re-ship.
-			delete(w.reship, t)
-			if w.graph.Add(t) {
-				w.received = append(w.received, t)
-				absorbed++
-			}
-		}
-		vlin := map[rdf.Triple]rdf.Lineage{}
-		if linStore != nil {
-			lins, err := linStore.LoadLineage(v)
-			if err != nil {
-				return fmt.Errorf("cluster: worker %d adopt %d lineage: %w", w.id, v, err)
-			}
-			for _, l := range lins {
-				if _, ok := vlin[l.T]; !ok { // first derivation wins, like Add
-					vlin[l.T] = l
-				}
-			}
-		}
-		ck, err := w.coord.store.Load(v)
+		absorbed, err := w.absorb(ctx, cfg, v, round)
 		if err != nil {
 			return fmt.Errorf("cluster: worker %d adopt %d: %w", w.id, v, err)
-		}
-		for _, t := range ck {
-			if addAdopted(t, vlin) {
-				w.received = append(w.received, t)
-				absorbed++
-				w.reship[t] = struct{}{}
-			}
-		}
-		// Drain the victim's inbox from round 0: transports still hold the
-		// undelivered rounds (and File re-serves delivered ones — harmless,
-		// Add deduplicates). These were routed by live senders to every
-		// destination, so they are global knowledge: never re-ship them, even
-		// if a previous victim's checkpoint queued them.
-		for r := 0; r <= round; r++ {
-			in, err := cfg.Transport.Recv(ctx, r, v)
-			if err != nil {
-				return fmt.Errorf("cluster: worker %d adopt %d inbox round %d: %w", w.id, v, r, err)
-			}
-			inLin := vlin
-			if linCarrier != nil {
-				ls, lerr := linCarrier.RecvLineage(ctx, r, v)
-				if lerr != nil {
-					return fmt.Errorf("cluster: worker %d adopt %d lineage round %d: %w", w.id, v, r, lerr)
-				}
-				if len(ls) > 0 {
-					inLin = make(map[rdf.Triple]rdf.Lineage, len(ls)+len(vlin))
-					for t, l := range vlin {
-						inLin[t] = l
-					}
-					for _, l := range ls {
-						inLin[l.T] = l
-					}
-				}
-			}
-			for _, t := range in {
-				delete(w.reship, t)
-				if addAdopted(t, inLin) {
-					w.received = append(w.received, t)
-					absorbed++
-				}
-			}
-		}
-		for _, r := range w.coord.assigns[v].Rules {
-			if !containsRule(w.rules, r) {
-				w.rules = append(w.rules, r)
-			}
 		}
 		w.adopted = append(w.adopted, v)
 		cfg.Obs.Emit(obs.Event{Type: obs.EvAdopt, TS: cfg.Obs.Now(), Worker: w.id,
 			Round: round, N: int64(v), N2: int64(absorbed)})
+	}
+	if len(victims) > 0 {
+		w.shipped = w.graph.Len()
+	}
+	return nil
+}
+
+// absorb merges partition v's recoverable state into this worker — how an
+// adopter takes over a dead peer and how a restarted worker rejoins. The new
+// tuples seed the next incremental materialization; checkpointed ones are
+// also queued in reship, since v may have died before its sends completed
+// (receivers deduplicate). v's rules join the worker's (rule-partitioned
+// victims may carry rules the adopter lacks). It returns the new tuple count.
+func (w *worker) absorb(ctx context.Context, cfg Config, v, round int) (int, error) {
+	a, err := w.m.Assignment(v)
+	if err != nil {
+		return 0, err
+	}
+	if w.reship == nil {
+		w.reship = map[rdf.Triple]struct{}{}
+	}
+	absorbed := 0
+	err = Replay(ctx, w.graph, a.Base, w.store, cfg.Transport, v, round, func(t rdf.Triple, routed, added bool) {
+		if routed {
+			delete(w.reship, t)
+		}
+		if added {
+			w.received = append(w.received, t)
+			absorbed++
+			if !routed {
+				w.reship[t] = struct{}{}
+			}
+		}
+	})
+	for _, r := range a.Rules {
+		if !containsRule(w.rules, r) {
+			w.rules = append(w.rules, r)
+		}
+	}
+	return absorbed, err
+}
+
+// Replay merges worker v's recoverable state into g: its base tuples, every
+// delta store checkpointed for it, and its inbox on tr for rounds 0..round
+// (transports still hold undelivered rounds, and File re-serves delivered
+// ones — harmless, Add deduplicates). Derivation records come along when g
+// records provenance and store or tr carry them. visit, when non-nil, sees
+// every replayed tuple with whether it is routed knowledge (base, inbox)
+// rather than a checkpointed derivation, and whether g gained it. Adoption,
+// rejoin and a master rebuilding a dead node's closure all replay through
+// it.
+func Replay(ctx context.Context, g *rdf.Graph, base []rdf.Triple, store CheckpointStore, tr transport.Transport, v, round int, visit func(t rdf.Triple, routed, added bool)) error {
+	prov := g.Prov() != nil
+	lins := map[rdf.Triple]rdf.Lineage{}
+	keep := func(ls []rdf.Lineage) {
+		for _, l := range ls {
+			if _, ok := lins[l.T]; !ok { // first derivation wins, like Add
+				lins[l.T] = l
+			}
+		}
+	}
+	add := func(ts []rdf.Triple, routed bool) {
+		for _, t := range ts {
+			var added bool
+			if l, ok := lins[t]; ok {
+				added = g.AddWithLineage(t, l)
+			} else {
+				added = g.Add(t)
+			}
+			if visit != nil {
+				visit(t, routed, added)
+			}
+		}
+	}
+	add(base, true)
+	if store != nil {
+		if ls, ok := store.(LineageCheckpointStore); ok && prov {
+			l, err := ls.LoadLineage(v)
+			if err != nil {
+				return fmt.Errorf("checkpoint lineage: %w", err)
+			}
+			keep(l)
+		}
+		ck, err := store.Load(v)
+		if err != nil {
+			return fmt.Errorf("checkpoints: %w", err)
+		}
+		add(ck, false)
+	}
+	lc, _ := tr.(transport.LineageCarrier)
+	for r := 0; r <= round; r++ {
+		in, err := tr.Recv(ctx, r, v)
+		if err != nil {
+			return fmt.Errorf("inbox round %d: %w", r, err)
+		}
+		if lc != nil && prov {
+			ls, err := lc.RecvLineage(ctx, r, v)
+			if err != nil {
+				return fmt.Errorf("inbox lineage round %d: %w", r, err)
+			}
+			keep(ls)
+		}
+		add(in, true)
 	}
 	return nil
 }
@@ -601,10 +674,10 @@ func containsRule(rs []rules.Rule, r rules.Rule) bool {
 // worker has been declared dead — its context was cancelled and its
 // partition reassigned, so the failure is expected and the run continues
 // without it. Any other failure aborts the barrier and surfaces.
-func (w *worker) stepAsideOr(bar *barrier, err error) error {
-	if w.coord.isDead(w.id) {
+func (w *worker) stepAsideOr(err error) error {
+	if w.m.Dead(w.id) {
 		return errWorkerDead
 	}
-	bar.abort()
+	w.m.Abort()
 	return err
 }

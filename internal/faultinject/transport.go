@@ -47,6 +47,23 @@ func (f *Transport) Recv(ctx context.Context, round, to int) ([]rdf.Triple, erro
 // Close implements transport.Transport.
 func (f *Transport) Close() error { return f.Inner.Close() }
 
+// SendLineage forwards to the inner transport's LineageCarrier; without one
+// the records go nowhere, as they would over the inner transport alone.
+func (f *Transport) SendLineage(ctx context.Context, round, from, to int, lins []rdf.Lineage) error {
+	if lc, ok := f.Inner.(transport.LineageCarrier); ok {
+		return lc.SendLineage(ctx, round, from, to, lins)
+	}
+	return nil
+}
+
+// RecvLineage forwards to the inner transport's LineageCarrier, if any.
+func (f *Transport) RecvLineage(ctx context.Context, round, to int) ([]rdf.Lineage, error) {
+	if lc, ok := f.Inner.(transport.LineageCarrier); ok {
+		return lc.RecvLineage(ctx, round, to)
+	}
+	return nil, nil
+}
+
 // DropLink forwards to the inner transport's LinkDropper, if any.
 func (f *Transport) DropLink(from, to int) bool {
 	if d, ok := f.Inner.(transport.LinkDropper); ok {

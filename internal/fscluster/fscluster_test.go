@@ -19,6 +19,12 @@ import (
 func runCluster(t *testing.T, ds *datagen.Dataset, k int, engine reason.Engine) ([]*NodeResult, string) {
 	t.Helper()
 	dir := t.TempDir()
+	return runClusterIn(t, dir, ds, k, engine), dir
+}
+
+// runClusterIn is runCluster in a given work directory.
+func runClusterIn(t *testing.T, dir string, ds *datagen.Dataset, k int, engine reason.Engine) []*NodeResult {
+	t.Helper()
 	pol := partition.GraphPolicy{Opts: gpart.Options{Seed: 42}}
 	if _, err := Prepare(dir, ds.Dict, ds.Graph, k, pol); err != nil {
 		t.Fatal(err)
@@ -42,7 +48,7 @@ func runCluster(t *testing.T, ds *datagen.Dataset, k int, engine reason.Engine) 
 			t.Fatalf("node %d: %v", i, err)
 		}
 	}
-	return results, dir
+	return results
 }
 
 func TestClusterMatchesSerial(t *testing.T) {
@@ -196,5 +202,31 @@ func TestPrepareIsByteStable(t *testing.T) {
 			t.Errorf("%s differs between identical Prepare runs (%d vs %d bytes)",
 				filepath.Base(pair[0]), len(a), len(b))
 		}
+	}
+}
+
+// TestReusedDirStartsClean: a work directory reused for another dataset must
+// not hand the second run the first run's epochs, markers, messages or
+// checkpoints. Every node starts fresh, and the merged closure is exactly
+// the second dataset's serial fixpoint.
+func TestReusedDirStartsClean(t *testing.T) {
+	dir := t.TempDir()
+	runClusterIn(t, dir, datagen.MDC(datagen.MDCConfig{Fields: 4, Seed: 7}), 3, reason.Forward{})
+	second := datagen.LUBM(datagen.LUBMConfig{Universities: 1, Seed: 7, DeptsPerUniv: 3})
+	serial, err := core.MaterializeSerial(second, core.ForwardEngine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range runClusterIn(t, dir, second, 3, reason.Forward{}) {
+		if r.Epoch != 1 || r.StartRound != 0 {
+			t.Errorf("node %d: epoch %d start round %d, want a fresh start", i, r.Epoch, r.StartRound)
+		}
+	}
+	_, merged, err := MergeClosures(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Len() != serial.Graph.Len() {
+		t.Fatalf("second run in a reused dir: merged %d != serial %d", merged.Len(), serial.Graph.Len())
 	}
 }

@@ -106,7 +106,7 @@ func TestNodeProvenance(t *testing.T) {
 	if withPrem == 0 {
 		t.Fatal("no derivation kept an intact premise chain")
 	}
-	sidecars, err := filepath.Glob(filepath.Join(dir, "*.lin.jsonl"))
+	sidecars, err := filepath.Glob(filepath.Join(Layout{Dir: dir}.MsgDir(), "r*", "*.lin.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,54 +1,25 @@
-// Worker recovery for the shared-filesystem cluster.
-//
-// The fault model is fail-stop with single-failure tolerance: a node process
-// dies (crash, OOM, kill) and simply stops writing files. Its peers block at
-// the done-marker barrier, so without intervention one dead worker wedges the
-// whole round. Recovery has three parts:
-//
-//  1. Checkpoints. Every node writes its per-round routing delta to a
-//     checkpoint file before its marker (fscluster.go). Base partition +
-//     checkpoints + messages addressed to the node reconstruct its graph at
-//     the last round it completed; anything it derived after its last
-//     checkpoint is re-derivable, because forward inference is deterministic
-//     and monotone over the same inputs.
-//
-//  2. Supervision. The master runs Supervise alongside the nodes. It watches
-//     the marker files; once any node posts a round's marker, the rest have
-//     RoundDeadline to follow. A laggard is declared dead by writing its
-//     dead-file, whose content names the adopter (the lowest live node id).
-//
-//  3. Adoption. A node blocked at the barrier notices the dead-file naming it
-//     and takes over on the spot: it merges the dead peer's reconstructed
-//     state into its own graph, then writes the dead peer's marker for the
-//     stuck round so the barrier completes cluster-wide. The marker carries
-//     the count of newly absorbed tuples, which keeps the global sent-sum
-//     positive and forces at least one more round — the adopter still has to
-//     reason over the merged state before anyone may quiesce. From then on
-//     the adopter writes the dead peer's markers (0) each round and drains
-//     its inbox: the ownership table is immutable, so the rest of the cluster
-//     keeps routing to the dead node's inbox files and correctness is
-//     preserved without re-partitioning. Checkpointed tuples are deliberately
-//     queued for re-shipping when merged — the dead node may have
-//     checkpointed them and died before shipping, so the adopter re-routes
-//     them in its next route phase (receivers deduplicate).
-//
-// A second failure — in particular of an adopter — is not tolerated; the
-// barrier then times out and the run fails, which is the pre-recovery
-// behaviour for any failure.
+// Worker recovery for the shared-filesystem cluster is internal/cluster's,
+// with the failure detector in the master. A node process fails by
+// stopping: its peers block at the done-marker barrier. Supervise, run by
+// the master, gives laggards RoundDeadline after a round's first marker,
+// then writes a dead-file naming the lowest live node as adopter. That node
+// finds the dead-file chain leading to it while it waits at the barrier,
+// posts the dead peer's marker with a sentinel 1, and adopts the partition
+// at the next round's top through cluster.Replay (base partition,
+// checkpoints, inbox), as an in-process worker does; from then on it posts
+// the dead peer's markers and drains its inbox. A restarted node whose
+// dead-file was never written rejoins by replaying its own files the same
+// way and re-entering the loop after its last completed round.
 package fscluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
-
-	"powl/internal/obs"
-	"powl/internal/rdf"
 )
 
 // SuperviseConfig configures the master-side failure detector.
@@ -59,9 +30,9 @@ type SuperviseConfig struct {
 	Poll time.Duration
 	// RoundDeadline is how long a node may trail the round's first marker
 	// (or, at the end, the first closure file) before being declared dead;
-	// 0 means 2s. Must comfortably exceed the slowest node's round time:
-	// a false positive makes two nodes serve one partition, which is
-	// correct only while the "dead" node never writes another marker.
+	// 0 means 2s. Must comfortably exceed the slowest node's round time: a
+	// node declared dead steps aside at its next round, and its work so far
+	// is redone by the adopter.
 	RoundDeadline time.Duration
 	// Timeout bounds the whole supervision; 0 means 5 minutes.
 	Timeout time.Duration
@@ -79,91 +50,67 @@ type SuperviseResult struct {
 //
 //powl:ignore wallclock the supervisor's round deadlines are real-time liveness checks by design.
 func Supervise(ctx context.Context, cfg SuperviseConfig) (*SuperviseResult, error) {
-	if cfg.Poll <= 0 {
-		cfg.Poll = 20 * time.Millisecond
-	}
-	if cfg.RoundDeadline <= 0 {
-		cfg.RoundDeadline = 2 * time.Second
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Minute
-	}
+	cfg.Poll = cmp.Or(cfg.Poll, 20*time.Millisecond)
+	cfg.RoundDeadline = cmp.Or(cfg.RoundDeadline, 2*time.Second)
 	l := Layout{Dir: cfg.Dir}
 	res := &SuperviseResult{Dead: map[int]int{}}
-	// firstSeen[r] is when the supervisor first observed any round-r marker;
-	// index len(firstSeen) is the frontier round nobody has posted yet.
-	// firstClosure is the same clock for the closure-writing phase.
-	var firstSeen []time.Time
-	var firstClosure time.Time
-	deadline := time.Now().Add(cfg.Timeout)
-
 	// Pre-existing dead-files (e.g. supervisor restart) are honoured.
 	for i := 0; i < cfg.K; i++ {
 		if adopter, dead := readDeadFile(l, i); dead {
 			res.Dead[i] = adopter
 		}
 	}
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return res, err
+	// declareMissing declares dead every live node whose file is absent.
+	declareMissing := func(file func(int) string) error {
+		for i := 0; i < cfg.K; i++ {
+			if _, dead := res.Dead[i]; !dead && !exists(file(i)) {
+				if err := declareDead(l, i, cfg.K, res.Dead); err != nil {
+					return err
+				}
+			}
 		}
+		return nil
+	}
+	// firstSeen[r] is when the supervisor first observed any round-r marker;
+	// index len(firstSeen) is the frontier round nobody has posted yet.
+	// firstClosure is the same clock for the closure-writing phase.
+	var firstSeen []time.Time
+	var firstClosure time.Time
+	deadline := time.Now().Add(cmp.Or(cfg.Timeout, 5*time.Minute))
+	for {
 		if time.Now().After(deadline) {
 			return res, fmt.Errorf("fscluster: supervisor timed out")
 		}
-
 		// Done when every live node has its closure on disk.
 		closures := 0
 		for i := 0; i < cfg.K; i++ {
-			if _, isDead := res.Dead[i]; isDead {
-				continue
-			}
-			if _, err := os.Stat(l.ClosureFile(i)); err == nil {
+			if _, dead := res.Dead[i]; !dead && exists(l.ClosureFile(i)) {
 				closures++
 			}
 		}
 		if closures == cfg.K-len(res.Dead) {
 			return res, nil
 		}
-		if closures > 0 {
-			// End-of-run laggard: died after its last marker, before its
-			// closure. Nobody is left to adopt; MergeClosures reconstructs.
-			if firstClosure.IsZero() {
-				firstClosure = time.Now()
-			}
-			if time.Since(firstClosure) > cfg.RoundDeadline {
-				for i := 0; i < cfg.K; i++ {
-					if _, isDead := res.Dead[i]; isDead {
-						continue
-					}
-					if _, err := os.Stat(l.ClosureFile(i)); err != nil {
-						if err := declareDead(l, i, cfg.K, res.Dead); err != nil {
-							return res, err
-						}
-					}
-				}
+		// End-of-run laggard: died after its last marker, before its
+		// closure. Nobody is left to adopt; MergeClosures rebuilds it.
+		if closures > 0 && firstClosure.IsZero() {
+			firstClosure = time.Now()
+		}
+		if closures > 0 && time.Since(firstClosure) > cfg.RoundDeadline {
+			if err := declareMissing(l.ClosureFile); err != nil {
+				return res, err
 			}
 		}
-
-		// Advance the marker frontier and stamp newly observed rounds.
+		// Advance the marker frontier, then declare the newest round's
+		// laggards once they are past the deadline.
 		for anyMarker(l, len(firstSeen), cfg.K) {
 			firstSeen = append(firstSeen, time.Now())
 		}
-
-		// Within the newest active round, declare laggards past the deadline.
 		if r := len(firstSeen) - 1; r >= 0 && time.Since(firstSeen[r]) > cfg.RoundDeadline {
-			for i := 0; i < cfg.K; i++ {
-				if _, isDead := res.Dead[i]; isDead {
-					continue
-				}
-				if _, err := os.Stat(l.MarkerFile(r, i)); err != nil {
-					if err := declareDead(l, i, cfg.K, res.Dead); err != nil {
-						return res, err
-					}
-				}
+			if err := declareMissing(func(i int) string { return l.MarkerFile(r, i) }); err != nil {
+				return res, err
 			}
 		}
-
 		select {
 		case <-ctx.Done():
 			return res, ctx.Err()
@@ -175,7 +122,7 @@ func Supervise(ctx context.Context, cfg SuperviseConfig) (*SuperviseResult, erro
 // anyMarker reports whether any node has posted its round-r marker.
 func anyMarker(l Layout, round, k int) bool {
 	for i := 0; i < k; i++ {
-		if _, err := os.Stat(l.MarkerFile(round, i)); err == nil {
+		if exists(l.MarkerFile(round, i)) {
 			return true
 		}
 	}
@@ -185,200 +132,51 @@ func anyMarker(l Layout, round, k int) bool {
 // declareDead writes victim's dead-file naming the lowest live node as
 // adopter and records the decision.
 func declareDead(l Layout, victim, k int, dead map[int]int) error {
-	adopter := -1
 	for i := 0; i < k; i++ {
-		if i == victim {
+		if _, isDead := dead[i]; i == victim || isDead {
 			continue
 		}
-		if _, isDead := dead[i]; isDead {
-			continue
+		if err := writeAtomic(l.DeadFile(victim), strconv.Itoa(i)); err != nil {
+			return err
 		}
-		adopter = i
-		break
+		dead[victim] = i
+		return nil
 	}
-	if adopter < 0 {
-		return fmt.Errorf("fscluster: node %d dead with no live adopter", victim)
-	}
-	if err := writeAtomic(l.DeadFile(victim), strconv.Itoa(adopter)); err != nil {
-		return err
-	}
-	dead[victim] = adopter
-	return nil
+	return fmt.Errorf("fscluster: node %d dead with no live adopter", victim)
 }
 
 // readDeadFile reports whether node id has been declared dead and, if so,
 // which node adopted it.
 func readDeadFile(l Layout, id int) (adopter int, dead bool) {
-	b, err := os.ReadFile(l.DeadFile(id))
-	if err != nil {
-		return 0, false
-	}
-	a, err := strconv.Atoi(strings.TrimSpace(string(b)))
-	if err != nil {
-		return 0, false
-	}
-	return a, true
+	a, err := readInt(l.DeadFile(id))
+	return a, err == nil
 }
 
-// readEpoch returns how many times node id has started against this work
-// directory, 0 if never.
-func readEpoch(l Layout, id int) (int, error) {
-	b, err := os.ReadFile(l.EpochFile(id))
-	if os.IsNotExist(err) {
-		return 0, nil
+// owner follows dead-files from node i to the live node serving its
+// partition — an adopter that died hands its adoptions on — or -1 when the
+// chain does not end within k hops.
+func (l Layout) owner(i, k int) int {
+	for range k {
+		a, dead := readDeadFile(l, i)
+		if !dead {
+			return i
+		}
+		i = a
 	}
+	return -1
+}
+
+// readInt reads a file holding one decimal integer: a marker, a dead-file,
+// an epoch or the cluster size.
+func readInt(path string) (int, error) {
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
 	return strconv.Atoi(strings.TrimSpace(string(b)))
 }
 
-// lastCompletedRound scans node id's done-markers upward from round 0 and
-// returns the last consecutive round the node completed, -1 if none. The
-// markers are written in order, so the first gap is the round the node died
-// in (or, for an adopted peer, the round its adopter has not reached yet).
-func lastCompletedRound(l Layout, id int) (int, error) {
-	last := -1
-	for r := 0; ; r++ {
-		if _, err := os.Stat(l.MarkerFile(r, id)); err != nil {
-			if os.IsNotExist(err) {
-				return last, nil
-			}
-			return last, err
-		}
-		last = r
-	}
-}
-
-// adopt takes over dead peer id during the barrier wait of the given round:
-// merge its reconstructed state, then write its marker so the round can
-// complete. See the package comment above for the full protocol.
-func (n *node) adopt(id, round int) error {
-	absorbed := 0
-	// With provenance on, replay the victim's lineage sidecars alongside its
-	// tuple files so the adopted partition keeps its derivation records.
-	linMap, err := loadLineageSidecars(n.l, id, n.dict, n.g, n.cfg.Obs, n.cfg.ID, round)
-	if err != nil {
-		return fmt.Errorf("fscluster: node %d adopting %d lineage: %w", n.cfg.ID, id, err)
-	}
-	add := func(t rdf.Triple) bool {
-		if lin, ok := linMap[t]; ok {
-			return n.g.AddWithLineage(t, lin)
-		}
-		return n.g.Add(t)
-	}
-	if err := reconstruct(n.l, id, n.dict, nil, func(t rdf.Triple, routed bool) {
-		if routed {
-			// Already-routed knowledge: the recv phase's watermark advance
-			// will swallow it; drop any reship claim a previous adoption made.
-			delete(n.reship, t)
-		}
-		if add(t) {
-			// New knowledge: seed the next reasoning round with it, so joins
-			// across the two merged partitions are derived.
-			n.received = append(n.received, t)
-			absorbed++
-			if !routed {
-				n.reship[t] = struct{}{}
-			}
-		}
-	}); err != nil {
-		return fmt.Errorf("fscluster: node %d adopting %d: %w", n.cfg.ID, id, err)
-	}
-	// The dead peer's deletions outlive it: replay its newest tombstone
-	// sidecar over the merged state (and scrub the reship/received queues of
-	// anything it kills) before the merged graph is reasoned over.
-	if err := n.applyDeletions(id, round); err != nil {
-		return fmt.Errorf("fscluster: node %d adopting %d deletions: %w", n.cfg.ID, id, err)
-	}
-	n.adopted = append(n.adopted, id)
-	n.cfg.Obs.Emit(obs.Event{Type: obs.EvRecovery, TS: n.cfg.Obs.Now(),
-		Worker: n.cfg.ID, Round: round, N: int64(id), N2: int64(absorbed)})
-	// The marker unblocks every peer's barrier; carrying the absorbed count
-	// forces at least one more round so the merged state gets reasoned over.
-	return writeAtomic(n.l.MarkerFile(round, id), strconv.Itoa(absorbed))
-}
-
-// reconstruct replays dead node id's persisted state: base partition and
-// delivered messages (already-routed knowledge) plus checkpoints (derived
-// deltas that may not have been shipped before the crash). Exactly one of g
-// and visit is used: with g the tuples are added to it; with visit the
-// callback receives each tuple and whether it counts as already routed.
-func reconstruct(l Layout, id int, dict *rdf.Dict, g *rdf.Graph, visit func(t rdf.Triple, routed bool)) error {
-	emit := func(path string, routed bool) error {
-		in := rdf.NewGraph()
-		if err := readGraphFile(path, dict, in); err != nil {
-			return err
-		}
-		for _, t := range in.TriplesSince(0) {
-			if visit != nil {
-				visit(t, routed)
-			} else {
-				g.Add(t)
-			}
-		}
-		return nil
-	}
-	if err := emit(l.PartFile(id), true); err != nil {
-		return err
-	}
-	msgs, err := filepath.Glob(l.msgGlob(id))
-	if err != nil {
-		return err
-	}
-	for _, p := range msgs {
-		if err := emit(p, true); err != nil {
-			return err
-		}
-	}
-	ckpts, err := filepath.Glob(l.ckptGlob(id))
-	if err != nil {
-		return err
-	}
-	for _, p := range ckpts {
-		if err := emit(p, false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// loadLineageSidecars merges node id's checkpoint and inbound-message lineage
-// sidecars into one triple-keyed map (first record wins, checkpoints first —
-// the node's own derivations beat relayed copies). Returns nil without
-// touching disk when g does not record provenance: replay then degrades to
-// plain Add, matching a lineage-free run. A prov-on node whose sidecars are
-// all gone (crash before the first sidecar write) degrades the same way,
-// and journals that through o before continuing — worker and round stamp
-// the event with who is replaying and when.
-func loadLineageSidecars(l Layout, id int, dict *rdf.Dict, g *rdf.Graph, o *obs.Run, worker, round int) (map[rdf.Triple]rdf.Lineage, error) {
-	if g.Prov() == nil {
-		return nil, nil
-	}
-	merged := make(map[rdf.Triple]rdf.Lineage)
-	files := 0
-	for _, glob := range []string{l.linCkptGlob(id), l.linMsgGlob(id)} {
-		paths, err := filepath.Glob(glob)
-		if err != nil {
-			return nil, err
-		}
-		sort.Strings(paths)
-		for _, p := range paths {
-			lins, err := readLineageFile(p, dict)
-			if err != nil {
-				return nil, err
-			}
-			files++
-			for _, lin := range lins {
-				if _, ok := merged[lin.T]; !ok {
-					merged[lin.T] = lin
-				}
-			}
-		}
-	}
-	if files == 0 {
-		o.Emit(obs.Event{Type: obs.EvWarn, TS: o.Now(), Worker: worker, Round: round,
-			Name: fmt.Sprintf("node %d has no lineage sidecars; replay degraded to plain asserted adds", id)})
-	}
-	return merged, nil
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

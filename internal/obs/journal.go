@@ -22,7 +22,6 @@ const (
 	EvRetry       = "retry"        // Name = op; N = retries, Dur = backoff slept
 	EvCheckpoint  = "checkpoint"   // Worker, Round; N = tuples, Bytes
 	EvFault       = "fault"        // Worker, Round; Name = description
-	EvRecovery    = "recovery"     // Worker adopts N (= victim id) at Round
 	EvDeath       = "death"        // Worker declared dead at Round; Name = cause, N = adopter
 	EvAdopt       = "adopt"        // Worker adopts N (= victim id) at Round; N2 = tuples absorbed
 	EvRejoin      = "rejoin"       // Worker rejoins at Round; N = epoch

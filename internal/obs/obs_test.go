@@ -267,7 +267,7 @@ func TestWriteTrace(t *testing.T) {
 		{Type: EvPhase, TS: 0, Dur: 1000, Worker: 1, Round: 0, Phase: PhaseReason},
 		{Type: EvPhase, TS: 1000, Dur: 1000, Worker: 1, Round: 0, Phase: PhaseSync},
 		{Type: EvFault, TS: 1500, Worker: 1, Round: 0, Name: "injected crash"},
-		{Type: EvRecovery, TS: 1800, Worker: 0, Round: 0, N: 1},
+		{Type: EvAdopt, TS: 1800, Worker: 0, Round: 0, N: 1},
 		{Type: EvCheckpoint, TS: 500, Worker: 0, Round: 0, N: 10, Bytes: 99},
 		{Type: EvPhase, TS: 2000, Dur: 500, Worker: MasterWorker, Phase: PhaseAggregate},
 	}
@@ -304,7 +304,7 @@ func TestWriteTrace(t *testing.T) {
 	if slices != 4 {
 		t.Errorf("slices = %d, want 4", slices)
 	}
-	if instants != 4 { // round_start, fault, recovery, checkpoint
+	if instants != 4 { // round_start, fault, adopt, checkpoint
 		t.Errorf("instants = %d, want 4", instants)
 	}
 }

@@ -168,8 +168,8 @@ func WriteReport(w io.Writer, events []Event, topK int) {
 		switch e.Type {
 		case EvFault:
 			fmt.Fprintf(w, "\nfault: worker %d round %d: %s\n", e.Worker, e.Round, e.Name)
-		case EvRecovery:
-			fmt.Fprintf(w, "recovery: worker %d adopted worker %d at round %d\n", e.Worker, e.N, e.Round)
+		case EvAdopt:
+			fmt.Fprintf(w, "adopt: worker %d adopted worker %d at round %d\n", e.Worker, e.N, e.Round)
 		case EvRunEnd:
 			fmt.Fprintf(w, "\nrun: %d rounds, elapsed %v\n", e.N, e.Duration().Round(time.Microsecond))
 		}

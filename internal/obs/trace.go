@@ -60,7 +60,7 @@ func WriteTrace(w io.Writer, events []Event) error {
 	maxWorker := 0
 	for _, e := range events {
 		switch e.Type {
-		case EvPhase, EvFault, EvRecovery, EvCheckpoint:
+		case EvPhase, EvFault, EvAdopt, EvCheckpoint:
 			workers[e.Worker] = true
 			if e.Worker > maxWorker {
 				maxWorker = e.Worker
@@ -133,7 +133,7 @@ func WriteTrace(w io.Writer, events []Event) error {
 				Name: "FAULT: " + e.Name, Ph: "i", TS: ts, PID: 0, TID: traceTID(e.Worker), S: "g",
 				Args: map[string]any{"round": e.Round},
 			})
-		case EvRecovery:
+		case EvAdopt:
 			out = append(out, traceEvent{
 				Name: fmt.Sprintf("adopt worker %d", e.N), Ph: "i", TS: ts,
 				PID: 0, TID: traceTID(e.Worker), S: "g",

@@ -3,8 +3,10 @@ package transport
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"powl/internal/ntriples"
@@ -16,7 +18,10 @@ import (
 // (§V): every message is written as an N-Triples file into a shared
 // directory and parsed back by the receiver. The full serialize/write/
 // read/parse cost is paid, which is what the paper measures as "IO" in its
-// overhead breakdown (Figure 2).
+// overhead breakdown (Figure 2). Derivation lineage travels in a JSON Lines
+// sidecar per message (the ntriples lineage codec). Files outlive their
+// round, so a receiver may read a round's inbox again — which is how an
+// adopter or a restarted worker replays it.
 type File struct {
 	// Obs, when non-nil, receives one Batch call per message file written,
 	// with the file's on-disk byte size.
@@ -25,8 +30,19 @@ type File struct {
 	dir  string
 	dict *rdf.Dict
 	mu   sync.Mutex
-	seq  map[[3]int]int // (round, from, to) -> next file sequence number
+	seq  map[fileKey]int // next file sequence number
 }
+
+type fileKey struct {
+	round, from, to int
+	ext             string
+}
+
+// File name extensions of triple messages and their lineage sidecars.
+const (
+	msgExt = ".nt"
+	linExt = ".lin.jsonl"
+)
 
 // NewFile returns a file transport rooted at dir (created if needed); dict
 // resolves IDs for serialization and re-interns on receive.
@@ -34,15 +50,14 @@ func NewFile(dir string, dict *rdf.Dict) (*File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("transport/file: %w", err)
 	}
-	return &File{dir: dir, dict: dict, seq: map[[3]int]int{}}, nil
+	return &File{dir: dir, dict: dict, seq: map[fileKey]int{}}, nil
 }
 
 // Name implements Transport.
 func (*File) Name() string { return "file" }
 
 // Send implements Transport. Messages are written to
-// dir/r<round>/m_<from>_<to>_<seq>.nt; the final name appears atomically via
-// rename so a concurrent Recv never observes a partial file.
+// dir/r<round>/m_<from>_<to>_<seq>.nt.
 func (f *File) Send(ctx context.Context, round, from, to int, ts []rdf.Triple) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -50,84 +65,124 @@ func (f *File) Send(ctx context.Context, round, from, to int, ts []rdf.Triple) e
 	if len(ts) == 0 {
 		return nil
 	}
-	rdir := filepath.Join(f.dir, fmt.Sprintf("r%d", round))
-	if err := os.MkdirAll(rdir, 0o755); err != nil {
+	size, err := f.write(round, from, to, msgExt, func(w io.Writer) error {
+		nw := ntriples.NewWriter(w, f.dict)
+		if err := nw.WriteAll(ts); err != nil {
+			return err
+		}
+		return nw.Flush()
+	})
+	if err == nil {
+		f.Obs.Batch(from, to, len(ts), size)
+	}
+	return err
+}
+
+// SendLineage implements LineageCarrier: the records are written next to
+// the round's messages as dir/r<round>/m_<from>_<to>_<seq>.lin.jsonl.
+func (f *File) SendLineage(ctx context.Context, round, from, to int, lins []rdf.Lineage) error {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	key := [3]int{round, from, to}
+	if len(lins) == 0 {
+		return nil
+	}
+	_, err := f.write(round, from, to, linExt, func(w io.Writer) error {
+		return ntriples.WriteLineage(w, f.dict, lins)
+	})
+	return err
+}
+
+// write encodes one file of the round under a temporary name and renames it
+// into place, so a concurrent reader never observes a partial file. It
+// returns the file's size.
+func (f *File) write(round, from, to int, ext string, enc func(io.Writer) error) (int64, error) {
+	rdir := filepath.Join(f.dir, fmt.Sprintf("r%d", round))
+	if err := os.MkdirAll(rdir, 0o755); err != nil {
+		return 0, err
+	}
+	key := fileKey{round, from, to, ext}
 	f.mu.Lock()
 	seq := f.seq[key]
 	f.seq[key] = seq + 1
 	f.mu.Unlock()
-	tmp := filepath.Join(rdir, fmt.Sprintf(".tmp_%d_%d_%d", from, to, seq))
-	final := filepath.Join(rdir, fmt.Sprintf("m_%d_%d_%d.nt", from, to, seq))
-
+	name := fmt.Sprintf("m_%d_%d_%d%s", from, to, seq, ext)
+	tmp := filepath.Join(rdir, ".tmp_"+name)
 	w, err := os.Create(tmp)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	nw := ntriples.NewWriter(w, f.dict)
-	if err := nw.WriteAll(ts); err != nil {
-		w.Close()
-		return err
+	err = enc(w)
+	// The offset after writing is the file's size; it only feeds the
+	// recorder's byte count, so a failed Seek just reports 0.
+	size, _ := w.Seek(0, io.SeekCurrent)
+	if cerr := w.Close(); err == nil {
+		err = cerr
 	}
-	if err := nw.Flush(); err != nil {
-		w.Close()
-		return err
+	if err != nil {
+		return 0, err
 	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return err
-	}
-	if f.Obs != nil {
-		var size int64
-		if fi, err := os.Stat(final); err == nil {
-			size = fi.Size()
-		}
-		f.Obs.Batch(from, to, len(ts), size)
-	}
-	return nil
+	return size, os.Rename(tmp, filepath.Join(rdir, name))
 }
 
 // Recv implements Transport: it parses every m_*_<to>_*.nt file of the round
 // addressed to this worker.
 func (f *File) Recv(ctx context.Context, round, to int) ([]rdf.Triple, error) {
+	var out []rdf.Triple
+	err := f.read(ctx, round, to, msgExt, func(r io.Reader) error {
+		ts, err := ntriples.ReadTriples(r, f.dict)
+		out = append(out, ts...)
+		return err
+	})
+	return out, err
+}
+
+// RecvLineage implements LineageCarrier.
+func (f *File) RecvLineage(ctx context.Context, round, to int) ([]rdf.Lineage, error) {
+	var out []rdf.Lineage
+	err := f.read(ctx, round, to, linExt, func(r io.Reader) error {
+		ls, err := ntriples.ReadLineage(r, f.dict)
+		out = append(out, ls...)
+		return err
+	})
+	return out, err
+}
+
+// read decodes every file of the round with extension ext addressed to
+// `to`, in name order.
+func (f *File) read(ctx context.Context, round, to int, ext string, dec func(io.Reader) error) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	rdir := filepath.Join(f.dir, fmt.Sprintf("r%d", round))
 	entries, err := os.ReadDir(rdir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil // nothing was sent this round
+			return nil // nothing was sent this round
 		}
-		return nil, err
+		return err
 	}
-	var out []rdf.Triple
 	for _, e := range entries {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		var from, dst, seq int
-		if n, _ := fmt.Sscanf(e.Name(), "m_%d_%d_%d.nt", &from, &dst, &seq); n != 3 || dst != to {
+		if n, _ := fmt.Sscanf(e.Name(), "m_%d_%d_%d", &from, &dst, &seq); n != 3 || dst != to || !strings.HasSuffix(e.Name(), ext) {
 			continue
 		}
 		r, err := os.Open(filepath.Join(rdir, e.Name()))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ts, perr := ntriples.ReadTriples(r, f.dict)
+		derr := dec(r)
 		r.Close()
-		if perr != nil {
+		if derr != nil {
 			// A file that exists (rename is atomic) but does not parse is
 			// corrupt, not in flight: retrying cannot help.
-			return nil, fmt.Errorf("transport/file: %s: %w: %v", e.Name(), ErrMalformed, perr)
+			return fmt.Errorf("transport/file: %s: %w: %v", e.Name(), ErrMalformed, derr)
 		}
-		out = append(out, ts...)
 	}
-	return out, nil
+	return nil
 }
 
 // Close implements Transport, removing the message directory.

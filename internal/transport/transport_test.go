@@ -186,6 +186,44 @@ func TestFileTransportPersistsAsNTriples(t *testing.T) {
 	f.Close()
 }
 
+// TestLineageCarriers: Mem and File deliver lineage records to the
+// addressed worker only, next to the triples they describe, and File keeps
+// them apart from its triple messages.
+func TestLineageCarriers(t *testing.T) {
+	dict, ts := newDictWithTriples(3)
+	lins := []rdf.Lineage{{T: ts[2], Rule: "r", Round: 1, Prem: ts[:2]}}
+	file, err := NewFile(t.TempDir(), dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lc := range []interface {
+		Transport
+		LineageCarrier
+	}{NewMem(), file} {
+		ctx := context.Background()
+		if err := lc.Send(ctx, 1, 0, 1, ts[2:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := lc.SendLineage(ctx, 1, 0, 1, lins); err != nil {
+			t.Fatalf("%s: %v", lc.Name(), err)
+		}
+		got, err := lc.RecvLineage(ctx, 1, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", lc.Name(), err)
+		}
+		if len(got) != 1 || got[0].T != ts[2] || got[0].Rule != "r" || len(got[0].Prem) != 2 {
+			t.Fatalf("%s: lineage round trip = %+v", lc.Name(), got)
+		}
+		if other, err := lc.RecvLineage(ctx, 1, 0); err != nil || len(other) != 0 {
+			t.Fatalf("%s: worker 0 lineage = %v, %v", lc.Name(), other, err)
+		}
+		if tr, err := lc.Recv(ctx, 1, 1); err != nil || len(tr) != 1 {
+			t.Fatalf("%s: triples next to lineage = %v, %v", lc.Name(), tr, err)
+		}
+		lc.Close()
+	}
+}
+
 func TestTCPSelfSend(t *testing.T) {
 	dict, ts := newDictWithTriples(3)
 	tr, err := NewTCP(2, dict)
