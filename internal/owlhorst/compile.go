@@ -375,7 +375,23 @@ func generate(dict *rdf.Dict, v *vocabIDs, schema *rdf.Graph) []rules.Rule {
 		Body: []rules.Atom{{S: x, P: sameC, O: y}, {S: z, P: p, O: x}},
 		Head: []rules.Atom{{S: z, P: p, O: y}},
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Name != out[j].Name {
+			return out[i].Name < out[j].Name
+		}
+		return out[i].String() < out[j].String()
+	})
+	// The engines name a rule by its name (provenance records, DRed), so
+	// reason.Compile rejects a repeated one. Only a multi-valued axiom — two
+	// hasValue on one restriction, two intersectionOf on one class — repeats
+	// a name here; the repeats get "-2", "-3", … in the order above.
+	seen := map[string]int{}
+	for i := range out {
+		name := out[i].Name
+		if seen[name]++; seen[name] > 1 {
+			out[i].Name = fmt.Sprintf("%s-%d", name, seen[name])
+		}
+	}
 	return out
 }
 

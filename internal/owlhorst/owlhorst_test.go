@@ -203,6 +203,38 @@ func TestCompileRestrictions(t *testing.T) {
 	f.has(t, g2, y, color, red, "hasValue value derivation")
 }
 
+// TestCompileNamesAreUnique: a restriction with two hasValue objects
+// compiles to two rules per direction that share a name stem; the compiled
+// set must still name every rule once, or reason.Compile rejects it, and
+// both values must still be derived.
+func TestCompileNamesAreUnique(t *testing.T) {
+	f := newFixture()
+	typ := f.v(vocab.RDFType)
+	color, red, blue := f.iri("color"), f.iri("red"), f.iri("blue")
+	r := f.iri("Purple")
+	f.add(r, f.v(vocab.OWLOnProperty), color)
+	f.add(r, f.v(vocab.OWLHasValue), red)
+	f.add(r, f.v(vocab.OWLHasValue), blue)
+	y := f.iri("y")
+	f.add(y, typ, r)
+
+	cp := Compile(f.dict, f.g)
+	names := map[string]bool{}
+	for _, rl := range cp.InstanceRules {
+		if names[rl.Name] {
+			t.Errorf("rule name %q repeated", rl.Name)
+		}
+		names[rl.Name] = true
+	}
+	if err := reason.ValidateRules(cp.InstanceRules); err != nil {
+		t.Fatal(err)
+	}
+	g := cp.Start(f.g)
+	reason.Forward{}.Materialize(g, cp.InstanceRules)
+	f.has(t, g, y, color, red, "first hasValue")
+	f.has(t, g, y, color, blue, "second hasValue")
+}
+
 func TestCompileIntersectionOf(t *testing.T) {
 	f := newFixture()
 	typ := f.v(vocab.RDFType)

@@ -74,9 +74,8 @@ func allocFixture() (*rdf.Graph, []rules.Rule, []rdf.Triple) {
 // allocations per pass over deltas.
 func joinPathAllocs(t *testing.T, g *rdf.Graph, rs []rules.Rule, deltas []rdf.Triple, rec bool) float64 {
 	t.Helper()
-	crs := mustCompileRules(rs)
-	plans := planStrata(crs)
-	sc := newScratch(crs)
+	p := mustCompile(rs)
+	sc := newScratch(p)
 	sc.rec = rec
 	sh := rdf.NewDeltaStage(1).Shard(0)
 	emit := func(tr rdf.Triple) {
@@ -87,8 +86,8 @@ func joinPathAllocs(t *testing.T, g *rdf.Graph, rs []rules.Rule, deltas []rdf.Tr
 	fired := 0
 	run := func() {
 		for _, d := range deltas {
-			for p := range plans {
-				for _, tr := range plans[p].idx.lookup(d) {
+			for s := range p.plans {
+				for _, tr := range p.plans[s].idx.lookup(d) {
 					m, _ := fireOn(g, sc, tr, d, emit)
 					fired += int(m)
 				}
@@ -148,9 +147,9 @@ func TestJoinPathZeroAllocsWithDeletions(t *testing.T) {
 func TestBindTripleNoAlloc(t *testing.T) {
 	g, rs, deltas := allocFixture()
 	_ = g
-	crs := mustCompileRules(rs)
-	sc := newScratch(crs)
-	r := &crs[0]
+	p := mustCompile(rs)
+	sc := newScratch(p)
+	r := &p.rules[0]
 	if avg := testing.AllocsPerRun(100, func() {
 		e := sc.env[:r.nslot]
 		for i := range e {

@@ -112,7 +112,7 @@ func randomRules(rng *rand.Rand, n int) []rules.Rule {
 
 // TestAtomIndexMatchesReference is the atom index's identity property: over
 // random compiled rule sets and triples, every stratum plan's lookup and the
-// Retractor's head lookup equal the predicate-only reference list narrowed
+// program's head lookup (the Retractor's) equal the predicate-only reference list narrowed
 // on the triple's object — same triggers, same order — and trigger ids
 // number the rule set's body atoms once each.
 func TestAtomIndexMatchesReference(t *testing.T) {
@@ -121,8 +121,8 @@ func TestAtomIndexMatchesReference(t *testing.T) {
 	head := func(tr trigger) cAtom { return tr.rule.head[tr.atomIdx] }
 	for iter := 0; iter < 300; iter++ {
 		rs := randomRules(rng, 1+rng.Intn(12))
-		crs := mustCompileRules(rs)
-		plans := planStrata(crs)
+		prog := mustCompile(rs)
+		crs, plans := prog.rules, prog.plans
 
 		var refs []refDispatch
 		ids := map[int]bool{}
@@ -144,12 +144,11 @@ func TestAtomIndexMatchesReference(t *testing.T) {
 			}
 		}
 
-		ret := NewRetractor(rs)
 		var htrs []trigger
 		var hatoms []cAtom
-		for i := range ret.crs {
-			for j, a := range ret.crs[i].head {
-				htrs = append(htrs, trigger{rule: &ret.crs[i], atomIdx: j})
+		for i := range crs {
+			for j, a := range crs[i].head {
+				htrs = append(htrs, trigger{rule: &crs[i], atomIdx: j})
 				hatoms = append(hatoms, a)
 			}
 		}
@@ -164,7 +163,7 @@ func TestAtomIndexMatchesReference(t *testing.T) {
 					t.Fatalf("iter %d stratum %d triple %v: lookup %v, reference %v\nrules %v", iter, s, tr, got, want, rs)
 				}
 			}
-			if got, want := ret.heads.lookup(tr), narrow(href.triggers(tr), head, tr); !slices.Equal(got, want) {
+			if got, want := prog.heads.lookup(tr), narrow(href.triggers(tr), head, tr); !slices.Equal(got, want) {
 				t.Fatalf("iter %d triple %v: head lookup %v, reference %v\nrules %v", iter, tr, got, want, rs)
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"powl/internal/owlhorst"
 	"powl/internal/rdf"
 	"powl/internal/reason"
+	"powl/internal/vocab"
 )
 
 // TestDispatchMatchesReference pins what the atom index and per-sweep
@@ -106,17 +107,50 @@ func TestOneThreadActivationsPerDelta(t *testing.T) {
 	}
 }
 
-// BenchmarkPlanStrata measures the set-up every Forward call pays before it
-// fires — compiling LUBM's instance rules and planning their strata, atom
-// indexes included — which a 256-triple live insert pays as well.
-func BenchmarkPlanStrata(b *testing.B) {
+// BenchmarkCompile measures compiling LUBM's instance rules into a Program —
+// lowering, strata plans and atom indexes, head index — the set-up every
+// Engine method pays per call and a holder of a Program pays once.
+func BenchmarkCompile(b *testing.B) {
 	ds := datagen.LUBM(datagen.LUBMConfig{Universities: 1, Seed: 1})
 	rs := owlhorst.Compile(ds.Dict, ds.Graph).InstanceRules
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if reason.CompileAndPlan(rs) == 0 {
-			b.Fatal("no strata")
+		if _, err := reason.Compile(rs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCloseOneTriple measures the live writer's insert close with the
+// compile paid once: each iteration asserts one new rdf:type triple — a
+// fresh individual typed GraduateStudent, which the rules also make a
+// Student and a Person — into a closed LUBM-1 KB and closes it through a
+// Program compiled before the timer starts.
+func BenchmarkCloseOneTriple(b *testing.B) {
+	ds := datagen.LUBM(datagen.LUBMConfig{Universities: 1, Seed: 1})
+	compiled := owlhorst.Compile(ds.Dict, ds.Graph)
+	g := compiled.Start(ds.Graph)
+	p, err := reason.Compile(compiled.InstanceRules)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := (reason.Forward{}).Fire(ctx, g, p, g.TriplesSince(0)); err != nil {
+		b.Fatal(err)
+	}
+	typ := ds.Dict.InternIRI(vocab.RDFType)
+	grad := ds.Dict.InternIRI("http://benchmark.powl/lubm#GraduateStudent")
+	// IDs past the dictionary's name individuals no triple mentions yet.
+	fresh := rdf.ID(ds.Dict.Len() + 1)
+	seed := make([]rdf.Triple, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seed[0] = rdf.Triple{S: fresh + rdf.ID(i), P: typ, O: grad}
+		g.Add(seed[0])
+		if n, err := (reason.Forward{}).Fire(ctx, g, p, seed); err != nil || n == 0 {
+			b.Fatalf("close added %d triples: %v", n, err)
 		}
 	}
 }

@@ -29,8 +29,10 @@ import (
 // reasoner with datalog semantics fits): a cancellable full
 // materialization and a cancellable incremental close. Forward, Hybrid and
 // Rete implement it, and each also offers plain Materialize/MaterializeFrom
-// convenience methods that run under context.Background and panic on an
-// inexecutable rule set.
+// convenience methods that run under context.Background and panic on a rule
+// set Compile rejects. Every method compiles its rules and then runs; a
+// caller that closes many times under one rule set compiles once and runs
+// the Program through Forward.Fire.
 type Engine interface {
 	// Name identifies the engine in reports ("forward", "hybrid").
 	Name() string
@@ -77,26 +79,72 @@ type cRule struct {
 // most a handful of variables, so the bound is far from any real rule set.
 const maxSlots = 64
 
-// ValidateRules reports whether the engines can execute every rule in rs —
-// today the only way a parsed rule can be inexecutable is by exceeding
-// maxSlots variables. It is the construction-time validation entry:
-// core.Config paths and serve.New call it up front so a bad ruleset
-// surfaces as an error when the KB is built, not as a panic at materialize
-// time inside a live server.
+// Program is a rule set compiled once for every run over it (paper §V:
+// the ontology becomes instance rules once, then the engine reasons with
+// them): the lowered rules, the fire loop's strata plans, the head index and
+// per-rule body lengths DRed rederives through, and the widest rule's slot
+// and body counts every scratch is sized from. It is immutable after
+// Compile, so one Program serves any number of concurrent runs.
+type Program struct {
+	rules   []cRule
+	plans   []stratumPlan
+	ntr     int            // body-atom triggers across plans
+	heads   atomIndex      // head atoms; trigger.atomIdx indexes the rule's head
+	bodyLen map[string]int // rule name → body atom count
+
+	maxSlot, maxBody int
+}
+
+// Compile lowers, stratifies and indexes rs. It is the one construction-time
+// check of a rule set: it fails on a rule exceeding maxSlots variables, and
+// on two rules with one name — provenance records and DRed name a rule by
+// its name, so a repeated name would attribute one rule's derivations to the
+// other.
+func Compile(rs []rules.Rule) (*Program, error) {
+	crs, err := compileRules(rs)
+	if err != nil {
+		return nil, err
+	}
+	p := &Program{rules: crs, bodyLen: make(map[string]int, len(crs)), maxSlot: 1, maxBody: 1}
+	var trs []trigger
+	var atoms []cAtom
+	for i := range crs {
+		cr := &crs[i]
+		if _, dup := p.bodyLen[cr.name]; dup {
+			return nil, fmt.Errorf("reason: two rules are named %q", cr.name)
+		}
+		p.bodyLen[cr.name] = len(cr.body)
+		p.maxSlot = max(p.maxSlot, cr.nslot)
+		p.maxBody = max(p.maxBody, len(cr.body))
+		for hi, h := range cr.head {
+			trs = append(trs, trigger{rule: cr, atomIdx: hi})
+			atoms = append(atoms, h)
+		}
+	}
+	p.heads = newAtomIndex(trs, atoms)
+	p.plans = planStrata(crs)
+	for s := range p.plans {
+		p.ntr += p.plans[s].idx.n
+	}
+	return p, nil
+}
+
+// ValidateRules is Compile's error, for callers that only check a rule set
+// before handing it to an Engine.
 func ValidateRules(rs []rules.Rule) error {
-	_, err := compileRules(rs)
+	_, err := Compile(rs)
 	return err
 }
 
-// mustCompileRules is compileRules for construction-time callers whose rule
-// set was already validated (ValidateRules); it panics on a rule the
-// engines cannot execute.
-func mustCompileRules(rs []rules.Rule) []cRule {
-	crs, err := compileRules(rs)
+// must is the error handling of the engines' convenience methods, which run
+// under context.Background: their only error is a rule set Compile rejects,
+// and the int-only signatures have nowhere to surface it, so it panics —
+// callers that accept rules from outside compile them first.
+func must(n int, err error) int {
 	if err != nil {
 		panic(err)
 	}
-	return crs
+	return n
 }
 
 // compileRules lowers parsed rules into slot-indexed form. Variable names are

@@ -27,28 +27,30 @@ type Forward struct {
 // Name implements Engine.
 func (Forward) Name() string { return "forward" }
 
-// Materialize is MaterializeCtx without cancellation. The rule set must be
-// executable (ValidateRules): the int-only signature has nowhere to surface
-// a compile error, so an invalid set panics here — callers that accept
-// rules from outside validate first.
+// Materialize is MaterializeCtx without cancellation; it panics on a rule
+// set Compile rejects (see must).
 func (f Forward) Materialize(g *rdf.Graph, rs []rules.Rule) int {
-	n, err := f.MaterializeCtx(context.Background(), g, rs)
-	if err != nil {
-		panic(err)
-	}
-	return n
+	return must(f.MaterializeCtx(context.Background(), g, rs))
 }
 
 // MaterializeCtx implements Engine: the fire loop probes ctx between sweeps
 // and at least every 256 delta triples within one.
 func (f Forward) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule) (int, error) {
-	// The loop only reads its initial delta, so the log itself serves; only
-	// a graph with tombstones needs the filtered copy.
-	delta := g.TriplesSince(0)
-	if g.Dead() > 0 {
-		delta = g.Triples()
+	p, err := Compile(rs)
+	if err != nil {
+		return 0, err
 	}
-	return f.materialize(ctx, g, rs, delta)
+	return f.Fire(ctx, g, p, liveDelta(g))
+}
+
+// liveDelta is every live triple of g, the delta that materializes it. The
+// fire loop only reads its delta, so the log itself serves; only a graph
+// with tombstones needs the filtered copy.
+func liveDelta(g *rdf.Graph) []rdf.Triple {
+	if g.Dead() > 0 {
+		return g.Triples()
+	}
+	return g.TriplesSince(0)
 }
 
 // scratch holds the reusable join buffers of one materialization: a binding
@@ -75,17 +77,8 @@ type scratch struct {
 	prem [3]rdf.Triple
 }
 
-func newScratch(crs []cRule) *scratch {
-	maxSlot, maxBody := 1, 1
-	for i := range crs {
-		if crs[i].nslot > maxSlot {
-			maxSlot = crs[i].nslot
-		}
-		if len(crs[i].body) > maxBody {
-			maxBody = len(crs[i].body)
-		}
-	}
-	return &scratch{env: make(env, maxSlot), rest: make([]int, 0, maxBody)}
+func newScratch(p *Program) *scratch {
+	return &scratch{env: make(env, p.maxSlot), rest: make([]int, 0, p.maxBody)}
 }
 
 // fireOn seeds rule tr.rule with delta triple t at body position tr.atomIdx,

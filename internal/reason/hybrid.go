@@ -49,25 +49,20 @@ func (h Hybrid) Name() string {
 	return "hybrid"
 }
 
-// Materialize is MaterializeCtx without cancellation. Like
-// Forward.Materialize it panics on a rule set that fails ValidateRules —
-// validate caller-supplied rules first.
+// Materialize is MaterializeCtx without cancellation; it panics on a rule
+// set Compile rejects (see must).
 func (h Hybrid) Materialize(g *rdf.Graph, rs []rules.Rule) int {
-	n, err := h.MaterializeCtx(context.Background(), g, rs)
-	if err != nil {
-		panic(err)
-	}
-	return n
+	return must(h.MaterializeCtx(context.Background(), g, rs))
 }
 
 // MaterializeCtx implements Engine: the per-resource query loop checks ctx
 // before each resource, so cancellation lands within one backward query.
 func (h Hybrid) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule) (int, error) {
-	crs, err := compileRules(rs)
+	p, err := Compile(rs)
 	if err != nil {
 		return 0, err
 	}
-	prof := newRuleProf(ctx, crs)
+	prof := newRuleProf(ctx, p.rules)
 	defer prof.flush()
 
 	// Query plan: every resource appearing as subject or object, in ID
@@ -80,7 +75,7 @@ func (h Hybrid) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rul
 	}
 	sort.Slice(resources, func(i, j int) bool { return resources[i] < resources[j] })
 
-	rec := newDerivRecorder(ctx, g, crs)
+	rec := newDerivRecorder(ctx, g, p.rules)
 	added := 0
 	var s *solver
 	var pending []rdf.Triple
@@ -89,7 +84,7 @@ func (h Hybrid) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rul
 			return added, err
 		}
 		if s == nil || !h.SharedTable {
-			s = newSolver(g, crs, prof, rec)
+			s = newSolver(g, p, prof, rec)
 		}
 		goal := rdf.Triple{S: r, P: rdf.Wildcard, O: rdf.Wildcard}
 		e := s.solve(goal)
@@ -177,17 +172,14 @@ type solver struct {
 	lin map[rdf.Triple]pendDeriv
 }
 
-func newSolver(g *rdf.Graph, crs []cRule, prof *ruleProf, rec *derivRecorder) *solver {
-	s := &solver{g: g, rules: crs, table: map[rdf.Triple]*tableEntry{},
-		byHeadPred: map[rdf.ID][]headRef{}, maxSlot: 1, prof: prof, rec: rec}
+func newSolver(g *rdf.Graph, p *Program, prof *ruleProf, rec *derivRecorder) *solver {
+	s := &solver{g: g, rules: p.rules, table: map[rdf.Triple]*tableEntry{},
+		byHeadPred: map[rdf.ID][]headRef{}, maxSlot: p.maxSlot, prof: prof, rec: rec}
 	if rec != nil {
 		s.lin = map[rdf.Triple]pendDeriv{}
 	}
-	for ri := range crs {
-		r := &crs[ri]
-		if r.nslot > s.maxSlot {
-			s.maxSlot = r.nslot
-		}
+	for ri := range p.rules {
+		r := &p.rules[ri]
 		for hi, h := range r.head {
 			if h.p.isVar {
 				s.anyHeadPred = append(s.anyHeadPred, headRef{r, hi})

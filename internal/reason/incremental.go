@@ -13,14 +13,7 @@ import (
 // Because g was previously at fixpoint, every missing derivation joins at
 // least one seed, so seeding the delta with the seeds is complete.
 func (f Forward) MaterializeFrom(g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) int {
-	n, err := f.MaterializeFromCtx(context.Background(), g, rs, seeds)
-	if err != nil {
-		// Background ctx never expires, so the only error here is an
-		// inexecutable rule set — a caller-side validation bug (see
-		// Materialize).
-		panic(err)
-	}
-	return n
+	return must(f.MaterializeFromCtx(context.Background(), g, rs, seeds))
 }
 
 // MaterializeFromCtx implements Engine.
@@ -28,7 +21,11 @@ func (f Forward) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rule
 	if len(seeds) == 0 {
 		return 0, ctx.Err()
 	}
-	return f.materialize(ctx, g, rs, seeds)
+	p, err := Compile(rs)
+	if err != nil {
+		return 0, err
+	}
+	return f.Fire(ctx, g, p, seeds)
 }
 
 // MaterializeFrom is the hybrid engine's incremental close, without
@@ -49,8 +46,7 @@ func (f Forward) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rule
 // neighbours, then the resources (and neighbours) of each new triple —
 // reach every affected subject. BenchmarkAblation_Delta compares the two.
 func (h Hybrid) MaterializeFrom(g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) int {
-	n, _ := h.MaterializeFromCtx(context.Background(), g, rs, seeds)
-	return n
+	return must(h.MaterializeFromCtx(context.Background(), g, rs, seeds))
 }
 
 // MaterializeFromCtx implements Engine; the frontier loop checks ctx per
@@ -62,11 +58,11 @@ func (h Hybrid) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rules
 	if !h.FrontierDelta {
 		return Forward{Threads: h.Threads}.MaterializeFromCtx(ctx, g, rs, seeds)
 	}
-	crs, err := compileRules(rs)
+	p, err := Compile(rs)
 	if err != nil {
 		return 0, err
 	}
-	prof := newRuleProf(ctx, crs)
+	prof := newRuleProf(ctx, p.rules)
 	defer prof.flush()
 	queried := map[rdf.ID]struct{}{}
 	frontier := map[rdf.ID]struct{}{}
@@ -97,7 +93,7 @@ func (h Hybrid) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rules
 	// the incremental close is powl's own wrapper-level machinery, so it
 	// uses tabling efficiently.
 	added := 0
-	s := newSolver(g, crs, prof, newDerivRecorder(ctx, g, crs))
+	s := newSolver(g, p, prof, newDerivRecorder(ctx, g, p.rules))
 	var pending []rdf.Triple
 	for len(frontier) > 0 {
 		if err := ctx.Err(); err != nil {

@@ -16,9 +16,8 @@ import (
 func BenchmarkJoinFireOn(b *testing.B) {
 	g, rs, deltas := allocFixture()
 	Forward{}.Materialize(g, rs)
-	crs := mustCompileRules(rs)
-	plans := planStrata(crs)
-	sc := newScratch(crs)
+	p := mustCompile(rs)
+	sc := newScratch(p)
 	emit := func(tr rdf.Triple) {
 		if !g.Has(tr) {
 			b.Fatal("fixture not at fixpoint")
@@ -28,8 +27,8 @@ func BenchmarkJoinFireOn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d := deltas[i%len(deltas)]
-		for p := range plans {
-			for _, tr := range plans[p].idx.lookup(d) {
+		for s := range p.plans {
+			for _, tr := range p.plans[s].idx.lookup(d) {
 				fireOn(g, sc, tr, d, emit)
 			}
 		}

@@ -70,8 +70,7 @@ func TestRuleProfilesMatchAcrossEngines(t *testing.T) {
 func TestProfilingDisabledIsNil(t *testing.T) {
 	f, _ := chainFx(4)
 	rs := f.parse(`[tr: (?x t:p ?y) (?y t:p ?z) -> (?x t:p ?z)]`)
-	crs := mustCompileRules(rs)
-	if p := newRuleProf(context.Background(), crs); p != nil {
+	if p := newRuleProf(context.Background(), mustCompile(rs).rules); p != nil {
 		t.Fatalf("newRuleProf without collector = %+v, want nil", p)
 	}
 	var nilProf *ruleProf

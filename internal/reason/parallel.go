@@ -8,7 +8,6 @@ import (
 
 	"powl/internal/obs"
 	"powl/internal/rdf"
-	"powl/internal/rules"
 )
 
 // The fire loop: the one semi-naive evaluation every Forward run goes
@@ -134,7 +133,7 @@ func (p *stratumPlan) markDead(g *rdf.Graph, dead []bool) {
 // sharedscratch invariant).
 type fireRun struct {
 	g     *rdf.Graph
-	crs   []cRule
+	p     *Program
 	stage *rdf.DeltaStage // one shard per Forward.Threads
 
 	// Provenance on: rec turns captured firings into records at commit (it
@@ -157,42 +156,34 @@ type fireRun struct {
 	acts []int
 }
 
-// materialize runs semi-naive evaluation from the given initial delta,
-// which it only reads; see the file comment for the phase discipline and
-// the determinism contract.
-func (f Forward) materialize(ctx context.Context, g *rdf.Graph, rs []rules.Rule, delta []rdf.Triple) (int, error) {
-	crs, err := compileRules(rs)
-	if err != nil {
-		return 0, err
-	}
-	return f.fire(ctx, g, crs, planStrata(crs), delta)
-}
-
-// fire is materialize over compiled rules and their plans.
+// Fire runs semi-naive evaluation of p over g from delta, which it only
+// reads, and returns the number of triples added; see the file comment for
+// the phase discipline and the determinism contract. Fired from every live
+// triple of g it materializes g. Fired from seeds just inserted into a g
+// that was closed under p before, it closes g incrementally: every missing
+// derivation joins at least one seed (MaterializeFromCtx's contract). The
+// only error is ctx's.
 //
 //powl:ignore wallclock per-piece spans accumulate real durations; recorded only when a collector is attached.
-func (f Forward) fire(ctx context.Context, g *rdf.Graph, crs []cRule, plans []stratumPlan, delta []rdf.Triple) (int, error) {
-	prof := newRuleProf(ctx, crs)
+func (f Forward) Fire(ctx context.Context, g *rdf.Graph, p *Program, delta []rdf.Triple) (int, error) {
+	prof := newRuleProf(ctx, p.rules)
 	defer prof.flush()
 	spans := obs.PiecesFrom(ctx)
 
 	threads := max(f.Threads, 1)
-	ntr := 0
-	for s := range plans {
-		ntr += plans[s].idx.n
-	}
+	plans := p.plans
 	r := &fireRun{
-		g: g, crs: crs,
+		g: g, p: p,
 		stage: rdf.NewDeltaStage(threads),
-		rec:   newDerivRecorder(ctx, g, crs),
+		rec:   newDerivRecorder(ctx, g, p.rules),
 		prof:  prof,
-		dead:  make([]bool, ntr),
+		dead:  make([]bool, p.ntr),
 		acts:  make([]int, threads),
 	}
 	if prof != nil {
 		r.tally = make([]*ruleProf, threads)
 		for w := range r.tally {
-			r.tally[w] = newTally(crs)
+			r.tally[w] = newTally(p.rules)
 		}
 	}
 	if r.rec != nil {
@@ -316,7 +307,7 @@ func (r *fireRun) fireStratum(ctx context.Context, plan *stratumPlan, d []rdf.Tr
 //
 //powl:ignore wallclock chained per-rule profiling timestamps; disabled when no collector is attached.
 func (r *fireRun) fireShard(ctx context.Context, plan *stratumPlan, d []rdf.Triple, w int, next *atomic.Int64, chunk int, failed *atomic.Bool) {
-	sc := newScratch(r.crs)
+	sc := newScratch(r.p)
 	sh := r.stage.Shard(w)
 	g := r.g
 	var tl *ruleProf

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"powl/internal/datagen"
@@ -329,12 +330,66 @@ func TestValidateRulesTooWide(t *testing.T) {
 	}
 }
 
-// TestRetractorSetRules pins the scratch-sizing regression: a Retractor
-// built for a narrow rule set, rebound to a wider one with SetRules, must
-// rederive through the wider rules without indexing past its environment.
-// Before SetRules existed the Retractor's env was sized once at
-// construction, so a rederive after a rule-set change could index past it.
-func TestRetractorSetRules(t *testing.T) {
+// TestMaterializeFromPanicsOnInvalidRules: the convenience incremental close
+// has nowhere to return a compile error, so every engine panics on a rule
+// set Compile rejects, as the Engine doc promises — none may return 0 as if
+// the seeds derived nothing.
+func TestMaterializeFromPanicsOnInvalidRules(t *testing.T) {
+	type incremental interface {
+		MaterializeFrom(*rdf.Graph, []rules.Rule, []rdf.Triple) int
+	}
+	seed := rdf.Triple{S: 1, P: 2, O: 3}
+	for _, e := range []incremental{reason.Forward{}, reason.Rete{}, reason.Hybrid{}, reason.Hybrid{FrontierDelta: true}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%T%+v: MaterializeFrom returned on a 66-variable rule", e, e)
+				}
+			}()
+			g := rdf.NewGraph()
+			g.Add(seed)
+			e.MaterializeFrom(g, []rules.Rule{wideRule()}, []rdf.Triple{seed})
+		}()
+	}
+}
+
+// TestProgramSharedAcrossGraphs: a Program is immutable after Compile, so
+// one Program closes two graphs concurrently — provenance off and on,
+// several shards each — and both reach the reference closure. The race
+// detector (the CI race job runs this package) checks the sharing.
+func TestProgramSharedAcrossGraphs(t *testing.T) {
+	fx := parallelFixtures(t)[0] // lubm
+	p, err := reason.Compile(fx.rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := referenceClosure(fx, fx.base(false))
+	graphs := []*rdf.Graph{fx.base(false), fx.base(true)}
+	errs := make([]error, len(graphs))
+	var wg sync.WaitGroup
+	for i, g := range graphs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = reason.Forward{Threads: 2}.Fire(context.Background(), g, p, g.TriplesSince(0))
+		}()
+	}
+	wg.Wait()
+	for i, g := range graphs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		diffClosure(t, fmt.Sprintf("graph %d", i), want, closureSet(g))
+	}
+	verifyAllDerived(t, graphs[1], fx.rs)
+}
+
+// TestRetractorSetProgram pins the scratch-sizing regression: a Retractor
+// built for a narrow rule set, swapped to a wider Program with SetProgram,
+// must rederive through the wider rules without indexing past its
+// environment. When the Retractor sized its env once at construction, a
+// rederive after a rule-set change could index past it.
+func TestRetractorSetProgram(t *testing.T) {
 	const (
 		pLink = rdf.ID(1)
 		pNear = rdf.ID(2)
@@ -367,17 +422,21 @@ func TestRetractorSetRules(t *testing.T) {
 	ret := reason.NewRetractor(narrow)
 	reason.Forward{}.Materialize(g, narrow)
 
-	if err := ret.SetRules(wide); err != nil {
+	wp, err := reason.Compile(wide)
+	if err != nil {
 		t.Fatal(err)
 	}
-	reason.Forward{}.Materialize(g, wide)
+	ret.SetProgram(wp)
+	if _, err := (reason.Forward{}).Fire(context.Background(), g, wp, g.Triples()); err != nil {
+		t.Fatal(err)
+	}
 	if !g.Has(rdf.Triple{S: 10, P: pFar, O: 12}) {
 		t.Fatal("wide closure missing far(10,12)")
 	}
 
 	// Deleting link(11,12) must drop far(10,12) and far(11,13) — the
 	// rederive joins the wide rule's two-atom body through the env sized by
-	// SetRules.
+	// SetProgram.
 	st := ret.Retract(g, []rdf.Triple{{S: 11, P: pLink, O: 12}})
 	if st.Requested != 1 {
 		t.Fatalf("retract found %d of 1 requested", st.Requested)
@@ -388,7 +447,7 @@ func TestRetractorSetRules(t *testing.T) {
 	if !g.Has(rdf.Triple{S: 12, P: pNear, O: 13}) {
 		t.Error("near(12,13) should survive: its premise is live")
 	}
-	if err := ret.SetRules([]rules.Rule{wideRule()}); err == nil {
-		t.Error("SetRules accepted a 66-variable rule")
+	if _, err := reason.Compile([]rules.Rule{wideRule()}); err == nil {
+		t.Error("Compile accepted a 66-variable rule")
 	}
 }

@@ -36,13 +36,13 @@ func TestStratify(t *testing.T) {
 	// r2: p3 ← p0          (level 0, independent of r0 — second piece)
 	// r3: p4 ← p2, p5      (cycle with r4 through p4/p5; fed by r1 → level 2)
 	// r4: p5 ← p4
-	crs := mustCompileRules([]rules.Rule{
+	crs := mustCompile([]rules.Rule{
 		ruleHB("r0", p1, p0),
 		ruleHB("r1", p2, p1),
 		ruleHB("r2", p3, p0),
 		ruleHB("r3", p4, p2, p5),
 		ruleHB("r4", p5, p4),
-	})
+	}).rules
 	strata := stratify(crs)
 	if len(strata) != 3 {
 		t.Fatalf("got %d strata, want 3: %+v", len(strata), strata)
@@ -93,7 +93,7 @@ func TestStratify(t *testing.T) {
 			Head: []rules.Atom{{S: rules.Var("x"), P: rules.Const(p0), O: rules.Var("y")}},
 		},
 	}
-	ws := stratify(mustCompileRules(wild))
+	ws := stratify(mustCompile(wild).rules)
 	if len(ws) != 1 || len(ws[0]) != 1 || len(ws[0][0].rules) != 2 {
 		t.Errorf("wildcard-predicate rules should collapse into one piece, got %+v", ws)
 	}

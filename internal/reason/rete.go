@@ -23,18 +23,10 @@ type Rete struct{}
 // Name implements Engine.
 func (Rete) Name() string { return "rete" }
 
-// Materialize is MaterializeCtx without cancellation. The assert set is a
-// read-only view of the log: the network's emits grow g past the view's
-// end, which is safe — the log is append-only, so the snapshot's contents
-// never move.
+// Materialize is MaterializeCtx without cancellation; it panics on a rule
+// set Compile rejects (see must).
 func (r Rete) Materialize(g *rdf.Graph, rs []rules.Rule) int {
-	n, err := r.materialize(context.Background(), g, rs, g.Triples())
-	if err != nil {
-		// Background ctx never expires; the only error is an inexecutable
-		// rule set the caller should have run through ValidateRules.
-		panic(err)
-	}
-	return n
+	return must(r.MaterializeCtx(context.Background(), g, rs))
 }
 
 // MaterializeCtx implements Engine: the assert loop checks ctx between
@@ -50,11 +42,7 @@ func (r Rete) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule)
 // costs one pass over g; a long-lived network handle would amortize it, but
 // the cluster worker API exchanges plain graphs.)
 func (r Rete) MaterializeFrom(g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) int {
-	n, err := r.MaterializeFromCtx(context.Background(), g, rs, seeds)
-	if err != nil {
-		panic(err)
-	}
-	return n
+	return must(r.MaterializeFromCtx(context.Background(), g, rs, seeds))
 }
 
 // MaterializeFromCtx implements Engine.
@@ -65,16 +53,19 @@ func (r Rete) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rules.R
 	return r.materialize(ctx, g, rs, g.Triples())
 }
 
+// materialize asserts assertSet into a network built for rs. The engine's
+// callers pass g's live triples, taken before the first emit: the network's
+// emits grow g past them, which is safe — the set's contents never move.
 func (Rete) materialize(ctx context.Context, g *rdf.Graph, rs []rules.Rule, assertSet []rdf.Triple) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	crs, err := compileRules(rs)
+	p, err := Compile(rs)
 	if err != nil {
 		return 0, err
 	}
-	net := buildNetwork(crs)
-	net.prof = newRuleProf(ctx, crs)
+	net := buildNetwork(p)
+	net.prof = newRuleProf(ctx, p.rules)
 	defer net.prof.flush()
 
 	added := 0
@@ -92,7 +83,7 @@ func (Rete) materialize(ctx context.Context, g *rdf.Graph, rs []rules.Rule, asse
 	// (assertSet is the log, queue entries were just Added), so premise
 	// offsets always resolve. Rete has no round structure; records carry
 	// round 0.
-	if rec := newDerivRecorder(ctx, g, crs); rec != nil {
+	if rec := newDerivRecorder(ctx, g, p.rules); rec != nil {
 		net.rec = true
 		emit = func(t rdf.Triple) {
 			idx := net.fireRule.idx
@@ -237,17 +228,10 @@ type network struct {
 	firePrem [3]rdf.Triple
 }
 
-func buildNetwork(crs []cRule) *network {
-	net := &network{alphasByPred: map[rdf.ID][]*alphaNode{}}
-	maxSlot := 1
-	for i := range crs {
-		if crs[i].nslot > maxSlot {
-			maxSlot = crs[i].nslot
-		}
-	}
-	net.scratch = make(env, maxSlot)
-	for ri := range crs {
-		r := &crs[ri]
+func buildNetwork(p *Program) *network {
+	net := &network{alphasByPred: map[rdf.ID][]*alphaNode{}, scratch: make(env, p.maxSlot)}
+	for ri := range p.rules {
+		r := &p.rules[ri]
 		if len(r.body) == 0 {
 			continue // bodyless rules never fire from assertions
 		}

@@ -1,6 +1,7 @@
 package reason
 
 import (
+	"context"
 	"sort"
 
 	"powl/internal/obs"
@@ -68,12 +69,15 @@ type RetractStats struct {
 	Propagated int
 }
 
-// Retractor maintains the closure of one graph under deletions. It is
-// writer-side state: call Retract from the same single goroutine that owns
-// the graph. The consumers index is built lazily from the provenance
-// side-column and extended incrementally from a scan watermark, so steady
-// inserts pay nothing for it; binding follows the graph identity, so
-// swapping in a compacted graph resets the index automatically.
+// Retractor maintains the closure of one graph under deletions, running
+// one Program: its head index finds the rules a triple may be concluded by,
+// its body lengths classify provenance records, and its fire loop restores
+// the fixpoint. It is writer-side state: call Retract from the same single
+// goroutine that owns the graph. The consumers index is built lazily from
+// the provenance side-column and extended incrementally from a scan
+// watermark, so steady inserts pay nothing for it; binding follows the
+// graph identity, so swapping in a compacted graph resets the index
+// automatically. A zero Retractor needs SetProgram before its first Retract.
 type Retractor struct {
 	// Obs, when set, receives an EvWarn journal event whenever a retraction
 	// runs without provenance and degrades to delete-and-rematerialize.
@@ -86,12 +90,8 @@ type Retractor struct {
 	// single writer goroutine.
 	Threads int
 
-	rs      []rules.Rule
-	crs     []cRule
-	heads   atomIndex      // head atoms; trigger.atomIdx indexes the rule's head
-	bodyLen map[string]int // rule name → body atom count
-
-	env  env
+	p    *Program
+	env  env // the rederive join's bindings, sized for p's widest rule
 	prem [3]rdf.Triple
 
 	// Per-graph state, reset when the graph identity changes.
@@ -102,53 +102,35 @@ type Retractor struct {
 	scanned int                 // provenance scan watermark
 }
 
-// NewRetractor compiles rs once and returns a Retractor for graphs closed
-// under it. The rule set must be executable (ValidateRules) — callers that
-// accept rules from outside validate before constructing the Retractor.
+// NewRetractor compiles rs and returns a Retractor for graphs closed under
+// it. It panics on a rule set Compile rejects — callers that accept rules
+// from outside compile them first and use SetProgram.
 func NewRetractor(rs []rules.Rule) *Retractor {
-	r := &Retractor{}
-	if err := r.SetRules(rs); err != nil {
+	p, err := Compile(rs)
+	if err != nil {
 		panic(err)
 	}
+	r := &Retractor{}
+	r.SetProgram(p)
 	return r
 }
 
-// SetRules replaces the Retractor's rule set: the rules are recompiled, the
-// head index and binding environment are rebuilt (sized for the widest rule
-// of the *new* set — the regression this guards is a rederive after a
-// rule-set change indexing past an env sized for the old set), and the
-// per-graph provenance caches are reset so records resolve against the new
-// rules' body lengths. The graph itself is untouched; the caller re-runs
-// Materialize if the new rules derive more.
-func (r *Retractor) SetRules(rs []rules.Rule) error {
-	crs, err := compileRules(rs)
-	if err != nil {
-		return err
-	}
-	r.rs = rs
-	r.crs = crs
-	r.bodyLen = make(map[string]int, len(crs))
-	var trs []trigger
-	var atoms []cAtom
-	maxSlot := 1
-	for i := range crs {
-		cr := &crs[i]
-		if cr.nslot > maxSlot {
-			maxSlot = cr.nslot
-		}
-		r.bodyLen[cr.name] = len(cr.body)
-		for hi, h := range cr.head {
-			trs = append(trs, trigger{rule: cr, atomIdx: hi})
-			atoms = append(atoms, h)
-		}
-	}
-	r.heads = newAtomIndex(trs, atoms)
-	r.env = make(env, maxSlot)
-	// Drop per-graph state: the rule-name → body-length cache and the
-	// fragility classification both depend on the rule set, so the next
-	// Retract rebuilds them from scratch.
+// SetProgram makes p the rule set the Retractor maintains closures under.
+// The per-graph provenance caches are dropped — the rule-name → body-length
+// cache and the fragility classification both depend on the rule set — so
+// the next Retract rebuilds them against p. The graph itself is untouched;
+// the caller re-runs the fire loop if p derives more.
+func (r *Retractor) SetProgram(p *Program) {
+	r.p = p
+	r.env = make(env, p.maxSlot)
 	r.g = nil
-	return nil
+}
+
+// fire runs the Retractor's program over g from delta. Under
+// context.Background the fire loop cannot fail.
+func (r *Retractor) fire(g *rdf.Graph, delta []rdf.Triple) int {
+	n, _ := Forward{Threads: r.Threads}.Fire(context.Background(), g, r.p, delta)
+	return n
 }
 
 // rebind resets the per-graph state for g.
@@ -166,7 +148,7 @@ func (r *Retractor) recLen(prov *rdf.Prov, id uint16) int {
 	if n, ok := r.idLen[id]; ok {
 		return n
 	}
-	n, ok := r.bodyLen[prov.RuleName(id)]
+	n, ok := r.p.bodyLen[prov.RuleName(id)]
 	if !ok {
 		n = -1
 	}
@@ -304,7 +286,7 @@ func (r *Retractor) Retract(g *rdf.Graph, dels []rdf.Triple) RetractStats {
 	// of still-dead cone members); the graph minus the cone was closed, so
 	// seeding the semi-naive delta with the restorations is complete.
 	if len(seeds) > 0 {
-		st.Propagated = Forward{Threads: r.Threads}.MaterializeFrom(g, r.rs, seeds)
+		st.Propagated = r.fire(g, seeds)
 	}
 	return st
 }
@@ -340,15 +322,8 @@ func (r *Retractor) altDerivation(g *rdf.Graph, logv []rdf.Triple, alt rdf.Deriv
 // through the graph's index, stopping at the first complete match. It
 // returns the provenance record of that derivation.
 func (r *Retractor) deriveOnce(g *rdf.Graph, t rdf.Triple) (rdf.Derivation, bool) {
-	for _, ht := range r.heads.lookup(t) {
+	for _, ht := range r.p.heads.lookup(t) {
 		cr := ht.rule
-		if cr.nslot > len(r.env) {
-			// Defensive: SetRules sizes env for the widest rule, so this only
-			// trips if crs and env ever get out of sync again. Growing is
-			// off the steady path (deriveOnce already allocates nothing only
-			// per-candidate, not per-call).
-			r.env = make(env, cr.nslot)
-		}
 		e := r.env[:cr.nslot]
 		for i := range e {
 			e[i] = 0
@@ -422,6 +397,6 @@ func (r *Retractor) retractRebuild(g *rdf.Graph, dels []rdf.Triple) RetractStats
 		}
 	}
 	st.Overdeleted = g.DeleteOffsets(offs)
-	st.Propagated = Forward{Threads: r.Threads}.Materialize(g, r.rs)
+	st.Propagated = r.fire(g, liveDelta(g))
 	return st
 }

@@ -8,6 +8,7 @@
 package reason_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -47,6 +48,27 @@ func chainRules() []rules.Rule {
 			},
 			Head: []rules.Atom{{S: rules.Var("x"), P: rules.Const(pNear), O: rules.Var("y")}},
 		},
+	}
+}
+
+// TestCompileRejectsRepeatedRuleName: provenance records and DRed name a
+// rule by its name, so two rules with one name must not compile. With
+// chainRules' one-atom alt-near renamed to chain, DRed took the one-atom
+// body length for both and never indexed the two-atom rule's second
+// premise: retracting (B link C) left (A near C) live.
+func TestCompileRejectsRepeatedRuleName(t *testing.T) {
+	rs := chainRules()
+	rs[1].Name = rs[0].Name
+	if _, err := reason.Compile(rs); err == nil {
+		t.Fatal("Compile accepted two rules named chain")
+	}
+	if err := reason.ValidateRules(rs); err == nil {
+		t.Error("ValidateRules accepted two rules named chain")
+	}
+	g := rdf.NewGraph()
+	g.Add(rdf.Triple{S: nA, P: pLink, O: nB})
+	if _, err := (reason.Forward{}).MaterializeCtx(context.Background(), g, rs); err == nil {
+		t.Error("Forward.MaterializeCtx accepted two rules named chain")
 	}
 }
 

@@ -230,6 +230,7 @@ type Server struct {
 
 	batches  chan writeBatch
 	writerWG sync.WaitGroup
+	prog     *reason.Program   // kb.Rules, compiled once for every writer-side closure
 	ret      *reason.Retractor // writer-goroutine only
 
 	admitted, completed, shed, drainRejected, queueTimeout  atomic.Int64
@@ -262,11 +263,13 @@ type writeBatch struct {
 
 // New starts a server over kb. The caller hands over ownership of kb.Graph:
 // from here on only the server's writer goroutine mutates it. The rule set
-// is validated up front: a rule the engines cannot compile (e.g. one
+// is compiled up front, once: a rule the engines cannot execute (e.g. one
 // exceeding their variable-slot budget) is an error here, not a panic in
-// the writer loop after the server is live.
+// the writer loop after the server is live, and every insert close,
+// retraction and recovery runs the one Program.
 func New(kb *KB, cfg Config) (*Server, error) {
-	if err := reason.ValidateRules(kb.Rules); err != nil {
+	prog, err := reason.Compile(kb.Rules)
+	if err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
@@ -276,7 +279,8 @@ func New(kb *KB, cfg Config) (*Server, error) {
 		sem:       make(chan struct{}, cfg.MaxInflight),
 		waiters:   make(chan struct{}, cfg.QueueDepth),
 		batches:   make(chan writeBatch, cfg.InsertBuffer),
-		ret:       reason.NewRetractor(kb.Rules),
+		prog:      prog,
+		ret:       &reason.Retractor{Obs: cfg.Run, Threads: kb.Threads},
 		gQueue:    cfg.Reg.Gauge("serve.queue_depth"),
 		gInflight: cfg.Reg.Gauge("serve.inflight"),
 		gEpoch:    cfg.Reg.Gauge("serve.epoch"),
@@ -290,9 +294,8 @@ func New(kb *KB, cfg Config) (*Server, error) {
 		s.hLatency = &obs.Histogram{}
 	}
 	// A prov-free KB makes every DELETE fall back to delete-and-
-	// rematerialize; the retractor journals each such degradation.
-	s.ret.Obs = cfg.Run
-	s.ret.Threads = kb.Threads
+	// rematerialize; the retractor journals each such degradation to Obs.
+	s.ret.SetProgram(prog)
 	sn := kb.Graph.Snapshot()
 	s.snap.Store(&sn)
 	s.gEpoch.Set(int64(sn.Watermark()))
@@ -625,7 +628,7 @@ func (s *Server) apply(batch writeBatch) {
 		if len(seeds) > 0 {
 			// The graph was at fixpoint before the seeds went in, so closing
 			// over just the seeds re-establishes it (semi-naive delta round).
-			reason.Forward{Threads: s.kb.Threads}.MaterializeFrom(g, s.kb.Rules, seeds)
+			s.fire(seeds)
 		}
 		s.insertBatches.Add(1)
 		s.insertedTriples.Add(int64(len(batch.ts)))
@@ -670,9 +673,15 @@ func (s *Server) maybeCompact() {
 // snapshot is left exactly as it was; the repaired state is only visible
 // from the next successful batch's epoch on.
 func (s *Server) recoverWriter() {
-	g := s.kb.Graph
-	g.RepairDedup()
-	reason.Forward{Threads: s.kb.Threads}.Materialize(g, s.kb.Rules)
+	s.kb.Graph.RepairDedup()
+	s.fire(s.kb.Graph.Triples())
+}
+
+// fire runs the writer's program over kb.Graph from delta at the KB's
+// fan-out. Writer-goroutine only; under context.Background the fire loop
+// cannot fail.
+func (s *Server) fire(delta []rdf.Triple) {
+	_, _ = reason.Forward{Threads: s.kb.Threads}.Fire(context.Background(), s.kb.Graph, s.prog, delta)
 }
 
 // Shutdown drains the server: new queries and inserts are refused with
