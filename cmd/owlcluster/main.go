@@ -1,8 +1,8 @@
 // Command owlcluster is the master of the shared-filesystem deployment (the
-// paper's own setup, §V): it compiles the ontology, partitions the data,
-// writes the work directory, and either prints the owlnode commands to run
-// on each cluster node or — with -run — spawns them as local processes and
-// merges their closures.
+// paper's own setup, §V): it plans the workers as core.Materialize does
+// (compile the ontology, partition the data), writes the work directory,
+// and either prints the owlnode commands to run on each cluster node or —
+// with -run — spawns them as local processes and merges their closures.
 //
 // Usage:
 //
@@ -27,10 +27,8 @@ import (
 	"powl/internal/datagen"
 	"powl/internal/faultinject"
 	"powl/internal/fscluster"
-	"powl/internal/gpart"
 	"powl/internal/ntriples"
 	"powl/internal/obs"
-	"powl/internal/partition"
 	"powl/internal/rdf"
 	"powl/internal/rio"
 )
@@ -101,22 +99,16 @@ func main() {
 		return
 	}
 
-	var pol partition.Policy
-	switch *policy {
-	case "graph":
-		pol = partition.GraphPolicy{Opts: gpart.Options{Seed: *seed}}
-	case "hash":
-		pol = partition.HashPolicy{}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
-		os.Exit(2)
-	}
-
 	start := time.Now()
-	m, err := fscluster.Prepare(*dir, dict, g, *k, pol)
+	plan, err := core.NewPlan(&datagen.Dataset{Name: *in, Dict: dict, Graph: g},
+		core.Config{Workers: *k, Policy: core.PolicyKind(*policy), Seed: *seed})
 	if err != nil {
 		fatal(err)
 	}
+	if err := fscluster.Prepare(*dir, dict, plan); err != nil {
+		fatal(err)
+	}
+	m := plan.Metrics
 	fmt.Fprintf(os.Stderr, "prepared %s in %v: bal=%.1f IR=%.3f nodes/part=%v\n",
 		*dir, time.Since(start).Round(time.Millisecond), m.Bal, m.IR, m.NodesPerPart)
 

@@ -31,7 +31,7 @@ func main() {
 		in        = flag.String("in", "", "input RDF file, .nt or .ttl (required)")
 		out       = flag.String("o", "", "output N-Triples file for the closure ('' = no output, stats only)")
 		workers   = flag.Int("workers", 4, "number of partitions / workers")
-		strategy  = flag.String("strategy", "data", "partitioning strategy: data, rule")
+		strategy  = flag.String("strategy", "data", "partitioning strategy: data, rule, hybrid")
 		policy    = flag.String("policy", "graph", "data partitioning policy: graph, hash, domain")
 		engine    = flag.String("engine", "forward", "rule engine: forward, rete, hybrid, hybrid-shared")
 		transport = flag.String("transport", "mem", "transport: mem, file, tcp")
@@ -59,8 +59,7 @@ func main() {
 
 	ds := &datagen.Dataset{Name: *in, Dict: dict, Graph: g}
 	if *marker != "" {
-		m := *marker
-		ds.DomainKey = func(t rdf.Term) string { return extractKey(t.Value, m) }
+		ds.DomainKey = datagen.MarkerKey(*marker)
 	}
 
 	cfg := core.Config{
@@ -147,24 +146,6 @@ func explainTriple(dict *rdf.Dict, g *rdf.Graph, stmt string) error {
 		return fmt.Errorf("triple not in closure: %s", stmt)
 	}
 	return rdf.WriteExplainText(os.Stdout, dict, node)
-}
-
-// extractKey mirrors the generators' locality-key convention: the marker
-// followed by digits, anywhere in the term text.
-func extractKey(s, marker string) string {
-	i := strings.Index(s, marker)
-	if i < 0 {
-		return ""
-	}
-	j := i + len(marker)
-	start := j
-	for j < len(s) && s[j] >= '0' && s[j] <= '9' {
-		j++
-	}
-	if j == start {
-		return ""
-	}
-	return s[i:j]
 }
 
 func fatal(err error) {

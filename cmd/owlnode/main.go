@@ -14,17 +14,17 @@ import (
 	"os"
 	"time"
 
+	"powl/internal/core"
 	"powl/internal/faultinject"
 	"powl/internal/fscluster"
 	"powl/internal/obs"
-	"powl/internal/reason"
 )
 
 func main() {
 	var (
 		dir       = flag.String("dir", "powl-work", "shared work directory")
 		id        = flag.Int("id", -1, "this node's index (required)")
-		engine    = flag.String("engine", "forward", "rule engine: forward, rete, hybrid")
+		engine    = flag.String("engine", "forward", "rule engine: forward, rete, hybrid, hybrid-shared")
 		threads   = flag.Int("threads", 0, "intra-worker parallel rule-firing goroutines (0 or 1 = one, inline; rete ignores it)")
 		poll      = flag.Duration("poll", 20*time.Millisecond, "marker polling interval")
 		timeout   = flag.Duration("timeout", 10*time.Minute, "per-round peer wait timeout")
@@ -54,16 +54,9 @@ func main() {
 		fatal(fmt.Errorf("id %d out of range for a %d-node cluster", *id, k))
 	}
 
-	var eng reason.Engine
-	switch *engine {
-	case "forward":
-		eng = reason.Forward{Threads: *threads}
-	case "rete":
-		eng = reason.Rete{}
-	case "hybrid":
-		eng = reason.Hybrid{Threads: *threads}
-	default:
-		fatal(fmt.Errorf("unknown engine %q", *engine))
+	eng, err := core.NewEngine(core.EngineKind(*engine), *threads)
+	if err != nil {
+		fatal(err)
 	}
 
 	var run *obs.Run

@@ -12,14 +12,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
-	"powl/internal/gpart"
-	"powl/internal/owlhorst"
-	"powl/internal/partition"
+	"powl/internal/core"
+	"powl/internal/datagen"
 	"powl/internal/rdf"
-	"powl/internal/reason"
 	"powl/internal/rio"
 )
 
@@ -44,74 +41,22 @@ func main() {
 	if _, err := rio.LoadFile(*in, dict, g); err != nil {
 		fatal(err)
 	}
-
-	compiled := owlhorst.Compile(dict, g)
-	input := &partition.Input{
-		Dict:     dict,
-		Instance: owlhorst.SplitInstance(dict, g),
-		Skip:     owlhorst.SchemaElements(dict, compiled.Schema),
-	}
-
-	var pol partition.Policy
-	switch *policy {
-	case "graph":
-		pol = partition.GraphPolicy{Opts: gpart.Options{Seed: *seed}}
-	case "hash":
-		pol = partition.HashPolicy{}
-	case "domain":
-		m := *marker
-		pol = partition.DomainPolicy{KeyFunc: func(t rdf.Term) string {
-			return extractKey(t.Value, m)
-		}}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
-		os.Exit(2)
-	}
-
-	res, err := partition.Partition(input, *k, pol)
+	ds := &datagen.Dataset{Name: *in, Dict: dict, Graph: g, DomainKey: datagen.MarkerKey(*marker)}
+	p, err := core.NewPlan(ds, core.Config{Workers: *k, Policy: core.PolicyKind(*policy), Seed: *seed})
 	if err != nil {
 		fatal(err)
 	}
-	m := partition.ComputeMetrics(input, res)
-	fmt.Printf("dataset: %s (%d triples, %d nodes)\n", *in, g.Len(), len(input.Nodes()))
-	fmt.Printf("policy=%s k=%d\n", pol.Name(), *k)
+	m := p.Metrics
+	fmt.Printf("dataset: %s (%d triples)\n", *in, g.Len())
+	fmt.Printf("policy=%s k=%d\n", *policy, *k)
 	fmt.Printf("bal        = %.1f (stddev of per-partition node counts)\n", m.Bal)
 	fmt.Printf("IR         = %.3f (excess node replication)\n", m.IR)
-	fmt.Printf("part-time  = %v\n", res.Elapsed.Round(time.Millisecond))
+	fmt.Printf("part-time  = %v\n", p.PartitionTime.Round(time.Millisecond))
 	fmt.Printf("nodes/part = %v\n", m.NodesPerPart)
 	fmt.Printf("triples/part = %v\n", m.TriplesPerPart)
-
 	if *withOR {
-		perPart := make([]int, res.K)
-		union := rdf.NewGraph()
-		schema := compiled.Schema.Triples()
-		for i, part := range res.Parts {
-			pg := rdf.NewGraph()
-			pg.AddAll(part)
-			pg.AddAll(schema)
-			reason.Forward{}.Materialize(pg, compiled.InstanceRules)
-			perPart[i] = pg.Len()
-			union.Union(pg)
-		}
-		fmt.Printf("OR         = %.3f (excess output replication)\n",
-			partition.OutputReplication(perPart, union.Len()))
+		fmt.Printf("OR         = %.3f (excess output replication)\n", p.PreExchangeOR())
 	}
-}
-
-func extractKey(s, marker string) string {
-	i := strings.Index(s, marker)
-	if i < 0 {
-		return ""
-	}
-	j := i + len(marker)
-	start := j
-	for j < len(s) && s[j] >= '0' && s[j] <= '9' {
-		j++
-	}
-	if j == start {
-		return ""
-	}
-	return s[i:j]
 }
 
 func fatal(err error) {

@@ -17,10 +17,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
+	"powl/internal/core"
+	"powl/internal/datagen"
 	"powl/internal/partition"
-	"powl/internal/rdf"
 )
 
 func main() {
@@ -38,17 +38,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var assigner partition.StreamAssigner
-	switch *policy {
-	case "hash":
-		assigner = partition.HashAssigner{K: *k}
-	case "domain":
-		m := *marker
-		assigner = partition.NewDomainAssigner(*k, func(t rdf.Term) string {
-			return extractKey(t.Value, m)
-		})
-	default:
-		fmt.Fprintf(os.Stderr, "unknown streaming policy %q (graph partitioning needs the whole graph; use cmd/partmetrics)\n", *policy)
+	assigner, err := core.NewStreamAssigner(core.PolicyKind(*policy), *k, datagen.MarkerKey(*marker))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -86,22 +78,6 @@ func main() {
 	fmt.Printf("streamed %d triples into %d parts (%s policy)\n", stats.Total, *k, assigner.Name())
 	fmt.Printf("per-partition: %v\n", stats.PerPartition)
 	fmt.Printf("replicated: %d  schema broadcast: %d\n", stats.Replicated, stats.SchemaBroadcast)
-}
-
-func extractKey(s, marker string) string {
-	i := strings.Index(s, marker)
-	if i < 0 {
-		return ""
-	}
-	j := i + len(marker)
-	start := j
-	for j < len(s) && s[j] >= '0' && s[j] <= '9' {
-		j++
-	}
-	if j == start {
-		return ""
-	}
-	return s[i:j]
 }
 
 func fatal(err error) {

@@ -12,12 +12,10 @@ import (
 	"sync"
 	"time"
 
+	"powl/internal/core"
 	"powl/internal/datagen"
 	"powl/internal/fscluster"
-	"powl/internal/gpart"
-	"powl/internal/partition"
 	"powl/internal/query"
-	"powl/internal/reason"
 )
 
 func main() {
@@ -31,13 +29,16 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// Master: compile + partition + write the work directory.
-	m, err := fscluster.Prepare(dir, ds.Dict, ds.Graph, k,
-		partition.GraphPolicy{Opts: gpart.Options{Seed: 42}})
+	// Master: compile + partition as core.Materialize does, then write the
+	// work directory.
+	plan, err := core.NewPlan(ds, core.Config{Workers: k, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("prepared %s: IR=%.3f nodes/part=%v\n", dir, m.IR, m.NodesPerPart)
+	if err := fscluster.Prepare(dir, ds.Dict, plan); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("prepared %s: IR=%.3f nodes/part=%v\n", dir, plan.Metrics.IR, plan.Metrics.NodesPerPart)
 
 	// Nodes: one goroutine each here; on a cluster this is
 	// `owlnode -dir <sharedfs> -id <i>` on each machine.
@@ -50,8 +51,7 @@ func main() {
 		go func(i int) {
 			defer wg.Done()
 			results[i], errs[i] = fscluster.RunNode(fscluster.NodeConfig{
-				ID: i, K: k, Dir: dir, Engine: reason.Forward{},
-				Poll: time.Millisecond,
+				ID: i, K: k, Dir: dir, Poll: time.Millisecond,
 			})
 		}(i)
 	}

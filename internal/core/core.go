@@ -14,13 +14,10 @@ import (
 	"powl/internal/cluster"
 	"powl/internal/datagen"
 	"powl/internal/faultinject"
-	"powl/internal/gpart"
 	"powl/internal/obs"
 	"powl/internal/owlhorst"
 	"powl/internal/partition"
 	"powl/internal/rdf"
-	"powl/internal/reason"
-	"powl/internal/rulepart"
 	"powl/internal/rules"
 	"powl/internal/transport"
 )
@@ -35,6 +32,18 @@ const (
 	// RulePartitioning partitions the rule set; every worker holds the full
 	// data (§III-B).
 	RulePartitioning Strategy = "rule"
+	// HybridPartitioning is the combined strategy the paper lists as future
+	// work (§VII, citing Shao/Bell/Hull's PDIS'91 hybrid decomposition): the
+	// data is partitioned kd ways by resource ownership AND the rule base kr
+	// ways by its dependency graph; worker (i, j) holds data slice i and
+	// rule group j, so Workers = kd × kr.
+	//
+	// Correctness inherits from both parents: a single-join rule r in group
+	// j joining tuples t1, t2 that share resource v fires on worker
+	// (owner(v), j), which holds both tuples (data placement) and the rule
+	// (rule placement). Derived tuples route to every (owner-of-endpoint,
+	// consuming-group) pair.
+	HybridPartitioning Strategy = "hybrid"
 )
 
 // PolicyKind selects the ownership policy for data partitioning.
@@ -190,78 +199,20 @@ type Result struct {
 // returns the materialized KB.
 func Materialize(ds *datagen.Dataset, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	compiled := owlhorst.Compile(ds.Dict, ds.Graph)
-	instance := owlhorst.SplitInstance(ds.Dict, ds.Graph)
-	engine, err := engineFor(cfg.Engine, cfg.Threads)
+	p, err := NewPlan(ds, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := reason.ValidateRules(compiled.InstanceRules); err != nil {
+	return run(ds, p, cfg)
+}
+
+// run executes a plan: the engine and transport cfg names, the transport
+// fault wrap, one cluster run, and the report.
+func run(ds *datagen.Dataset, p *Plan, cfg Config) (*Result, error) {
+	engine, err := NewEngine(cfg.Engine, cfg.Threads)
+	if err != nil {
 		return nil, err
 	}
-
-	var (
-		assigns []cluster.Assignment
-		router  cluster.Router
-		res     = &Result{}
-	)
-	schema := compiled.Schema.Triples()
-
-	switch cfg.Strategy {
-	case DataPartitioning:
-		pol, err := policyFor(cfg, ds)
-		if err != nil {
-			return nil, err
-		}
-		in := &partition.Input{
-			Dict:     ds.Dict,
-			Instance: instance,
-			Skip:     owlhorst.SchemaElements(ds.Dict, compiled.Schema),
-		}
-		pres, err := partition.Partition(in, cfg.Workers, pol)
-		if err != nil {
-			return nil, err
-		}
-		res.PartitionTime = pres.Elapsed
-		m := partition.ComputeMetrics(in, pres)
-		res.Metrics = &m
-		assigns = make([]cluster.Assignment, cfg.Workers)
-		for i := range assigns {
-			base := make([]rdf.Triple, 0, len(pres.Parts[i])+len(schema))
-			base = append(base, pres.Parts[i]...)
-			base = append(base, schema...)
-			assigns[i] = cluster.Assignment{Base: base, Rules: compiled.InstanceRules}
-		}
-		router = newOwnerRouter(pres.Owner, cfg.Workers)
-
-	case RulePartitioning:
-		rres, err := rulepart.Partition(compiled.InstanceRules, cfg.Workers, rulepart.Options{
-			Gpart: gpart.Options{Seed: cfg.Seed},
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.PartitionTime = rres.Elapsed
-		res.RuleCut = rres.CutWeight
-		assigns = make([]cluster.Assignment, cfg.Workers)
-		for i := range assigns {
-			base := make([]rdf.Triple, 0, len(instance)+len(schema))
-			base = append(base, instance...)
-			base = append(base, schema...)
-			assigns[i] = cluster.Assignment{Base: base, Rules: subset(compiled.InstanceRules, rres.Groups[i])}
-		}
-		router = rulepart.NewRouter(compiled.InstanceRules, rres)
-
-	case HybridPartitioning:
-		assigns, router, err = hybridAssignments(ds, cfg, compiled, instance, res)
-		if err != nil {
-			return nil, err
-		}
-
-	default:
-		return nil, fmt.Errorf("core: unknown strategy %q", cfg.Strategy)
-	}
-
 	tr, cleanup, err := transportFor(cfg, ds.Dict)
 	if err != nil {
 		return nil, err
@@ -278,27 +229,30 @@ func Materialize(ds *datagen.Dataset, cfg Config) (*Result, error) {
 	cres, err := cluster.Run(cluster.Config{
 		Engine:     engine,
 		Transport:  tr,
-		Router:     router,
+		Router:     p.Router,
 		Mode:       mode,
 		MaxRounds:  cfg.MaxRounds,
 		Obs:        cfg.Obs,
 		Provenance: cfg.Provenance,
 		Recovery:   cfg.Recovery,
 		Inject:     cfg.Inject,
-	}, assigns)
+	}, p.Assignments)
 	if err != nil {
 		return nil, err
 	}
-
-	res.Graph = cres.Graph
-	res.RoundStats = cres.RoundStats
-	res.Rounds = cres.Rounds
-	res.Elapsed = cres.Elapsed
-	res.PerWorker = cres.PerWorker
-	res.Inferred = cres.Graph.Len() - ds.Graph.Len()
-	res.OR = partition.OutputReplication(cres.OutputSizes, cres.Graph.Len())
-	res.Recovered = cres.Recovered
-	return res, nil
+	return &Result{
+		Graph:         cres.Graph,
+		Inferred:      cres.Graph.Len() - ds.Graph.Len(),
+		Rounds:        cres.Rounds,
+		Elapsed:       cres.Elapsed,
+		PerWorker:     cres.PerWorker,
+		PartitionTime: p.PartitionTime,
+		Metrics:       p.Metrics,
+		OR:            partition.OutputReplication(cres.OutputSizes, cres.Graph.Len()),
+		RuleCut:       p.RuleCut,
+		RoundStats:    cres.RoundStats,
+		Recovered:     cres.Recovered,
+	}, nil
 }
 
 // SerialResult is the outcome of a single-processor materialization.
@@ -311,118 +265,25 @@ type SerialResult struct {
 // MaterializeSerial closes the dataset on one processor with the given
 // engine — the baseline all speedups are measured against. It uses the same
 // compile-then-run pipeline as the parallel path.
+func MaterializeSerial(ds *datagen.Dataset, kind EngineKind) (*SerialResult, error) {
+	compiled := owlhorst.Compile(ds.Dict, ds.Graph)
+	return serial(compiled.Start(ds.Graph), compiled.InstanceRules, kind)
+}
+
+// serial closes g under rs on one processor.
 //
 //powl:ignore wallclock the serial baseline's Elapsed is the paper's wall-clock measurement (Table I).
-func MaterializeSerial(ds *datagen.Dataset, kind EngineKind) (*SerialResult, error) {
-	engine, err := engineFor(kind, 0)
+func serial(g *rdf.Graph, rs []rules.Rule, kind EngineKind) (*SerialResult, error) {
+	engine, err := NewEngine(kind, 0)
 	if err != nil {
 		return nil, err
 	}
-	compiled := owlhorst.Compile(ds.Dict, ds.Graph)
-	g := compiled.Start(ds.Graph)
 	start := time.Now()
-	n, err := engine.MaterializeCtx(context.Background(), g, compiled.InstanceRules)
+	n, err := engine.MaterializeCtx(context.Background(), g, rs)
 	if err != nil {
 		return nil, err
 	}
 	return &SerialResult{Graph: g, Inferred: n, Elapsed: time.Since(start)}, nil
-}
-
-// ownerRouter implements the data-partitioning routing rule of §IV: a tuple
-// goes to the owner of its subject and the owner of its object. Terms
-// without an owner (schema resources, replicated everywhere) route nowhere.
-// Every possible answer is a sub-slice of one table built up front, so
-// routing a tuple allocates nothing.
-type ownerRouter struct {
-	k     int
-	owner []int32 // by rdf.ID; -1 for unowned terms
-	pairs []int   // (p, q) at 2·(p·k+q); its diagonal (p, p) doubles as the one-element answers
-}
-
-func newOwnerRouter(owner map[rdf.ID]int, k int) ownerRouter {
-	r := ownerRouter{k: k, pairs: make([]int, 2*k*k)}
-	for p := 0; p < k; p++ {
-		for q := 0; q < k; q++ {
-			r.pairs[2*(p*k+q)], r.pairs[2*(p*k+q)+1] = p, q
-		}
-	}
-	var max rdf.ID
-	for id := range owner {
-		if id > max {
-			max = id
-		}
-	}
-	r.owner = make([]int32, int(max)+1)
-	for id := range r.owner {
-		r.owner[id] = -1
-	}
-	for id, p := range owner {
-		r.owner[id] = int32(p)
-	}
-	return r
-}
-
-// dest is the owner of id, or -1 if it has none or is the sender itself.
-func (r ownerRouter) dest(id rdf.ID, from int) int {
-	if int(id) >= len(r.owner) || int(r.owner[id]) == from {
-		return -1
-	}
-	return int(r.owner[id])
-}
-
-// Destinations implements cluster.Router. Callers only read the result.
-func (r ownerRouter) Destinations(t rdf.Triple, from int) []int {
-	p, q := r.dest(t.S, from), r.dest(t.O, from)
-	if p < 0 {
-		p, q = q, -1
-	}
-	switch {
-	case p < 0:
-		return nil
-	case q < 0 || q == p:
-		i := 2 * (p*r.k + p)
-		return r.pairs[i : i+1 : i+1]
-	default:
-		i := 2 * (p*r.k + q)
-		return r.pairs[i : i+2 : i+2]
-	}
-}
-
-func engineFor(kind EngineKind, threads int) (reason.Engine, error) {
-	switch kind {
-	case ForwardEngine, "":
-		return reason.Forward{Threads: threads}, nil
-	case HybridEngine:
-		return reason.Hybrid{Threads: threads}, nil
-	case HybridSharedEngine:
-		return reason.Hybrid{SharedTable: true, Threads: threads}, nil
-	case ReteEngine:
-		return reason.Rete{}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown engine %q", kind)
-	}
-}
-
-func policyFor(cfg Config, ds *datagen.Dataset) (partition.Policy, error) {
-	switch cfg.Policy {
-	case GraphPolicy, "":
-		// A tight balance target: the slowest partition bounds the round
-		// time, so 2% slack beats the partitioner's default 5%.
-		return partition.GraphPolicy{Opts: gpart.Options{
-			Seed:         cfg.Seed,
-			Imbalance:    0.02,
-			RefinePasses: 12,
-		}}, nil
-	case HashPolicy:
-		return partition.HashPolicy{}, nil
-	case DomainPolicy:
-		if ds.DomainKey == nil {
-			return nil, fmt.Errorf("core: dataset %q has no domain key for the domain policy", ds.Name)
-		}
-		return partition.DomainPolicy{KeyFunc: ds.DomainKey}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown policy %q", cfg.Policy)
-	}
 }
 
 func transportFor(cfg Config, dict *rdf.Dict) (transport.Transport, func(), error) {
@@ -455,12 +316,4 @@ func transportFor(cfg Config, dict *rdf.Dict) (transport.Transport, func(), erro
 	default:
 		return nil, nil, fmt.Errorf("core: unknown transport %q", cfg.Transport)
 	}
-}
-
-func subset(rs []rules.Rule, idx []int) []rules.Rule {
-	out := make([]rules.Rule, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, rs[i])
-	}
-	return out
 }

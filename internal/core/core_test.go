@@ -1,11 +1,14 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"powl/internal/datagen"
 	"powl/internal/rdf"
+	"powl/internal/rulepart"
+	"powl/internal/rules"
 )
 
 func tinyLUBM() *datagen.Dataset {
@@ -191,7 +194,7 @@ func TestStructuralWeightsBalanceDerivation(t *testing.T) {
 func TestOwnerRouter(t *testing.T) {
 	const k = 3
 	owner := map[rdf.ID]int{1: 0, 2: 1, 3: 2, 5: 1}
-	r := newOwnerRouter(owner, k)
+	r := NewOwnerRouter(ownerTable(owner), k)
 	for s := rdf.ID(0); s < 8; s++ {
 		for o := rdf.ID(0); o < 8; o++ {
 			for from := 0; from < k; from++ {
@@ -219,5 +222,45 @@ func TestOwnerRouter(t *testing.T) {
 		r.Destinations(rdf.Triple{S: 1, P: 9, O: 7}, 2)
 	}); n != 0 {
 		t.Errorf("Destinations allocates %.0f times per call pair", n)
+	}
+
+	// The hybrid grid of k slices × 2 rule groups: a tuple goes to every
+	// (owner slice, consuming group) worker but the sender, once each.
+	dict := rdf.NewDict()
+	rs := rules.MustParse(customRuleText, dict)
+	rres, err := rulepart.Partition(rs, 2, rulepart.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := rulepart.NewRouter(rs, rres)
+	grid := newOwnerRouter(ownerTable(owner), k, 2, groups)
+	preds := []rdf.ID{dict.InternIRI("http://t/p"), dict.InternIRI("http://t/q"), dict.InternIRI("http://t/r"), 99}
+	for s := rdf.ID(0); s < 8; s++ {
+		for o := rdf.ID(0); o < 8; o++ {
+			for _, p := range preds {
+				tr := rdf.Triple{S: s, P: p, O: o}
+				gs := groups.Destinations(tr, -1)
+				slices.Sort(gs)
+				for from := 0; from < 2*k; from++ {
+					var parts, want []int
+					if d, ok := owner[s]; ok {
+						parts = append(parts, d)
+					}
+					if d, ok := owner[o]; ok && (len(parts) == 0 || parts[0] != d) {
+						parts = append(parts, d)
+					}
+					for _, d := range parts {
+						for _, g := range gs {
+							if w := d*2 + g; w != from {
+								want = append(want, w)
+							}
+						}
+					}
+					if got := grid.Destinations(tr, from); !slices.Equal(got, want) && len(got)+len(want) > 0 {
+						t.Fatalf("grid s=%d p=%d o=%d from=%d: got %v, want %v", s, p, o, from, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,16 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"time"
 
-	"powl/internal/cluster"
 	"powl/internal/datagen"
-	"powl/internal/gpart"
-	"powl/internal/partition"
-	"powl/internal/reason"
-	"powl/internal/rulepart"
 	"powl/internal/rules"
 )
 
@@ -43,88 +36,11 @@ func MaterializeRules(ds *datagen.Dataset, rs []rules.Rule, cfg Config) (*Result
 		}
 	}
 
-	engine, err := engineFor(cfg.Engine, cfg.Threads)
+	p, err := plan(ds, workload{instance: ds.Graph.Triples(), rules: rs}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := reason.ValidateRules(rs); err != nil {
-		return nil, err
-	}
-	instance := ds.Graph.Triples()
-
-	var (
-		assigns []cluster.Assignment
-		router  cluster.Router
-		res     = &Result{}
-	)
-	switch cfg.Strategy {
-	case DataPartitioning:
-		pol, err := policyFor(cfg, ds)
-		if err != nil {
-			return nil, err
-		}
-		in := &partition.Input{Dict: ds.Dict, Instance: instance}
-		pres, err := partition.Partition(in, cfg.Workers, pol)
-		if err != nil {
-			return nil, err
-		}
-		res.PartitionTime = pres.Elapsed
-		m := partition.ComputeMetrics(in, pres)
-		res.Metrics = &m
-		assigns = make([]cluster.Assignment, cfg.Workers)
-		for i := range assigns {
-			assigns[i] = cluster.Assignment{Base: pres.Parts[i], Rules: rs}
-		}
-		router = newOwnerRouter(pres.Owner, cfg.Workers)
-
-	case RulePartitioning:
-		rres, err := rulepart.Partition(rs, cfg.Workers, rulepart.Options{
-			Gpart: gpart.Options{Seed: cfg.Seed},
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.PartitionTime = rres.Elapsed
-		res.RuleCut = rres.CutWeight
-		assigns = make([]cluster.Assignment, cfg.Workers)
-		for i := range assigns {
-			assigns[i] = cluster.Assignment{Base: instance, Rules: subset(rs, rres.Groups[i])}
-		}
-		router = rulepart.NewRouter(rs, rres)
-
-	default:
-		return nil, fmt.Errorf("core: strategy %q is not supported with custom rules", cfg.Strategy)
-	}
-
-	tr, cleanup, err := transportFor(cfg, ds.Dict)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-
-	mode := cluster.Concurrent
-	if cfg.Simulate {
-		mode = cluster.Simulated
-	}
-	cres, err := cluster.Run(cluster.Config{
-		Engine:     engine,
-		Transport:  tr,
-		Router:     router,
-		Mode:       mode,
-		MaxRounds:  cfg.MaxRounds,
-		Provenance: cfg.Provenance,
-	}, assigns)
-	if err != nil {
-		return nil, err
-	}
-	res.Graph = cres.Graph
-	res.RoundStats = cres.RoundStats
-	res.Rounds = cres.Rounds
-	res.Elapsed = cres.Elapsed
-	res.PerWorker = cres.PerWorker
-	res.Inferred = cres.Graph.Len() - ds.Graph.Len()
-	res.OR = partition.OutputReplication(cres.OutputSizes, cres.Graph.Len())
-	return res, nil
+	return run(ds, p, cfg)
 }
 
 // sharesOwnedVariable reports whether some variable occurs in the subject
@@ -168,18 +84,6 @@ func sharesOwnedVariable(r rules.Rule) bool {
 
 // SerialRules closes the dataset under rs on one processor — the baseline
 // for MaterializeRules.
-//
-//powl:ignore wallclock serial baseline Elapsed is a wall-clock measurement, mirroring MaterializeSerial.
 func SerialRules(ds *datagen.Dataset, rs []rules.Rule, kind EngineKind) (*SerialResult, error) {
-	engine, err := engineFor(kind, 0)
-	if err != nil {
-		return nil, err
-	}
-	g := ds.Graph.Clone()
-	start := time.Now()
-	n, err := engine.MaterializeCtx(context.Background(), g, rs)
-	if err != nil {
-		return nil, err
-	}
-	return &SerialResult{Graph: g, Inferred: n, Elapsed: time.Since(start)}, nil
+	return serial(ds.Graph.Clone(), rs, kind)
 }

@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"powl/internal/cluster"
 	"powl/internal/datagen"
+	"powl/internal/faultinject"
+	"powl/internal/obs"
 	"powl/internal/rdf"
 	"powl/internal/rules"
 )
@@ -55,6 +58,7 @@ func TestMaterializeRulesMatchesSerial(t *testing.T) {
 		{Workers: 3, Strategy: DataPartitioning, Policy: GraphPolicy, Seed: 42},
 		{Workers: 3, Strategy: DataPartitioning, Policy: HashPolicy, Seed: 42},
 		{Workers: 2, Strategy: RulePartitioning, Seed: 42},
+		{Workers: 4, Strategy: HybridPartitioning, Policy: GraphPolicy, Seed: 42},
 	} {
 		res, err := MaterializeRules(ds, rs, cfg)
 		if err != nil {
@@ -64,6 +68,41 @@ func TestMaterializeRulesMatchesSerial(t *testing.T) {
 			t.Fatalf("%s/%s: closure %d != serial %d; missing=%v",
 				cfg.Strategy, cfg.Policy, res.Graph.Len(), serial.Graph.Len(),
 				serial.Graph.Diff(res.Graph))
+		}
+	}
+}
+
+// TestMaterializeRulesHonoursConfig: a custom rule set runs with the whole
+// Config. With recovery armed, worker 1 fail-stopped at round 1 and a
+// journal attached, the run still closes to the serial fixpoint, and the
+// journal shows the death and the adoption.
+func TestMaterializeRulesHonoursConfig(t *testing.T) {
+	ds := customDataset(t, 4, 8)
+	rs := rules.MustParse(customRuleText, ds.Dict)
+	serial, err := SerialRules(ds, rs, ForwardEngine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &obs.MemSink{}
+	res, err := MaterializeRules(ds, rs, Config{
+		Workers: 3, Policy: HashPolicy, Seed: 42,
+		Obs:      obs.NewRun(sink, nil),
+		Recovery: &cluster.RecoveryConfig{},
+		Inject:   []*faultinject.Injector{nil, faultinject.New(faultinject.Config{CrashRound: 1}), nil},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Graph.Equal(serial.Graph) {
+		t.Fatalf("closure %d != serial %d after recovery", res.Graph.Len(), serial.Graph.Len())
+	}
+	seen := map[string]bool{}
+	for _, e := range sink.Events() {
+		seen[e.Type] = true
+	}
+	for _, want := range []string{obs.EvDeath, obs.EvAdopt} {
+		if !seen[want] {
+			t.Errorf("journal has no %s event", want)
 		}
 	}
 }

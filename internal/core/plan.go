@@ -1,0 +1,320 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"time"
+
+	"powl/internal/cluster"
+	"powl/internal/datagen"
+	"powl/internal/gpart"
+	"powl/internal/owlhorst"
+	"powl/internal/partition"
+	"powl/internal/rdf"
+	"powl/internal/reason"
+	"powl/internal/rulepart"
+	"powl/internal/rules"
+)
+
+// Plan is the paper's batch set-up (§III, Algorithm 1 and 2): what every
+// worker starts from and how the tuples it derives travel. Every batch entry
+// point — the in-process cluster, the shared-filesystem work directory and
+// the Table I measurement — runs the one plan built by NewPlan (or, for a
+// caller's own rules, MaterializeRules).
+type Plan struct {
+	// Assignments[i] is worker i's base tuples (its owned slice, or all the
+	// instance data under rule partitioning, plus the replicated schema)
+	// and rules.
+	Assignments []cluster.Assignment
+	// Router routes derived tuples by owner and rule group (§IV).
+	Router cluster.Router
+	// Owner is the owner table of the data strategies: Owner[id] is the
+	// data partition owning resource id, -1 for unowned (schema) terms and
+	// for IDs past its end. nil under rule partitioning.
+	Owner []int32
+	// PartitionTime is ownership computation plus triple assignment, and
+	// the rule-graph partitioning where there is one (Table I).
+	PartitionTime time.Duration
+	// Metrics holds bal/IR of the data partition (nil for rule strategy).
+	Metrics *partition.Metrics
+	// RuleCut is the dependency edge cut (rule and hybrid strategies).
+	RuleCut int64
+}
+
+// workload is what a plan divides among the workers: the instance triples
+// (owned and routed), the schema triples (replicated to every worker), the
+// schema elements the data policies must not own, and the rules.
+type workload struct {
+	instance, schema []rdf.Triple
+	skip             map[rdf.ID]struct{}
+	rules            []rules.Rule
+}
+
+// NewPlan compiles the dataset's ontology (OWL-Horst), splits off its schema
+// and plans the workers for cfg's strategy, policy and worker count.
+func NewPlan(ds *datagen.Dataset, cfg Config) (*Plan, error) {
+	compiled := owlhorst.Compile(ds.Dict, ds.Graph)
+	return plan(ds, workload{
+		instance: owlhorst.SplitInstance(ds.Dict, ds.Graph),
+		schema:   compiled.Schema.Triples(),
+		skip:     owlhorst.SchemaElements(ds.Dict, compiled.Schema),
+		rules:    compiled.InstanceRules,
+	}, cfg.withDefaults())
+}
+
+// plan builds every Plan, through planData and planRules. The hybrid
+// strategy composes the data plan of kd slices with the rule plan of kr
+// groups: worker (i, j) = i·kr+j holds data slice i and rule group j.
+func plan(ds *datagen.Dataset, w workload, cfg Config) (*Plan, error) {
+	if err := reason.ValidateRules(w.rules); err != nil {
+		return nil, err
+	}
+	switch cfg.Strategy {
+	case DataPartitioning:
+		return planData(ds, w, cfg.Workers, cfg)
+	case RulePartitioning:
+		return planRules(w, cfg.Workers, cfg.Seed)
+	case HybridPartitioning:
+		kd, kr := factorWorkers(cfg.Workers, len(w.rules))
+		rp, err := planRules(w, kr, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		dp, err := planData(ds, w, kd, cfg)
+		if err != nil {
+			return nil, err
+		}
+		grid := make([]cluster.Assignment, cfg.Workers)
+		for i := range grid {
+			grid[i] = cluster.Assignment{Base: dp.Assignments[i/kr].Base, Rules: rp.Assignments[i%kr].Rules}
+		}
+		dp.Assignments, dp.Router = grid, newOwnerRouter(dp.Owner, kd, kr, rp.Router)
+		dp.PartitionTime += rp.PartitionTime
+		dp.RuleCut = rp.RuleCut
+		return dp, nil
+	default:
+		return nil, fmt.Errorf("core: unknown strategy %q", cfg.Strategy)
+	}
+}
+
+// planData partitions the instance data k ways (Algorithm 1); every worker
+// holds all the rules.
+func planData(ds *datagen.Dataset, w workload, k int, cfg Config) (*Plan, error) {
+	pol, err := policyFor(cfg.Policy, cfg.Seed, ds.DomainKey)
+	if err != nil {
+		return nil, err
+	}
+	in := &partition.Input{Dict: ds.Dict, Instance: w.instance, Skip: w.skip}
+	pres, err := partition.Partition(in, k, pol)
+	if err != nil {
+		return nil, err
+	}
+	m := partition.ComputeMetrics(in, pres)
+	p := &Plan{Assignments: make([]cluster.Assignment, k), Owner: ownerTable(pres.Owner),
+		PartitionTime: pres.Elapsed, Metrics: &m}
+	for i, part := range pres.Parts {
+		p.Assignments[i] = cluster.Assignment{Base: slices.Concat(part, w.schema), Rules: w.rules}
+	}
+	p.Router = newOwnerRouter(p.Owner, k, 1, nil)
+	return p, nil
+}
+
+// planRules partitions the rules k ways (Algorithm 2); every worker holds
+// all the data.
+func planRules(w workload, k int, seed int64) (*Plan, error) {
+	rres, err := rulepart.Partition(w.rules, k, rulepart.Options{Gpart: gpart.Options{Seed: seed}})
+	if err != nil {
+		return nil, err
+	}
+	p := &Plan{Assignments: make([]cluster.Assignment, k), Router: rulepart.NewRouter(w.rules, rres),
+		PartitionTime: rres.Elapsed, RuleCut: rres.CutWeight}
+	base := slices.Concat(w.instance, w.schema)
+	for i, group := range rres.Groups {
+		rs := make([]rules.Rule, len(group))
+		for j, r := range group {
+			rs[j] = w.rules[r]
+		}
+		p.Assignments[i] = cluster.Assignment{Base: base, Rules: rs}
+	}
+	return p, nil
+}
+
+// factorWorkers splits k into kd×kr with kr as small as possible (rule sets
+// are small, §VI-D) while kr > 1 whenever k is not prime and the rule count
+// allows it.
+func factorWorkers(k, nRules int) (kd, kr int) {
+	for _, cand := range []int{2, 3} {
+		if k%cand == 0 && k > cand && cand <= nRules {
+			return k / cand, cand
+		}
+	}
+	return k, 1
+}
+
+// PreExchangeOR is the output replication of §III before any exchange: each
+// worker closes its own assignment alone with the forward engine (OR is a
+// property of the derived triples, not of the engine), and the summed
+// closure sizes are related to their union — Table I's OR column.
+func (p *Plan) PreExchangeOR() float64 {
+	sizes := make([]int, len(p.Assignments))
+	union := rdf.NewGraph()
+	for i, a := range p.Assignments {
+		g := rdf.NewGraphCap(2 * len(a.Base))
+		g.AddAll(a.Base)
+		reason.Forward{}.Materialize(g, a.Rules)
+		sizes[i] = g.Len()
+		union.Union(g)
+	}
+	return partition.OutputReplication(sizes, union.Len())
+}
+
+// ownerTable turns a policy's ownership map into the dense owner table.
+func ownerTable(owner map[rdf.ID]int) []int32 {
+	var last rdf.ID
+	for id := range owner {
+		last = max(last, id)
+	}
+	tab := make([]int32, int(last)+1)
+	for id := range tab {
+		tab[id] = -1
+	}
+	for id, p := range owner {
+		tab[id] = int32(p)
+	}
+	return tab
+}
+
+// ownerRouter implements the routing rule of §IV for the data and hybrid
+// strategies: a tuple goes to the owner of its subject and the owner of its
+// object — under the hybrid strategy, to the rule groups on those slices
+// that have a body atom it matches — never back to the sender. Terms without
+// an owner (schema resources, replicated everywhere) route nowhere. Worker w
+// holds data slice w/kr and rule group w%kr.
+//
+// An answer is keyed on two halves, each a slice and a bit mask of its
+// groups, and every possible answer is a window of one flat array built up
+// front, so routing a tuple allocates nothing beyond what the rule-group
+// router does.
+type ownerRouter struct {
+	owner  []int32
+	kr     int
+	groups cluster.Router // the rule groups' router; nil outside the hybrid strategy
+	n      int            // halves: slices << kr
+	flat   []int
+	off    []int32 // answer (a, b) is flat[off[a·n+b]:off[a·n+b+1]]
+}
+
+// NewOwnerRouter routes by an owner table (Plan.Owner's layout) across k
+// data-partitioned workers.
+func NewOwnerRouter(owner []int32, k int) cluster.Router {
+	return newOwnerRouter(owner, k, 1, nil)
+}
+
+func newOwnerRouter(owner []int32, kd, kr int, groups cluster.Router) *ownerRouter {
+	r := &ownerRouter{owner: owner, kr: kr, groups: groups, n: kd << kr}
+	r.off = make([]int32, 1, r.n*r.n+1)
+	for a := 0; a < r.n; a++ {
+		for b := 0; b < r.n; b++ {
+			for _, h := range [2]int{a, b} {
+				for g := 0; g < kr; g++ {
+					if h>>g&1 == 1 {
+						r.flat = append(r.flat, (h>>kr)*kr+g)
+					}
+				}
+			}
+			r.off = append(r.off, int32(len(r.flat)))
+		}
+	}
+	return r
+}
+
+// ownerOf is the owner of id, or -1.
+func (r *ownerRouter) ownerOf(id rdf.ID) int {
+	if int(id) >= len(r.owner) {
+		return -1
+	}
+	return int(r.owner[id])
+}
+
+// Destinations implements cluster.Router. Callers only read the result.
+func (r *ownerRouter) Destinations(t rdf.Triple, from int) []int {
+	p, q := r.ownerOf(t.S), r.ownerOf(t.O)
+	if p < 0 {
+		p, q = q, -1
+	}
+	if p < 0 {
+		return nil
+	}
+	all := 1<<r.kr - 1
+	if r.groups != nil {
+		all = 0
+		for _, g := range r.groups.Destinations(t, -1) {
+			all |= 1 << g
+		}
+	}
+	mp, mq := all, all
+	if q < 0 || q == p {
+		q, mq = 0, 0
+	}
+	if from >= 0 {
+		if bit := 1 << (from % r.kr); from/r.kr == p {
+			mp &^= bit
+		} else if from/r.kr == q {
+			mq &^= bit
+		}
+	}
+	i := (p<<r.kr|mp)*r.n + (q<<r.kr | mq)
+	return r.flat[r.off[i]:r.off[i+1]:r.off[i+1]]
+}
+
+// NewEngine is the engine for kind; threads fans rule firing out inside
+// each worker (Config.Threads).
+func NewEngine(kind EngineKind, threads int) (reason.Engine, error) {
+	switch kind {
+	case ForwardEngine, "":
+		return reason.Forward{Threads: threads}, nil
+	case HybridEngine:
+		return reason.Hybrid{Threads: threads}, nil
+	case HybridSharedEngine:
+		return reason.Hybrid{SharedTable: true, Threads: threads}, nil
+	case ReteEngine:
+		return reason.Rete{}, nil
+	default:
+		return nil, fmt.Errorf("core: unknown engine %q", kind)
+	}
+}
+
+// policyFor is the ownership policy for kind. seed drives the graph
+// partitioner; key is the dataset's locality key, which the domain policy
+// needs.
+func policyFor(kind PolicyKind, seed int64, key func(rdf.Term) string) (partition.Policy, error) {
+	switch kind {
+	case GraphPolicy, "":
+		// A tight balance target: the slowest partition bounds the round
+		// time, so 2% slack beats the partitioner's default 5%.
+		return partition.GraphPolicy{Opts: gpart.Options{Seed: seed, Imbalance: 0.02, RefinePasses: 12}}, nil
+	case HashPolicy:
+		return partition.HashPolicy{}, nil
+	case DomainPolicy:
+		if key == nil {
+			return nil, fmt.Errorf("core: the domain policy needs the dataset's locality key")
+		}
+		return partition.DomainPolicy{KeyFunc: key}, nil
+	default:
+		return nil, fmt.Errorf("core: unknown policy %q", kind)
+	}
+}
+
+// NewStreamAssigner is the one-pass form of the policy for kind (§III-A):
+// only hash and domain partition a stream; the graph policy needs the
+// whole graph.
+func NewStreamAssigner(kind PolicyKind, k int, key func(rdf.Term) string) (partition.StreamAssigner, error) {
+	switch kind {
+	case HashPolicy:
+		return partition.HashAssigner{K: k}, nil
+	case DomainPolicy:
+		return partition.NewDomainAssigner(k, key), nil
+	default:
+		return nil, fmt.Errorf("core: policy %q cannot partition a stream (graph partitioning needs the whole graph)", kind)
+	}
+}

@@ -125,30 +125,28 @@ func (b *builder) between(lo, hi int) int {
 	return lo + b.rng.Intn(hi-lo+1)
 }
 
-// extractKey finds "marker<digits>" in s and returns it ("" if absent); used
-// by the DomainKey functions, which work on both IRIs and literals because
-// the generators embed the locality group in every name.
-func extractKey(s, marker string) string {
-	i := strings.Index(s, marker)
-	if i < 0 {
-		return ""
+// MarkerKey is the generators' locality-key convention as a DomainKey: a
+// term's key is the first occurrence of marker in its text plus the digits
+// right after it ("univ12" in ".../univ12/dept3"), and "" when marker does
+// not occur or no digit follows it. It works on both IRIs and literals
+// because the generators embed the locality group in every name.
+func MarkerKey(marker string) func(rdf.Term) string {
+	return func(t rdf.Term) string {
+		s := t.Value
+		i := strings.Index(s, marker)
+		if i < 0 {
+			return ""
+		}
+		j := i + len(marker)
+		for j < len(s) && s[j] >= '0' && s[j] <= '9' {
+			j++
+		}
+		if j == i+len(marker) {
+			return ""
+		}
+		return s[i:j]
 	}
-	j := i + len(marker)
-	start := j
-	for j < len(s) && s[j] >= '0' && s[j] <= '9' {
-		j++
-	}
-	if j == start {
-		return ""
-	}
-	return s[i:j]
 }
-
-// universityKey is the DomainKey for the university benchmarks.
-func universityKey(t rdf.Term) string { return extractKey(t.Value, "univ") }
-
-// fieldKey is the DomainKey for MDC.
-func fieldKey(t rdf.Term) string { return extractKey(t.Value, "field") }
 
 // lit interns a plain string literal.
 func (b *builder) lit(format string, args ...any) rdf.ID {

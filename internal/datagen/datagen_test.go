@@ -145,17 +145,19 @@ func TestDomainKeys(t *testing.T) {
 	}
 }
 
-func TestExtractKey(t *testing.T) {
-	cases := []struct{ s, marker, want string }{
-		{"http://x/univ12/dept3", "univ", "univ12"},
-		{"no marker here", "univ", ""},
-		{"http://x/university", "univ", ""}, // no digits after marker
-		{`"prof1 dept2 univ3"`, "univ", "univ3"},
-		{"http://x/field0/well1", "field", "field0"},
+func TestMarkerKey(t *testing.T) {
+	cases := []struct{ name, s, marker, want string }{
+		{"in an IRI", "http://x/univ12/dept3", "univ", "univ12"},
+		{"marker absent", "no marker here", "univ", ""},
+		{"no digits after marker", "http://x/university", "univ", ""},
+		{"marker at the end", "http://x/univ", "univ", ""},
+		{"two occurrences: the first decides", "http://x/univ1/univ2", "univ", "univ1"},
+		{"in a literal", `"prof1 dept2 univ3"`, "univ", "univ3"},
+		{"another marker", "http://x/field0/well1", "field", "field0"},
 	}
 	for _, c := range cases {
-		if got := extractKey(c.s, c.marker); got != c.want {
-			t.Errorf("extractKey(%q, %q) = %q, want %q", c.s, c.marker, got, c.want)
+		if got := MarkerKey(c.marker)(rdf.Term{Kind: rdf.IRI, Value: c.s}); got != c.want {
+			t.Errorf("%s: MarkerKey(%q) of %q = %q, want %q", c.name, c.marker, c.s, got, c.want)
 		}
 	}
 }

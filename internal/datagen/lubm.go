@@ -231,7 +231,7 @@ func LUBM(cfg LUBMConfig) *Dataset {
 			}
 		}
 	}
-	return &Dataset{Name: "lubm", Dict: b.dict, Graph: b.g, DomainKey: universityKey}
+	return &Dataset{Name: "lubm", Dict: b.dict, Graph: b.g, DomainKey: MarkerKey("univ")}
 }
 
 func itoa(n int) string {

@@ -142,5 +142,5 @@ func MDC(cfg MDCConfig) *Dataset {
 			}
 		}
 	}
-	return &Dataset{Name: "mdc", Dict: b.dict, Graph: b.g, DomainKey: fieldKey}
+	return &Dataset{Name: "mdc", Dict: b.dict, Graph: b.g, DomainKey: MarkerKey("field")}
 }

@@ -152,5 +152,5 @@ func UOBM(cfg UOBMConfig) *Dataset {
 			}
 		}
 	}
-	return &Dataset{Name: "uobm", Dict: b.dict, Graph: b.g, DomainKey: universityKey}
+	return &Dataset{Name: "uobm", Dict: b.dict, Graph: b.g, DomainKey: MarkerKey("univ")}
 }

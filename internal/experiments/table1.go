@@ -4,11 +4,7 @@ import (
 	"io"
 	"time"
 
-	"powl/internal/gpart"
-	"powl/internal/owlhorst"
-	"powl/internal/partition"
-	"powl/internal/rdf"
-	"powl/internal/reason"
+	"powl/internal/core"
 )
 
 // Table1Row is one row of Table I: the partitioning metrics of §III for one
@@ -23,66 +19,28 @@ type Table1Row struct {
 }
 
 // Table1 reproduces Table I: bal / OR / IR / partitioning time for the three
-// data-partitioning policies on LUBM, k ∈ {2,4,8,16}. OR is measured by
-// actually running the per-partition reasoning (with the forward engine —
-// OR is a property of the derived triples, not of the engine) and comparing
-// per-partition outputs with their union.
+// data-partitioning policies on LUBM, k ∈ {2,4,8,16}, each from the plan
+// core.Materialize would run; OR is the plan's PreExchangeOR.
 func Table1(scale Scale) ([]Table1Row, error) {
 	ds := scale.Datasets()[0]
-	compiled := owlhorst.Compile(ds.Dict, ds.Graph)
-	instance := owlhorst.SplitInstance(ds.Dict, ds.Graph)
-	in := &partition.Input{
-		Dict:     ds.Dict,
-		Instance: instance,
-		Skip:     owlhorst.SchemaElements(ds.Dict, compiled.Schema),
-	}
-
-	policies := []partition.Policy{
-		partition.GraphPolicy{Opts: gpart.Options{Seed: 42}},
-		partition.DomainPolicy{KeyFunc: ds.DomainKey},
-		partition.HashPolicy{},
-	}
 	var rows []Table1Row
 	for _, k := range scale.Workers() {
-		for _, pol := range policies {
-			res, err := partition.Partition(in, k, pol)
-			if err != nil {
-				return nil, err
-			}
-			m := partition.ComputeMetrics(in, res)
-			or, err := measureOR(compiled, res)
+		for _, pol := range []core.PolicyKind{core.GraphPolicy, core.DomainPolicy, core.HashPolicy} {
+			p, err := core.NewPlan(ds, core.Config{Workers: k, Policy: pol, Seed: 42})
 			if err != nil {
 				return nil, err
 			}
 			rows = append(rows, Table1Row{
 				K:        k,
-				Policy:   pol.Name(),
-				Bal:      m.Bal,
-				OR:       or,
-				IR:       m.IR,
-				PartTime: res.Elapsed,
+				Policy:   string(pol),
+				Bal:      p.Metrics.Bal,
+				OR:       p.PreExchangeOR(),
+				IR:       p.Metrics.IR,
+				PartTime: p.PartitionTime,
 			})
 		}
 	}
 	return rows, nil
-}
-
-// measureOR closes each partition independently (one forward-engine pass,
-// no exchange — the replication measure of §III counts per-processor result
-// tuples) and relates the summed result sizes to their union.
-func measureOR(compiled *owlhorst.Compiled, res *partition.Result) (float64, error) {
-	perPart := make([]int, res.K)
-	union := rdf.NewGraph()
-	schema := compiled.Schema.Triples()
-	for i, part := range res.Parts {
-		g := rdf.NewGraphCap(2 * (len(part) + len(schema)))
-		g.AddAll(part)
-		g.AddAll(schema)
-		reason.Forward{}.Materialize(g, compiled.InstanceRules)
-		perPart[i] = g.Len()
-		union.Union(g)
-	}
-	return partition.OutputReplication(perPart, union.Len()), nil
 }
 
 // PrintTable1 renders Table I.

@@ -22,17 +22,15 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"powl/internal/cluster"
+	"powl/internal/core"
 	"powl/internal/faultinject"
 	"powl/internal/ntriples"
 	"powl/internal/obs"
-	"powl/internal/owlhorst"
-	"powl/internal/partition"
 	"powl/internal/rdf"
 	"powl/internal/reason"
 	"powl/internal/rules"
@@ -89,74 +87,57 @@ func (l Layout) DeadFile(id int) string { return l.run("dead_n%02d", id) }
 // above 1 on startup means the node is rejoining a run already in progress.
 func (l Layout) EpochFile(id int) string { return l.run("epoch_n%02d", id) }
 
-// Prepare is the master-side step: compile the ontology, partition the
-// instance data with the given policy, and write the work directory. A run
-// starts from empty run state, so Prepare clears the previous run's
-// markers, epochs, messages, checkpoints and closures. It returns the
-// partitioning metrics for reporting.
-func Prepare(dir string, dict *rdf.Dict, g *rdf.Graph, k int, pol partition.Policy) (*partition.Metrics, error) {
+// Prepare is the master-side step: it writes a data-partitioning plan
+// (core.NewPlan) to the work directory — each node's base tuples, the rule
+// file and the owner table. A run starts from empty run state, so Prepare
+// clears the previous run's markers, epochs, messages, checkpoints and
+// closures.
+func Prepare(dir string, dict *rdf.Dict, plan *core.Plan) error {
+	if plan.Owner == nil {
+		return errors.New("fscluster: the nodes route by owner; the plan needs data partitioning")
+	}
 	l := Layout{Dir: dir}
 	if err := os.RemoveAll(l.run("")); err != nil {
-		return nil, err
+		return err
 	}
 	if err := os.MkdirAll(l.run(""), 0o755); err != nil {
-		return nil, err
+		return err
 	}
-	compiled := owlhorst.Compile(dict, g)
-	in := &partition.Input{
-		Dict:     dict,
-		Instance: owlhorst.SplitInstance(dict, g),
-		Skip:     owlhorst.SchemaElements(dict, compiled.Schema),
-	}
-	pres, err := partition.Partition(in, k, pol)
-	if err != nil {
-		return nil, err
-	}
-	m := partition.ComputeMetrics(in, pres)
-
-	// Base-tuple files: each node's slice plus the replicated schema.
-	schema := compiled.Schema.Triples()
-	for i := 0; i < k; i++ {
-		pg := rdf.NewGraphCap(len(pres.Parts[i]) + len(schema))
-		pg.AddAll(pres.Parts[i])
-		pg.AddAll(schema)
+	k := len(plan.Assignments)
+	for i, a := range plan.Assignments {
+		pg := rdf.NewGraphCap(len(a.Base))
+		pg.AddAll(a.Base)
 		if err := writeGraphFile(l.PartFile(i), dict, pg); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
-	// Rule file, in the parseable Jena-style syntax.
+	// Rule file, in the parseable Jena-style syntax; every node applies
+	// the one rule set.
 	var rb strings.Builder
-	for _, r := range compiled.InstanceRules {
+	for _, r := range plan.Assignments[0].Rules {
 		rb.WriteString(r.Format(dict))
 		rb.WriteByte('\n')
 	}
 	if err := os.WriteFile(l.RulesFile(), []byte(rb.String()), 0o644); err != nil {
-		return nil, err
+		return err
 	}
 
-	// Ownership table, in ascending resource-ID order so the file is
-	// byte-stable across runs of the same (input, seed) — map order would
-	// reshuffle it every run.
-	ids := make([]rdf.ID, 0, len(pres.Owner))
-	for id := range pres.Owner {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	// Owner table, in ascending resource-ID order so the file is byte-stable
+	// across runs of the same (input, seed).
 	var ob strings.Builder
-	for _, id := range ids {
-		ob.WriteString(dict.Term(id).String())
-		ob.WriteByte('\t')
-		ob.WriteString(strconv.Itoa(pres.Owner[id]))
-		ob.WriteByte('\n')
+	for id, p := range plan.Owner {
+		if p >= 0 {
+			ob.WriteString(dict.Term(rdf.ID(id)).String())
+			ob.WriteByte('\t')
+			ob.WriteString(strconv.Itoa(int(p)))
+			ob.WriteByte('\n')
+		}
 	}
 	if err := os.WriteFile(l.OwnerFile(), []byte(ob.String()), 0o644); err != nil {
-		return nil, err
+		return err
 	}
-	if err := os.WriteFile(l.MetaFile(), []byte(strconv.Itoa(k)+"\n"), 0o644); err != nil {
-		return nil, err
-	}
-	return &m, nil
+	return os.WriteFile(l.MetaFile(), []byte(strconv.Itoa(k)+"\n"), 0o644)
 }
 
 // ClusterSize reads k from the work directory.
@@ -289,7 +270,7 @@ func RunNodeContext(ctx context.Context, cfg NodeConfig) (*NodeResult, error) {
 	m := &markers{l: l, k: cfg.K, dict: dict, rules: rs, obs: cfg.Obs,
 		poll: cmp.Or(cfg.Poll, 20*time.Millisecond), timeout: cmp.Or(cfg.Timeout, 5*time.Minute)}
 	g, tm, err := cluster.RunWorker(ctx, cluster.Config{
-		Engine: cfg.Engine, Transport: tr, Router: owner, MaxRounds: cfg.MaxRounds,
+		Engine: cfg.Engine, Transport: tr, Router: core.NewOwnerRouter(owner, cfg.K), MaxRounds: cfg.MaxRounds,
 		Obs: cfg.Obs, Recovery: &cluster.RecoveryConfig{Store: store}, Inject: inject,
 		Provenance: cfg.Provenance,
 	}, cfg.ID, start, m)
@@ -400,22 +381,6 @@ func (m *markers) Assignment(v int) (cluster.Assignment, error) {
 	return cluster.Assignment{Base: base, Rules: m.rules}, err
 }
 
-// ownerTable routes a derived tuple to the owners of its subject and object
-// (§IV); unowned (schema) endpoints route nowhere.
-type ownerTable map[rdf.ID]int
-
-// Destinations implements cluster.Router.
-func (o ownerTable) Destinations(t rdf.Triple, self int) []int {
-	var out []int
-	if p, ok := o[t.S]; ok && p != self {
-		out = append(out, p)
-	}
-	if q, ok := o[t.O]; ok && q != self && (len(out) == 0 || out[0] != q) {
-		out = append(out, q)
-	}
-	return out
-}
-
 // MergeClosures unions the k closure files into one graph. A node declared
 // dead has no closure file; its contribution is rebuilt by cluster.Replay
 // from its base partition, checkpoints and inbox (everything it knew at its
@@ -457,12 +422,14 @@ func MergeClosures(dir string, k int) (*rdf.Dict, *rdf.Graph, error) {
 	return dict, g, nil
 }
 
-func readOwnerTable(path string, dict *rdf.Dict) (ownerTable, error) {
+// readOwnerTable reads the owner table into core.Plan.Owner's layout over
+// dict's IDs.
+func readOwnerTable(path string, dict *rdf.Dict) ([]int32, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	owner := ownerTable{}
+	var owner []int32
 	for n, line := range strings.Split(string(b), "\n") {
 		if line = strings.TrimSpace(line); line == "" {
 			continue
@@ -476,7 +443,11 @@ func readOwnerTable(path string, dict *rdf.Dict) (ownerTable, error) {
 		if err = errors.Join(err, perr); err != nil {
 			return nil, fmt.Errorf("owner table line %d: %w", n+1, err)
 		}
-		owner[dict.Intern(term)] = p
+		id := dict.Intern(term)
+		for int(id) >= len(owner) {
+			owner = append(owner, -1)
+		}
+		owner[id] = int32(p)
 	}
 	return owner, nil
 }

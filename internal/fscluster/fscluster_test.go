@@ -3,16 +3,30 @@ package fscluster
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"powl/internal/core"
 	"powl/internal/datagen"
-	"powl/internal/gpart"
-	"powl/internal/partition"
+	"powl/internal/rdf"
 	"powl/internal/reason"
 )
+
+// prepare writes the product's data plan of ds for k nodes (graph policy,
+// seed 42) to dir.
+func prepare(t *testing.T, dir string, ds *datagen.Dataset, k int) *core.Plan {
+	t.Helper()
+	p, err := core.NewPlan(ds, core.Config{Workers: k, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Prepare(dir, ds.Dict, p); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
 
 // runCluster prepares a work dir and runs k nodes concurrently (goroutines
 // standing in for processes — the on-disk protocol is identical).
@@ -25,10 +39,7 @@ func runCluster(t *testing.T, ds *datagen.Dataset, k int, engine reason.Engine) 
 // runClusterIn is runCluster in a given work directory.
 func runClusterIn(t *testing.T, dir string, ds *datagen.Dataset, k int, engine reason.Engine) []*NodeResult {
 	t.Helper()
-	pol := partition.GraphPolicy{Opts: gpart.Options{Seed: 42}}
-	if _, err := Prepare(dir, ds.Dict, ds.Graph, k, pol); err != nil {
-		t.Fatal(err)
-	}
+	prepare(t, dir, ds, k)
 	results := make([]*NodeResult, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup
@@ -105,10 +116,7 @@ func TestClusterWithHybridEngine(t *testing.T) {
 func TestNodeTimesOutWithoutPeers(t *testing.T) {
 	ds := datagen.LUBM(datagen.LUBMConfig{Universities: 1, Seed: 7, DeptsPerUniv: 2})
 	dir := t.TempDir()
-	pol := partition.GraphPolicy{Opts: gpart.Options{Seed: 42}}
-	if _, err := Prepare(dir, ds.Dict, ds.Graph, 2, pol); err != nil {
-		t.Fatal(err)
-	}
+	prepare(t, dir, ds, 2)
 	// Run node 0 alone: node 1 never posts markers, so node 0 must time
 	// out rather than hang.
 	_, err := RunNode(NodeConfig{
@@ -123,12 +131,7 @@ func TestNodeTimesOutWithoutPeers(t *testing.T) {
 func TestPrepareWritesCompleteLayout(t *testing.T) {
 	ds := datagen.UOBM(datagen.UOBMConfig{Universities: 1, Seed: 7, DeptsPerUniv: 3})
 	dir := t.TempDir()
-	pol := partition.GraphPolicy{Opts: gpart.Options{Seed: 42}}
-	m, err := Prepare(dir, ds.Dict, ds.Graph, 3, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m == nil || len(m.NodesPerPart) != 3 {
+	if m := prepare(t, dir, ds, 3).Metrics; m == nil || len(m.NodesPerPart) != 3 {
 		t.Fatal("metrics missing")
 	}
 	l := Layout{Dir: dir}
@@ -164,6 +167,47 @@ func TestRoundsProgress(t *testing.T) {
 	}
 }
 
+// TestPrepareMatchesMaterialize: the work directory holds the partition the
+// in-process cluster runs for the same input and configuration — the same
+// metrics as core.Materialize reports and the owner table of the plan it
+// runs — because both take the product's graph tuning from core.NewPlan.
+func TestPrepareMatchesMaterialize(t *testing.T) {
+	ds := datagen.LUBM(datagen.LUBMConfig{Universities: 1, Seed: 7})
+	cfg := core.Config{Workers: 3, Seed: 42}
+	res, err := core.Materialize(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewPlan(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := Prepare(dir, ds.Dict, p); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*p.Metrics, *res.Metrics) {
+		t.Fatalf("prepared partition IR=%.3f nodes/part=%v, core.Materialize IR=%.3f nodes/part=%v",
+			p.Metrics.IR, p.Metrics.NodesPerPart, res.Metrics.IR, res.Metrics.NodesPerPart)
+	}
+	owner, err := readOwnerTable(Layout{Dir: dir}.OwnerFile(), ds.Dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range p.Owner {
+		got := int32(-1)
+		if id < len(owner) {
+			got = owner[id]
+		}
+		if got != want {
+			t.Fatalf("owner file gives %s partition %d, the plan %d", ds.Dict.Term(rdf.ID(id)), got, want)
+		}
+	}
+	if len(owner) > len(p.Owner) {
+		t.Fatalf("owner file names %d IDs, the plan %d", len(owner), len(p.Owner))
+	}
+}
+
 // TestPrepareIsByteStable: two Prepare runs over the same (dataset, seed)
 // must lay out byte-identical work directories — the ownership table, part
 // files and rule file are run artifacts that checkpoint replay and the chaos
@@ -171,14 +215,11 @@ func TestRoundsProgress(t *testing.T) {
 // (owlvet's mapiter check guards the code path; this pins the bytes).
 func TestPrepareIsByteStable(t *testing.T) {
 	const k = 3
-	pol := partition.GraphPolicy{Opts: gpart.Options{Seed: 42}}
 	dirs := [2]string{t.TempDir(), t.TempDir()}
 	for _, dir := range dirs {
 		// A fresh dataset per run: internal map layouts differ, bytes must not.
 		ds := datagen.LUBM(datagen.LUBMConfig{Universities: 1, Seed: 7, DeptsPerUniv: 3})
-		if _, err := Prepare(dir, ds.Dict, ds.Graph, k, pol); err != nil {
-			t.Fatal(err)
-		}
+		prepare(t, dir, ds, k)
 	}
 	l0, l1 := Layout{Dir: dirs[0]}, Layout{Dir: dirs[1]}
 	files := [][2]string{

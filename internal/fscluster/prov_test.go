@@ -10,8 +10,6 @@ import (
 	"powl/internal/core"
 	"powl/internal/datagen"
 	"powl/internal/faultinject"
-	"powl/internal/gpart"
-	"powl/internal/partition"
 	"powl/internal/rdf"
 	"powl/internal/reason"
 )
@@ -64,10 +62,7 @@ func TestNodeProvenance(t *testing.T) {
 	}
 	const k = 3
 	dir := t.TempDir()
-	pol := partition.GraphPolicy{Opts: gpart.Options{Seed: 42}}
-	if _, err := Prepare(dir, ds.Dict, ds.Graph, k, pol); err != nil {
-		t.Fatal(err)
-	}
+	prepare(t, dir, ds, k)
 	results := make([]*NodeResult, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup
@@ -126,10 +121,7 @@ func TestProvenanceSurvivesAdoption(t *testing.T) {
 	}
 	const k, victim = 3, 2
 	dir := t.TempDir()
-	pol := partition.GraphPolicy{Opts: gpart.Options{Seed: 42}}
-	if _, err := Prepare(dir, ds.Dict, ds.Graph, k, pol); err != nil {
-		t.Fatal(err)
-	}
+	prepare(t, dir, ds, k)
 	injectors := make([]*faultinject.Injector, k)
 	injectors[victim] = faultinject.New(faultinject.Config{CrashRound: 2})
 	results := make([]*NodeResult, k)

@@ -12,9 +12,7 @@ import (
 	"powl/internal/core"
 	"powl/internal/datagen"
 	"powl/internal/faultinject"
-	"powl/internal/gpart"
 	"powl/internal/obs"
-	"powl/internal/partition"
 	"powl/internal/reason"
 )
 
@@ -24,10 +22,7 @@ import (
 func runSupervisedCluster(t *testing.T, ds *datagen.Dataset, k int, injectors []*faultinject.Injector) ([]error, *SuperviseResult, string) {
 	t.Helper()
 	dir := t.TempDir()
-	pol := partition.GraphPolicy{Opts: gpart.Options{Seed: 42}}
-	if _, err := Prepare(dir, ds.Dict, ds.Graph, k, pol); err != nil {
-		t.Fatal(err)
-	}
+	prepare(t, dir, ds, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup
 	for i := 0; i < k; i++ {
@@ -148,10 +143,7 @@ func TestMergeReconstructsLateDeath(t *testing.T) {
 	}
 	const k = 3
 	dir := t.TempDir()
-	pol := partition.GraphPolicy{Opts: gpart.Options{Seed: 42}}
-	if _, err := Prepare(dir, ds.Dict, ds.Graph, k, pol); err != nil {
-		t.Fatal(err)
-	}
+	prepare(t, dir, ds, k)
 	var wg sync.WaitGroup
 	errs := make([]error, k)
 	for i := 0; i < k; i++ {
@@ -201,10 +193,7 @@ func TestNodeRejoinsAfterRestart(t *testing.T) {
 	}
 	const k = 2
 	dir := t.TempDir()
-	pol := partition.GraphPolicy{Opts: gpart.Options{Seed: 42}}
-	if _, err := Prepare(dir, ds.Dict, ds.Graph, k, pol); err != nil {
-		t.Fatal(err)
-	}
+	prepare(t, dir, ds, k)
 
 	// Node 0 runs normally; it will block at the barrier while node 1 is down.
 	done := make(chan error, 1)
@@ -272,10 +261,7 @@ func TestNodeRejoinsAfterRestart(t *testing.T) {
 func TestRejoinRefusedWhenAdopted(t *testing.T) {
 	ds := datagen.MDC(datagen.MDCConfig{Fields: 2, Seed: 7})
 	dir := t.TempDir()
-	pol := partition.GraphPolicy{Opts: gpart.Options{Seed: 42}}
-	if _, err := Prepare(dir, ds.Dict, ds.Graph, 2, pol); err != nil {
-		t.Fatal(err)
-	}
+	prepare(t, dir, ds, 2)
 	l := Layout{Dir: dir}
 	if err := writeAtomic(l.EpochFile(1), "1"); err != nil {
 		t.Fatal(err)
@@ -295,10 +281,7 @@ func TestRejoinRefusedWhenAdopted(t *testing.T) {
 func TestRunNodeContextCancel(t *testing.T) {
 	ds := datagen.MDC(datagen.MDCConfig{Fields: 2, Seed: 7})
 	dir := t.TempDir()
-	pol := partition.GraphPolicy{Opts: gpart.Options{Seed: 42}}
-	if _, err := Prepare(dir, ds.Dict, ds.Graph, 2, pol); err != nil {
-		t.Fatal(err)
-	}
+	prepare(t, dir, ds, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
