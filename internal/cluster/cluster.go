@@ -48,22 +48,26 @@ type Assignment struct {
 	Rules []rules.Rule
 }
 
-// Mode selects how workers execute.
+// Mode selects how workers execute. Both modes run the same round loop —
+// one goroutine per worker, a real barrier — and differ only in how many
+// workers may compute at once and in which clock Result reports.
 type Mode int
 
 const (
-	// Concurrent runs one goroutine per worker with a real barrier — the
-	// deployment shape. Wall-clock speedups are only meaningful when the
-	// host has at least as many cores as workers.
+	// Concurrent gives every worker its own CPU slot — the deployment
+	// shape. Wall-clock speedups are only meaningful when the host has at
+	// least as many cores as workers.
 	Concurrent Mode = iota
-	// Simulated executes the workers' rounds sequentially on one core,
-	// measures each phase, and reports the parallel elapsed time as the
-	// sum over rounds of the slowest worker's phase times — the barrier
-	// semantics of Algorithm 3 evaluated analytically. This is how the
-	// speedup figures are reproduced on hosts with fewer cores than the
-	// paper's 16-node cluster (see DESIGN.md, substitutions). Per-worker
-	// Sync is the time the worker would have waited for the round's
-	// slowest peer.
+	// Simulated is the same round loop on one CPU slot: workers take turns,
+	// so each phase is measured alone, and the clock is rebuilt from the
+	// per-round phase times — each round costs the slowest worker's
+	// reason+send plus the slowest receive, the barrier semantics of
+	// Algorithm 3 evaluated analytically. This is how the speedup figures
+	// are reproduced on hosts with fewer cores than the paper's 16-node
+	// cluster (see DESIGN.md, substitutions). Per-worker Sync is the time
+	// the worker would have waited for the round's slowest peer. The
+	// failure detector, a real-time watch, does not run: turn-taking
+	// workers trail the frontier by design.
 	Simulated
 )
 
@@ -76,9 +80,10 @@ type Config struct {
 	// MaxRounds caps the number of rounds as a safety net; 0 means 1000.
 	MaxRounds int
 	// RoundTimeout bounds one worker's round — reason, send, barrier wait
-	// and receive. A worker that blows the deadline (most often: stuck at
-	// the barrier because a peer died) aborts the run with
-	// context.DeadlineExceeded instead of hanging forever. 0 disables.
+	// and receive, and the waits for a CPU slot between them. A worker that
+	// blows the deadline (most often: stuck at the barrier because a peer
+	// died) aborts the run with context.DeadlineExceeded instead of hanging
+	// forever. 0 disables.
 	RoundTimeout time.Duration
 	// Obs, when non-nil, journals the run: per-worker phase spans each
 	// round, per-rule profiles, and transport totals. The phase events
@@ -87,10 +92,10 @@ type Config struct {
 	Obs *obs.Run
 	// Recovery, when non-nil, arms transport-generic worker recovery:
 	// workers checkpoint per-round deltas into Recovery.Store, a failure
-	// detector watches barrier progress (and transport Health when the
-	// transport reports it), and a dead worker's partition is adopted by
-	// the lowest-numbered live worker — the closure still equals the
-	// serial fixpoint. nil keeps the original fail-stop behavior.
+	// detector (Concurrent mode) watches barrier progress (and transport
+	// Health when the transport reports it), and a dead worker's partition
+	// is adopted by the lowest-numbered live worker — the closure still
+	// equals the serial fixpoint. nil keeps the original fail-stop behavior.
 	Recovery *RecoveryConfig
 	// Inject holds optional per-worker fault schedules: Inject[i], when
 	// non-nil, drives worker i (crash-at-round). Entries beyond the slice
@@ -100,12 +105,11 @@ type Config struct {
 	// Provenance enables derivation recording on every worker graph and on
 	// the aggregated result: engines record rule + premises per derived
 	// triple, shipped deltas carry lineage when the transport implements
-	// transport.LineageCarrier, checkpoints carry it when the store
-	// implements LineageCheckpointStore, and the aggregate merge preserves
-	// it — so Explain works on the merged closure and adopted partitions
-	// keep their lineage. Transports/stores without lineage support degrade
-	// to lineage-free exchange for the triples that cross them; the closure
-	// itself is unaffected.
+	// transport.LineageCarrier, checkpoints carry it, and the aggregate
+	// merge preserves it — so Explain works on the merged closure and
+	// adopted partitions keep their lineage. Transports without lineage
+	// support degrade to lineage-free exchange for the triples that cross
+	// them; the closure itself is unaffected.
 	Provenance bool
 }
 
@@ -191,7 +195,7 @@ func (cfg *Config) check() error {
 // Cancelling ctx aborts the run (the barrier wakes all workers), and
 // cfg.RoundTimeout additionally bounds each worker's individual rounds.
 //
-//powl:ignore wallclock Concurrent-mode Elapsed is defined as real wall-clock; Simulated takes the runSimulated path, which reconstructs its own clock.
+//powl:ignore wallclock Concurrent-mode Elapsed is defined as real wall-clock; a Simulated run's retime step replaces it with the rebuilt clock.
 func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result, error) {
 	k := len(assigns)
 	if k == 0 {
@@ -204,19 +208,21 @@ func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result,
 		Worker: obs.MasterWorker, Name: cfg.Engine.Name(), N: int64(k)})
 
 	start := time.Now()
-	var m local
-	if cfg.Mode == Concurrent {
-		m.bar = newBarrier(k)
+	// One CPU slot per worker, or one for the whole Simulated run; there
+	// the workers' real-clock phase spans are dropped, since retime
+	// journals them on the rebuilt clock.
+	slots, spans := k, cfg.Obs
+	if cfg.Mode == Simulated {
+		slots, spans = 1, nil
 	}
+	cpu := make(chan struct{}, slots)
+	m := local{bar: newBarrier(k)}
 	if cfg.Recovery != nil {
 		m.coord = newCoordinator(k, *cfg.Recovery, m.bar, cfg.Obs, assigns)
 	}
 	workers := make([]*worker, k)
 	for i := range workers {
-		workers[i] = newWorker(cfg, i, assigns[i], m)
-	}
-	if cfg.Mode == Simulated {
-		return runSimulated(ctx, cfg, workers, m.coord)
+		workers[i] = newWorker(cfg, i, assigns[i], m, cpu, spans)
 	}
 
 	coord := m.coord
@@ -238,7 +244,7 @@ func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result,
 		}(w, wctx)
 	}
 	detCancel := func() {}
-	if coord != nil {
+	if coord != nil && cfg.Mode == Concurrent {
 		var detCtx context.Context
 		detCtx, detCancel = context.WithCancel(context.Background())
 		go coord.detect(detCtx, cfg.Transport)
@@ -272,6 +278,9 @@ func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result,
 	}
 	res.Rounds = slices.Max(rounds)
 	res.Elapsed = time.Since(start)
+	if cfg.Mode == Simulated {
+		aggAt = retime(cfg.Obs, workers, res)
+	}
 	finishRun(cfg.Obs, res, aggAt)
 	return res, nil
 }
@@ -290,7 +299,7 @@ func RunWorker(ctx context.Context, cfg Config, id, start int, m Membership) (*r
 	if err != nil {
 		return nil, Timings{}, err
 	}
-	w := newWorker(cfg, id, a, m)
+	w := newWorker(cfg, id, a, m, make(chan struct{}, 1), cfg.Obs)
 	if start > 0 {
 		if _, err := w.absorb(ctx, cfg, id, start-1); err != nil {
 			return nil, w.tm, fmt.Errorf("cluster: worker %d rejoin: %w", id, err)
@@ -317,8 +326,8 @@ func finishRun(o *obs.Run, res *Result, end int64) {
 }
 
 // emitPhase records one completed phase slice that ended "now" on the real
-// clock (Concurrent mode): the start is reconstructed by subtracting the
-// measured duration. A nil observer discards the event.
+// clock: the start is reconstructed by subtracting the measured duration.
+// A nil observer (a Simulated run's workers) discards the event.
 func emitPhase(o *obs.Run, worker, round int, phase string, d time.Duration, n int64) {
 	o.Emit(obs.Event{Type: obs.EvPhase, TS: o.Now() - int64(d), Dur: int64(d),
 		Worker: worker, Round: round, Phase: phase, N: n})
@@ -356,10 +365,24 @@ type worker struct {
 	// their inboxes are drained alongside its own and sends to them are
 	// short-circuited (the partition lives here now).
 	adopted []int
+	// cpu holds the run's CPU slots: a worker takes one while it computes
+	// and gives it back before the barrier.
+	cpu chan struct{}
+	// spans journals the worker's phase spans on the real clock (nil in a
+	// Simulated run, whose spans retime journals).
+	spans *obs.Run
+	// times records each completed round's phase durations, for retime.
+	times []roundTime
+}
+
+// roundTime is one worker's measured cost of one completed round.
+type roundTime struct {
+	reason, send, recv time.Duration
+	sent               int
 }
 
 // newWorker loads worker id's base tuples into a fresh graph.
-func newWorker(cfg Config, id int, a Assignment, m Membership) *worker {
+func newWorker(cfg Config, id int, a Assignment, m Membership, cpu chan struct{}, spans *obs.Run) *worker {
 	g := rdf.NewGraphCap(len(a.Base))
 	if cfg.Provenance {
 		// Enable before the base load so the side-column is built in
@@ -367,7 +390,7 @@ func newWorker(cfg Config, id int, a Assignment, m Membership) *worker {
 		g.EnableProv()
 	}
 	g.AddAll(a.Base)
-	w := &worker{id: id, graph: g, rules: a.Rules, m: m, inj: cfg.injector(id),
+	w := &worker{id: id, graph: g, rules: a.Rules, m: m, inj: cfg.injector(id), cpu: cpu, spans: spans,
 		// Base tuples are known to every worker that should have them (the
 		// partitioner placed them); the shipping watermark starts past them
 		// so they are never re-shipped.
@@ -385,7 +408,7 @@ func newWorker(cfg Config, id int, a Assignment, m Membership) *worker {
 // received tuples arrived: nothing received means nothing to do, otherwise
 // the engine closes over just the received seeds.
 //
-//powl:ignore wallclock measures the real phase duration that feeds Timings and, in Simulated mode, the reconstructed clock — an input to the cost model, not a timestamp in its output.
+//powl:ignore wallclock measures the real phase duration that feeds Timings and, in Simulated mode, the clock retime rebuilds — an input to the cost model, not a timestamp in its output.
 func (w *worker) phaseReason(ctx context.Context, cfg Config) (time.Duration, error) {
 	// Attach the worker's rule collector so the engines profile per-rule
 	// work, and its piece collector so the fire loop journals one
@@ -421,7 +444,7 @@ func (w *worker) phaseReason(ctx context.Context, cfg Config) (time.Duration, er
 // re-routing. With provenance on, each triple's derivation record rides
 // along to the checkpoint and, on a transport.LineageCarrier, to the peers.
 //
-//powl:ignore wallclock measures the real phase duration that feeds Timings and the Simulated reconstruction.
+//powl:ignore wallclock measures the real phase duration that feeds Timings and the clock a Simulated run rebuilds.
 func (w *worker) phaseSend(ctx context.Context, cfg Config, round int) (int, time.Duration, error) {
 	t0 := time.Now()
 	prov := w.graph.Prov() != nil
@@ -474,10 +497,8 @@ func (w *worker) phaseSend(ctx context.Context, cfg Config, round int) (int, tim
 		if err := w.store.Save(w.id, round, delta); err != nil {
 			return 0, 0, fmt.Errorf("cluster: worker %d checkpoint: %w", w.id, err)
 		}
-		if ls, ok := w.store.(LineageCheckpointStore); ok && len(lins) > 0 {
-			if err := ls.SaveLineage(w.id, round, lins); err != nil {
-				return 0, 0, fmt.Errorf("cluster: worker %d lineage checkpoint: %w", w.id, err)
-			}
+		if err := w.store.SaveLineage(w.id, round, lins); err != nil {
+			return 0, 0, fmt.Errorf("cluster: worker %d lineage checkpoint: %w", w.id, err)
 		}
 		cfg.Obs.Emit(obs.Event{Type: obs.EvCheckpoint, TS: cfg.Obs.Now(),
 			Worker: w.id, Round: round, N: int64(len(delta))})
@@ -514,7 +535,7 @@ func (w *worker) phaseSend(ctx context.Context, cfg Config, round int) (int, tim
 // including anything addressed to partitions this worker adopted — peers
 // keep routing to the dead worker's id, and its mailbox now drains here.
 //
-//powl:ignore wallclock measures the real phase duration that feeds Timings and the Simulated reconstruction.
+//powl:ignore wallclock measures the real phase duration that feeds Timings and the clock a Simulated run rebuilds.
 func (w *worker) phaseRecv(ctx context.Context, cfg Config, round int) (time.Duration, error) {
 	t0 := time.Now()
 	// Lineage of the received triples, when the transport ships it and this
@@ -552,10 +573,8 @@ func (w *worker) phaseRecv(ctx context.Context, cfg Config, round int) (time.Dur
 		if err := w.store.Save(w.id, round, in); err != nil {
 			return 0, fmt.Errorf("cluster: worker %d recv checkpoint: %w", w.id, err)
 		}
-		if ls, ok := w.store.(LineageCheckpointStore); ok && len(lins) > 0 {
-			if err := ls.SaveLineage(w.id, round, lins); err != nil {
-				return 0, fmt.Errorf("cluster: worker %d recv lineage checkpoint: %w", w.id, err)
-			}
+		if err := w.store.SaveLineage(w.id, round, lins); err != nil {
+			return 0, fmt.Errorf("cluster: worker %d recv lineage checkpoint: %w", w.id, err)
 		}
 	}
 	var linMap map[rdf.Triple]rdf.Lineage
@@ -622,80 +641,16 @@ func roundCtx(ctx context.Context, cfg Config) (context.Context, context.CancelF
 var ErrCrashed = errors.New("cluster: worker crashed (fault injection)")
 
 // run is one worker's round loop from round start on; in-process runs and
-// node processes differ only in the Membership behind it.
-//
-//powl:ignore wallclock barrier-wait duration is a real measurement (Concurrent mode only; Simulated derives Sync analytically).
+// node processes differ only in the Membership behind it, and the two modes
+// only in the CPU slots the workers take turns on.
 func (w *worker) run(ctx context.Context, cfg Config, round int) (int, error) {
 	for ; round < cfg.MaxRounds; round++ {
-		// Scheduled fail-stop: the worker dies at the top of the round,
-		// before doing any of its work. In-process recovery takes its own
-		// report of the death (the detector would find it anyway, just
-		// slower) and the worker steps aside; otherwise the run aborts, or —
-		// in a node process — peers see its markers stop.
-		if w.inj.Crash(round) {
-			cfg.Obs.Emit(obs.Event{Type: obs.EvFault, TS: cfg.Obs.Now(),
-				Worker: w.id, Round: round, Name: "crash"})
-			if w.m.Died(w.id, round, "crash") {
-				return round, errWorkerDead
-			}
-			w.m.Abort()
-			return round, fmt.Errorf("%w: worker %d at round %d", ErrCrashed, w.id, round)
-		}
-		if w.m.Dead(w.id) {
-			return round, errWorkerDead
-		}
 		rctx, cancel := roundCtx(ctx, cfg)
-		if err := w.adoptPending(rctx, cfg, round); err != nil {
-			cancel()
-			return round, w.stepAsideOr(err)
-		}
-
-		rd, err := w.phaseReason(rctx, cfg)
-		if err != nil {
-			cancel()
-			return round, w.stepAsideOr(err)
-		}
-		emitPhase(cfg.Obs, w.id, round, obs.PhaseReason, rd, 0)
-
-		nSent, sd, err := w.phaseSend(rctx, cfg, round)
-		if err != nil {
-			cancel()
-			return round, w.stepAsideOr(err)
-		}
-		emitPhase(cfg.Obs, w.id, round, obs.PhaseSend, sd, int64(nSent))
-
-		// Barrier with global sent-count reduction. The round deadline
-		// covers the wait: a worker stuck here because a peer died wakes
-		// with DeadlineExceeded instead of hanging forever.
-		t0 := time.Now()
-		totalSent, berr := w.m.Sync(rctx, w.id, round, nSent)
-		syncD := time.Since(t0)
-		w.tm.Sync += syncD
-		if errors.Is(berr, ErrPeerAbort) {
-			cancel()
-			return round, ErrPeerAbort
-		}
-		if berr != nil {
-			cancel()
-			return round, w.stepAsideOr(
-				fmt.Errorf("cluster: worker %d barrier (round %d): %w", w.id, round, berr))
-		}
-		// Declared dead while waiting (a detector false positive, or a
-		// cancellation that lost the race with the release): the partition
-		// has been reassigned, so step aside rather than double-own it.
-		if w.m.Dead(w.id) {
-			cancel()
-			return round, errWorkerDead
-		}
-		emitPhase(cfg.Obs, w.id, round, obs.PhaseSync, syncD, 0)
-
-		vd, err := w.phaseRecv(rctx, cfg, round)
+		totalSent, err := w.round(rctx, cfg, round)
 		cancel()
 		if err != nil {
-			return round, w.stepAsideOr(err)
+			return round, err
 		}
-		emitPhase(cfg.Obs, w.id, round, obs.PhaseRecv, vd, 0)
-
 		// Termination: a full round in which nobody sent anything.
 		if totalSent == 0 {
 			round++
@@ -706,133 +661,148 @@ func (w *worker) run(ctx context.Context, cfg Config, round int) (int, error) {
 	return round, nil
 }
 
-// runSimulated executes the round loop for all workers sequentially and
-// reconstructs the parallel elapsed time from per-phase measurements: each
-// round costs the maximum over workers of (reason + send), plus the maximum
-// receive time; per-worker Sync is the gap to the round's slowest worker
-// (the time it would have spent at the barrier).
+// round runs one round of Algorithm 3 under ctx — adopt, reason, send,
+// barrier, receive — and returns the run-wide sent count. The worker holds
+// a CPU slot while it computes, never while it waits at the barrier.
 //
-// Journal events are stamped on the same reconstructed clock: a round
-// starting at virtual time vt places worker i's reason span at vt, its send
-// span right after, its barrier wait from the end of its work to the
-// round's slowest worker, and all receives after that — so the exported
-// trace shows the parallel schedule the reconstruction asserts, not the
-// sequential execution that measured it.
-func runSimulated(ctx context.Context, cfg Config, workers []*worker, coord *coordinator) (*Result, error) {
-	var simElapsed time.Duration
-	var roundStats []RoundStat
-	rounds := 0
-	for round := 0; round < cfg.MaxRounds; round++ {
-		rounds = round + 1
-		vt := int64(simElapsed)
-		cfg.Obs.Emit(obs.Event{Type: obs.EvRoundStart, TS: vt,
-			Worker: obs.MasterWorker, Round: round})
-		// Scheduled deaths fire at the top of the round, before any work;
-		// with recovery armed the adoption is immediate and deterministic
-		// (there is no real barrier to resize — the phase loops below just
-		// skip dead workers), without it the run aborts as Concurrent would.
-		for _, w := range workers {
-			if coord.isDead(w.id) || !w.inj.Crash(round) {
-				continue
-			}
-			cfg.Obs.Emit(obs.Event{Type: obs.EvFault, TS: vt,
+//powl:ignore wallclock barrier-wait duration is a real measurement (a Simulated run's retime replaces it with the gap to the round's slowest worker).
+func (w *worker) round(ctx context.Context, cfg Config, round int) (int, error) {
+	var rt roundTime
+	err := w.hold(ctx, func() error {
+		// Scheduled fail-stop: the worker dies at the top of the round,
+		// before doing any of its work. In-process recovery takes its own
+		// report of the death (the detector would find it anyway, just
+		// slower) and the worker steps aside; otherwise the run aborts, or —
+		// in a node process — peers see its markers stop.
+		if w.inj.Crash(round) {
+			cfg.Obs.Emit(obs.Event{Type: obs.EvFault, TS: cfg.Obs.Now(),
 				Worker: w.id, Round: round, Name: "crash"})
-			if coord == nil {
-				return nil, fmt.Errorf("%w: worker %d at round %d", ErrCrashed, w.id, round)
-			}
-			coord.workerDied(w.id, round, "crash")
-		}
-		if err := coord.runErr(); err != nil {
-			return nil, err
-		}
-		work := make([]time.Duration, len(workers))
-		totalSent := 0
-		for i, w := range workers {
-			if coord.isDead(w.id) {
-				continue
-			}
-			// Each worker-round gets its own deadline, mirroring what the
-			// worker would experience running concurrently.
-			rctx, cancel := roundCtx(ctx, cfg)
-			if err := w.adoptPending(rctx, cfg, round); err != nil {
-				cancel()
-				return nil, err
-			}
-			d, err := w.phaseReason(rctx, cfg)
-			if err != nil {
-				cancel()
-				return nil, err
-			}
-			n, sd, err := w.phaseSend(rctx, cfg, round)
-			cancel()
-			if err != nil {
-				return nil, err
-			}
-			cfg.Obs.Emit(obs.Event{Type: obs.EvPhase, TS: vt, Dur: int64(d),
-				Worker: w.id, Round: round, Phase: obs.PhaseReason})
-			cfg.Obs.Emit(obs.Event{Type: obs.EvPhase, TS: vt + int64(d), Dur: int64(sd),
-				Worker: w.id, Round: round, Phase: obs.PhaseSend, N: int64(n)})
-			totalSent += n
-			work[i] = d + sd
-		}
-		var slowest time.Duration
-		for _, d := range work {
-			if d > slowest {
-				slowest = d
+			if !w.m.Died(w.id, round, "crash") {
+				return fmt.Errorf("%w: worker %d at round %d", ErrCrashed, w.id, round)
 			}
 		}
-		for i, w := range workers {
-			if coord.isDead(w.id) {
-				continue
-			}
-			w.tm.Sync += slowest - work[i]
-			cfg.Obs.Emit(obs.Event{Type: obs.EvPhase, TS: vt + int64(work[i]),
-				Dur: int64(slowest - work[i]), Worker: w.id, Round: round,
-				Phase: obs.PhaseSync})
+		if w.m.Dead(w.id) {
+			return errWorkerDead
 		}
-		var slowestRecv time.Duration
-		for _, w := range workers {
-			if coord.isDead(w.id) {
-				continue
-			}
-			rctx, cancel := roundCtx(ctx, cfg)
-			rd, err := w.phaseRecv(rctx, cfg, round)
-			cancel()
-			if err != nil {
-				return nil, err
-			}
-			cfg.Obs.Emit(obs.Event{Type: obs.EvPhase, TS: vt + int64(slowest),
-				Dur: int64(rd), Worker: w.id, Round: round, Phase: obs.PhaseRecv})
-			if rd > slowestRecv {
-				slowestRecv = rd
-			}
+		if err := w.adoptPending(ctx, cfg, round); err != nil {
+			return err
 		}
-		simElapsed += slowest + slowestRecv
-		cfg.Obs.Emit(obs.Event{Type: obs.EvRoundEnd, TS: int64(simElapsed),
-			Dur: int64(slowest + slowestRecv), Worker: obs.MasterWorker,
-			Round: round, N: int64(totalSent)})
-		roundStats = append(roundStats, RoundStat{MaxWork: slowest, MaxRecv: slowestRecv, Sent: totalSent})
-		if totalSent == 0 {
-			break
+		var err error
+		if rt.reason, err = w.phaseReason(ctx, cfg); err != nil {
+			return err
 		}
-	}
-	for _, w := range workers {
-		w.tm.Rounds = rounds
-	}
-	res, err := aggregate(workers, coord, cfg.Provenance)
+		emitPhase(w.spans, w.id, round, obs.PhaseReason, rt.reason, 0)
+		if rt.sent, rt.send, err = w.phaseSend(ctx, cfg, round); err != nil {
+			return err
+		}
+		emitPhase(w.spans, w.id, round, obs.PhaseSend, rt.send, int64(rt.sent))
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return 0, w.stepAsideOr(err)
 	}
-	if coord != nil {
-		res.Recovered = coord.recoveredMap()
+
+	// Barrier with global sent-count reduction. The round deadline covers
+	// the wait: a worker stuck here because a peer died wakes with
+	// DeadlineExceeded instead of hanging forever.
+	t0 := time.Now()
+	totalSent, err := w.m.Sync(ctx, w.id, round, rt.sent)
+	syncD := time.Since(t0)
+	w.tm.Sync += syncD
+	if errors.Is(err, ErrPeerAbort) {
+		return 0, ErrPeerAbort
 	}
-	res.Rounds = rounds
-	res.RoundStats = roundStats
-	// Aggregation is real work on the master; include it at its measured
-	// cost on top of the reconstructed parallel time.
-	res.Elapsed = simElapsed + res.PerWorker[0].Aggregate
-	finishRun(cfg.Obs, res, int64(simElapsed))
-	return res, nil
+	if err != nil {
+		return 0, w.stepAsideOr(
+			fmt.Errorf("cluster: worker %d barrier (round %d): %w", w.id, round, err))
+	}
+	// Declared dead while waiting (a detector false positive, or a
+	// cancellation that lost the race with the release): the partition has
+	// been reassigned, so step aside rather than double-own it.
+	if w.m.Dead(w.id) {
+		return 0, errWorkerDead
+	}
+	emitPhase(w.spans, w.id, round, obs.PhaseSync, syncD, 0)
+
+	err = w.hold(ctx, func() (err error) {
+		rt.recv, err = w.phaseRecv(ctx, cfg, round)
+		return err
+	})
+	if err != nil {
+		return 0, w.stepAsideOr(err)
+	}
+	emitPhase(w.spans, w.id, round, obs.PhaseRecv, rt.recv, 0)
+	w.times = append(w.times, rt)
+	return totalSent, nil
+}
+
+// hold runs f on one of the run's CPU slots, waiting under ctx for a free one.
+func (w *worker) hold(ctx context.Context, f func() error) error {
+	select {
+	case w.cpu <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	defer func() { <-w.cpu }()
+	return f()
+}
+
+// retime rebuilds a Simulated run's parallel clock from the phase times its
+// turn-taking workers measured alone: each round costs the slowest worker's
+// reason+send plus the slowest receive, and a worker's Sync is its gap to
+// the round's slowest worker — the time it would have waited at the
+// barrier. It sets res.Elapsed (aggregation included), res.RoundStats and
+// the per-worker Sync, and journals the rounds on that clock: worker i's
+// reason span at the round's start, its send right after, its barrier wait
+// up to the slowest worker, every receive after that — the parallel
+// schedule the rebuilt clock asserts, not the turns that measured it. A
+// dead worker stops counting at the round it died in. It returns the
+// rebuilt end of the parallel phase.
+func retime(o *obs.Run, workers []*worker, res *Result) int64 {
+	for i := range res.PerWorker {
+		res.PerWorker[i].Sync = 0
+	}
+	var clock time.Duration
+	for round := 0; round < res.Rounds; round++ {
+		vt := int64(clock)
+		o.Emit(obs.Event{Type: obs.EvRoundStart, TS: vt,
+			Worker: obs.MasterWorker, Round: round})
+		var st RoundStat
+		for _, w := range workers {
+			if round < len(w.times) {
+				t := w.times[round]
+				st.MaxWork = max(st.MaxWork, t.reason+t.send)
+				st.MaxRecv = max(st.MaxRecv, t.recv)
+				st.Sent += t.sent
+			}
+		}
+		for i, w := range workers {
+			if round >= len(w.times) {
+				continue
+			}
+			t := w.times[round]
+			work := t.reason + t.send
+			res.PerWorker[i].Sync += st.MaxWork - work
+			for _, e := range []obs.Event{
+				{TS: vt, Dur: int64(t.reason), Phase: obs.PhaseReason},
+				{TS: vt + int64(t.reason), Dur: int64(t.send), Phase: obs.PhaseSend, N: int64(t.sent)},
+				{TS: vt + int64(work), Dur: int64(st.MaxWork - work), Phase: obs.PhaseSync},
+				{TS: vt + int64(st.MaxWork), Dur: int64(t.recv), Phase: obs.PhaseRecv},
+			} {
+				e.Type, e.Worker, e.Round = obs.EvPhase, w.id, round
+				o.Emit(e)
+			}
+		}
+		clock += st.MaxWork + st.MaxRecv
+		o.Emit(obs.Event{Type: obs.EvRoundEnd, TS: int64(clock),
+			Dur: int64(st.MaxWork + st.MaxRecv), Worker: obs.MasterWorker,
+			Round: round, N: int64(st.Sent)})
+		res.RoundStats = append(res.RoundStats, st)
+	}
+	// Aggregation is real work on the master; it counts at its measured
+	// cost on top of the rebuilt parallel time.
+	res.Elapsed = clock + res.PerWorker[0].Aggregate
+	return int64(clock)
 }
 
 // aggregate merges the live workers' outputs into the final result: one

@@ -355,7 +355,9 @@ func assertDeathAndAdopt(t *testing.T, events []obs.Event, victim, adopter int) 
 }
 
 // TestKillWorkerRecoversSimulated: the same recovery semantics hold in
-// Simulated mode, where deaths replay deterministically at round tops.
+// Simulated mode, whose crash takes the Concurrent path: reported through
+// Membership.Died, the barrier shrinks, and the adopter absorbs the victim
+// at its next round top.
 func TestKillWorkerRecoversSimulated(t *testing.T) {
 	f := newChainFixture(t, 12, 3)
 	sink := &obs.MemSink{}

@@ -32,25 +32,22 @@ import (
 // state re-converges to the same closure as the serial fixpoint; receivers
 // deduplicate re-routed triples through Graph.Add.
 
-// CheckpointStore persists per-worker deltas so a dead worker's state can
-// be replayed by its adopter. Implementations must be safe for concurrent
-// use by all workers of a run.
+// CheckpointStore persists per-worker deltas, and the derivation lineage
+// of their triples, so a dead worker's state can be replayed by its
+// adopter. Implementations must be safe for concurrent use by all workers
+// of a run.
 type CheckpointStore interface {
 	// Save appends one delta for the worker — the triples that entered its
 	// graph during one phase of the given round.
 	Save(worker, round int, delta []rdf.Triple) error
 	// Load returns everything ever saved for the worker, any order.
 	Load(worker int) ([]rdf.Triple, error)
-}
-
-// LineageCheckpointStore is implemented by checkpoint stores that persist
-// derivation lineage alongside the triple deltas. Lineage records are
-// self-contained (rdf.Lineage carries premise triples by value) and matched
-// to replayed triples by value, so a store may return them in any order.
-// Stores without the interface degrade recovery to lineage-free replay;
-// the reconstructed closure is unaffected.
-type LineageCheckpointStore interface {
+	// SaveLineage appends the lineage records of one delta. Records are
+	// self-contained (rdf.Lineage carries premise triples by value) and
+	// matched to replayed triples by value.
 	SaveLineage(worker, round int, lins []rdf.Lineage) error
+	// LoadLineage returns every lineage record saved for the worker, any
+	// order.
 	LoadLineage(worker int) ([]rdf.Lineage, error)
 }
 
@@ -88,7 +85,7 @@ func (s *MemCheckpoints) Load(worker int) ([]rdf.Triple, error) {
 	return out, nil
 }
 
-// SaveLineage implements LineageCheckpointStore.
+// SaveLineage implements CheckpointStore.
 func (s *MemCheckpoints) SaveLineage(worker, round int, lins []rdf.Lineage) error {
 	if len(lins) == 0 {
 		return nil
@@ -102,7 +99,7 @@ func (s *MemCheckpoints) SaveLineage(worker, round int, lins []rdf.Lineage) erro
 	return nil
 }
 
-// LoadLineage implements LineageCheckpointStore.
+// LoadLineage implements CheckpointStore.
 func (s *MemCheckpoints) LoadLineage(worker int) ([]rdf.Lineage, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -152,7 +149,7 @@ func (s *DirCheckpoints) Save(worker, round int, delta []rdf.Triple) error {
 	})
 }
 
-// SaveLineage implements LineageCheckpointStore: one JSONL sidecar per
+// SaveLineage implements CheckpointStore: one JSONL sidecar per
 // delta (ntriples lineage codec).
 func (s *DirCheckpoints) SaveLineage(worker, round int, lins []rdf.Lineage) error {
 	if len(lins) == 0 {
@@ -193,7 +190,7 @@ func (s *DirCheckpoints) Load(worker int) ([]rdf.Triple, error) {
 	return out, err
 }
 
-// LoadLineage implements LineageCheckpointStore.
+// LoadLineage implements CheckpointStore.
 func (s *DirCheckpoints) LoadLineage(worker int) ([]rdf.Lineage, error) {
 	var out []rdf.Lineage
 	err := s.read("lin", worker, ".jsonl", func(r io.Reader) error {
@@ -259,14 +256,12 @@ func (rc RecoveryConfig) withDefaults() RecoveryConfig {
 var errWorkerDead = errors.New("cluster: worker stepped aside (dead)")
 
 // coordinator is the shared recovery state of one run: membership, barrier
-// progress, adoption assignments. In Concurrent mode it backs the failure
-// detector and resizes the barrier; in Simulated mode (bar == nil) deaths
-// are replayed deterministically at round tops and the round loop simply
-// skips dead workers.
+// progress, adoption assignments. It resizes the barrier on every death and,
+// in Concurrent mode, backs the failure detector.
 type coordinator struct {
 	store   CheckpointStore
 	rc      RecoveryConfig
-	bar     *barrier // nil in Simulated mode
+	bar     *barrier
 	obs     *obs.Run
 	assigns []Assignment
 
@@ -353,9 +348,7 @@ func (c *coordinator) declareDeadLocked(victim, round int, cause string) {
 			c.err = fmt.Errorf("cluster: unrecoverable: all workers dead (last: worker %d, %s, round %d)",
 				victim, cause, round)
 		}
-		if c.bar != nil {
-			c.bar.abort()
-		}
+		c.bar.abort()
 		return
 	}
 	adopter := -1
@@ -386,13 +379,11 @@ func (c *coordinator) declareDeadLocked(victim, round int, cause string) {
 	if cancel := c.cancels[victim]; cancel != nil {
 		cancel()
 	}
-	if c.bar != nil {
-		// Shrink the barrier so the survivors' generation can complete, and
-		// deposit a sentinel "sent" so the death round cannot read as
-		// globally quiescent: the adopter needs at least one more round to
-		// absorb the victim's state.
-		c.bar.remove(1)
-	}
+	// Shrink the barrier so the survivors' generation can complete, and
+	// deposit a sentinel "sent" so the death round cannot read as globally
+	// quiescent: the adopter needs at least one more round to absorb the
+	// victim's state.
+	c.bar.remove(1)
 	c.obs.Emit(obs.Event{Type: obs.EvDeath, TS: c.obs.Now(), Worker: victim,
 		Round: round, Name: cause, N: int64(adopter)})
 }
@@ -504,8 +495,8 @@ type Membership interface {
 	Assignment(v int) (Assignment, error)
 }
 
-// local is the in-process Membership: the run's barrier (nil in Simulated
-// mode) and its recovery coordinator (nil without recovery).
+// local is the in-process Membership: the run's barrier and its recovery
+// coordinator (nil without recovery).
 type local struct {
 	bar   *barrier
 	coord *coordinator
@@ -531,11 +522,7 @@ func (l local) Died(id, round int, cause string) bool {
 	return true
 }
 
-func (l local) Abort() {
-	if l.bar != nil {
-		l.bar.abort()
-	}
-}
+func (l local) Abort() { l.bar.abort() }
 
 func (l local) Assignment(v int) (Assignment, error) { return l.coord.assigns[v], nil }
 
@@ -628,8 +615,8 @@ func Replay(ctx context.Context, g *rdf.Graph, base []rdf.Triple, store Checkpoi
 	}
 	add(base, true)
 	if store != nil {
-		if ls, ok := store.(LineageCheckpointStore); ok && prov {
-			l, err := ls.LoadLineage(v)
+		if prov {
+			l, err := store.LoadLineage(v)
 			if err != nil {
 				return fmt.Errorf("checkpoint lineage: %w", err)
 			}

@@ -27,8 +27,8 @@ func testTriples(n int) (*rdf.Dict, []rdf.Triple) {
 }
 
 // TestCheckpointStores: both stores must return everything saved for a
-// worker and nothing saved for others; DirCheckpoints must round-trip
-// through its N-Triples files.
+// worker and nothing saved for others, triples and lineage alike;
+// DirCheckpoints must round-trip through its N-Triples and JSONL files.
 func TestCheckpointStores(t *testing.T) {
 	dict, ts := testTriples(5)
 	dir, err := NewDirCheckpoints(t.TempDir(), dict)
@@ -61,6 +61,21 @@ func TestCheckpointStores(t *testing.T) {
 		}
 		if len(other) != 0 {
 			t.Fatalf("%s: worker 3 should have no checkpoints, got %d", name, len(other))
+		}
+		lin := rdf.Lineage{T: ts[2], Rule: "r", Round: 1, Prem: ts[:2]}
+		if err := store.SaveLineage(1, 1, []rdf.Lineage{lin}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		lins, err := store.LoadLineage(1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(lins) != 1 || lins[0].T != lin.T || lins[0].Rule != "r" || lins[0].Round != 1 ||
+			len(lins[0].Prem) != 2 || lins[0].Prem[0] != ts[0] || lins[0].Prem[1] != ts[1] {
+			t.Fatalf("%s: lineage round trip = %+v", name, lins)
+		}
+		if none, err := store.LoadLineage(2); err != nil || len(none) != 0 {
+			t.Fatalf("%s: worker 2 lineage = %v, %v", name, none, err)
 		}
 	}
 }

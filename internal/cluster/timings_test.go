@@ -1,9 +1,14 @@
 package cluster
 
 import (
+	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"powl/internal/rdf"
+	"powl/internal/reason"
+	"powl/internal/rules"
 	"powl/internal/transport"
 )
 
@@ -92,5 +97,55 @@ func TestSimulatedAndConcurrentAgree(t *testing.T) {
 	}
 	if sim.Rounds != conc.Rounds {
 		t.Fatalf("modes disagree on rounds: %d vs %d", sim.Rounds, conc.Rounds)
+	}
+}
+
+// turnCounter wraps an engine and records the most materializations it saw
+// in flight at once. Each call sleeps briefly so that overlapping workers
+// would be caught overlapping.
+type turnCounter struct {
+	reason.Engine
+	cur, peak atomic.Int32
+}
+
+func (c *turnCounter) enter() func() {
+	n := c.cur.Add(1)
+	for p := c.peak.Load(); n > p && !c.peak.CompareAndSwap(p, n); p = c.peak.Load() {
+	}
+	time.Sleep(time.Millisecond)
+	return func() { c.cur.Add(-1) }
+}
+
+func (c *turnCounter) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule) (int, error) {
+	defer c.enter()()
+	return c.Engine.MaterializeCtx(ctx, g, rs)
+}
+
+func (c *turnCounter) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rule, seeds []rdf.Triple) (int, error) {
+	defer c.enter()()
+	return c.Engine.MaterializeFromCtx(ctx, g, rs, seeds)
+}
+
+// TestSimulatedWorkersTakeTurns pins the one-slot property every Simulated
+// timing depends on: a worker's phases are measured alone, so no two
+// workers ever materialize at once — and the closure is still the serial
+// one.
+func TestSimulatedWorkersTakeTurns(t *testing.T) {
+	f := newChainFixture(t, 20, 4)
+	eng := &turnCounter{Engine: reason.Forward{}}
+	res, err := Run(Config{
+		Engine:    eng,
+		Transport: transport.NewMem(),
+		Router:    ownerRouter{f.owner},
+		Mode:      Simulated,
+	}, f.assignments(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Graph.Equal(f.closed) {
+		t.Fatalf("closure mismatch: got %d want %d", res.Graph.Len(), f.closed.Len())
+	}
+	if peak := eng.peak.Load(); peak != 1 {
+		t.Fatalf("%d materializations in flight at once, want 1", peak)
 	}
 }

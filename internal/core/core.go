@@ -117,9 +117,9 @@ type Config struct {
 	// TempDir hosts the FileTransport's message directory; "" uses the
 	// system temp dir.
 	TempDir string
-	// Simulate runs the workers sequentially and reconstructs the parallel
-	// elapsed time from per-phase measurements (cluster.Simulated); use it
-	// to measure speedups on hosts with fewer cores than workers.
+	// Simulate runs the same round loop on one CPU slot; the clock is
+	// rebuilt from per-round phase times (cluster.Simulated). Use it to
+	// measure speedups on hosts with fewer cores than workers.
 	Simulate bool
 	// MaxRounds caps reasoning rounds (safety net); 0 means the cluster
 	// default.
@@ -144,7 +144,9 @@ type Config struct {
 	Inject []*faultinject.Injector
 	// TransportFault, when non-nil, wraps the constructed transport in a
 	// fault-injecting shim driven by this injector — send/recv faults,
-	// delays, and scheduled connection drops (drop=..,dropfrom=..,dropto=..).
+	// delays, and scheduled connection drops (drop=..,dropfrom=..,dropto=..)
+	// — and the shim in a transport.Retry with default settings, which
+	// absorbs the transient faults.
 	TransportFault *faultinject.Injector
 }
 
@@ -219,7 +221,12 @@ func run(ds *datagen.Dataset, p *Plan, cfg Config) (*Result, error) {
 	}
 	defer cleanup()
 	if cfg.TransportFault != nil {
-		tr = &faultinject.Transport{Inner: tr, Inj: cfg.TransportFault}
+		// The shim's faults are transient, so they are retried, as
+		// faultinject promises; a run fails only once a retry budget runs out.
+		retry := transport.NewRetry(&faultinject.Transport{Inner: tr, Inj: cfg.TransportFault},
+			transport.RetryConfig{})
+		retry.Obs = cfg.Obs.Transport()
+		tr = retry
 	}
 
 	mode := cluster.Concurrent

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"powl/internal/datagen"
+	"powl/internal/faultinject"
 	"powl/internal/rdf"
 	"powl/internal/rulepart"
 	"powl/internal/rules"
@@ -91,6 +92,29 @@ func TestAllTransportsEndToEnd(t *testing.T) {
 			}
 			if !res.Graph.Equal(serial.Graph) {
 				t.Fatalf("%s/%s: closure mismatch", tr, st)
+			}
+		}
+	}
+}
+
+// TestTransportFaultsAreRetried: injected transient send and receive
+// faults are absorbed by the retry wrapper Materialize installs around the
+// fault shim, so the run still returns the serial closure.
+func TestTransportFaultsAreRetried(t *testing.T) {
+	ds := tinyLUBM()
+	serial, err := MaterializeSerial(ds, ForwardEngine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []TransportKind{MemTransport, TCPTransport} {
+		for _, fc := range []faultinject.Config{{RecvNth: 2}, {SendNth: 3}} {
+			res, err := Materialize(ds, Config{Workers: 3, Transport: tr, Seed: 42,
+				TransportFault: faultinject.New(fc)})
+			if err != nil {
+				t.Fatalf("%s %+v: %v", tr, fc, err)
+			}
+			if !res.Graph.Equal(serial.Graph) {
+				t.Fatalf("%s %+v: closure mismatch", tr, fc)
 			}
 		}
 	}

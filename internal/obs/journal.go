@@ -17,7 +17,6 @@ const (
 	EvPhase       = "phase"        // Phase, Worker, Round, TS, Dur; N = tuples (send/recv)
 	EvRuleProfile = "rule_profile" // Name = rule, Worker; N = firings, N2 = matches, N3 = derived, N4 = duplicates, Dur = time
 	EvPiece       = "piece"        // one stratum firing of the parallel engine; Name = "stratum-<level>/<pieces>p", Worker, Round = sweep, N = delta triples, N2 = derived, N3 = threads, N4 = rule activations, Dur = span
-	EvDerive      = "derive"       // sampled derivation; Name = rule, Round, N = log offset, N2 = sampling stride
 	EvTransport   = "transport"    // Name = "from->to"; N = messages, N2 = triples, Bytes
 	EvRetry       = "retry"        // Name = op; N = retries, Dur = backoff slept
 	EvCheckpoint  = "checkpoint"   // Worker, Round; N = tuples, Bytes

@@ -37,9 +37,11 @@ func NewRun(sink Sink, reg *Registry) *Run {
 	}
 }
 
-// Now returns nanoseconds since the run started — the journal clock for
-// Concurrent-mode events. Simulated mode ignores it and stamps events with
-// its reconstructed clock instead.
+// Now returns nanoseconds since the run started — the real journal clock.
+// A Simulated cluster run is the same round loop on one CPU slot; it stamps
+// its phase and round events on the clock rebuilt from per-round phase
+// times instead, and everything else (faults, deaths, adoptions,
+// checkpoints) on this one.
 func (r *Run) Now() int64 {
 	if r == nil {
 		return 0

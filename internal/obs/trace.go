@@ -43,10 +43,9 @@ func phaseTitle(phase string) string {
 // WriteTrace converts a run journal into Chrome trace-event JSON: one
 // process, one named thread ("track") per worker plus a master track,
 // complete ("X") slices for every phase span, and instant events for
-// faults, recoveries and round boundaries. Rules with journaled activity
-// (rule_profile summaries, sampled derive events) get their own lanes after
-// the worker tracks, so per-rule attribution reads as a timeline next to
-// the phase decomposition. The output loads directly into Perfetto
+// faults, recoveries and round boundaries. Rules with rule_profile
+// summaries get their own lanes after the worker tracks, so per-rule
+// attribution reads as a timeline next to the phase decomposition. The output loads directly into Perfetto
 // (ui.perfetto.dev) or chrome://tracing and reproduces Figure 2's
 // Reason/IO/Sync decomposition as a timeline.
 func WriteTrace(w io.Writer, events []Event) error {
@@ -65,7 +64,7 @@ func WriteTrace(w io.Writer, events []Event) error {
 			if e.Worker > maxWorker {
 				maxWorker = e.Worker
 			}
-		case EvRuleProfile, EvDerive:
+		case EvRuleProfile:
 			ruleSet[e.Name] = true
 		}
 	}
@@ -153,11 +152,6 @@ func WriteTrace(w io.Writer, events []Event) error {
 					"worker": e.Worker, "firings": e.N, "matches": e.N2,
 					"derived": e.N3, "duplicates": e.N4,
 				},
-			})
-		case EvDerive:
-			out = append(out, traceEvent{
-				Name: "derive", Ph: "i", TS: ts, PID: 0, TID: ruleTID[e.Name], S: "t",
-				Args: map[string]any{"round": e.Round, "offset": e.N, "stride": e.N2},
 			})
 		}
 	}

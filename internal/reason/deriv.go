@@ -1,11 +1,6 @@
 package reason
 
-import (
-	"context"
-
-	"powl/internal/obs"
-	"powl/internal/rdf"
-)
+import "powl/internal/rdf"
 
 // pendDeriv is one captured firing — the rule that produced a conclusion
 // plus its (body-atom-ordered, truncated-at-three) premise triples — held
@@ -38,24 +33,23 @@ func premOffsets(g *rdf.Graph, prem []rdf.Triple) [3]uint32 {
 }
 
 // derivRecorder turns captured firings into provenance records on one
-// graph: the compiled-rule → prov rule-id table, premise resolution, and
-// the derivation sampler, shared by every engine. It writes Prov, so it is
-// writer-only — the fire loop calls it from commit, never from a shard.
+// graph: the compiled-rule → prov rule-id table and premise resolution,
+// shared by every engine. It writes Prov, so it is writer-only — the fire
+// loop calls it from commit, never from a shard.
 type derivRecorder struct {
-	g       *rdf.Graph
-	prov    *rdf.Prov
-	ids     []uint16
-	sampler *obs.DeriveSampler
+	g    *rdf.Graph
+	prov *rdf.Prov
+	ids  []uint16
 }
 
 // newDerivRecorder returns a recorder for g, or nil when g records no
 // provenance.
-func newDerivRecorder(ctx context.Context, g *rdf.Graph, crs []cRule) *derivRecorder {
+func newDerivRecorder(g *rdf.Graph, crs []cRule) *derivRecorder {
 	prov := g.Prov()
 	if prov == nil {
 		return nil
 	}
-	rec := &derivRecorder{g: g, prov: prov, ids: make([]uint16, len(crs)), sampler: obs.DerivesFrom(ctx)}
+	rec := &derivRecorder{g: g, prov: prov, ids: make([]uint16, len(crs))}
 	for i := range crs {
 		rec.ids[i] = prov.RuleID(crs[i].name)
 	}
@@ -73,19 +67,10 @@ func (rec *derivRecorder) derivation(pd pendDeriv, round int) rdf.Derivation {
 }
 
 // add inserts t as derived by pd and reports whether it was new to the
-// graph; a new triple is offered to the sampler. Premises are resolved
-// before the insert, so they land below t in the log — what keeps Explain's
-// premise walk acyclic.
+// graph. Premises are resolved before the insert, so they land below t in
+// the log — what keeps Explain's premise walk acyclic.
 func (rec *derivRecorder) add(t rdf.Triple, pd pendDeriv, round int) bool {
-	if !rec.g.AddDerived(t, rec.derivation(pd, round)) {
-		return false
-	}
-	if rec.sampler != nil {
-		if off, ok := rec.g.Offset(t); ok {
-			rec.sampler.Sample(pd.rule.name, round, off)
-		}
-	}
-	return true
+	return rec.g.AddDerived(t, rec.derivation(pd, round))
 }
 
 // addAlt records pd as t's alternate derivation — the counting-style fast

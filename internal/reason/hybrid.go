@@ -75,7 +75,7 @@ func (h Hybrid) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rul
 	}
 	sort.Slice(resources, func(i, j int) bool { return resources[i] < resources[j] })
 
-	rec := newDerivRecorder(ctx, g, p.rules)
+	rec := newDerivRecorder(g, p.rules)
 	added := 0
 	var s *solver
 	var pending []rdf.Triple

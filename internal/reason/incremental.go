@@ -93,7 +93,7 @@ func (h Hybrid) MaterializeFromCtx(ctx context.Context, g *rdf.Graph, rs []rules
 	// the incremental close is powl's own wrapper-level machinery, so it
 	// uses tabling efficiently.
 	added := 0
-	s := newSolver(g, p, prof, newDerivRecorder(ctx, g, p.rules))
+	s := newSolver(g, p, prof, newDerivRecorder(g, p.rules))
 	var pending []rdf.Triple
 	for len(frontier) > 0 {
 		if err := ctx.Err(); err != nil {

@@ -175,7 +175,7 @@ func (f Forward) Fire(ctx context.Context, g *rdf.Graph, p *Program, delta []rdf
 	r := &fireRun{
 		g: g, p: p,
 		stage: rdf.NewDeltaStage(threads),
-		rec:   newDerivRecorder(ctx, g, p.rules),
+		rec:   newDerivRecorder(g, p.rules),
 		prof:  prof,
 		dead:  make([]bool, p.ntr),
 		acts:  make([]int, threads),

@@ -83,7 +83,7 @@ func (Rete) materialize(ctx context.Context, g *rdf.Graph, rs []rules.Rule, asse
 	// (assertSet is the log, queue entries were just Added), so premise
 	// offsets always resolve. Rete has no round structure; records carry
 	// round 0.
-	if rec := newDerivRecorder(ctx, g, p.rules); rec != nil {
+	if rec := newDerivRecorder(g, p.rules); rec != nil {
 		net.rec = true
 		emit = func(t rdf.Triple) {
 			idx := net.fireRule.idx

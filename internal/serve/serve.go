@@ -150,11 +150,8 @@ type Config struct {
 	// CompactMinDead is the tombstone floor below which compaction never
 	// runs, whatever the ratio; 0 defaults to 4096.
 	CompactMinDead int
-	// Run receives journal events (may be nil). Reg receives metrics
-	// (may be nil); the server keeps its own authoritative counters
-	// either way.
+	// Run receives journal events (may be nil).
 	Run *obs.Run
-	Reg *obs.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -241,10 +238,8 @@ type Server struct {
 	retractNanos                                            atomic.Int64
 	writerPanics                                            atomic.Int64
 
-	// registry mirrors (nil-safe no-ops when Reg is nil)
-	gQueue, gInflight, gEpoch *obs.Gauge
-	hLatency                  *obs.Histogram
-	cAdmitted, cShed          *obs.Counter
+	// latency holds every query's latency; Stats reads its percentiles.
+	latency *obs.Histogram
 
 	// testHook, when non-nil, runs inside the query's execution slot
 	// before parsing — the seam the panic-isolation test injects through.
@@ -274,31 +269,20 @@ func New(kb *KB, cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:       cfg,
-		kb:        kb,
-		sem:       make(chan struct{}, cfg.MaxInflight),
-		waiters:   make(chan struct{}, cfg.QueueDepth),
-		batches:   make(chan writeBatch, cfg.InsertBuffer),
-		prog:      prog,
-		ret:       &reason.Retractor{Obs: cfg.Run, Threads: kb.Threads},
-		gQueue:    cfg.Reg.Gauge("serve.queue_depth"),
-		gInflight: cfg.Reg.Gauge("serve.inflight"),
-		gEpoch:    cfg.Reg.Gauge("serve.epoch"),
-		hLatency:  cfg.Reg.Histogram("serve.query_latency"),
-		cAdmitted: cfg.Reg.Counter("serve.admitted"),
-		cShed:     cfg.Reg.Counter("serve.shed"),
-	}
-	if s.hLatency == nil {
-		// Stats percentiles come from this histogram, so the server owns
-		// one even without a registry.
-		s.hLatency = &obs.Histogram{}
+		cfg:     cfg,
+		kb:      kb,
+		sem:     make(chan struct{}, cfg.MaxInflight),
+		waiters: make(chan struct{}, cfg.QueueDepth),
+		batches: make(chan writeBatch, cfg.InsertBuffer),
+		prog:    prog,
+		ret:     &reason.Retractor{Obs: cfg.Run, Threads: kb.Threads},
+		latency: &obs.Histogram{},
 	}
 	// A prov-free KB makes every DELETE fall back to delete-and-
 	// rematerialize; the retractor journals each such degradation to Obs.
 	s.ret.SetProgram(prog)
 	sn := kb.Graph.Snapshot()
 	s.snap.Store(&sn)
-	s.gEpoch.Set(int64(sn.Watermark()))
 	s.writerWG.Add(1)
 	go s.writerLoop()
 	s.cfg.Run.Emit(obs.Event{Type: obs.EvServe, TS: s.cfg.Run.Now(),
@@ -315,7 +299,7 @@ func (s *Server) Dict() *rdf.Dict { return s.kb.Dict }
 
 // Stats returns a consistent-enough point-in-time view of the accounting.
 func (s *Server) Stats() Stats {
-	lat := s.hLatency.Snapshot()
+	lat := s.latency.Snapshot()
 	ms := func(p float64) float64 {
 		return float64(lat.Percentile(p)) / float64(time.Millisecond)
 	}
@@ -393,7 +377,6 @@ func (s *Server) admit(ctx context.Context, start time.Time) (release func(), er
 	default:
 		select {
 		case s.waiters <- struct{}{}:
-			s.gQueue.Set(int64(len(s.waiters)))
 			admitted := false
 			select {
 			case s.sem <- struct{}{}:
@@ -401,7 +384,6 @@ func (s *Server) admit(ctx context.Context, start time.Time) (release func(), er
 			case <-ctx.Done():
 			}
 			<-s.waiters
-			s.gQueue.Set(int64(len(s.waiters)))
 			if !admitted {
 				s.queueTimeout.Add(1)
 				s.journalQuery("queue_timeout", start, 0)
@@ -410,19 +392,15 @@ func (s *Server) admit(ctx context.Context, start time.Time) (release func(), er
 			}
 		default:
 			s.shed.Add(1)
-			s.cShed.Add(1)
 			s.journalQuery("shed", start, 0)
 			s.queries.Done()
 			return nil, ErrShed
 		}
 	}
 	s.admitted.Add(1)
-	s.cAdmitted.Add(1)
-	s.gInflight.Set(int64(len(s.sem)))
 	return func() {
 		s.completed.Add(1)
 		<-s.sem
-		s.gInflight.Set(int64(len(s.sem)))
 		s.queries.Done()
 	}, nil
 }
@@ -460,7 +438,7 @@ func (s *Server) execute(ctx context.Context, cancel context.CancelFunc, text st
 	res, err := q.SolveContext(ctx, sn)
 	//powl:ignore wallclock latency observation for the serve histogram/journal — telemetry, not reasoning state
 	lat := time.Since(start)
-	s.hLatency.Observe(lat)
+	s.latency.Observe(lat)
 	switch {
 	case err == nil:
 		s.journalQuery("ok", start, int64(len(res.Rows)))
@@ -521,7 +499,7 @@ func (s *Server) Explain(ctx context.Context, stmt string, maxDepth int) (Explai
 		return ExplainResponse{}, ErrNotFound
 	}
 	//powl:ignore wallclock latency observation for the serve histogram — telemetry only
-	s.hLatency.Observe(time.Since(start))
+	s.latency.Observe(time.Since(start))
 	s.journalQuery("explain_ok", start, 1)
 	return ExplainResponse{Doc: rdf.NewExplainDoc(d, node), Epoch: sn.Watermark()}, nil
 }
@@ -636,7 +614,6 @@ func (s *Server) apply(batch writeBatch) {
 	}
 	sn := s.kb.Graph.Snapshot()
 	s.snap.Store(&sn)
-	s.gEpoch.Set(int64(sn.Watermark()))
 	s.cfg.Run.Emit(obs.Event{Type: obs.EvEpoch, TS: s.cfg.Run.Now(),
 		Worker: obs.MasterWorker, N: int64(sn.Watermark()),
 		N2: int64(s.kb.Graph.Len() - before)})

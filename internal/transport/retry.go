@@ -180,6 +180,34 @@ func (r *Retry) Recv(ctx context.Context, round, to int) ([]rdf.Triple, error) {
 // Close implements Transport.
 func (r *Retry) Close() error { return r.inner.Close() }
 
+// SendLineage implements LineageCarrier through the same retry loop as
+// Send. Without a LineageCarrier inside, the records go nowhere, as they
+// would over the inner transport alone.
+func (r *Retry) SendLineage(ctx context.Context, round, from, to int, lins []rdf.Lineage) error {
+	lc, ok := r.inner.(LineageCarrier)
+	if !ok {
+		return nil
+	}
+	return r.do(ctx, "send", func() error {
+		return lc.SendLineage(ctx, round, from, to, lins)
+	})
+}
+
+// RecvLineage implements LineageCarrier through the same retry loop as Recv.
+func (r *Retry) RecvLineage(ctx context.Context, round, to int) ([]rdf.Lineage, error) {
+	lc, ok := r.inner.(LineageCarrier)
+	if !ok {
+		return nil, nil
+	}
+	var out []rdf.Lineage
+	err := r.do(ctx, "recv", func() error {
+		var e error
+		out, e = lc.RecvLineage(ctx, round, to)
+		return e
+	})
+	return out, err
+}
+
 // DropLink forwards to the inner transport when it is a LinkDropper, so
 // fault injection reaches through the wrapper.
 func (r *Retry) DropLink(from, to int) bool {

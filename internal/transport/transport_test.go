@@ -186,9 +186,9 @@ func TestFileTransportPersistsAsNTriples(t *testing.T) {
 	f.Close()
 }
 
-// TestLineageCarriers: Mem and File deliver lineage records to the
-// addressed worker only, next to the triples they describe, and File keeps
-// them apart from its triple messages.
+// TestLineageCarriers: Mem, File and Retry over Mem deliver lineage records
+// to the addressed worker only, next to the triples they describe, and File
+// keeps them apart from its triple messages.
 func TestLineageCarriers(t *testing.T) {
 	dict, ts := newDictWithTriples(3)
 	lins := []rdf.Lineage{{T: ts[2], Rule: "r", Round: 1, Prem: ts[:2]}}
@@ -199,7 +199,7 @@ func TestLineageCarriers(t *testing.T) {
 	for _, lc := range []interface {
 		Transport
 		LineageCarrier
-	}{NewMem(), file} {
+	}{NewMem(), file, NewRetry(NewMem(), RetryConfig{})} {
 		ctx := context.Background()
 		if err := lc.Send(ctx, 1, 0, 1, ts[2:]); err != nil {
 			t.Fatal(err)
