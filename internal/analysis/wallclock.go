@@ -13,7 +13,7 @@ import (
 // unreproducible. Real time is legitimate in:
 //
 //   - internal/obs — it owns the run clock (Run.Now) and the journal;
-//   - internal/transport — dial/ack deadlines, heartbeats, backoff;
+//   - internal/transport — dial/ack deadlines, backoff;
 //   - cmd/* and examples/* — operator-facing wall-clock reporting.
 //
 // Everywhere else a time.Now is either a measured duration that feeds the

@@ -92,10 +92,10 @@ type Config struct {
 	Obs *obs.Run
 	// Recovery, when non-nil, arms transport-generic worker recovery:
 	// workers checkpoint per-round deltas into Recovery.Store, a failure
-	// detector (Concurrent mode) watches barrier progress (and transport
-	// Health when the transport reports it), and a dead worker's partition
-	// is adopted by the lowest-numbered live worker — the closure still
-	// equals the serial fixpoint. nil keeps the original fail-stop behavior.
+	// detector (Concurrent mode) watches barrier progress, and a dead
+	// worker's partition is adopted by the lowest-numbered live worker —
+	// the closure still equals the serial fixpoint. nil keeps the original
+	// fail-stop behavior.
 	Recovery *RecoveryConfig
 	// Inject holds optional per-worker fault schedules: Inject[i], when
 	// non-nil, drives worker i (crash-at-round). Entries beyond the slice
@@ -247,7 +247,7 @@ func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result,
 	if coord != nil && cfg.Mode == Concurrent {
 		var detCtx context.Context
 		detCtx, detCancel = context.WithCancel(context.Background())
-		go coord.detect(detCtx, cfg.Transport)
+		go coord.detect(detCtx)
 	}
 	wg.Wait()
 	detCancel()

@@ -121,7 +121,7 @@ func TestTransientFaultsRecoverAcrossTransports(t *testing.T) {
 			if !res.Graph.Equal(f.closed) {
 				t.Fatalf("mode=%v %s: closure mismatch after faulty run", mode, name)
 			}
-			if inj.Faults() > 0 && retry.Retries() == 0 {
+			if inj.Faults() > 0 && retry.Stats().Retries == 0 {
 				t.Fatalf("mode=%v %s: %d faults injected but no retries recorded",
 					mode, name, inj.Faults())
 			}
@@ -186,8 +186,8 @@ func TestMalformedPayloadIsNotRetried(t *testing.T) {
 	if !errors.Is(err, transport.ErrMalformed) {
 		t.Fatalf("expected malformed-payload abort, got %v", err)
 	}
-	if retry.Retries() != 0 {
-		t.Fatalf("fatal error was retried %d times", retry.Retries())
+	if retry.Stats().Retries != 0 {
+		t.Fatalf("fatal error was retried %d times", retry.Stats().Retries)
 	}
 }
 

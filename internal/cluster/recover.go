@@ -23,11 +23,10 @@ import (
 // This file is the recovery layer, one implementation for every transport
 // and both deployments. Workers checkpoint their per-round deltas into a
 // pluggable CheckpointStore; a failure detector watches barrier progress
-// (in-process: the coordinator below, with transport Health when the
-// transport reports it; across processes: fscluster's supervisor over the
-// done-markers); and when a worker dies, the lowest-numbered live worker
-// adopts its partition — base tuples, checkpointed deltas, inbox, rules —
-// and re-derives. A restarted worker rejoins through the same replay.
+// (in-process: the coordinator below; across processes: fscluster's
+// supervisor over the done-markers); and when a worker dies, the
+// lowest-numbered live worker adopts its partition — base tuples,
+// checkpointed deltas, inbox, rules — and re-derives. A restarted worker rejoins through the same replay.
 // Forward inference is deterministic and monotone, so the reconstructed
 // state re-converges to the same closure as the serial fixpoint; receivers
 // deduplicate re-routed triples through Graph.Add.
@@ -427,16 +426,14 @@ func (c *coordinator) runErr() error {
 }
 
 // detect is the failure-detector loop (Concurrent mode): every Poll it
-// declares dead any live worker that trails the barrier frontier while
-// either the frontier has been stale past RoundDeadline (the survivors are
-// stuck waiting on it) or the transport's Health view — when the transport
-// reports one — has had no proof of life from it past RoundDeadline. A
-// false positive is safe: the declared worker steps aside at its next
-// coordination point and its partition is re-derived by the adopter.
+// declares dead any live worker that trails the barrier frontier once the
+// frontier has been stale past RoundDeadline (the survivors are stuck
+// waiting on it). A false positive is safe: the declared worker steps aside
+// at its next coordination point and its partition is re-derived by the
+// adopter.
 //
 //powl:ignore wallclock liveness deadlines are real time by definition; nothing here is stamped into run output.
-func (c *coordinator) detect(ctx context.Context, tr transport.Transport) {
-	hr, _ := tr.(transport.HealthReporter)
+func (c *coordinator) detect(ctx context.Context) {
 	ticker := time.NewTicker(c.rc.Poll)
 	defer ticker.Stop()
 	for {
@@ -445,23 +442,10 @@ func (c *coordinator) detect(ctx context.Context, tr transport.Transport) {
 			return
 		case <-ticker.C:
 		}
-		var health map[int]time.Time
-		if hr != nil {
-			health = hr.Health()
-		}
-		now := time.Now()
 		c.mu.Lock()
-		if c.frontier >= 0 {
-			frontierStale := now.Sub(c.frontierAt) > c.rc.RoundDeadline
+		if c.frontier >= 0 && time.Since(c.frontierAt) > c.rc.RoundDeadline {
 			for i, l := range c.live {
-				if !l || c.arrived[i] >= c.frontier {
-					continue
-				}
-				healthStale := false
-				if t, ok := health[i]; ok {
-					healthStale = now.Sub(t) > c.rc.RoundDeadline
-				}
-				if frontierStale || healthStale {
+				if l && c.arrived[i] < c.frontier {
 					c.declareDeadLocked(i, c.frontier, "timeout")
 				}
 			}

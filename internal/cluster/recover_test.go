@@ -121,7 +121,7 @@ func TestDetectorDeclaresLaggard(t *testing.T) {
 
 	detCtx, detCancel := context.WithCancel(context.Background())
 	defer detCancel()
-	go coord.detect(detCtx, transport.NewMem())
+	go coord.detect(detCtx)
 
 	// Workers 0 and 1 make progress; worker 2 never arrives.
 	for round := 0; round < 3; round++ {
@@ -161,7 +161,7 @@ func TestDetectorSparesProgressingWorkers(t *testing.T) {
 	coord := newCoordinator(2, rc, newBarrier(2), nil, make([]Assignment, 2))
 	detCtx, detCancel := context.WithCancel(context.Background())
 	defer detCancel()
-	go coord.detect(detCtx, transport.NewMem())
+	go coord.detect(detCtx)
 	for round := 0; round < 10; round++ {
 		coord.atBarrier(0, round)
 		coord.atBarrier(1, round)

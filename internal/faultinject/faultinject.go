@@ -61,7 +61,7 @@ type Fault struct {
 // Error implements error.
 func (f *Fault) Error() string { return fmt.Sprintf("faultinject: %s call %d failed", f.Op, f.Call) }
 
-// Transient marks injected faults as retryable for transport.Classify.
+// Transient marks injected faults as retryable for transport.DefaultClassify.
 func (f *Fault) Transient() bool { return true }
 
 // Injector applies a Config. All methods are safe for concurrent use.

@@ -2,7 +2,6 @@ package faultinject
 
 import (
 	"context"
-	"time"
 
 	"powl/internal/rdf"
 	"powl/internal/transport"
@@ -70,12 +69,4 @@ func (f *Transport) DropLink(from, to int) bool {
 		return d.DropLink(from, to)
 	}
 	return false
-}
-
-// Health forwards to the inner transport's HealthReporter, if any.
-func (f *Transport) Health() map[int]time.Time {
-	if h, ok := f.Inner.(transport.HealthReporter); ok {
-		return h.Health()
-	}
-	return nil
 }

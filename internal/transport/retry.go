@@ -15,12 +15,10 @@ import (
 	"powl/internal/rdf"
 )
 
-// Classify reports whether an error is transient — worth retrying — as
-// opposed to fatal. The distinction drives Retry: a transient Send/Recv
+// DefaultClassify reports whether an error is transient — worth retrying —
+// as opposed to fatal. The distinction drives Retry: a transient Send/Recv
 // failure is retried with backoff; a fatal one aborts the run immediately.
-type Classify func(err error) bool
-
-// DefaultClassify is the stock transient/fatal split:
+// The split:
 //
 //   - malformed payloads (ErrMalformed) are fatal: the bytes are corrupt and
 //     will be corrupt on every retry;
@@ -65,8 +63,7 @@ func DefaultClassify(err error) bool {
 }
 
 // RetryConfig tunes a Retry wrapper. The zero value is usable: 4 attempts,
-// 1ms base delay doubling to a 100ms cap, DefaultClassify, deterministic
-// jitter.
+// 1ms base delay doubling to a 100ms cap, deterministic jitter.
 type RetryConfig struct {
 	// MaxAttempts is the total number of tries per operation (1 = no
 	// retries). 0 means 4.
@@ -76,16 +73,12 @@ type RetryConfig struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the pre-jitter backoff. 0 means 100ms.
 	MaxDelay time.Duration
-	// Classify decides transient vs fatal; nil means DefaultClassify.
-	Classify Classify
 	// Seed seeds the jitter source so retry schedules are reproducible.
 	Seed int64
-	// OnRetry, if set, observes every retry decision (for logs and tests).
-	OnRetry func(op string, attempt int, err error)
 }
 
 // Retry wraps a Transport with bounded retry + exponential backoff + jitter
-// for transient Send/Recv failures. Fatal errors (per Classify) and
+// for transient Send/Recv failures. Fatal errors (per DefaultClassify) and
 // exhausted budgets surface to the caller unchanged, wrapped with attempt
 // context.
 type Retry struct {
@@ -126,29 +119,11 @@ func NewRetry(inner Transport, cfg RetryConfig) *Retry {
 	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = 100 * time.Millisecond
 	}
-	if cfg.Classify == nil {
-		cfg.Classify = DefaultClassify
-	}
 	return &Retry{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 // Name implements Transport.
 func (r *Retry) Name() string { return r.inner.Name() + "+retry" }
-
-// Retries reports how many individual retries the wrapper has performed.
-func (r *Retry) Retries() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.retries
-}
-
-// Attempts reports the total number of inner-operation invocations, first
-// tries included.
-func (r *Retry) Attempts() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.attempts
-}
 
 // Stats returns the wrapper's cumulative attempt/retry/backoff accounting.
 func (r *Retry) Stats() RetryStats {
@@ -217,15 +192,6 @@ func (r *Retry) DropLink(from, to int) bool {
 	return false
 }
 
-// Health forwards to the inner transport when it is a HealthReporter; a
-// non-reporting inner transport yields nil.
-func (r *Retry) Health() map[int]time.Time {
-	if h, ok := r.inner.(HealthReporter); ok {
-		return h.Health()
-	}
-	return nil
-}
-
 func (r *Retry) do(ctx context.Context, op string, f func() error) error {
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -236,14 +202,11 @@ func (r *Retry) do(ctx context.Context, op string, f func() error) error {
 		if err == nil {
 			return nil
 		}
-		if !r.cfg.Classify(err) {
+		if !DefaultClassify(err) {
 			return err
 		}
 		if attempt >= r.cfg.MaxAttempts {
 			return fmt.Errorf("transport: %s failed after %d attempts: %w", op, attempt, err)
-		}
-		if r.cfg.OnRetry != nil {
-			r.cfg.OnRetry(op, attempt, err)
 		}
 		r.Obs.Retried(op)
 		if werr := r.wait(ctx, attempt); werr != nil {

@@ -35,21 +35,20 @@ import (
 //   - Frames carry a per-sender sequence number; the receiver deduplicates
 //     on (round, from, seq), so a frame resent after a lost ack is delivered
 //     exactly once.
-//   - A heartbeat goroutine per link probes idle connections and feeds the
-//     Health view, so a failure detector can distinguish a dead peer from a
-//     quiet one.
+//
+// The mesh does not judge liveness: a worker that stops is seen by the
+// cluster's barrier frontier, not by the transport.
 //
 // Mid-stream corruption (truncated payloads, unparseable triples, garbage
-// headers) is still fatal: re-dialing cannot repair corrupt bytes, so those
-// errors are buffered and surface on the next Send/Recv as ErrMalformed-
-// class failures.
+// or misrouted headers) is still fatal: re-dialing cannot repair corrupt
+// bytes, so those errors are buffered and surface on the next Send/Recv as
+// ErrMalformed-class failures.
 type TCP struct {
 	// Obs, when non-nil, receives one Batch call per sent message with the
 	// serialized frame payload size (self-sends carry interned IDs, 0 bytes)
 	// and one Redialed call per link reconnection.
 	Obs *obs.TransportRecorder
 
-	cfg  TCPConfig
 	dict *rdf.Dict
 	k    int
 
@@ -57,7 +56,6 @@ type TCP struct {
 	inbox    map[boxKey][]rdf.Triple
 	seen     map[frameKey]struct{}
 	errs     []error
-	contact  map[int]time.Time // worker -> last proof of life on any link
 	accepted []net.Conn
 	redials  atomic.Int64
 	seqs     []atomic.Int64 // per-sender frame sequence counters
@@ -66,46 +64,16 @@ type TCP struct {
 	listeners []net.Listener
 	links     [][]*link // links[from][to], nil on the diagonal
 	wg        sync.WaitGroup
-	stop      chan struct{}
 	closeOnce sync.Once
 }
 
-// TCPConfig tunes the reconnecting mesh. The zero value is usable.
-type TCPConfig struct {
-	// MaxRedials bounds how many times one Send re-dials a broken link
-	// before giving up; 0 means 4.
-	MaxRedials int
-	// RedialBackoff is the sleep before the first re-dial, doubling per
-	// attempt; 0 means 2ms.
-	RedialBackoff time.Duration
-	// DialTimeout bounds one dial + hello exchange; 0 means 2s.
-	DialTimeout time.Duration
-	// AckTimeout bounds one frame exchange (write + ack) when the caller's
-	// context carries no tighter deadline; 0 means 10s.
-	AckTimeout time.Duration
-	// HeartbeatInterval is the idle-link probe period feeding Health;
-	// 0 means 500ms, negative disables heartbeats.
-	HeartbeatInterval time.Duration
-}
-
-func (c TCPConfig) withDefaults() TCPConfig {
-	if c.MaxRedials <= 0 {
-		c.MaxRedials = 4
-	}
-	if c.RedialBackoff <= 0 {
-		c.RedialBackoff = 2 * time.Millisecond
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 10 * time.Second
-	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = 500 * time.Millisecond
-	}
-	return c
-}
+// Connection tuning of the reconnecting mesh.
+const (
+	maxRedials    = 4                    // re-dials one Send attempts before it fails
+	redialBackoff = 2 * time.Millisecond // sleep before the first re-dial, doubling per attempt
+	dialTimeout   = 2 * time.Second      // one dial + hello exchange
+	ackTimeout    = 10 * time.Second     // one frame exchange, unless ctx's deadline is tighter
+)
 
 // link is the sender side of one ordered pair's connection. Its mutex
 // serializes frame exchanges (a frame and its ack must not interleave with
@@ -116,14 +84,13 @@ type link struct {
 	mu    sync.Mutex
 	conn  net.Conn
 	epoch int32 // dial count, announced in the session hello
-	round int32 // last round this link carried (for hello/heartbeat frames)
+	round int32 // last round this link carried (for the hello frame)
 }
 
 // frame types.
 const (
-	typeData      int32 = 0 // length-prefixed N-Triples payload
-	typeHello     int32 = 1 // session hello: From = worker, Seq = epoch, Round = sender round
-	typeHeartbeat int32 = 2 // liveness probe, no payload
+	typeData  int32 = 0 // length-prefixed N-Triples payload
+	typeHello int32 = 1 // session hello: From = worker, Seq = epoch, Round = sender round
 )
 
 // frameHeader precedes every frame (big-endian int32s).
@@ -132,8 +99,12 @@ type frameHeader struct {
 }
 
 // maxFrame bounds a frame payload; larger Len values are treated as header
-// corruption rather than honored with a giant allocation.
-const maxFrame = 1 << 28
+// corruption. A Len within the bound is still only trusted as far as its
+// bytes arrive: the reader allocates chunks of at most maxChunk bytes.
+const (
+	maxFrame = 1 << 28
+	maxChunk = 1 << 20
+)
 
 // frameKey dedups delivered data frames: a frame resent after a lost ack
 // carries the same (round, from, seq) and is delivered exactly once.
@@ -141,25 +112,16 @@ type frameKey struct {
 	round, from, seq int32
 }
 
-// NewTCP builds the k-worker mesh on loopback ephemeral ports with default
-// tuning.
+// NewTCP builds the k-worker mesh on loopback ephemeral ports.
 func NewTCP(k int, dict *rdf.Dict) (*TCP, error) {
-	return NewTCPWithConfig(k, dict, TCPConfig{})
-}
-
-// NewTCPWithConfig builds the k-worker mesh with explicit tuning.
-func NewTCPWithConfig(k int, dict *rdf.Dict, cfg TCPConfig) (*TCP, error) {
 	t := &TCP{
-		cfg:     cfg.withDefaults(),
-		dict:    dict,
-		k:       k,
-		inbox:   map[boxKey][]rdf.Triple{},
-		seen:    map[frameKey]struct{}{},
-		contact: map[int]time.Time{},
-		seqs:    make([]atomic.Int64, k),
-		addrs:   make([]string, k),
-		links:   make([][]*link, k),
-		stop:    make(chan struct{}),
+		dict:  dict,
+		k:     k,
+		inbox: map[boxKey][]rdf.Triple{},
+		seen:  map[frameKey]struct{}{},
+		seqs:  make([]atomic.Int64, k),
+		addrs: make([]string, k),
+		links: make([][]*link, k),
 	}
 	for i := range t.links {
 		t.links[i] = make([]*link, k)
@@ -177,7 +139,7 @@ func NewTCPWithConfig(k int, dict *rdf.Dict, cfg TCPConfig) (*TCP, error) {
 	// lives — a re-dialing peer shows up as a fresh connection with a fresh
 	// session hello, not just at startup.
 	for j := 0; j < k; j++ {
-		ln := t.listeners[j]
+		ln, self := t.listeners[j], j
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
@@ -192,7 +154,7 @@ func NewTCPWithConfig(k int, dict *rdf.Dict, cfg TCPConfig) (*TCP, error) {
 				t.wg.Add(1)
 				go func() {
 					defer t.wg.Done()
-					t.readLoop(conn)
+					t.readLoop(conn, self)
 				}()
 			}
 		}()
@@ -211,10 +173,6 @@ func NewTCPWithConfig(k int, dict *rdf.Dict, cfg TCPConfig) (*TCP, error) {
 				t.Close()
 				return nil, fmt.Errorf("transport/tcp: dial %d->%d: %w", from, to, err)
 			}
-			if t.cfg.HeartbeatInterval > 0 {
-				t.wg.Add(1)
-				go t.heartbeatLoop(l)
-			}
 		}
 	}
 	return t, nil
@@ -230,14 +188,14 @@ func (t *TCP) dialLocked(l *link) error {
 		l.conn.Close()
 		l.conn = nil
 	}
-	conn, err := net.DialTimeout("tcp", t.addrs[l.to], t.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", t.addrs[l.to], dialTimeout)
 	if err != nil {
 		return err
 	}
 	l.epoch++
 	hello := frameHeader{Type: typeHello, Round: l.round,
 		From: int32(l.from), To: int32(l.to), Seq: l.epoch}
-	conn.SetDeadline(time.Now().Add(t.cfg.DialTimeout))
+	conn.SetDeadline(time.Now().Add(dialTimeout))
 	if err := binary.Write(conn, binary.BigEndian, hello); err != nil {
 		conn.Close()
 		return err
@@ -250,7 +208,7 @@ func (t *TCP) dialLocked(l *link) error {
 	conn.SetDeadline(time.Time{})
 	l.conn = conn
 	// Every dial after the link's first is a reconnection, whichever path
-	// triggered it (send retry, next send after a drop, heartbeat probe).
+	// triggered it (send retry, next send after a drop).
 	if l.epoch > 1 {
 		t.redials.Add(1)
 		t.Obs.Redialed(l.from, l.to)
@@ -288,10 +246,10 @@ func (t *TCP) DropLink(from, to int) bool {
 }
 
 // exchangeLocked performs one frame exchange — header, optional payload,
-// ack — under the deadline from ctx (tightened by AckTimeout). The caller
+// ack — under ackTimeout, or ctx's deadline when that is sooner. The caller
 // holds l.mu.
 func (t *TCP) exchangeLocked(ctx context.Context, l *link, hdr frameHeader, payload []byte) error {
-	deadline := time.Now().Add(t.cfg.AckTimeout)
+	deadline := time.Now().Add(ackTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
@@ -350,9 +308,9 @@ func (t *TCP) Send(ctx context.Context, round, from, to int, ts []rdf.Triple) er
 	defer l.mu.Unlock()
 	l.round = int32(round)
 	var lastErr error
-	for attempt := 0; attempt <= t.cfg.MaxRedials; attempt++ {
+	for attempt := 0; attempt <= maxRedials; attempt++ {
 		if attempt > 0 {
-			if err := sleepCtx(ctx, backoffDelay(t.cfg.RedialBackoff, attempt)); err != nil {
+			if err := sleepCtx(ctx, backoffDelay(redialBackoff, attempt)); err != nil {
 				return fmt.Errorf("transport/tcp: send %d->%d: %w (last error: %v)", from, to, err, lastErr)
 			}
 		}
@@ -373,12 +331,11 @@ func (t *TCP) Send(ctx context.Context, round, from, to int, ts []rdf.Triple) er
 			}
 			continue
 		}
-		t.touch(to)
 		t.Obs.Batch(from, to, len(ts), int64(buf.Len()))
 		return nil
 	}
 	return fmt.Errorf("transport/tcp: send %d->%d round %d failed after %d redials: %w",
-		from, to, round, t.cfg.MaxRedials, lastErr)
+		from, to, round, maxRedials, lastErr)
 }
 
 // backoffDelay is the pre-dial sleep before the attempt-th redial (1-based),
@@ -403,81 +360,16 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// heartbeatLoop probes l at the configured interval so Health stays current
-// on idle links. A failed probe breaks the connection (the next Send
-// re-dials); the loop itself then re-dials on its next tick, so a healed
-// network shows up in Health without any Send traffic.
-func (t *TCP) heartbeatLoop(l *link) {
-	defer t.wg.Done()
-	ticker := time.NewTicker(t.cfg.HeartbeatInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-ticker.C:
-		}
-		// TryLock: if the link is busy sending, it is visibly alive and the
-		// probe is redundant this tick.
-		if !l.mu.TryLock() {
-			continue
-		}
-		if l.conn == nil {
-			if err := t.dialLocked(l); err != nil {
-				l.mu.Unlock()
-				continue
-			}
-		}
-		hdr := frameHeader{Type: typeHeartbeat, Round: l.round,
-			From: int32(l.from), To: int32(l.to), Seq: l.epoch}
-		deadline := time.Now().Add(t.cfg.HeartbeatInterval)
-		l.conn.SetDeadline(deadline)
-		err := binary.Write(l.conn, binary.BigEndian, hdr)
-		if err == nil {
-			ack := make([]byte, 1)
-			_, err = io.ReadFull(l.conn, ack)
-		}
-		if err != nil {
-			l.breakLocked()
-		} else {
-			l.conn.SetDeadline(time.Time{})
-			t.touch(l.to)
-		}
-		l.mu.Unlock()
-	}
-}
-
-// touch records proof of life for a worker (an acked exchange with it, or a
-// frame received from it).
-func (t *TCP) touch(worker int) {
-	t.mu.Lock()
-	t.contact[worker] = time.Now()
-	t.mu.Unlock()
-}
-
-// Health returns, per worker, the last time the mesh had proof of life for
-// it: a frame or heartbeat received from it, or an acked exchange with it.
-// A failure detector compares these against its deadline to tell dead peers
-// from quiet ones.
-func (t *TCP) Health() map[int]time.Time {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[int]time.Time, len(t.contact))
-	for w, ts := range t.contact {
-		out[w] = ts
-	}
-	return out
-}
-
 // Redials reports how many link reconnections the mesh has performed.
 func (t *TCP) Redials() int64 { return t.redials.Load() }
 
-// readLoop consumes one accepted connection. A clean peer close — EOF at a
-// frame boundary — ends the loop silently: that is how a re-dialing peer
-// retires its old connection. Anything else mid-stream (truncated header or
-// payload, unparseable triples, garbage frame type) is corruption and is
+// readLoop consumes one connection accepted by worker self's listener. A
+// clean peer close — EOF at a frame boundary — ends the loop silently: that
+// is how a re-dialing peer retires its old connection. Anything else
+// mid-stream (truncated header or payload, unparseable triples, garbage
+// frame type, a frame not from a peer to self) is corruption and is
 // recorded via t.fail so the next Send/Recv surfaces it.
-func (t *TCP) readLoop(conn net.Conn) {
+func (t *TCP) readLoop(conn net.Conn, self int) {
 	peer := -1
 	for {
 		var hdr frameHeader
@@ -488,35 +380,36 @@ func (t *TCP) readLoop(conn net.Conn) {
 			t.fail(fmt.Errorf("transport/tcp: header from peer %d: %w", peer, err))
 			return
 		}
+		// Every link dials its receiver's listener and self-sends never
+		// touch the wire, so any other routing is a corrupt header.
+		if int(hdr.To) != self || hdr.From < 0 || int(hdr.From) >= t.k || hdr.From == hdr.To {
+			t.fail(fmt.Errorf("transport/tcp: %w: frame %d->%d on worker %d's listener",
+				ErrMalformed, hdr.From, hdr.To, self))
+			return
+		}
+		peer = int(hdr.From)
 		switch hdr.Type {
-		case typeHello:
-			peer = int(hdr.From)
-			t.touch(peer)
-		case typeHeartbeat:
-			peer = int(hdr.From)
-			t.touch(peer)
+		case typeHello: // opens a session; the ack completes the dial
 		case typeData:
 			if hdr.Len < 0 || hdr.Len > maxFrame {
 				t.fail(fmt.Errorf("transport/tcp: %w: frame length %d from peer %d",
 					ErrMalformed, hdr.Len, peer))
 				return
 			}
-			payload := make([]byte, hdr.Len)
-			if _, err := io.ReadFull(conn, payload); err != nil {
+			payload, err := readPayload(conn, int(hdr.Len))
+			if err != nil {
 				t.fail(fmt.Errorf("transport/tcp: payload from peer %d: %w", peer, err))
 				return
 			}
-			peer = int(hdr.From)
-			t.touch(peer)
 			key := frameKey{hdr.Round, hdr.From, hdr.Seq}
 			if !t.alreadySeen(key) {
-				ts, err := ntriples.ReadTriples(bytes.NewReader(payload), t.dict)
+				ts, err := ntriples.ReadTriples(payload, t.dict)
 				if err != nil {
 					t.fail(fmt.Errorf("transport/tcp: %w: %v", ErrMalformed, err))
 					return
 				}
 				t.markSeen(key)
-				t.deliver(int(hdr.Round), int(hdr.To), ts)
+				t.deliver(int(hdr.Round), self, ts)
 			}
 		default:
 			t.fail(fmt.Errorf("transport/tcp: %w: unknown frame type %d from peer %d",
@@ -527,6 +420,26 @@ func (t *TCP) readLoop(conn net.Conn) {
 			return // sender will observe the lost ack and re-dial
 		}
 	}
+}
+
+// readPayload reads an n-byte payload in chunks of at most maxChunk bytes,
+// each allocated only once the previous one has filled, so a header
+// claiming more bytes than arrive cannot reserve them. A stream that ends
+// first is io.ErrUnexpectedEOF.
+func readPayload(r io.Reader, n int) (io.Reader, error) {
+	var chunks []io.Reader
+	for n > 0 {
+		c := make([]byte, min(n, maxChunk))
+		if _, err := io.ReadFull(r, c); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		chunks = append(chunks, bytes.NewReader(c))
+		n -= len(c)
+	}
+	return io.MultiReader(chunks...), nil
 }
 
 // alreadySeen reports whether a data frame was delivered before (a resend
@@ -583,12 +496,11 @@ func (t *TCP) Recv(ctx context.Context, round, to int) ([]rdf.Triple, error) {
 	return ts, nil
 }
 
-// Close implements Transport, tearing down the mesh: heartbeats stop,
-// listeners close (ending the accept loops), and every connection — dialed
-// and accepted — is closed, ending the read loops.
+// Close implements Transport, tearing down the mesh: listeners close
+// (ending the accept loops), and every connection — dialed and accepted —
+// is closed, ending the read loops.
 func (t *TCP) Close() error {
 	t.closeOnce.Do(func() {
-		close(t.stop)
 		for _, ln := range t.listeners {
 			ln.Close()
 		}

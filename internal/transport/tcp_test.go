@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -50,7 +51,7 @@ func TestTCPDropLinkReconnects(t *testing.T) {
 // sender re-dialing after a lost ack would — must be delivered exactly once.
 func TestTCPFrameDedup(t *testing.T) {
 	dict, ts := newDictWithTriples(2)
-	tr, err := NewTCPWithConfig(2, dict, TCPConfig{HeartbeatInterval: -1})
+	tr, err := NewTCP(2, dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestTCPCleanCloseVsCorruption(t *testing.T) {
 	dict, _ := newDictWithTriples(1)
 
 	t.Run("clean close is silent", func(t *testing.T) {
-		tr, err := NewTCPWithConfig(2, dict, TCPConfig{HeartbeatInterval: -1})
+		tr, err := NewTCP(2, dict)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestTCPCleanCloseVsCorruption(t *testing.T) {
 	})
 
 	t.Run("mid-stream garbage surfaces", func(t *testing.T) {
-		tr, err := NewTCPWithConfig(2, dict, TCPConfig{HeartbeatInterval: -1})
+		tr, err := NewTCP(2, dict)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,20 +132,11 @@ func TestTCPCleanCloseVsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.Close()
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			if _, err := tr.Recv(context.Background(), 0, 1); err != nil {
-				break // surfaced — the fix under test
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("mid-stream corruption never surfaced on Recv")
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+		waitRecvErr(t, tr, 1)
 	})
 
 	t.Run("oversized frame length is malformed", func(t *testing.T) {
-		tr, err := NewTCPWithConfig(2, dict, TCPConfig{HeartbeatInterval: -1})
+		tr, err := NewTCP(2, dict)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,50 +150,91 @@ func TestTCPCleanCloseVsCorruption(t *testing.T) {
 		if err := binary.Write(conn, binary.BigEndian, bad); err != nil {
 			t.Fatal(err)
 		}
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			if _, err := tr.Recv(context.Background(), 0, 1); err != nil {
-				if !errors.Is(err, ErrMalformed) {
-					t.Fatalf("expected ErrMalformed, got %v", err)
-				}
-				break
+		if err := waitRecvErr(t, tr, 1); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("expected ErrMalformed, got %v", err)
+		}
+	})
+
+	// A header may claim up to maxFrame bytes; the reader must not reserve
+	// them before they arrive.
+	t.Run("oversized claimed length, short body", func(t *testing.T) {
+		tr, err := NewTCP(2, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = tr.Close() }()
+		conn, err := net.Dial("tcp", tr.addrs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		hdr := frameHeader{Type: typeData, From: 0, To: 1, Seq: 1, Len: maxFrame}
+		if err := binary.Write(conn, binary.BigEndian, hdr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte("<")); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		if err := waitRecvErr(t, tr, 1); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("expected a truncated-payload error, got %v", err)
+		}
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<20 {
+			t.Fatalf("a 1-byte body claiming %d bytes allocated %d MB", maxFrame, d>>20)
+		}
+	})
+
+	t.Run("misrouted frame is malformed", func(t *testing.T) {
+		payload := []byte("<http://t/s0> <http://t/p> \"v0\" .\n")
+		for _, hdr := range []frameHeader{
+			{Type: typeData, From: 0, To: 2}, // addressed to another worker
+			{Type: typeData, From: 3, To: 1}, // sender outside the mesh
+			{Type: typeData, From: 1, To: 1}, // a self-send on the wire
+		} {
+			tr, err := NewTCP(3, dict)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if time.Now().After(deadline) {
-				t.Fatal("oversized frame never surfaced")
+			conn, err := net.Dial("tcp", tr.addrs[1])
+			if err != nil {
+				t.Fatal(err)
 			}
-			time.Sleep(5 * time.Millisecond)
+			hdr.Seq, hdr.Len = 1, int32(len(payload))
+			if err := binary.Write(conn, binary.BigEndian, hdr); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := waitRecvErr(t, tr, 1); !errors.Is(err, ErrMalformed) {
+				t.Fatalf("frame %d->%d on worker 1: expected ErrMalformed, got %v", hdr.From, hdr.To, err)
+			}
+			tr.mu.Lock()
+			delivered := len(tr.inbox)
+			tr.mu.Unlock()
+			if delivered != 0 {
+				t.Fatalf("frame %d->%d on worker 1 was delivered", hdr.From, hdr.To)
+			}
+			conn.Close()
+			_ = tr.Close()
 		}
 	})
 }
 
-// TestTCPHealthHeartbeat: the heartbeat loop must keep Health fresh on idle
-// links, and a severed link must heal without any Send traffic.
-func TestTCPHealthHeartbeat(t *testing.T) {
-	dict, _ := newDictWithTriples(1)
-	tr, err := NewTCPWithConfig(2, dict, TCPConfig{HeartbeatInterval: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-
+// waitRecvErr polls worker to's round-0 Recv until it surfaces an error
+// buffered by a read loop, and returns that error.
+func waitRecvErr(t *testing.T, tr *TCP, to int) error {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		h := tr.Health()
-		if !h[0].IsZero() && !h[1].IsZero() {
-			break
+		if _, err := tr.Recv(context.Background(), 0, to); err != nil {
+			return err
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("heartbeats never populated Health: %v", h)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	tr.DropLink(0, 1)
-	before := tr.Redials()
-	deadline = time.Now().Add(2 * time.Second)
-	for tr.Redials() == before {
-		if time.Now().After(deadline) {
-			t.Fatal("heartbeat loop never re-dialed the dropped link")
+			t.Fatal("read-loop error never surfaced on Recv")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -212,7 +245,7 @@ func TestTCPHealthHeartbeat(t *testing.T) {
 // old stream. Simulated by closing the raw conn out from under the link.
 func TestTCPSendPoisonedConnRedials(t *testing.T) {
 	dict, ts := newDictWithTriples(4)
-	tr, err := NewTCPWithConfig(2, dict, TCPConfig{HeartbeatInterval: -1})
+	tr, err := NewTCP(2, dict)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,21 +20,20 @@
 // with it the run), and a context deadline bounds how long a single
 // Send/Recv may take — the enforcement point for per-round deadlines.
 // Transient failures (connection resets, EAGAIN) can be absorbed by
-// wrapping any transport in Retry; see Classify for how transient and
-// fatal errors are told apart.
+// wrapping any transport in Retry; see DefaultClassify for how transient
+// and fatal errors are told apart.
 package transport
 
 import (
 	"context"
 	"errors"
-	"time"
 
 	"powl/internal/rdf"
 )
 
 // ErrMalformed marks a payload that arrived but failed to parse. Malformed
-// payloads are fatal: retrying cannot repair corrupt bytes, so Classify
-// functions must never treat an error wrapping ErrMalformed as transient.
+// payloads are fatal: retrying cannot repair corrupt bytes, so
+// DefaultClassify never treats an error wrapping ErrMalformed as transient.
 var ErrMalformed = errors.New("transport: malformed payload")
 
 // Transport moves triples between workers of one parallel run.
@@ -74,12 +73,4 @@ type LineageCarrier interface {
 // was actually dropped.
 type LinkDropper interface {
 	DropLink(from, to int) bool
-}
-
-// HealthReporter is implemented by transports that track peer liveness
-// (heartbeats, acked exchanges). Health returns, per worker id, the last
-// time the transport had proof of life for it; workers never heard from are
-// absent. Failure detectors consult it alongside round progress.
-type HealthReporter interface {
-	Health() map[int]time.Time
 }
