@@ -138,7 +138,10 @@ type Timings struct {
 
 // Result of a parallel run.
 type Result struct {
-	// Graph is the union of all workers' final graphs (base + inferred).
+	// Graph is the first live worker's final graph with the other live
+	// workers' unioned into it. Its derived marks cover that worker's own
+	// derivations only (Union inserts as base); only reason.Retractor on a
+	// served graph reads such marks.
 	Graph *rdf.Graph
 	// PerWorker holds each worker's timing breakdown.
 	PerWorker []Timings
@@ -220,15 +223,21 @@ func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result,
 	if cfg.Recovery != nil {
 		m.coord = newCoordinator(k, *cfg.Recovery, m.bar, cfg.Obs, assigns)
 	}
+	// One goroutine per worker graph: each graph still has one writer.
 	workers := make([]*worker, k)
+	var wg sync.WaitGroup
 	for i := range workers {
-		workers[i] = newWorker(cfg, i, assigns[i], m, cpu, spans)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			workers[i] = newWorker(cfg, i, assigns[i], m, cpu, spans)
+		}()
 	}
+	wg.Wait()
 
 	coord := m.coord
 	errs := make([]error, k)
 	rounds := make([]int, k)
-	var wg sync.WaitGroup
 	for i, w := range workers {
 		// Under recovery each worker gets its own cancellable context so
 		// the coordinator can interrupt one declared dead mid-phase without
@@ -269,10 +278,7 @@ func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result,
 	}
 
 	aggAt := cfg.Obs.Now()
-	res, err := aggregate(workers, coord, cfg.Provenance)
-	if err != nil {
-		return nil, err
-	}
+	res := aggregate(workers, coord)
 	if coord != nil {
 		res.Recovered = coord.recoveredMap()
 	}
@@ -805,32 +811,21 @@ func retime(o *obs.Run, workers []*worker, res *Result) int64 {
 	return int64(clock)
 }
 
-// aggregate merges the live workers' outputs into the final result: one
-// union graph, pre-sized from the workers' sizes, filled by walking each
-// worker's log — workers in id order, each log in append order, so the
-// result's log order is the same run to run and, with prov set, the first
-// derivation wins deterministically (Union carries lineage across when both
-// sides record it). The timed aggregation step is that single merge — the
-// master-side work the paper's Figure 2 reports as "aggregation" (their
-// implementation concatenated result files; ours deduplicates into the
-// indexed result in the same pass).
+// aggregate merges the live workers' outputs in place: it records every
+// worker's size, then unions the other live workers into the first live
+// worker's graph in id order — the log order, run to run, of a union into a
+// fresh graph, and with prov set the first derivation wins (Union carries
+// lineage). The timed step is those unions — the paper's Figure 2
+// "aggregation" (their implementation concatenated result files; ours
+// deduplicates into the indexed result in the same pass).
 //
 //powl:ignore wallclock aggregation is real master-side work, timed on the real clock in both modes (Simulated adds it on top of the reconstructed time).
-func aggregate(workers []*worker, coord *coordinator, prov bool) (*Result, error) {
-	maxLen := 0
-	for _, w := range workers {
-		maxLen = max(maxLen, w.graph.Len())
-	}
-	aggStart := time.Now()
-	union := rdf.NewGraphCap(maxLen * 2)
-	if prov {
-		union.EnableProv()
-	}
+func aggregate(workers []*worker, coord *coordinator) *Result {
 	res := &Result{
 		PerWorker:   make([]Timings, len(workers)),
 		OutputSizes: make([]int, len(workers)),
-		Graph:       union,
 	}
+	var live []*rdf.Graph
 	for i, w := range workers {
 		res.PerWorker[i] = w.tm
 		// A dead worker's graph died with it: its partition was
@@ -839,14 +834,19 @@ func aggregate(workers []*worker, coord *coordinator, prov bool) (*Result, error
 		if coord.isDead(w.id) {
 			continue
 		}
-		union.Union(w.graph)
 		res.OutputSizes[i] = w.graph.Len()
+		live = append(live, w.graph)
+	}
+	aggStart := time.Now()
+	res.Graph = live[0]
+	for _, g := range live[1:] {
+		res.Graph.Union(g)
 	}
 	agg := time.Since(aggStart)
 	for i := range res.PerWorker {
 		res.PerWorker[i].Aggregate = agg
 	}
-	return res, nil
+	return res
 }
 
 // barrier is a reusable k-party barrier that also sums a per-round integer

@@ -177,7 +177,8 @@ type TransportRecorder struct {
 }
 
 // Batch records one delivered message of n triples (and, when the
-// transport serializes, its payload bytes) from worker `from` to `to`.
+// transport serializes, its payload bytes: N-Triples text on File, encoded
+// term IDs on TCP) from worker `from` to `to`.
 func (t *TransportRecorder) Batch(from, to, n int, bytes int64) {
 	if t == nil {
 		return

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -12,18 +11,19 @@ import (
 	"sync/atomic"
 	"time"
 
-	"powl/internal/ntriples"
 	"powl/internal/obs"
 	"powl/internal/rdf"
 )
 
 // TCP is the MPI-like transport: a full mesh of loopback TCP connections,
-// one per ordered worker pair. Each message is a length-prefixed N-Triples
-// payload; the receiver parses and re-interns it, acknowledging each frame
-// so that a completed Send implies the triples are already in the receiving
-// inbox — which is what lets the cluster barrier double as delivery
-// guarantee. Compared with File it removes the filesystem round trip, which
-// is exactly the improvement the paper projects from switching to MPI (§VI-B).
+// one per ordered worker pair. The mesh shares one rdf.Dict, so a message
+// is a length-prefixed frame of term IDs, three uvarints per triple, that
+// the receiver decodes without parsing or interning. It acknowledges each
+// frame, so a completed Send implies the triples are already in the
+// receiving inbox — which is what lets the cluster barrier double as
+// delivery guarantee. Compared with File it removes the filesystem round
+// trip — the improvement the paper projects from switching to MPI (§VI-B) —
+// and the N-Triples codec.
 //
 // Unlike the original fail-stop mesh, the connection layer is survivable:
 //
@@ -39,14 +39,14 @@ import (
 // The mesh does not judge liveness: a worker that stops is seen by the
 // cluster's barrier frontier, not by the transport.
 //
-// Mid-stream corruption (truncated payloads, unparseable triples, garbage
-// or misrouted headers) is still fatal: re-dialing cannot repair corrupt
-// bytes, so those errors are buffered and surface on the next Send/Recv as
-// ErrMalformed-class failures.
+// Mid-stream corruption (truncated payloads, IDs outside the shared
+// dictionary, garbage or misrouted headers) is still fatal: re-dialing
+// cannot repair corrupt bytes, so those errors are buffered and surface on
+// the next Send/Recv as ErrMalformed-class failures.
 type TCP struct {
 	// Obs, when non-nil, receives one Batch call per sent message with the
-	// serialized frame payload size (self-sends carry interned IDs, 0 bytes)
-	// and one Redialed call per link reconnection.
+	// frame's payload size in bytes of encoded IDs (self-sends never touch
+	// the wire, 0 bytes) and one Redialed call per link reconnection.
 	Obs *obs.TransportRecorder
 
 	dict *rdf.Dict
@@ -89,7 +89,7 @@ type link struct {
 
 // frame types.
 const (
-	typeData  int32 = 0 // length-prefixed N-Triples payload
+	typeData  int32 = 0 // length-prefixed payload of 3 uvarint term IDs per triple
 	typeHello int32 = 1 // session hello: From = worker, Seq = epoch, Round = sender round
 )
 
@@ -291,17 +291,15 @@ func (t *TCP) Send(ctx context.Context, round, from, to int, ts []rdf.Triple) er
 		t.Obs.Batch(from, to, len(ts), 0)
 		return nil
 	}
-	var buf bytes.Buffer
-	w := ntriples.NewWriter(&buf, t.dict)
-	if err := w.WriteAll(ts); err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		return err
+	buf := make([]byte, 0, 3*binary.MaxVarintLen32*len(ts))
+	for _, tr := range ts {
+		buf = binary.AppendUvarint(buf, uint64(tr.S))
+		buf = binary.AppendUvarint(buf, uint64(tr.P))
+		buf = binary.AppendUvarint(buf, uint64(tr.O))
 	}
 	hdr := frameHeader{Type: typeData, Round: int32(round),
 		From: int32(from), To: int32(to),
-		Seq: int32(t.seqs[from].Add(1)), Len: int32(buf.Len())}
+		Seq: int32(t.seqs[from].Add(1)), Len: int32(len(buf))}
 
 	l := t.links[from][to]
 	l.mu.Lock()
@@ -320,7 +318,7 @@ func (t *TCP) Send(ctx context.Context, round, from, to int, ts []rdf.Triple) er
 				continue
 			}
 		}
-		if err := t.exchangeLocked(ctx, l, hdr, buf.Bytes()); err != nil {
+		if err := t.exchangeLocked(ctx, l, hdr, buf); err != nil {
 			// The stream may hold a half-written frame: poison this conn so
 			// the next attempt (and the next Send) re-dials instead of
 			// interleaving into a corrupt stream.
@@ -331,7 +329,7 @@ func (t *TCP) Send(ctx context.Context, round, from, to int, ts []rdf.Triple) er
 			}
 			continue
 		}
-		t.Obs.Batch(from, to, len(ts), int64(buf.Len()))
+		t.Obs.Batch(from, to, len(ts), int64(len(buf)))
 		return nil
 	}
 	return fmt.Errorf("transport/tcp: send %d->%d round %d failed after %d redials: %w",
@@ -366,8 +364,8 @@ func (t *TCP) Redials() int64 { return t.redials.Load() }
 // readLoop consumes one connection accepted by worker self's listener. A
 // clean peer close — EOF at a frame boundary — ends the loop silently: that
 // is how a re-dialing peer retires its old connection. Anything else
-// mid-stream (truncated header or payload, unparseable triples, garbage
-// frame type, a frame not from a peer to self) is corruption and is
+// mid-stream (truncated header or payload, an ID outside the dictionary,
+// garbage frame type, a frame not from a peer to self) is corruption and is
 // recorded via t.fail so the next Send/Recv surfaces it.
 func (t *TCP) readLoop(conn net.Conn, self int) {
 	peer := -1
@@ -396,21 +394,17 @@ func (t *TCP) readLoop(conn net.Conn, self int) {
 					ErrMalformed, hdr.Len, peer))
 				return
 			}
-			payload, err := readPayload(conn, int(hdr.Len))
+			chunks, err := readPayload(conn, int(hdr.Len))
 			if err != nil {
 				t.fail(fmt.Errorf("transport/tcp: payload from peer %d: %w", peer, err))
 				return
 			}
-			key := frameKey{hdr.Round, hdr.From, hdr.Seq}
-			if !t.alreadySeen(key) {
-				ts, err := ntriples.ReadTriples(payload, t.dict)
-				if err != nil {
-					t.fail(fmt.Errorf("transport/tcp: %w: %v", ErrMalformed, err))
-					return
-				}
-				t.markSeen(key)
-				t.deliver(int(hdr.Round), self, ts)
+			ts, err := decodeIDs(chunks, t.dict.Len())
+			if err != nil {
+				t.fail(fmt.Errorf("transport/tcp: %w: %v from peer %d", ErrMalformed, err, peer))
+				return
 			}
+			t.deliverOnce(frameKey{hdr.Round, hdr.From, hdr.Seq}, self, ts)
 		default:
 			t.fail(fmt.Errorf("transport/tcp: %w: unknown frame type %d from peer %d",
 				ErrMalformed, hdr.Type, peer))
@@ -426,8 +420,8 @@ func (t *TCP) readLoop(conn net.Conn, self int) {
 // each allocated only once the previous one has filled, so a header
 // claiming more bytes than arrive cannot reserve them. A stream that ends
 // first is io.ErrUnexpectedEOF.
-func readPayload(r io.Reader, n int) (io.Reader, error) {
-	var chunks []io.Reader
+func readPayload(r io.Reader, n int) ([][]byte, error) {
+	var chunks [][]byte
 	for n > 0 {
 		c := make([]byte, min(n, maxChunk))
 		if _, err := io.ReadFull(r, c); err != nil {
@@ -436,25 +430,59 @@ func readPayload(r io.Reader, n int) (io.Reader, error) {
 			}
 			return nil, err
 		}
-		chunks = append(chunks, bytes.NewReader(c))
+		chunks = append(chunks, c)
 		n -= len(c)
 	}
-	return io.MultiReader(chunks...), nil
+	return chunks, nil
 }
 
-// alreadySeen reports whether a data frame was delivered before (a resend
-// after a lost ack).
-func (t *TCP) alreadySeen(key frameKey) bool {
+// decodeIDs decodes a data frame's chunks into triples: three uvarint term
+// IDs per triple, each in the shared dictionary's 1..terms, a uvarint free
+// to straddle a chunk boundary.
+func decodeIDs(chunks [][]byte, terms int) ([]rdf.Triple, error) {
+	n := 0 // IDs in the payload: a uvarint ends at its one byte below 0x80
+	for _, c := range chunks {
+		for _, b := range c {
+			n += int(^b >> 7)
+		}
+	}
+	ts := make([]rdf.Triple, 0, n/3)
+	var tr [3]rdf.ID
+	var v uint64
+	var shift, j uint
+	for _, c := range chunks {
+		for _, b := range c {
+			v |= uint64(b&0x7f) << shift
+			if shift += 7; b >= 0x80 && shift < 35 {
+				continue
+			}
+			if b >= 0x80 || v == 0 || v > uint64(terms) {
+				return nil, fmt.Errorf("ID %d outside the dictionary's 1..%d", v, terms)
+			}
+			tr[j], v, shift, j = rdf.ID(v), 0, 0, j+1
+			if j == 3 {
+				ts, j = append(ts, rdf.Triple{S: tr[0], P: tr[1], O: tr[2]}), 0
+			}
+		}
+	}
+	if j != 0 || shift != 0 {
+		return nil, fmt.Errorf("payload ends mid-triple")
+	}
+	return ts, nil
+}
+
+// deliverOnce delivers a data frame's triples unless a frame with the same
+// (round, from, seq) was delivered before — a resend after a lost ack, which
+// may arrive on a re-dialed connection while the old one is still read.
+func (t *TCP) deliverOnce(key frameKey, to int, ts []rdf.Triple) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, ok := t.seen[key]
-	return ok
-}
-
-func (t *TCP) markSeen(key frameKey) {
-	t.mu.Lock()
+	if _, dup := t.seen[key]; dup {
+		return
+	}
 	t.seen[key] = struct{}{}
-	t.mu.Unlock()
+	k := boxKey{int(key.round), to}
+	t.inbox[k] = append(t.inbox[k], ts...)
 }
 
 func (t *TCP) deliver(round, to int, ts []rdf.Triple) {

@@ -13,31 +13,42 @@ import (
 )
 
 // FuzzTCPFrame feeds arbitrary bytes to the read loop of worker 1 in a
-// three-worker mesh, as any process that reaches the listener could. On any
-// input the loop must return once the stream ends, buffer only ErrMalformed
-// or truncation errors, and deliver triples only to worker 1's inbox.
+// three-worker mesh, as any process that reaches the listener could. The
+// mesh's dictionary holds three terms, so a frame of IDs 1..3 delivers. On
+// any input the loop must return once the stream ends, buffer only
+// ErrMalformed or truncation errors, and deliver triples only to worker 1's
+// inbox.
 func FuzzTCPFrame(f *testing.F) {
-	frame := func(hdr frameHeader, body string) []byte {
+	frame := func(hdr frameHeader, body []byte) []byte {
 		var b bytes.Buffer
 		binary.Write(&b, binary.BigEndian, hdr)
-		b.WriteString(body)
+		b.Write(body)
 		return b.Bytes()
 	}
-	payload := "<http://t/s> <http://t/p> \"v\" .\n"
-	n := int32(len(payload))
-	hello := frame(frameHeader{Type: typeHello, From: 0, To: 1, Seq: 1}, "")
-	data := frame(frameHeader{Type: typeData, From: 0, To: 1, Seq: 1, Len: n}, payload)
+	data := func(to int32, body []byte) []byte {
+		return frame(frameHeader{Type: typeData, From: 0, To: to, Seq: 1, Len: int32(len(body))}, body)
+	}
+	payload := idPayload(1, 2, 3)
+	hello := frame(frameHeader{Type: typeHello, From: 0, To: 1, Seq: 1}, nil)
 	for _, seed := range [][]byte{
-		bytes.Join([][]byte{hello, data}, nil),
-		bytes.Join([][]byte{hello, data, data}, nil),
+		bytes.Join([][]byte{hello, data(1, payload)}, nil),
+		bytes.Join([][]byte{hello, data(1, payload), data(1, payload)}, nil),
 		make([]byte, 10), // torn header
-		frame(frameHeader{Type: typeData, From: 0, To: 1, Seq: 1, Len: maxFrame}, "<"),
-		frame(frameHeader{Type: typeData, From: 0, To: 2, Seq: 1, Len: n}, payload),
+		frame(frameHeader{Type: typeData, From: 0, To: 1, Seq: 1, Len: maxFrame}, []byte{1}),
+		data(2, payload),                        // misrouted
+		data(1, idPayload(1, 2, 0)),             // ID 0
+		data(1, idPayload(1, 2, 4)),             // ID past the dictionary
+		data(1, append(idPayload(1, 2), 0x80)),  // truncated uvarint
+		data(1, idPayload(1, 2, 3, 3, 2, 1, 1)), // 3k+1 IDs
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		tr := &TCP{dict: rdf.NewDict(), k: 3,
+		dict := rdf.NewDict()
+		dict.InternIRI("http://t/s")
+		dict.InternIRI("http://t/p")
+		dict.InternLiteral(`"v"`)
+		tr := &TCP{dict: dict, k: 3,
 			inbox: map[boxKey][]rdf.Triple{}, seen: map[frameKey]struct{}{}}
 		peer, conn := net.Pipe()
 		go io.Copy(io.Discard, peer) // drain the acks

@@ -57,7 +57,7 @@ func TestTCPFrameDedup(t *testing.T) {
 	}
 	defer tr.Close()
 
-	payload := []byte("<http://t/s0> <http://t/p> \"v0\" .\n")
+	payload := idPayload(uint64(ts[0].S), uint64(ts[0].P), uint64(ts[0].O))
 	hdr := frameHeader{Type: typeData, Round: 0, From: 0, To: 1, Seq: 99,
 		Len: int32(len(payload))}
 	l := tr.links[0][1]
@@ -77,7 +77,64 @@ func TestTCPFrameDedup(t *testing.T) {
 	if len(in) != 1 {
 		t.Fatalf("duplicate frame delivered: got %d triples, want 1", len(in))
 	}
-	_ = ts
+}
+
+// idPayload encodes a data frame payload: one uvarint per term ID, three
+// per triple on a well-formed frame.
+func idPayload(ids ...uint64) []byte {
+	var b []byte
+	for _, id := range ids {
+		b = binary.AppendUvarint(b, id)
+	}
+	return b
+}
+
+// TestTCPFrameBadIDs: a data frame is IDs of the mesh's shared dictionary,
+// three per triple. An ID outside 1..Len, a payload that is not a whole
+// number of triples, or a uvarint cut short is corruption: the read loop
+// buffers ErrMalformed and delivers nothing.
+func TestTCPFrameBadIDs(t *testing.T) {
+	dict, ts := newDictWithTriples(2)
+	n := uint64(dict.Len())
+	s, p, o := uint64(ts[0].S), uint64(ts[0].P), uint64(ts[0].O)
+	for _, c := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"ID 0", idPayload(s, p, 0)},
+		{"ID past Len", idPayload(s, n+1, o)},
+		{"ID past 32 bits", idPayload(s, p, 1<<40)},
+		{"four IDs", idPayload(s, p, o, s)},
+		{"truncated uvarint", append(idPayload(s, p, o), 0x80)},
+	} {
+		name, payload := c.name, c.payload
+		tr, err := NewTCP(2, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", tr.addrs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr := frameHeader{Type: typeData, From: 0, To: 1, Seq: 1, Len: int32(len(payload))}
+		if err := binary.Write(conn, binary.BigEndian, hdr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := waitRecvErr(t, tr, 1); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: expected ErrMalformed, got %v", name, err)
+		}
+		tr.mu.Lock()
+		delivered := len(tr.inbox)
+		tr.mu.Unlock()
+		if delivered != 0 {
+			t.Fatalf("%s: frame was delivered", name)
+		}
+		conn.Close()
+		_ = tr.Close()
+	}
 }
 
 // TestTCPCleanCloseVsCorruption: a peer closing its connection at a frame
@@ -188,7 +245,7 @@ func TestTCPCleanCloseVsCorruption(t *testing.T) {
 	})
 
 	t.Run("misrouted frame is malformed", func(t *testing.T) {
-		payload := []byte("<http://t/s0> <http://t/p> \"v0\" .\n")
+		payload := idPayload(1, 2, 3)
 		for _, hdr := range []frameHeader{
 			{Type: typeData, From: 0, To: 2}, // addressed to another worker
 			{Type: typeData, From: 3, To: 1}, // sender outside the mesh
@@ -273,5 +330,36 @@ func TestTCPSendPoisonedConnRedials(t *testing.T) {
 	}
 	if tr.Redials() == 0 {
 		t.Fatal("poisoned conn was reused instead of re-dialed")
+	}
+}
+
+// BenchmarkTCPSendRecv measures the TCP codec and one frame exchange: per
+// op, a k=2 mesh ships a 50k-triple frame each way, from Send until Recv
+// returns the decoded triples.
+func BenchmarkTCPSendRecv(b *testing.B) {
+	dict, ts := newDictWithTriples(50_000)
+	tr, err := NewTCP(2, dict)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tr.Close()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for round := 0; round < b.N; round++ {
+		for from := 0; from < 2; from++ {
+			if err := tr.Send(ctx, round, from, 1-from, ts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for to := 0; to < 2; to++ {
+			in, err := tr.Recv(ctx, round, to)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(in) != len(ts) {
+				b.Fatalf("worker %d received %d triples, want %d", to, len(in), len(ts))
+			}
+		}
 	}
 }

@@ -8,7 +8,7 @@
 //   - File: a shared directory; every message is an N-Triples file, so
 //     serialization and disk IO are paid exactly as in the paper.
 //   - TCP:  an MPI-like full mesh of loopback TCP connections carrying
-//     length-prefixed N-Triples payloads.
+//     length-prefixed frames of term IDs from the mesh's shared dictionary.
 //
 // The exchange is round-structured: during round r each worker may Send any
 // number of batches; the cluster layer then runs a barrier, after which
