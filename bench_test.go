@@ -19,7 +19,6 @@ import (
 	"powl/internal/owlhorst"
 	"powl/internal/rdf"
 	"powl/internal/reason"
-	"powl/internal/rules"
 	"powl/internal/transport"
 )
 
@@ -191,8 +190,8 @@ func BenchmarkAblation_Tabling(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_Delta compares the two incremental re-materialization
-// strategies on a worker-shaped update: a materialized graph absorbing a
+// BenchmarkAblation_Delta measures the incremental close every engine runs
+// between rounds on a worker-shaped update: a materialized graph absorbing a
 // batch of boundary tuples.
 func BenchmarkAblation_Delta(b *testing.B) {
 	ds := benchLUBM()
@@ -221,30 +220,20 @@ func BenchmarkAblation_Delta(b *testing.B) {
 		seeds = append(seeds, rdf.Triple{S: p, P: memberOf, O: orgs[i%len(orgs)]})
 	}
 
-	for _, tc := range []struct {
-		name string
-		inc  interface {
-			MaterializeFrom(*rdf.Graph, []rules.Rule, []rdf.Triple) int
-		}
-	}{
-		{"forward-delta", reason.Forward{}},
-		{"frontier-backward-delta", reason.Hybrid{FrontierDelta: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				g := base.Clone()
-				var fresh []rdf.Triple
-				for _, s := range seeds {
-					if g.Add(s) {
-						fresh = append(fresh, s)
-					}
+	b.Run("forward-delta", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			g := base.Clone()
+			var fresh []rdf.Triple
+			for _, s := range seeds {
+				if g.Add(s) {
+					fresh = append(fresh, s)
 				}
-				b.StartTimer()
-				tc.inc.MaterializeFrom(g, compiled.InstanceRules, fresh)
 			}
-		})
-	}
+			b.StartTimer()
+			reason.Forward{}.MaterializeFrom(g, compiled.InstanceRules, fresh)
+		}
+	})
 }
 
 // BenchmarkAblation_Transport measures the per-exchange cost of the three

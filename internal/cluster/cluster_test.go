@@ -38,7 +38,8 @@ func newChainFixture(t *testing.T, n, k int) *chainFixture {
 	}
 	f.rules = rules.MustParse(
 		"@prefix t: <http://t/> .\n[tr: (?x t:p ?y) (?y t:p ?z) -> (?x t:p ?z)]", f.dict)
-	f.closed = reason.Closure(full, f.rules)
+	f.closed = full.Clone()
+	reason.Forward{}.Materialize(f.closed, f.rules)
 	return f
 }
 

@@ -231,8 +231,6 @@ type RecoveryConfig struct {
 	// before the detector declares it dead. It must comfortably exceed the
 	// slowest single round. 0 means 2s.
 	RoundDeadline time.Duration
-	// Poll is the detector's check interval; 0 means 20ms.
-	Poll time.Duration
 }
 
 func (rc RecoveryConfig) withDefaults() RecoveryConfig {
@@ -241,9 +239,6 @@ func (rc RecoveryConfig) withDefaults() RecoveryConfig {
 	}
 	if rc.RoundDeadline <= 0 {
 		rc.RoundDeadline = 2 * time.Second
-	}
-	if rc.Poll <= 0 {
-		rc.Poll = 20 * time.Millisecond
 	}
 	return rc
 }
@@ -425,16 +420,16 @@ func (c *coordinator) runErr() error {
 	return c.err
 }
 
-// detect is the failure-detector loop (Concurrent mode): every Poll it
-// declares dead any live worker that trails the barrier frontier once the
-// frontier has been stale past RoundDeadline (the survivors are stuck
-// waiting on it). A false positive is safe: the declared worker steps aside
+// detect is the failure-detector loop (Concurrent mode): every tenth of
+// RoundDeadline (at most 20ms, so 20ms at the 2s default) it declares dead
+// any live worker that trails the barrier frontier once the frontier has
+// been stale past RoundDeadline (the survivors are stuck waiting on it). A false positive is safe: the declared worker steps aside
 // at its next coordination point and its partition is re-derived by the
 // adopter.
 //
 //powl:ignore wallclock liveness deadlines are real time by definition; nothing here is stamped into run output.
 func (c *coordinator) detect(ctx context.Context) {
-	ticker := time.NewTicker(c.rc.Poll)
+	ticker := time.NewTicker(max(time.Microsecond, min(20*time.Millisecond, c.rc.RoundDeadline/10)))
 	defer ticker.Stop()
 	for {
 		select {

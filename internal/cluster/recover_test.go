@@ -112,7 +112,7 @@ func TestDirCheckpointsSurviveReopen(t *testing.T) {
 func TestDetectorDeclaresLaggard(t *testing.T) {
 	sink := &obs.MemSink{}
 	o := obs.NewRun(sink, nil)
-	rc := RecoveryConfig{RoundDeadline: 30 * time.Millisecond, Poll: 5 * time.Millisecond}.withDefaults()
+	rc := RecoveryConfig{RoundDeadline: 30 * time.Millisecond}.withDefaults()
 	bar := newBarrier(3)
 	coord := newCoordinator(3, rc, bar, o, make([]Assignment, 3))
 	cancelled := make(chan struct{})
@@ -157,7 +157,7 @@ func TestDetectorDeclaresLaggard(t *testing.T) {
 // TestDetectorSparesProgressingWorkers: workers advancing with the frontier
 // must never be declared dead, however long the run.
 func TestDetectorSparesProgressingWorkers(t *testing.T) {
-	rc := RecoveryConfig{RoundDeadline: 20 * time.Millisecond, Poll: 2 * time.Millisecond}.withDefaults()
+	rc := RecoveryConfig{RoundDeadline: 20 * time.Millisecond}.withDefaults()
 	coord := newCoordinator(2, rc, newBarrier(2), nil, make([]Assignment, 2))
 	detCtx, detCancel := context.WithCancel(context.Background())
 	defer detCancel()

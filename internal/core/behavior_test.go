@@ -68,7 +68,6 @@ func TestAvfRulesDriveTheWorstCase(t *testing.T) {
 		reason.Hybrid{}.Materialize(g, rs)
 		return time.Since(start)
 	}
-	full := run(compiled.InstanceRules)
 	var noAvf []rules.Rule
 	for _, r := range compiled.InstanceRules {
 		if strings.HasPrefix(r.Name, "avf-") {
@@ -76,7 +75,19 @@ func TestAvfRulesDriveTheWorstCase(t *testing.T) {
 		}
 		noAvf = append(noAvf, r)
 	}
-	bare := run(noAvf)
+	// Best of three interleaved passes, as in
+	// TestHybridEngineSuperLinearCost: the host's speed drifts between
+	// seconds, and one pass over both rule sets inside one drift window
+	// keeps their ratio meaningful.
+	var full, bare time.Duration
+	for pass := 0; pass < 3; pass++ {
+		if d := run(compiled.InstanceRules); pass == 0 || d < full {
+			full = d
+		}
+		if d := run(noAvf); pass == 0 || d < bare {
+			bare = d
+		}
+	}
 	share := 1 - bare.Seconds()/full.Seconds()
 	t.Logf("avf scan share of serial time: %.0f%% (%v vs %v)", share*100, full, bare)
 	if share < 0.15 {

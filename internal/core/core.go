@@ -121,9 +121,6 @@ type Config struct {
 	// rebuilt from per-round phase times (cluster.Simulated). Use it to
 	// measure speedups on hosts with fewer cores than workers.
 	Simulate bool
-	// MaxRounds caps reasoning rounds (safety net); 0 means the cluster
-	// default.
-	MaxRounds int
 	// Obs, when non-nil, journals the run (phase spans, per-rule profiles,
 	// per-pair transport traffic); its recorder is attached to whichever
 	// transport the run constructs. nil disables all telemetry.
@@ -238,7 +235,6 @@ func run(ds *datagen.Dataset, p *Plan, cfg Config) (*Result, error) {
 		Transport:  tr,
 		Router:     p.Router,
 		Mode:       mode,
-		MaxRounds:  cfg.MaxRounds,
 		Obs:        cfg.Obs,
 		Provenance: cfg.Provenance,
 		Recovery:   cfg.Recovery,

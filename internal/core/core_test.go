@@ -7,6 +7,7 @@ import (
 
 	"powl/internal/datagen"
 	"powl/internal/faultinject"
+	"powl/internal/gpart"
 	"powl/internal/rdf"
 	"powl/internal/rulepart"
 	"powl/internal/rules"
@@ -252,7 +253,7 @@ func TestOwnerRouter(t *testing.T) {
 	// (owner slice, consuming group) worker but the sender, once each.
 	dict := rdf.NewDict()
 	rs := rules.MustParse(customRuleText, dict)
-	rres, err := rulepart.Partition(rs, 2, rulepart.Options{})
+	rres, err := rulepart.Partition(rs, 2, gpart.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,9 +128,11 @@ func TestMaterializeRulesRejectsNonSingleJoinForDataStrategy(t *testing.T) {
 [cart: (?a t:p ?b) (?c t:p ?d) -> (?a t:r ?d)]
 [loop: (?a t:r ?b) -> (?b t:s ?a)]
 `, ds.Dict)
-	_, err := MaterializeRules(ds, rs, Config{Workers: 2, Strategy: DataPartitioning})
-	if err == nil || !strings.Contains(err.Error(), "subject/object position") {
-		t.Fatalf("cartesian rule accepted under data partitioning: %v", err)
+	for _, strategy := range []Strategy{DataPartitioning, HybridPartitioning} {
+		_, err := MaterializeRules(ds, rs, Config{Workers: 2, Strategy: strategy})
+		if err == nil || !strings.Contains(err.Error(), "subject/object position") {
+			t.Fatalf("cartesian rule accepted under %s partitioning: %v", strategy, err)
+		}
 	}
 	// The same rule set is legal under rule partitioning (full data on
 	// every worker).
@@ -161,6 +163,9 @@ func TestMaterializeRulesRejectsPredicatePositionJoin(t *testing.T) {
 	}
 }
 
+// TestSharesOwnedVariable pins the single-join test the plan applies under
+// the data and hybrid strategies: some variable must occur in the subject or
+// object position of every body atom.
 func TestSharesOwnedVariable(t *testing.T) {
 	dict := rdf.NewDict()
 	p := rules.Const(dict.InternIRI("http://t/p"))
@@ -181,8 +186,8 @@ func TestSharesOwnedVariable(t *testing.T) {
 		}}, true},
 	}
 	for _, c := range cases {
-		if got := sharesOwnedVariable(c.r); got != c.want {
-			t.Errorf("%s: sharesOwnedVariable = %v, want %v", c.name, got, c.want)
+		if got := c.r.IsSingleJoin(); got != c.want {
+			t.Errorf("%s: IsSingleJoin = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

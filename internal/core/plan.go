@@ -65,9 +65,24 @@ func NewPlan(ds *datagen.Dataset, cfg Config) (*Plan, error) {
 // plan builds every Plan, through planData and planRules. The hybrid
 // strategy composes the data plan of kd slices with the rule plan of kr
 // groups: worker (i, j) = i·kr+j holds data slice i and rule group j.
+//
+// It is the one check of a rule set against a strategy, made before any
+// data is read: reason.Compile's (which rejects unsafe rules), and, for the
+// strategies that partition the data, the single-join property (§II) that
+// ownership routing needs to co-locate every joinable tuple. Rule
+// partitioning gives every worker all the data, so it needs no such
+// property.
 func plan(ds *datagen.Dataset, w workload, cfg Config) (*Plan, error) {
 	if err := reason.ValidateRules(w.rules); err != nil {
 		return nil, err
+	}
+	if cfg.Strategy == DataPartitioning || cfg.Strategy == HybridPartitioning {
+		for _, r := range w.rules {
+			if !r.IsSingleJoin() {
+				return nil, fmt.Errorf(
+					"core: rule %q has no variable shared across all body atoms in subject/object position; data partitioning cannot guarantee completeness for it (use Strategy: RulePartitioning)", r.Name)
+			}
+		}
 	}
 	switch cfg.Strategy {
 	case DataPartitioning:
@@ -122,7 +137,7 @@ func planData(ds *datagen.Dataset, w workload, k int, cfg Config) (*Plan, error)
 // planRules partitions the rules k ways (Algorithm 2); every worker holds
 // all the data.
 func planRules(w workload, k int, seed int64) (*Plan, error) {
-	rres, err := rulepart.Partition(w.rules, k, rulepart.Options{Gpart: gpart.Options{Seed: seed}})
+	rres, err := rulepart.Partition(w.rules, k, gpart.Options{Seed: seed})
 	if err != nil {
 		return nil, err
 	}

@@ -157,8 +157,6 @@ type NodeConfig struct {
 	Poll time.Duration
 	// Timeout bounds the wait for peers per round; 0 means 5 minutes.
 	Timeout time.Duration
-	// MaxRounds is a safety cap; 0 means 1000.
-	MaxRounds int
 	// Inject optionally simulates failures: when its CrashRound fires the
 	// node exits with ErrCrashed mid-protocol, exactly as a killed process
 	// would look to its peers, and its send/recv faults fail the node the
@@ -270,7 +268,7 @@ func RunNodeContext(ctx context.Context, cfg NodeConfig) (*NodeResult, error) {
 	m := &markers{l: l, k: cfg.K, dict: dict, rules: rs, obs: cfg.Obs,
 		poll: cmp.Or(cfg.Poll, 20*time.Millisecond), timeout: cmp.Or(cfg.Timeout, 5*time.Minute)}
 	g, tm, err := cluster.RunWorker(ctx, cluster.Config{
-		Engine: cfg.Engine, Transport: tr, Router: core.NewOwnerRouter(owner, cfg.K), MaxRounds: cfg.MaxRounds,
+		Engine: cfg.Engine, Transport: tr, Router: core.NewOwnerRouter(owner, cfg.K),
 		Obs: cfg.Obs, Recovery: &cluster.RecoveryConfig{Store: store}, Inject: inject,
 		Provenance: cfg.Provenance,
 	}, cfg.ID, start, m)

@@ -140,8 +140,8 @@ func TestProvenanceSurvivesAdoption(t *testing.T) {
 	}
 	sup, supErr := Supervise(t.Context(), SuperviseConfig{
 		Dir: dir, K: k,
-		Poll: time.Millisecond, RoundDeadline: 500 * time.Millisecond,
-		Timeout: time.Minute,
+		RoundDeadline: 500 * time.Millisecond,
+		Timeout:       time.Minute,
 	})
 	wg.Wait()
 	if supErr != nil {

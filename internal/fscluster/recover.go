@@ -26,8 +26,6 @@ import (
 type SuperviseConfig struct {
 	Dir string
 	K   int
-	// Poll is the marker-polling interval; 0 means 20ms.
-	Poll time.Duration
 	// RoundDeadline is how long a node may trail the round's first marker
 	// (or, at the end, the first closure file) before being declared dead;
 	// 0 means 2s. Must comfortably exceed the slowest node's round time: a
@@ -50,8 +48,9 @@ type SuperviseResult struct {
 //
 //powl:ignore wallclock the supervisor's round deadlines are real-time liveness checks by design.
 func Supervise(ctx context.Context, cfg SuperviseConfig) (*SuperviseResult, error) {
-	cfg.Poll = cmp.Or(cfg.Poll, 20*time.Millisecond)
 	cfg.RoundDeadline = cmp.Or(cfg.RoundDeadline, 2*time.Second)
+	// Markers are polled every tenth of the deadline, at most every 20ms.
+	poll := min(20*time.Millisecond, cfg.RoundDeadline/10)
 	l := Layout{Dir: cfg.Dir}
 	res := &SuperviseResult{Dead: map[int]int{}}
 	// Pre-existing dead-files (e.g. supervisor restart) are honoured.
@@ -114,7 +113,7 @@ func Supervise(ctx context.Context, cfg SuperviseConfig) (*SuperviseResult, erro
 		select {
 		case <-ctx.Done():
 			return res, ctx.Err()
-		case <-time.After(cfg.Poll):
+		case <-time.After(poll):
 		}
 	}
 }

@@ -38,8 +38,8 @@ func runSupervisedCluster(t *testing.T, ds *datagen.Dataset, k int, injectors []
 	}
 	sup, supErr := Supervise(context.Background(), SuperviseConfig{
 		Dir: dir, K: k,
-		Poll: time.Millisecond, RoundDeadline: 500 * time.Millisecond,
-		Timeout: time.Minute,
+		RoundDeadline: 500 * time.Millisecond,
+		Timeout:       time.Minute,
 	})
 	wg.Wait()
 	if supErr != nil {

@@ -179,7 +179,7 @@ func TestRebalanceFillsStarvedPart(t *testing.T) {
 	g := randomGraph(2000, 6000, 8)
 	for _, k := range []int{2, 4} {
 		part := make([]int, g.n)
-		opts := Options{}.withDefaults(k)
+		opts := Options{}.withDefaults()
 		rebalance(g, part, k, opts)
 		low := int64(float64(g.totalVWeight()) / float64(k) * (1 - opts.Imbalance))
 		for p, l := range partLoads(g, part, k) {

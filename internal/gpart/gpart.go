@@ -164,22 +164,13 @@ type Options struct {
 	Imbalance float64
 	// Seed seeds the (deterministic) pseudo-random choices.
 	Seed int64
-	// CoarsenTo stops coarsening once the graph has at most this many
-	// vertices; 0 means max(24·k, 128).
-	CoarsenTo int
 	// RefinePasses bounds FM passes per level; 0 means 8.
 	RefinePasses int
 }
 
-func (o Options) withDefaults(k int) Options {
+func (o Options) withDefaults() Options {
 	if o.Imbalance <= 0 {
 		o.Imbalance = 0.05
-	}
-	if o.CoarsenTo <= 0 {
-		o.CoarsenTo = 24 * k
-		if o.CoarsenTo < 128 {
-			o.CoarsenTo = 128
-		}
 	}
 	if o.RefinePasses <= 0 {
 		o.RefinePasses = 8
@@ -203,12 +194,13 @@ func Partition(g *Graph, k int, opts Options) ([]int, error) {
 	if k == 1 {
 		return make([]int, g.n), nil
 	}
-	opts = opts.withDefaults(k)
+	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	// Coarsening phase: levels[i].fineToCoarse maps level i-1 onto level i.
+	// It stops once the graph has at most max(24·k, 128) vertices.
 	levels := []coarseResult{{g: g}}
-	for levels[len(levels)-1].g.n > opts.CoarsenTo {
+	for levels[len(levels)-1].g.n > max(24*k, 128) {
 		next, ok := coarsen(levels[len(levels)-1].g, rng)
 		if !ok {
 			break // matching stalled; give up shrinking

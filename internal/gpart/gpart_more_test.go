@@ -62,7 +62,7 @@ func TestRefineNeverIncreasesCut(t *testing.T) {
 			part[i] = rng.Intn(k)
 		}
 		before := EdgeCut(g, part)
-		refine(g, part, k, Options{}.withDefaults(k))
+		refine(g, part, k, Options{}.withDefaults())
 		after := EdgeCut(g, part)
 		return after <= before
 	}

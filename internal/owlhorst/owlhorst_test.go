@@ -266,7 +266,7 @@ func TestCompileIntersectionOf(t *testing.T) {
 	f.has(t, g, y, typ, a, "intersection member A")
 	f.has(t, g, y, typ, b, "intersection member B")
 
-	// The composition rule is the documented single-join exception.
+	// The composition rule joins its members on one subject.
 	found := false
 	for _, r := range cp.InstanceRules {
 		if strings.HasPrefix(r.Name, "int-") && len(r.Body) == 2 && !r.IsSingleJoin() {
@@ -282,8 +282,8 @@ func TestCompileIntersectionOf(t *testing.T) {
 }
 
 // TestCompiledRulesAreSingleJoin verifies the paper's §II claim on the LUBM
-// schema shape: every compiled rule except intersectionOf composition is a
-// single-join rule.
+// schema shape: every compiled rule, intersectionOf composition included,
+// is a single-join rule.
 func TestCompiledRulesAreSingleJoin(t *testing.T) {
 	f := newFixture()
 	typ := f.v(vocab.RDFType)
@@ -291,14 +291,28 @@ func TestCompiledRulesAreSingleJoin(t *testing.T) {
 	trans := f.v(vocab.OWLTransitiveProperty)
 	f.add(f.iri("A"), sub, f.iri("B"))
 	f.add(f.iri("p"), typ, trans)
-	cp := Compile(f.dict, f.g)
-	for _, r := range cp.InstanceRules {
-		if strings.HasPrefix(r.Name, "int-") {
-			continue
+	// A three-member intersection: its composition rule has three body
+	// atoms, all on one subject.
+	list := []rdf.ID{f.dict.InternBlank("l1"), f.dict.InternBlank("l2"), f.dict.InternBlank("l3")}
+	f.add(f.iri("D"), f.v(vocab.OWLIntersectionOf), list[0])
+	for i, member := range []string{"A", "B", "C"} {
+		f.add(list[i], f.v(vocab.RDFFirst), f.iri(member))
+		next := f.v(vocab.RDFNil)
+		if i+1 < len(list) {
+			next = list[i+1]
 		}
+		f.add(list[i], f.v(vocab.RDFRest), next)
+	}
+	cp := Compile(f.dict, f.g)
+	composition := false
+	for _, r := range cp.InstanceRules {
 		if !r.IsSingleJoin() {
 			t.Errorf("compiled rule %s is not single-join: %s", r.Name, r.Format(f.dict))
 		}
+		composition = composition || strings.HasPrefix(r.Name, "int-") && len(r.Body) == 3
+	}
+	if !composition {
+		t.Error("no three-atom intersection composition rule generated")
 	}
 }
 

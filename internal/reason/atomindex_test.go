@@ -85,7 +85,7 @@ func narrow(l []trigger, atom func(trigger) cAtom, t rdf.Triple) []trigger {
 // randomRules draws n rules over small term pools, so constants collide with
 // the random triples often: every position constant or variable, variable
 // predicates, repeated variables, constant subjects, one to three body
-// atoms and one or two head atoms.
+// atoms and one or two head atoms, each head variable bound by the body.
 func randomRules(rng *rand.Rand, n int) []rules.Rule {
 	vars := []string{"a", "b", "c", "d"}
 	term := func(pool int) rules.TermSpec {
@@ -106,8 +106,28 @@ func randomRules(rng *rand.Rand, n int) []rules.Rule {
 		for j := 1 + rng.Intn(2); j > 0; j-- {
 			rs[i].Head = append(rs[i].Head, atom())
 		}
+		rs[i] = safe(rs[i])
 	}
 	return rs
+}
+
+// safe replaces each head variable the body does not bind with a constant,
+// so a random rule compiles.
+func safe(r rules.Rule) rules.Rule {
+	bound := map[string]bool{}
+	for _, v := range r.BodyVars() {
+		bound[v] = true
+	}
+	ground := func(t rules.TermSpec) rules.TermSpec {
+		if t.IsVar && !bound[t.Var] {
+			return rules.Const(rdf.ID(1 + t.Var[0] - 'a'))
+		}
+		return t
+	}
+	for i, h := range r.Head {
+		r.Head[i] = rules.Atom{S: ground(h.S), P: ground(h.P), O: ground(h.O)}
+	}
+	return r
 }
 
 // TestAtomIndexMatchesReference is the atom index's identity property: over

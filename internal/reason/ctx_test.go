@@ -122,17 +122,3 @@ func TestCancelLandsMidSweep(t *testing.T) {
 		}
 	}
 }
-
-// TestFrontierDeltaCtx covers the FrontierDelta incremental path.
-func TestFrontierDeltaCtx(t *testing.T) {
-	g, rs := bigChain(24)
-	Forward{}.Materialize(g, rs)
-	dict := rdf.NewDict()
-	_ = dict
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	h := Hybrid{FrontierDelta: true}
-	if _, err := h.MaterializeFromCtx(ctx, g, rs, g.Triples()[:1]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("frontier delta ignored cancellation: %v", err)
-	}
-}

@@ -96,10 +96,10 @@ type Program struct {
 }
 
 // Compile lowers, stratifies and indexes rs. It is the one construction-time
-// check of a rule set: it fails on a rule exceeding maxSlots variables, and
-// on two rules with one name — provenance records and DRed name a rule by
-// its name, so a repeated name would attribute one rule's derivations to the
-// other.
+// check of a rule set: it fails on an unsafe rule (a head variable the body
+// does not bind), on a rule exceeding maxSlots variables, and on two rules
+// with one name — provenance records and DRed name a rule by its name, so a
+// repeated name would attribute one rule's derivations to the other.
 func Compile(rs []rules.Rule) (*Program, error) {
 	crs, err := compileRules(rs)
 	if err != nil {
@@ -171,10 +171,16 @@ func compileRules(rs []rules.Rule) ([]cRule, error) {
 		for _, a := range r.Body {
 			cr.body = append(cr.body, lowerAtom(a))
 		}
+		cr.nslot = len(slots)
 		for _, a := range r.Head {
 			cr.head = append(cr.head, lowerAtom(a))
 		}
-		cr.nslot = len(slots)
+		// A head atom that opened a slot has a variable the body never
+		// binds: the rule is unsafe, and firing it would write the unbound
+		// slot's 0 (rdf.Wildcard) into a derived triple.
+		if len(slots) > cr.nslot {
+			return nil, fmt.Errorf("reason: rule %q is unsafe (head variable not bound in body)", r.Name)
+		}
 		if cr.nslot > maxSlots {
 			return nil, fmt.Errorf("reason: rule %q uses %d variables; the engines support at most %d", r.Name, cr.nslot, maxSlots)
 		}

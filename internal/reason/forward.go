@@ -165,11 +165,3 @@ func joinRest(g *rdf.Graph, sc *scratch, r *cRule, rest []int, e env, yield func
 		return true
 	})
 }
-
-// Closure is a convenience wrapper: it clones g, materializes it under rs
-// with the forward engine, and returns the closed graph, leaving g intact.
-func Closure(g *rdf.Graph, rs []rules.Rule) *rdf.Graph {
-	c := g.Clone()
-	Forward{}.Materialize(c, rs)
-	return c
-}

@@ -29,10 +29,6 @@ import (
 type Hybrid struct {
 	// SharedTable shares the subgoal table across all per-resource queries.
 	SharedTable bool
-	// FrontierDelta makes MaterializeFrom close deltas with frontier-guided
-	// backward queries instead of delegating to the forward engine; see
-	// that method's documentation.
-	FrontierDelta bool
 	// Threads is forwarded to the forward engine MaterializeFrom delegates
 	// to (see Forward.Threads). The full per-resource backward driver stays
 	// single-threaded: its table is one mutable structure per

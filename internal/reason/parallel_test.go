@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -302,6 +303,32 @@ func wideRule() rules.Rule {
 	return r
 }
 
+// TestCompileRejectsUnsafeRule: a head variable the body never binds is
+// rejected by Compile, with the rule's name, so the engines return the error
+// instead of deriving a triple whose unbound position is term ID 0
+// (rdf.Wildcard).
+func TestCompileRejectsUnsafeRule(t *testing.T) {
+	x, y, z := rules.Var("x"), rules.Var("y"), rules.Var("z")
+	p := rules.Const(2)
+	unsafe := []rules.Rule{{
+		Name: "unsafe",
+		Body: []rules.Atom{{S: x, P: p, O: y}},
+		Head: []rules.Atom{{S: x, P: p, O: z}},
+	}}
+	_, err := reason.Compile(unsafe)
+	if err == nil || !strings.Contains(err.Error(), `"unsafe"`) {
+		t.Fatalf("Compile(%v) = %v, want an error naming the rule", unsafe[0], err)
+	}
+	g := rdf.NewGraph()
+	g.Add(rdf.Triple{S: 1, P: 2, O: 3})
+	if _, err := (reason.Forward{}).MaterializeCtx(context.Background(), g, unsafe); err == nil {
+		t.Error("Forward.MaterializeCtx accepted the unsafe rule")
+	}
+	if g.Len() != 1 || g.Has(rdf.Triple{S: 1, P: 2, O: rdf.Wildcard}) {
+		t.Errorf("graph changed to %v", g.Triples())
+	}
+}
+
 // TestValidateRulesTooWide pins the satellite bugfix: a rule exceeding
 // maxSlots variables must surface as an error from validation and from the
 // cancellable materialize entry points — not as a panic inside a live
@@ -339,7 +366,7 @@ func TestMaterializeFromPanicsOnInvalidRules(t *testing.T) {
 		MaterializeFrom(*rdf.Graph, []rules.Rule, []rdf.Triple) int
 	}
 	seed := rdf.Triple{S: 1, P: 2, O: 3}
-	for _, e := range []incremental{reason.Forward{}, reason.Rete{}, reason.Hybrid{}, reason.Hybrid{FrontierDelta: true}} {
+	for _, e := range []incremental{reason.Forward{}, reason.Rete{}, reason.Hybrid{}} {
 		func() {
 			defer func() {
 				if recover() == nil {

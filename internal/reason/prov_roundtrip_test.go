@@ -122,7 +122,7 @@ func verifyAllDerived(t *testing.T, g *rdf.Graph, rs []rules.Rule) int {
 	return derived
 }
 
-// provClosure builds the LUBM KB the way serve.BuildKB does, with
+// provClosure builds the LUBM KB the way serve.Build does, with
 // provenance on, and materializes with the forward engine.
 func provClosure(seed int64) (*rdf.Graph, []rules.Rule) {
 	ds := datagen.LUBM(datagen.LUBMConfig{Universities: 1, Seed: seed, DeptsPerUniv: 2})

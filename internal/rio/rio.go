@@ -37,13 +37,3 @@ func LoadFile(path string, dict *rdf.Dict, g *rdf.Graph) (int, error) {
 		return n, nil
 	}
 }
-
-// SaveFile writes g to path as N-Triples in deterministic order.
-func SaveFile(path string, dict *rdf.Dict, g *rdf.Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return ntriples.WriteGraph(f, dict, g)
-}

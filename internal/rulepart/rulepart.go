@@ -1,10 +1,9 @@
 // Package rulepart implements the paper's rule-base partitioning approach
 // (§III-B, Algorithm 2): build the rule dependency graph (rule r1 → r2 when
 // a head atom of r1 unifies with a body atom of r2, so a tuple produced by
-// r1 can feed r2), optionally weigh edges by expected rule productivity, and
-// partition it with the standard graph partitioner so that cut dependencies
-// — each of which forces tuples onto the wire — are minimized while rule
-// counts stay balanced.
+// r1 can feed r2), and partition it with the standard graph partitioner so
+// that cut dependencies — each of which forces tuples onto the wire — are
+// minimized while rule counts stay balanced.
 package rulepart
 
 import (
@@ -31,19 +30,10 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Options tunes the partitioning.
-type Options struct {
-	// Produced[i] is the expected number of tuples rule i derives, used to
-	// weigh dependency edges (§III-B); nil means uniform weights.
-	Produced []int
-	// Gpart passes through to the graph partitioner.
-	Gpart gpart.Options
-}
-
 // Partition runs Algorithm 2 over rs.
 //
 //powl:ignore wallclock Elapsed reproduces the paper's rule-partitioning time measurement — a reported duration only.
-func Partition(rs []rules.Rule, k int, opts Options) (*Result, error) {
+func Partition(rs []rules.Rule, k int, opts gpart.Options) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("rulepart: k must be ≥ 1, got %d", k)
 	}
@@ -51,18 +41,14 @@ func Partition(rs []rules.Rule, k int, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("rulepart: k=%d exceeds rule count %d", k, len(rs))
 	}
 	start := time.Now()
-	edges := rules.DependencyGraph(rs)
-	if opts.Produced != nil {
-		edges = rules.ScaleDepWeights(edges, opts.Produced)
-	}
 	b := gpart.NewBuilder(len(rs))
-	for _, e := range edges {
+	for _, e := range rules.DependencyGraph(rs) {
 		if e.From != e.To {
 			b.AddEdge(e.From, e.To, int64(e.Weight))
 		}
 	}
 	g := b.Build()
-	part, err := gpart.Partition(g, k, opts.Gpart)
+	part, err := gpart.Partition(g, k, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package rulepart
 import (
 	"testing"
 
+	"powl/internal/gpart"
 	"powl/internal/rdf"
 	"powl/internal/rules"
 )
@@ -34,7 +35,7 @@ func TestPartitionCoversAllRules(t *testing.T) {
 	dict := rdf.NewDict()
 	rs := parse(t, chainRules, dict)
 	for _, k := range []int{1, 2, 4} {
-		res, err := Partition(rs, k, Options{})
+		res, err := Partition(rs, k, gpart.Options{})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -61,7 +62,7 @@ func TestPartitionCoversAllRules(t *testing.T) {
 func TestPartitionKeepsDependentPairsTogether(t *testing.T) {
 	dict := rdf.NewDict()
 	rs := parse(t, chainRules, dict)
-	res, err := Partition(rs, 4, Options{})
+	res, err := Partition(rs, 4, gpart.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,28 +81,11 @@ func TestPartitionKeepsDependentPairsTogether(t *testing.T) {
 func TestPartitionValidation(t *testing.T) {
 	dict := rdf.NewDict()
 	rs := parse(t, chainRules, dict)
-	if _, err := Partition(rs, 0, Options{}); err == nil {
+	if _, err := Partition(rs, 0, gpart.Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := Partition(rs, len(rs)+1, Options{}); err == nil {
+	if _, err := Partition(rs, len(rs)+1, gpart.Options{}); err == nil {
 		t.Error("k>len(rules) accepted")
-	}
-}
-
-func TestProducedWeights(t *testing.T) {
-	dict := rdf.NewDict()
-	rs := parse(t, chainRules, dict)
-	produced := make([]int, len(rs))
-	for i := range produced {
-		produced[i] = 1
-	}
-	produced[0] = 1000 // p1 is very productive: never cut the p1→c1 edge
-	res, err := Partition(rs, 2, Options{Produced: produced})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RulePart[0] != res.RulePart[1] {
-		t.Error("heavily weighted dependency was cut")
 	}
 }
 

@@ -153,29 +153,35 @@ func (r Rule) IsSafe() bool {
 	return true
 }
 
-// IsSingleJoin reports whether the rule is a single-join rule in the paper's
-// sense (§II): at most two body atoms, and if there are two they share at
-// least one variable. The data-partitioning correctness argument (ownership
-// of the shared join resource) applies exactly to this class.
+// IsSingleJoin reports whether the rule is a single-join rule in the sense
+// the paper's data partitioning needs (§II): some variable occurs in the
+// subject or object position of every body atom. Triples are placed on the
+// owners of their subject and object, so only such a variable guarantees
+// that every joinable tuple is present on the shared resource's owner; this
+// is the n-ary generalization (the intersectionOf composition rules) of the
+// paper's two-atom case. A variable shared only through a predicate
+// position, as in the rdfs7 meta rule, does not qualify.
 func (r Rule) IsSingleJoin() bool {
-	switch len(r.Body) {
-	case 0, 1:
+	if len(r.Body) < 2 {
 		return true
-	case 2:
-		v0 := r.Body[0].Vars()
-		v1 := map[string]struct{}{}
-		for _, v := range r.Body[1].Vars() {
-			v1[v] = struct{}{}
-		}
-		for _, v := range v0 {
-			if _, ok := v1[v]; ok {
-				return true
-			}
-		}
-		return false
-	default:
-		return false
 	}
+	for _, v := range [2]TermSpec{r.Body[0].S, r.Body[0].O} {
+		if v.IsVar && r.allBodyAtomsOwn(v.Var) {
+			return true
+		}
+	}
+	return false
+}
+
+// allBodyAtomsOwn reports whether variable v is the subject or object of
+// every body atom.
+func (r Rule) allBodyAtomsOwn(v string) bool {
+	for _, a := range r.Body {
+		if !(a.S.IsVar && a.S.Var == v) && !(a.O.IsVar && a.O.Var == v) {
+			return false
+		}
+	}
+	return true
 }
 
 // unifies reports whether atoms a and b can match the same triple: each
@@ -214,7 +220,7 @@ type DepEdge struct {
 // DependencyGraph computes the rule dependency graph of Algorithm 2: a vertex
 // per rule and an edge (r1 → r2) whenever some head atom of r1 unifies with
 // some body atom of r2. Edge weight counts the number of such head/body atom
-// pairs; callers with predicate statistics can reweigh via ScaleDepWeights.
+// pairs.
 func DependencyGraph(rs []Rule) []DepEdge {
 	var edges []DepEdge
 	for i, r1 := range rs {
@@ -233,21 +239,4 @@ func DependencyGraph(rs []Rule) []DepEdge {
 		}
 	}
 	return edges
-}
-
-// ScaleDepWeights multiplies each dependency edge's weight by the estimated
-// productivity of its source rule, supplied as produced[i] = expected number
-// of triples rule i derives (e.g. from predicate frequency statistics of the
-// data set). Edges from more productive rules then cost more to cut, as the
-// paper suggests for improving rule partitions.
-func ScaleDepWeights(edges []DepEdge, produced []int) []DepEdge {
-	out := make([]DepEdge, len(edges))
-	for i, e := range edges {
-		w := e.Weight
-		if e.From < len(produced) && produced[e.From] > 0 {
-			w *= produced[e.From]
-		}
-		out[i] = DepEdge{From: e.From, To: e.To, Weight: w}
-	}
-	return out
 }

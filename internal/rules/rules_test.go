@@ -136,9 +136,16 @@ func TestIsSingleJoin(t *testing.T) {
 	}{
 		{"no body", Rule{Head: []Atom{{S: x, P: p, O: y}}, Body: nil}, true},
 		{"one atom", Rule{Body: []Atom{{S: x, P: p, O: y}}}, true},
-		{"shared var", Rule{Body: []Atom{{S: x, P: p, O: y}, {S: y, P: p, O: z}}}, true},
+		{"shared subject", Rule{Body: []Atom{{S: x, P: p, O: y}, {S: x, P: p, O: z}}}, true},
+		{"chained S-O", Rule{Body: []Atom{{S: x, P: p, O: y}, {S: y, P: p, O: z}}}, true},
 		{"disjoint", Rule{Body: []Atom{{S: x, P: p, O: y}, {S: z, P: p, O: w}}}, false},
-		{"three atoms", Rule{Body: []Atom{{S: x, P: p, O: y}, {S: y, P: p, O: z}, {S: z, P: p, O: w}}}, false},
+		// rdfs7-style: the only shared variable is atom 2's predicate, and
+		// tuples are not placed on their predicate's owner.
+		{"predicate join", Rule{Body: []Atom{{S: x, P: p, O: y}, {S: z, P: y, O: w}}}, false},
+		{"three atoms, no common variable", Rule{Body: []Atom{{S: x, P: p, O: y}, {S: y, P: p, O: z}, {S: z, P: p, O: w}}}, false},
+		// The intersectionOf composition shape: n atoms on one subject.
+		{"n-ary shared subject", Rule{Body: []Atom{{S: x, P: p, O: y}, {S: x, P: p, O: z}, {S: x, P: p, O: w}}}, true},
+		{"n-ary shared in both positions", Rule{Body: []Atom{{S: x, P: p, O: y}, {S: x, P: p, O: z}, {S: w, P: p, O: x}}}, true},
 	}
 	for _, c := range cases {
 		if got := c.r.IsSingleJoin(); got != c.want {
@@ -221,17 +228,6 @@ func TestDependencyGraphVariablePredicate(t *testing.T) {
 	}
 	if !sawSelf || !sawUse {
 		t.Errorf("variable-predicate head edges missing: self=%v use=%v", sawSelf, sawUse)
-	}
-}
-
-func TestScaleDepWeights(t *testing.T) {
-	edges := []DepEdge{{From: 0, To: 1, Weight: 2}, {From: 1, To: 0, Weight: 3}}
-	scaled := ScaleDepWeights(edges, []int{10, 0})
-	if scaled[0].Weight != 20 {
-		t.Errorf("edge 0 weight = %d, want 20", scaled[0].Weight)
-	}
-	if scaled[1].Weight != 3 {
-		t.Errorf("edge with zero-production source must keep weight, got %d", scaled[1].Weight)
 	}
 }
 

@@ -147,7 +147,7 @@ func TestServeCompaction(t *testing.T) {
 	for i := 0; i < n; i++ {
 		base.Add(rdf.Triple{S: dict.InternIRI(fmt.Sprintf("http://t/s%d", i)), P: typ, O: student})
 	}
-	kb := BuildKBProv(dict, base)
+	kb := Build(dict, base, BuildConfig{Prov: true})
 	s := newTestServer(t, kb, Config{CompactRatio: 0.1, CompactMinDead: 1})
 	defer s.Shutdown(context.Background())
 

@@ -29,7 +29,7 @@ func testKBProv(nStudents int) *KB {
 		s := dict.InternIRI(fmt.Sprintf("http://t/s%d", i))
 		base.Add(rdf.Triple{S: s, P: typ, O: student})
 	}
-	return BuildKBProv(dict, base)
+	return Build(dict, base, BuildConfig{Prov: true})
 }
 
 func TestServeExplainDerivedTriple(t *testing.T) {

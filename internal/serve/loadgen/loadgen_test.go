@@ -25,7 +25,7 @@ func testKB(nStudents int) *serve.KB {
 		s := dict.InternIRI(fmt.Sprintf("http://t/s%d", i))
 		base.Add(rdf.Triple{S: s, P: typ, O: student})
 	}
-	return serve.BuildKB(dict, base)
+	return serve.Build(dict, base, serve.BuildConfig{})
 }
 
 // newTestServer wraps serve.New, failing the test on a validation error —
@@ -128,7 +128,7 @@ func churnKB(nStudents int) *serve.KB {
 		P: dict.InternIRI(vocab.RDFSSubPropertyOf),
 		O: dict.InternIRI("http://loadgen.powl/marker"),
 	})
-	return serve.BuildKB(dict, base)
+	return serve.Build(dict, base, serve.BuildConfig{})
 }
 
 // TestLoadgenChurn is the sustained insert/delete churn drill: workers

@@ -86,20 +86,6 @@ type KB struct {
 	Threads int
 }
 
-// BuildKB compiles base's ontology, materializes the OWL-Horst closure, and
-// returns the servable KB — the load-time reasoning the paper trades for
-// cheap queries, packaged for serving.
-func BuildKB(dict *rdf.Dict, base *rdf.Graph) *KB {
-	return Build(dict, base, BuildConfig{})
-}
-
-// BuildKBProv is BuildKB with the derivation side-column enabled before
-// materialization: every inferred triple (load-time and live-insert alike)
-// records its rule, round and premises, and the server can answer Explain.
-func BuildKBProv(dict *rdf.Dict, base *rdf.Graph) *KB {
-	return Build(dict, base, BuildConfig{Prov: true})
-}
-
 // BuildConfig tunes KB construction.
 type BuildConfig struct {
 	// Prov enables the derivation side-column before materialization, so
@@ -111,7 +97,9 @@ type BuildConfig struct {
 	Threads int
 }
 
-// Build is the general KB constructor behind BuildKB/BuildKBProv.
+// Build compiles base's ontology, materializes the OWL-Horst closure, and
+// returns the servable KB — the load-time reasoning the paper trades for
+// cheap queries, packaged for serving.
 func Build(dict *rdf.Dict, base *rdf.Graph, bc BuildConfig) *KB {
 	compiled := owlhorst.Compile(dict, base)
 	g := compiled.Start(base)
@@ -121,6 +109,11 @@ func Build(dict *rdf.Dict, base *rdf.Graph, bc BuildConfig) *KB {
 	reason.Forward{Threads: bc.Threads}.Materialize(g, compiled.InstanceRules)
 	return &KB{Dict: dict, Graph: g, Rules: compiled.InstanceRules, Threads: bc.Threads}
 }
+
+// insertBuffer is the writer's batch channel capacity. Insert and Delete
+// block (honouring their ctx) when it is full — backpressure, not unbounded
+// buffering.
+const insertBuffer = 64
 
 // Config tunes the server's robustness envelope.
 type Config struct {
@@ -139,10 +132,6 @@ type Config struct {
 	// this long is cancelled and journaled as an offender. 0 disables
 	// the watchdog (the deadline still applies).
 	SlowQuery time.Duration
-	// InsertBuffer is the writer's batch channel capacity; 0 defaults
-	// to 64. Insert blocks (honouring its ctx) when full — backpressure,
-	// not unbounded buffering.
-	InsertBuffer int
 	// CompactRatio triggers log compaction after a delete batch once
 	// dead/total exceeds it (and CompactMinDead is met). 0 defaults to
 	// 0.25; negative disables compaction.
@@ -163,9 +152,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Deadline <= 0 {
 		c.Deadline = 2 * time.Second
-	}
-	if c.InsertBuffer <= 0 {
-		c.InsertBuffer = 64
 	}
 	if c.CompactRatio == 0 {
 		c.CompactRatio = 0.25
@@ -273,7 +259,7 @@ func New(kb *KB, cfg Config) (*Server, error) {
 		kb:      kb,
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		waiters: make(chan struct{}, cfg.QueueDepth),
-		batches: make(chan writeBatch, cfg.InsertBuffer),
+		batches: make(chan writeBatch, insertBuffer),
 		prog:    prog,
 		ret:     &reason.Retractor{Obs: cfg.Run, Threads: kb.Threads},
 		latency: &obs.Histogram{},
@@ -516,7 +502,7 @@ func (s *Server) journalQuery(outcome string, start time.Time, rows int64) {
 }
 
 // Insert hands a batch of triples to the writer. It blocks (honouring ctx)
-// when the writer is InsertBuffer batches behind — backpressure instead of
+// when the writer is insertBuffer batches behind — backpressure instead of
 // unbounded queueing. Accepted batches survive Shutdown: the writer drains
 // its channel before exiting.
 func (s *Server) Insert(ctx context.Context, ts []rdf.Triple) error {

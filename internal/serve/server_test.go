@@ -30,7 +30,7 @@ func testKB(nStudents int) *KB {
 		s := dict.InternIRI(fmt.Sprintf("http://t/s%d", i))
 		base.Add(rdf.Triple{S: s, P: typ, O: student})
 	}
-	return BuildKB(dict, base)
+	return Build(dict, base, BuildConfig{})
 }
 
 // newTestServer wraps New, failing the test on a validation error — every

@@ -1,7 +1,6 @@
 // Package stats provides the small numeric toolkit the experiment harness
 // needs: least-squares polynomial regression (the paper fits a cubic
-// performance model to serial reasoning times, Figure 4), speedup series,
-// and summary helpers.
+// performance model to serial reasoning times, Figure 4) and percentiles.
 package stats
 
 import (
@@ -115,68 +114,6 @@ func RSquared(c []float64, xs, ys []float64) float64 {
 		return 1
 	}
 	return 1 - ssRes/ssTot
-}
-
-// Speedup returns serial/parallel for each parallel time.
-func Speedup(serial float64, parallel []float64) []float64 {
-	out := make([]float64, len(parallel))
-	for i, p := range parallel {
-		if p > 0 {
-			out[i] = serial / p
-		}
-	}
-	return out
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Max returns the maximum of xs. The i==0 branch seeds the running maximum
-// from the first element, so all-negative inputs return their true maximum;
-// only the empty slice yields 0.
-func Max(xs []float64) float64 {
-	m := 0.0
-	for i, x := range xs {
-		if i == 0 || x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum of xs (0 for empty input), seeded from the first
-// element like Max.
-func Min(xs []float64) float64 {
-	m := 0.0
-	for i, x := range xs {
-		if i == 0 || x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs by linear

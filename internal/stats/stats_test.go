@@ -98,52 +98,6 @@ func TestPolyFitInterpolationProperty(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	s := Speedup(10, []float64{10, 5, 2.5, 0})
-	want := []float64{1, 2, 4, 0}
-	for i := range want {
-		if !approx(s[i], want[i], 1e-9) {
-			t.Fatalf("Speedup[%d] = %g, want %g", i, s[i], want[i])
-		}
-	}
-}
-
-func TestMeanStdDevMax(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if !approx(Mean(xs), 5, 1e-9) {
-		t.Errorf("Mean = %g", Mean(xs))
-	}
-	if !approx(StdDev(xs), 2, 1e-9) {
-		t.Errorf("StdDev = %g", StdDev(xs))
-	}
-	if Max(xs) != 9 {
-		t.Errorf("Max = %g", Max(xs))
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || Max(nil) != 0 {
-		t.Error("empty-input helpers must return 0")
-	}
-	if Max([]float64{-5, -2, -9}) != -2 {
-		t.Error("Max mishandles all-negative input")
-	}
-}
-
-func TestMin(t *testing.T) {
-	if Min([]float64{3, 1, 4, 1, 5}) != 1 {
-		t.Errorf("Min = %g", Min([]float64{3, 1, 4, 1, 5}))
-	}
-	// Seeded from the first element, so all-positive inputs do not report 0
-	// and all-negative inputs report the true minimum.
-	if Min([]float64{5, 7, 9}) != 5 {
-		t.Error("Min mishandles all-positive input")
-	}
-	if Min([]float64{-2, -9, -5}) != -9 {
-		t.Error("Min mishandles all-negative input")
-	}
-	if Min(nil) != 0 {
-		t.Error("Min(empty) must return 0")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	cases := []struct {

@@ -228,16 +228,12 @@ func (r *Retry) wait(ctx context.Context, attempt int) error {
 	d = time.Duration(float64(d) * (0.5 + r.rng.Float64()))
 	r.mu.Unlock()
 
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		r.mu.Lock()
-		r.slept += d
-		r.mu.Unlock()
-		r.Obs.Slept(d)
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	if err := sleepCtx(ctx, d); err != nil {
+		return err
 	}
+	r.mu.Lock()
+	r.slept += d
+	r.mu.Unlock()
+	r.Obs.Slept(d)
+	return nil
 }
