@@ -141,7 +141,7 @@ func BenchmarkSerialForward_LUBM2(b *testing.B) {
 	ds := benchLUBM()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.MaterializeSerial(ds, core.ForwardEngine)
+		res, err := core.Materialize(ds, core.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func BenchmarkSerialHybrid_LUBM2(b *testing.B) {
 	ds := benchLUBM()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.MaterializeSerial(ds, core.HybridEngine); err != nil {
+		if _, err := core.Materialize(ds, core.Config{Engine: core.HybridEngine}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func BenchmarkAblation_Engine(b *testing.B) {
 	for _, kind := range []core.EngineKind{core.ForwardEngine, core.ReteEngine, core.HybridEngine} {
 		b.Run(string(kind), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MaterializeSerial(ds, kind); err != nil {
+				if _, err := core.Materialize(ds, core.Config{Engine: kind}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -182,7 +182,7 @@ func BenchmarkAblation_Tabling(b *testing.B) {
 	for _, kind := range []core.EngineKind{core.HybridEngine, core.HybridSharedEngine} {
 		b.Run(string(kind), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MaterializeSerial(ds, kind); err != nil {
+				if _, err := core.Materialize(ds, core.Config{Engine: kind}); err != nil {
 					b.Fatal(err)
 				}
 			}

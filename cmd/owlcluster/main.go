@@ -326,25 +326,8 @@ func writeClosure(path string, dict *rdf.Dict, g *rdf.Graph) {
 // writeObs writes the run's journal and trace and prints its report, each
 // when its flag asked for it.
 func writeObs(events []obs.Event, journal, trace string, report bool) {
-	if journal != "" {
-		if err := writeJournal(journal, events); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote journal %s (%d events)\n", journal, len(events))
-	}
-	if trace != "" {
-		f, err := os.Create(trace)
-		if err != nil {
-			fatal(err)
-		}
-		if err := obs.WriteTrace(f, events); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote trace %s (load at ui.perfetto.dev)\n", trace)
+	if err := obs.WriteFiles(os.Stderr, events, journal, trace); err != nil {
+		fatal(err)
 	}
 	if report {
 		obs.WriteReport(os.Stdout, events, 10)
@@ -380,23 +363,6 @@ func mergeJournals(l fscluster.Layout, k int) ([]obs.Event, error) {
 	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].TS < events[j].TS })
 	return events, nil
-}
-
-// writeJournal writes the merged events back out as one JSONL file.
-func writeJournal(path string, events []obs.Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	sink := obs.NewJSONLSink(f)
-	for _, e := range events {
-		sink.Emit(e)
-	}
-	if err := sink.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // sortedVictims orders a victim->adopter recovery map for stable reporting

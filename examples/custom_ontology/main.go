@@ -60,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nclosure: %d triples (%d inferred)\n\n", res.Graph.Len(), res.Inferred)
+	fmt.Printf("\nclosure: %d triples (%d inferred, schema closure included)\n\n", res.Graph.Len(), res.Inferred)
 
 	must := func(s, p, o string) {
 		st := rdf.Triple{

@@ -18,11 +18,12 @@ func main() {
 	ds := datagen.MDC(datagen.MDCConfig{Fields: 8, Seed: 7})
 	fmt.Printf("MDC-8: %d triples across 8 oilfields\n", ds.Graph.Len())
 
-	serial, err := core.MaterializeSerial(ds, core.HybridEngine)
+	// The serial baseline is the one-worker run of the same engine and mode.
+	serial, err := core.Materialize(ds, core.Config{Engine: core.HybridEngine, Simulate: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("serial closure: %d triples in %v\n",
+	fmt.Printf("serial closure (one worker): %d triples in %v\n",
 		serial.Graph.Len(), serial.Elapsed.Round(time.Millisecond))
 
 	// Data partitioning: fields are near-disconnected, so this is the

@@ -40,7 +40,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("base %d triples -> closure %d triples (%d inferred, %d rounds)\n\n",
+	fmt.Printf("base %d triples -> closure %d triples (%d inferred, schema closure included; %d rounds)\n\n",
 		g.Len(), res.Graph.Len(), res.Inferred, res.Rounds)
 	for _, t := range res.Graph.SortedTriples() {
 		if !g.Has(t) {

@@ -17,24 +17,26 @@ func main() {
 	ds := datagen.LUBM(datagen.LUBMConfig{Universities: 4, Seed: 7})
 	fmt.Printf("LUBM-4: %d triples\n", ds.Graph.Len())
 
-	serial, err := core.MaterializeSerial(ds, core.HybridEngine)
+	// The serial baseline is the same run at one worker (Workers defaults
+	// to 1).
+	cfg := core.Config{
+		Strategy:  core.DataPartitioning,
+		Engine:    core.HybridEngine,
+		Transport: core.MemTransport,
+		Simulate:  true,
+		Seed:      42,
+	}
+	serial, err := core.Materialize(ds, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("serial hybrid reasoner: closure %d triples in %v\n\n",
+	fmt.Printf("serial hybrid reasoner (one worker): closure %d triples in %v\n\n",
 		serial.Graph.Len(), serial.Elapsed.Round(time.Millisecond))
 
 	fmt.Println("policy comparison at k=4 (Simulate reconstructs parallel time on one core):")
 	for _, pol := range []core.PolicyKind{core.GraphPolicy, core.DomainPolicy, core.HashPolicy} {
-		res, err := core.Materialize(ds, core.Config{
-			Workers:   4,
-			Strategy:  core.DataPartitioning,
-			Policy:    pol,
-			Engine:    core.HybridEngine,
-			Transport: core.MemTransport,
-			Simulate:  true,
-			Seed:      42,
-		})
+		cfg.Workers, cfg.Policy = 4, pol
+		res, err := core.Materialize(ds, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,16 +51,9 @@ func main() {
 	}
 
 	fmt.Println("\nscaling with the graph policy:")
-	for _, k := range []int{1, 2, 4, 8} {
-		res, err := core.Materialize(ds, core.Config{
-			Workers:   k,
-			Strategy:  core.DataPartitioning,
-			Policy:    core.GraphPolicy,
-			Engine:    core.HybridEngine,
-			Transport: core.MemTransport,
-			Simulate:  true,
-			Seed:      42,
-		})
+	for _, k := range []int{2, 4, 8} {
+		cfg.Workers, cfg.Policy = k, core.GraphPolicy
+		res, err := core.Materialize(ds, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func (*MapIter) Doc() string {
 // sinkName matches call names whose invocation order or payload order is
 // observable outside the process: stream writers, printers, encoders,
 // journal emits, transport sends, file saves. Lowercase module-internal
-// helpers (writeGraphFile, writeAtomic, emitPhase) match too.
+// helpers (writeTriples, writeAtomic, emitPhase) match too.
 var sinkName = regexp.MustCompile(`(?i)^(write|fprint|print|encode|emit|save|send|marshal|flush|output)`)
 
 // Run implements Analyzer.

@@ -43,9 +43,33 @@ type Assignment struct {
 	// Base are the worker's initial tuples (its data partition plus the
 	// replicated schema closure).
 	Base []rdf.Triple
+	// Start, set instead of Base where the base is the whole input, returns
+	// a graph of it, built on first call. Workers clone it (a flat copy, far
+	// cheaper than inserting Base), concurrently: nothing may write it.
+	Start func() *rdf.Graph
 	// Rules is the rule set the worker applies (the full compiled set for
 	// data partitioning; a subset for rule partitioning).
 	Rules []rules.Rule
+}
+
+// Tuples returns the assignment's base tuples: Base itself, or a copy of
+// the start graph's live triples.
+func (a Assignment) Tuples() []rdf.Triple {
+	if a.Start != nil {
+		return a.Start().Triples()
+	}
+	return a.Base
+}
+
+// Graph returns a fresh graph holding the assignment's base, owned by the
+// caller: a clone of Start's graph, or Base inserted into a new one.
+func (a Assignment) Graph() *rdf.Graph {
+	if a.Start != nil {
+		return a.Start().Clone()
+	}
+	g := rdf.NewGraphCap(len(a.Base))
+	g.AddAll(a.Base)
+	return g
 }
 
 // Mode selects how workers execute. Both modes run the same round loop —
@@ -387,15 +411,13 @@ type roundTime struct {
 	sent               int
 }
 
-// newWorker loads worker id's base tuples into a fresh graph.
+// newWorker gives worker id a fresh graph holding its base tuples.
 func newWorker(cfg Config, id int, a Assignment, m Membership, cpu chan struct{}, spans *obs.Run) *worker {
-	g := rdf.NewGraphCap(len(a.Base))
+	g := a.Graph()
 	if cfg.Provenance {
-		// Enable before the base load so the side-column is built in
-		// lockstep instead of backfilled; base tuples read as asserted.
+		// The backfill records every base tuple as asserted.
 		g.EnableProv()
 	}
-	g.AddAll(a.Base)
 	w := &worker{id: id, graph: g, rules: a.Rules, m: m, inj: cfg.injector(id), cpu: cpu, spans: spans,
 		// Base tuples are known to every worker that should have them (the
 		// partitioner placed them); the shipping watermark starts past them
@@ -868,17 +890,11 @@ func newBarrier(k int) *barrier {
 	return b
 }
 
-// sync blocks until all k parties arrive, returning the sum of their
-// contributions. ok is false if the barrier was aborted.
-func (b *barrier) sync(contribution int) (sum int, ok bool) {
-	sum, ok, _ = b.syncCtx(context.Background(), contribution)
-	return sum, ok
-}
-
-// syncCtx is sync with a cancellable wait: when ctx is cancelled or its
-// deadline passes while the party is waiting, it withdraws its contribution
-// and returns the context's error — without waking or dooming the peers
-// (the caller decides whether to abort the whole barrier).
+// syncCtx blocks until all k parties arrive, returning the sum of their
+// contributions; ok is false if the barrier was aborted. When ctx is
+// cancelled or its deadline passes while the party is waiting, it withdraws
+// its contribution and returns the context's error — without waking or
+// dooming the peers (the caller decides whether to abort the whole barrier).
 func (b *barrier) syncCtx(ctx context.Context, contribution int) (sum int, ok bool, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -203,7 +203,7 @@ func TestBarrier(t *testing.T) {
 	results := make(chan int, 3)
 	for i := 1; i <= 3; i++ {
 		go func(c int) {
-			sum, ok := b.sync(c)
+			sum, ok, _ := b.syncCtx(context.Background(), c)
 			if !ok {
 				results <- -1
 				return
@@ -219,7 +219,7 @@ func TestBarrier(t *testing.T) {
 	// Second generation reuses the barrier.
 	for i := 0; i < 3; i++ {
 		go func() {
-			sum, _ := b.sync(1)
+			sum, _, _ := b.syncCtx(context.Background(), 1)
 			results <- sum
 		}()
 	}
@@ -234,14 +234,14 @@ func TestBarrierAbort(t *testing.T) {
 	b := newBarrier(2)
 	done := make(chan bool, 1)
 	go func() {
-		_, ok := b.sync(1)
+		_, ok, _ := b.syncCtx(context.Background(), 1)
 		done <- ok
 	}()
 	b.abort()
 	if ok := <-done; ok {
 		t.Fatal("aborted barrier returned ok")
 	}
-	if _, ok := b.sync(1); ok {
+	if _, ok, _ := b.syncCtx(context.Background(), 1); ok {
 		t.Fatal("sync after abort returned ok")
 	}
 }

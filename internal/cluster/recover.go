@@ -540,7 +540,7 @@ func (w *worker) absorb(ctx context.Context, cfg Config, v, round int) (int, err
 		w.reship = map[rdf.Triple]struct{}{}
 	}
 	absorbed := 0
-	err = Replay(ctx, w.graph, a.Base, w.store, cfg.Transport, v, round, func(t rdf.Triple, routed, added bool) {
+	err = Replay(ctx, w.graph, a.Tuples(), w.store, cfg.Transport, v, round, func(t rdf.Triple, routed, added bool) {
 		if routed {
 			delete(w.reship, t)
 		}
@@ -555,6 +555,9 @@ func (w *worker) absorb(ctx context.Context, cfg Config, v, round int) (int, err
 	for _, r := range a.Rules {
 		if !containsRule(w.rules, r) {
 			w.rules = append(w.rules, r)
+			// r has fired only over v's graph, and a tuple both graphs hold
+			// is no seed: the next reason phase closes the whole graph.
+			w.materialized = false
 		}
 	}
 	return absorbed, err

@@ -183,7 +183,7 @@ func TestBarrierRemove(t *testing.T) {
 	results := make(chan res, 2)
 	for i := 0; i < 2; i++ {
 		go func(n int) {
-			sum, ok := bar.sync(n)
+			sum, ok, _ := bar.syncCtx(context.Background(), n)
 			results <- res{sum, ok}
 		}(i + 1)
 	}
@@ -206,7 +206,7 @@ func TestBarrierRemove(t *testing.T) {
 	done := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			sum, _ := bar.sync(5)
+			sum, _, _ := bar.syncCtx(context.Background(), 5)
 			done <- sum
 		}()
 	}

@@ -6,7 +6,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"time"
@@ -15,10 +14,8 @@ import (
 	"powl/internal/datagen"
 	"powl/internal/faultinject"
 	"powl/internal/obs"
-	"powl/internal/owlhorst"
 	"powl/internal/partition"
 	"powl/internal/rdf"
-	"powl/internal/rules"
 	"powl/internal/transport"
 )
 
@@ -90,8 +87,8 @@ const (
 
 // Config configures a parallel materialization.
 type Config struct {
-	// Workers is the number of partitions/processors; 1 degenerates to a
-	// serial run through the same machinery.
+	// Workers is the number of partitions/processors; 1 is the serial
+	// run every speedup is measured against, through the same machinery.
 	Workers int
 	// Strategy defaults to DataPartitioning.
 	Strategy Strategy
@@ -170,7 +167,8 @@ func (c Config) withDefaults() Config {
 type Result struct {
 	// Graph is the union of base and inferred triples across all workers.
 	Graph *rdf.Graph
-	// Inferred is the number of triples beyond the input.
+	// Inferred is the number of triples beyond the input, the schema
+	// closure included.
 	Inferred int
 	// Rounds until global quiescence.
 	Rounds int
@@ -256,37 +254,6 @@ func run(ds *datagen.Dataset, p *Plan, cfg Config) (*Result, error) {
 		RoundStats:    cres.RoundStats,
 		Recovered:     cres.Recovered,
 	}, nil
-}
-
-// SerialResult is the outcome of a single-processor materialization.
-type SerialResult struct {
-	Graph    *rdf.Graph
-	Inferred int
-	Elapsed  time.Duration
-}
-
-// MaterializeSerial closes the dataset on one processor with the given
-// engine — the baseline all speedups are measured against. It uses the same
-// compile-then-run pipeline as the parallel path.
-func MaterializeSerial(ds *datagen.Dataset, kind EngineKind) (*SerialResult, error) {
-	compiled := owlhorst.Compile(ds.Dict, ds.Graph)
-	return serial(compiled.Start(ds.Graph), compiled.InstanceRules, kind)
-}
-
-// serial closes g under rs on one processor.
-//
-//powl:ignore wallclock the serial baseline's Elapsed is the paper's wall-clock measurement (Table I).
-func serial(g *rdf.Graph, rs []rules.Rule, kind EngineKind) (*SerialResult, error) {
-	engine, err := NewEngine(kind, 0)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	n, err := engine.MaterializeCtx(context.Background(), g, rs)
-	if err != nil {
-		return nil, err
-	}
-	return &SerialResult{Graph: g, Inferred: n, Elapsed: time.Since(start)}, nil
 }
 
 func transportFor(cfg Config, dict *rdf.Dict) (transport.Transport, func(), error) {

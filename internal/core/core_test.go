@@ -37,6 +37,14 @@ func TestUnknownConfigValuesRejected(t *testing.T) {
 	}
 }
 
+// TestMaterializeSerialUnknownEngine checks that the one-worker path, which
+// skips partitioning, still rejects an unknown engine.
+func TestMaterializeSerialUnknownEngine(t *testing.T) {
+	if _, err := Materialize(tinyLUBM(), Config{Engine: "bogus"}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+		t.Fatalf("error = %v, want unknown engine", err)
+	}
+}
+
 func TestDomainPolicyRequiresDatasetKey(t *testing.T) {
 	ds := tinyLUBM()
 	ds.DomainKey = nil
@@ -53,17 +61,11 @@ func TestWithDefaults(t *testing.T) {
 	}
 }
 
-func TestMaterializeSerialUnknownEngine(t *testing.T) {
-	if _, err := MaterializeSerial(tinyLUBM(), "bogus"); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-}
-
 // TestAllEngineKindsMaterialize runs every engine kind end to end through
 // the parallel path.
 func TestAllEngineKindsMaterialize(t *testing.T) {
 	ds := tinyLUBM()
-	serial, err := MaterializeSerial(ds, ForwardEngine)
+	serial, err := Materialize(ds, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestAllEngineKindsMaterialize(t *testing.T) {
 // TestAllTransportsEndToEnd covers the full matrix transport × strategy.
 func TestAllTransportsEndToEnd(t *testing.T) {
 	ds := tinyLUBM()
-	serial, err := MaterializeSerial(ds, ForwardEngine)
+	serial, err := Materialize(ds, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestAllTransportsEndToEnd(t *testing.T) {
 // fault shim, so the run still returns the serial closure.
 func TestTransportFaultsAreRetried(t *testing.T) {
 	ds := tinyLUBM()
-	serial, err := MaterializeSerial(ds, ForwardEngine)
+	serial, err := Materialize(ds, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +127,7 @@ func TestTransportFaultsAreRetried(t *testing.T) {
 // than the node count still works.
 func TestWorkersClampAndDegenerate(t *testing.T) {
 	ds := tinyLUBM()
-	serial, err := MaterializeSerial(ds, ForwardEngine)
+	serial, err := Materialize(ds, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +183,7 @@ func TestStructuralWeightsBalanceDerivation(t *testing.T) {
 		datagen.UOBM(datagen.UOBMConfig{Universities: 2, Seed: 7}),
 	}
 	for _, ds := range sets {
-		serial, err := MaterializeSerial(ds, ForwardEngine)
+		serial, err := Materialize(ds, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ const customRuleText = `
 func TestMaterializeRulesMatchesSerial(t *testing.T) {
 	ds := customDataset(t, 4, 8)
 	rs := rules.MustParse(customRuleText, ds.Dict)
-	serial, err := SerialRules(ds, rs, ForwardEngine)
+	serial, err := MaterializeRules(ds, rs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestMaterializeRulesMatchesSerial(t *testing.T) {
 func TestMaterializeRulesHonoursConfig(t *testing.T) {
 	ds := customDataset(t, 4, 8)
 	rs := rules.MustParse(customRuleText, ds.Dict)
-	serial, err := SerialRules(ds, rs, ForwardEngine)
+	serial, err := MaterializeRules(ds, rs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestMaterializeRulesRejectsNonSingleJoinForDataStrategy(t *testing.T) {
 	}
 	// The same rule set is legal under rule partitioning (full data on
 	// every worker).
-	serial, err := SerialRules(ds, rs, ForwardEngine)
+	serial, err := MaterializeRules(ds, rs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestSharesOwnedVariable(t *testing.T) {
 func TestMaterializeRulesSimulatedAndTransports(t *testing.T) {
 	ds := customDataset(t, 3, 6)
 	rs := rules.MustParse(customRuleText, ds.Dict)
-	serial, err := SerialRules(ds, rs, ForwardEngine)
+	serial, err := MaterializeRules(ds, rs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

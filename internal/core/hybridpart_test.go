@@ -10,7 +10,7 @@ import (
 // produces the exact serial closure for several worker grids.
 func TestHybridPartitioningMatchesSerial(t *testing.T) {
 	ds := datagen.LUBM(datagen.LUBMConfig{Universities: 2, Seed: 7, DeptsPerUniv: 4})
-	serial, err := MaterializeSerial(ds, ForwardEngine)
+	serial, err := Materialize(ds, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestHybridPartitioningMatchesSerial(t *testing.T) {
 
 func TestHybridPartitioningAllPolicies(t *testing.T) {
 	ds := datagen.MDC(datagen.MDCConfig{Fields: 3, Seed: 7})
-	serial, err := MaterializeSerial(ds, ForwardEngine)
+	serial, err := Materialize(ds, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestHybridPartitioningSimulated(t *testing.T) {
 	if res.RuleCut < 0 {
 		t.Error("negative rule cut")
 	}
-	serial, err := MaterializeSerial(ds, ForwardEngine)
+	serial, err := Materialize(ds, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"powl/internal/cluster"
@@ -22,9 +23,9 @@ import (
 // the Table I measurement — runs the one plan built by NewPlan (or, for a
 // caller's own rules, MaterializeRules).
 type Plan struct {
-	// Assignments[i] is worker i's base tuples (its owned slice, or all the
-	// instance data under rule partitioning, plus the replicated schema)
-	// and rules.
+	// Assignments[i] is worker i's base and rules: its owned slice plus the
+	// replicated schema, or — under rule partitioning and at k=1 — the start
+	// graph, which holds the whole input.
 	Assignments []cluster.Assignment
 	// Router routes derived tuples by owner and rule group (§IV).
 	Router cluster.Router
@@ -43,11 +44,14 @@ type Plan struct {
 
 // workload is what a plan divides among the workers: the instance triples
 // (owned and routed), the schema triples (replicated to every worker), the
-// schema elements the data policies must not own, and the rules.
+// schema elements the data policies must not own, the rules, and the start
+// graph — instance and schema together, built on first use — that every
+// worker whose base is the whole input clones.
 type workload struct {
 	instance, schema []rdf.Triple
 	skip             map[rdf.ID]struct{}
 	rules            []rules.Rule
+	start            func() *rdf.Graph
 }
 
 // NewPlan compiles the dataset's ontology (OWL-Horst), splits off its schema
@@ -59,6 +63,7 @@ func NewPlan(ds *datagen.Dataset, cfg Config) (*Plan, error) {
 		schema:   compiled.Schema.Triples(),
 		skip:     owlhorst.SchemaElements(ds.Dict, compiled.Schema),
 		rules:    compiled.InstanceRules,
+		start:    sync.OnceValue(func() *rdf.Graph { return compiled.Start(ds.Graph) }),
 	}, cfg.withDefaults())
 }
 
@@ -70,13 +75,13 @@ func NewPlan(ds *datagen.Dataset, cfg Config) (*Plan, error) {
 // data is read: reason.Compile's (which rejects unsafe rules), and, for the
 // strategies that partition the data, the single-join property (§II) that
 // ownership routing needs to co-locate every joinable tuple. Rule
-// partitioning gives every worker all the data, so it needs no such
-// property.
+// partitioning gives every worker all the data, and so does a single
+// worker, so neither needs such a property.
 func plan(ds *datagen.Dataset, w workload, cfg Config) (*Plan, error) {
 	if err := reason.ValidateRules(w.rules); err != nil {
 		return nil, err
 	}
-	if cfg.Strategy == DataPartitioning || cfg.Strategy == HybridPartitioning {
+	if cfg.Workers > 1 && (cfg.Strategy == DataPartitioning || cfg.Strategy == HybridPartitioning) {
 		for _, r := range w.rules {
 			if !r.IsSingleJoin() {
 				return nil, fmt.Errorf(
@@ -101,7 +106,8 @@ func plan(ds *datagen.Dataset, w workload, cfg Config) (*Plan, error) {
 		}
 		grid := make([]cluster.Assignment, cfg.Workers)
 		for i := range grid {
-			grid[i] = cluster.Assignment{Base: dp.Assignments[i/kr].Base, Rules: rp.Assignments[i%kr].Rules}
+			grid[i] = dp.Assignments[i/kr]
+			grid[i].Rules = rp.Assignments[i%kr].Rules
 		}
 		dp.Assignments, dp.Router = grid, newOwnerRouter(dp.Owner, kd, kr, rp.Router)
 		dp.PartitionTime += rp.PartitionTime
@@ -113,7 +119,8 @@ func plan(ds *datagen.Dataset, w workload, cfg Config) (*Plan, error) {
 }
 
 // planData partitions the instance data k ways (Algorithm 1); every worker
-// holds all the rules.
+// holds all the rules. At k=1 the one worker's base is the whole input, so
+// it starts from the start graph.
 func planData(ds *datagen.Dataset, w workload, k int, cfg Config) (*Plan, error) {
 	pol, err := policyFor(cfg.Policy, cfg.Seed, ds.DomainKey)
 	if err != nil {
@@ -127,8 +134,12 @@ func planData(ds *datagen.Dataset, w workload, k int, cfg Config) (*Plan, error)
 	m := partition.ComputeMetrics(in, pres)
 	p := &Plan{Assignments: make([]cluster.Assignment, k), Owner: ownerTable(pres.Owner),
 		PartitionTime: pres.Elapsed, Metrics: &m}
-	for i, part := range pres.Parts {
-		p.Assignments[i] = cluster.Assignment{Base: slices.Concat(part, w.schema), Rules: w.rules}
+	if k == 1 {
+		p.Assignments[0] = cluster.Assignment{Start: w.start, Rules: w.rules}
+	} else {
+		for i, part := range pres.Parts {
+			p.Assignments[i] = cluster.Assignment{Base: slices.Concat(part, w.schema), Rules: w.rules}
+		}
 	}
 	p.Router = newOwnerRouter(p.Owner, k, 1, nil)
 	return p, nil
@@ -143,13 +154,12 @@ func planRules(w workload, k int, seed int64) (*Plan, error) {
 	}
 	p := &Plan{Assignments: make([]cluster.Assignment, k), Router: rulepart.NewRouter(w.rules, rres),
 		PartitionTime: rres.Elapsed, RuleCut: rres.CutWeight}
-	base := slices.Concat(w.instance, w.schema)
 	for i, group := range rres.Groups {
 		rs := make([]rules.Rule, len(group))
 		for j, r := range group {
 			rs[j] = w.rules[r]
 		}
-		p.Assignments[i] = cluster.Assignment{Base: base, Rules: rs}
+		p.Assignments[i] = cluster.Assignment{Start: w.start, Rules: rs}
 	}
 	return p, nil
 }
@@ -174,8 +184,7 @@ func (p *Plan) PreExchangeOR() float64 {
 	sizes := make([]int, len(p.Assignments))
 	union := rdf.NewGraph()
 	for i, a := range p.Assignments {
-		g := rdf.NewGraphCap(2 * len(a.Base))
-		g.AddAll(a.Base)
+		g := a.Graph()
 		reason.Forward{}.Materialize(g, a.Rules)
 		sizes[i] = g.Len()
 		union.Union(g)

@@ -13,7 +13,7 @@ func TestSmoke_ParallelMatchesSerial(t *testing.T) {
 	ds := datagen.LUBM(datagen.LUBMConfig{Universities: 1, Seed: 7, DeptsPerUniv: 3})
 	t.Logf("lubm tiny: %d triples", ds.Graph.Len())
 
-	serial, err := MaterializeSerial(ds, ForwardEngine)
+	serial, err := Materialize(ds, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestSmoke_ParallelMatchesSerial(t *testing.T) {
 		t.Fatal("serial run inferred nothing; dataset or rules are broken")
 	}
 
-	hybrid, err := MaterializeSerial(ds, HybridEngine)
+	hybrid, err := Materialize(ds, Config{Engine: HybridEngine})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,24 +74,17 @@ func (s Scale) Workers() []int {
 	return []int{2, 4, 8, 16}
 }
 
-// medianSerial measures the serial hybrid materialization time, median of
-// repeats.
-func medianSerial(ds *datagen.Dataset, repeats int) (time.Duration, *core.SerialResult, error) {
-	var last *core.SerialResult
-	times := make([]time.Duration, 0, repeats)
-	for i := 0; i < repeats; i++ {
-		res, err := core.MaterializeSerial(ds, core.HybridEngine)
-		if err != nil {
-			return 0, nil, err
-		}
-		times = append(times, res.Elapsed)
-		last = res
-	}
-	return median(times), last, nil
+// speedupConfig is the run the speedup figures time: data partitioning
+// under pol, the hybrid engine, shared memory, Simulated mode. Workers is
+// left at its default, 1: the serial baseline each figure divides by, on the
+// same code path as its parallel runs.
+func speedupConfig(pol core.PolicyKind) core.Config {
+	return core.Config{Strategy: core.DataPartitioning, Policy: pol, Engine: core.HybridEngine,
+		Transport: core.MemTransport, Simulate: true, Seed: 42}
 }
 
-// medianRun runs the parallel materialization `repeats` times and returns
-// the run with the median elapsed time.
+// medianRun runs the materialization `repeats` times and returns the run
+// with the median elapsed time.
 func medianRun(ds *datagen.Dataset, cfg core.Config, repeats int) (*core.Result, error) {
 	type run struct {
 		res *core.Result

@@ -9,7 +9,8 @@ import (
 )
 
 // Fig1Row is one point of Figure 1: speedup of the data-partitioning
-// approach (graph-partitioning policy) over the serial reasoner.
+// approach (graph-partitioning policy) over the serial reasoner, which is
+// the same run at one worker.
 type Fig1Row struct {
 	Dataset string
 	Triples int
@@ -28,34 +29,28 @@ type Fig1Row struct {
 func Fig1(scale Scale) ([]Fig1Row, error) {
 	var rows []Fig1Row
 	for _, ds := range scale.Datasets() {
-		serial, serialRes, err := medianSerial(ds, scale.Repeats())
+		cfg := speedupConfig(core.GraphPolicy)
+		serial, err := medianRun(ds, cfg, scale.Repeats())
 		if err != nil {
 			return nil, err
 		}
 		for _, k := range scale.Workers() {
-			res, err := medianRun(ds, core.Config{
-				Workers:   k,
-				Strategy:  core.DataPartitioning,
-				Policy:    core.GraphPolicy,
-				Engine:    core.HybridEngine,
-				Transport: core.MemTransport,
-				Simulate:  true,
-				Seed:      42,
-			}, scale.Repeats())
+			cfg.Workers = k
+			res, err := medianRun(ds, cfg, scale.Repeats())
 			if err != nil {
 				return nil, err
 			}
-			if !res.Graph.Equal(serialRes.Graph) {
+			if !res.Graph.Equal(serial.Graph) {
 				return nil, fmt.Errorf("fig1 %s k=%d: parallel closure %d != serial %d",
-					ds.Name, k, res.Graph.Len(), serialRes.Graph.Len())
+					ds.Name, k, res.Graph.Len(), serial.Graph.Len())
 			}
 			rows = append(rows, Fig1Row{
 				Dataset: ds.Name,
 				Triples: ds.Graph.Len(),
 				K:       k,
-				Serial:  serial,
+				Serial:  serial.Elapsed,
 				Elapsed: res.Elapsed,
-				Speedup: serial.Seconds() / res.Elapsed.Seconds(),
+				Speedup: serial.Elapsed.Seconds() / res.Elapsed.Seconds(),
 				Rounds:  res.Rounds,
 				IR:      res.Metrics.IR,
 			})

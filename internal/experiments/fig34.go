@@ -46,17 +46,17 @@ func Fig4(scale Scale) (*Fig4Result, error) {
 	res := &Fig4Result{}
 	for _, u := range fig4Scales(scale) {
 		ds := scale.LUBMAt(u)
-		med, _, err := medianSerial(ds, scale.Repeats())
+		serial, err := medianRun(ds, speedupConfig(core.GraphPolicy), scale.Repeats())
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, Fig4Row{
 			Universities: u,
 			Triples:      ds.Graph.Len(),
-			Measured:     med,
+			Measured:     serial.Elapsed,
 		})
 		xs = append(xs, float64(ds.Graph.Len())/1000)
-		ys = append(ys, med.Seconds())
+		ys = append(ys, serial.Elapsed.Seconds())
 	}
 	coeffs, err := stats.PolyFit(xs, ys, 3)
 	if err != nil {
@@ -104,7 +104,8 @@ func Fig3(scale Scale) ([]Fig3Row, error) {
 		return nil, err
 	}
 	ds := scale.Datasets()[0]
-	serial, serialRes, err := medianSerial(ds, scale.Repeats())
+	cfg := speedupConfig(core.GraphPolicy)
+	serial, err := medianRun(ds, cfg, scale.Repeats())
 	if err != nil {
 		return nil, err
 	}
@@ -112,27 +113,20 @@ func Fig3(scale Scale) ([]Fig3Row, error) {
 	tN := stats.PolyEval(fig4.Coeffs, x)
 	var rows []Fig3Row
 	for _, k := range scale.Workers() {
-		res, err := medianRun(ds, core.Config{
-			Workers:   k,
-			Strategy:  core.DataPartitioning,
-			Policy:    core.GraphPolicy,
-			Engine:    core.HybridEngine,
-			Transport: core.MemTransport,
-			Simulate:  true,
-			Seed:      42,
-		}, scale.Repeats())
+		cfg.Workers = k
+		res, err := medianRun(ds, cfg, scale.Repeats())
 		if err != nil {
 			return nil, err
 		}
-		if !res.Graph.Equal(serialRes.Graph) {
+		if !res.Graph.Equal(serial.Graph) {
 			return nil, fmt.Errorf("fig3 k=%d: closure mismatch", k)
 		}
 		maxReason := maxWorker(res, func(tm cluster.Timings) time.Duration { return tm.Reason })
 		tNk := stats.PolyEval(fig4.Coeffs, x/float64(k))
 		row := Fig3Row{
 			K:                k,
-			Measured:         serial.Seconds() / res.Elapsed.Seconds(),
-			SlowestPartition: serial.Seconds() / maxReason.Seconds(),
+			Measured:         serial.Elapsed.Seconds() / res.Elapsed.Seconds(),
+			SlowestPartition: serial.Elapsed.Seconds() / maxReason.Seconds(),
 		}
 		if tNk > 0 {
 			row.TheoreticalMax = tN / tNk

@@ -23,32 +23,27 @@ type Fig5Row struct {
 // exceeded the machines' memory; we can, and report them for completeness.)
 func Fig5(scale Scale) ([]Fig5Row, error) {
 	ds := scale.Datasets()[0]
-	serial, serialRes, err := medianSerial(ds, scale.Repeats())
+	// At one worker every policy makes the same plan: one baseline.
+	serial, err := medianRun(ds, speedupConfig(core.GraphPolicy), scale.Repeats())
 	if err != nil {
 		return nil, err
 	}
 	var rows []Fig5Row
 	for _, pol := range []core.PolicyKind{core.GraphPolicy, core.DomainPolicy, core.HashPolicy} {
 		for _, k := range scale.Workers() {
-			res, err := medianRun(ds, core.Config{
-				Workers:   k,
-				Strategy:  core.DataPartitioning,
-				Policy:    pol,
-				Engine:    core.HybridEngine,
-				Transport: core.MemTransport,
-				Simulate:  true,
-				Seed:      42,
-			}, scale.Repeats())
+			cfg := speedupConfig(pol)
+			cfg.Workers = k
+			res, err := medianRun(ds, cfg, scale.Repeats())
 			if err != nil {
 				return nil, err
 			}
-			if !res.Graph.Equal(serialRes.Graph) {
+			if !res.Graph.Equal(serial.Graph) {
 				return nil, fmt.Errorf("fig5 %s k=%d: closure mismatch", pol, k)
 			}
 			rows = append(rows, Fig5Row{
 				Policy:  pol,
 				K:       k,
-				Speedup: serial.Seconds() / res.Elapsed.Seconds(),
+				Speedup: serial.Elapsed.Seconds() / res.Elapsed.Seconds(),
 				IR:      res.Metrics.IR,
 			})
 		}
@@ -91,32 +86,33 @@ func fig6Workers(scale Scale) []int {
 func Fig6(scale Scale) ([]Fig6Row, error) {
 	var rows []Fig6Row
 	for _, ds := range scale.Datasets() {
-		serial, serialRes, err := medianSerial(ds, scale.Repeats())
+		cfg := core.Config{
+			Strategy:  core.RulePartitioning,
+			Engine:    core.HybridEngine,
+			Transport: core.MemTransport,
+			Simulate:  true,
+			Seed:      42,
+		}
+		serial, err := medianRun(ds, cfg, scale.Repeats())
 		if err != nil {
 			return nil, err
 		}
 		for _, k := range fig6Workers(scale) {
-			res, err := medianRun(ds, core.Config{
-				Workers:   k,
-				Strategy:  core.RulePartitioning,
-				Engine:    core.HybridEngine,
-				Transport: core.MemTransport,
-				Simulate:  true,
-				Seed:      42,
-			}, scale.Repeats())
+			cfg.Workers = k
+			res, err := medianRun(ds, cfg, scale.Repeats())
 			if err != nil {
 				return nil, err
 			}
-			if !res.Graph.Equal(serialRes.Graph) {
+			if !res.Graph.Equal(serial.Graph) {
 				return nil, fmt.Errorf("fig6 %s k=%d: closure mismatch (%d vs %d)",
-					ds.Name, k, res.Graph.Len(), serialRes.Graph.Len())
+					ds.Name, k, res.Graph.Len(), serial.Graph.Len())
 			}
 			rows = append(rows, Fig6Row{
 				Dataset: ds.Name,
 				K:       k,
-				Serial:  serial,
+				Serial:  serial.Elapsed,
 				Elapsed: res.Elapsed,
-				Speedup: serial.Seconds() / res.Elapsed.Seconds(),
+				Speedup: serial.Elapsed.Seconds() / res.Elapsed.Seconds(),
 				RuleCut: res.RuleCut,
 				Rounds:  res.Rounds,
 			})

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"io"
-	"os"
 
 	"powl/internal/core"
 	"powl/internal/obs"
@@ -49,38 +48,8 @@ func Profile(w io.Writer, scale Scale, cfg ProfileConfig) error {
 		return err
 	}
 	events := sink.Events()
-
-	if cfg.Journal != "" {
-		f, err := os.Create(cfg.Journal)
-		if err != nil {
-			return err
-		}
-		js := obs.NewJSONLSink(f)
-		for _, e := range events {
-			js.Emit(e)
-		}
-		if err := js.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fprintf(w, "wrote journal %s (%d events)\n", cfg.Journal, len(events))
-	}
-	if cfg.Trace != "" {
-		f, err := os.Create(cfg.Trace)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteTrace(f, events); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fprintf(w, "wrote trace %s (load at ui.perfetto.dev)\n", cfg.Trace)
+	if err := obs.WriteFiles(w, events, cfg.Journal, cfg.Trace); err != nil {
+		return err
 	}
 
 	fprintf(w, "profile: %s, k=%d, %d triples closed (%d inferred), %d rounds, simulated elapsed %v\n\n",

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -68,7 +69,8 @@ func (l Layout) MsgDir() string { return l.run("msg") }
 func (l Layout) CkptDir() string { return l.run("ckpt") }
 
 // MarkerFile is node i's end-of-round marker; its content is the number of
-// tuples the node sent this round.
+// tuples the node sent this round. Markers are posted with exclusive create
+// (postMarker), so each has one value for every reader.
 func (l Layout) MarkerFile(round, id int) string { return l.run("done_r%03d_n%02d", round, id) }
 
 // ClosureFile is node i's final output.
@@ -105,9 +107,7 @@ func Prepare(dir string, dict *rdf.Dict, plan *core.Plan) error {
 	}
 	k := len(plan.Assignments)
 	for i, a := range plan.Assignments {
-		pg := rdf.NewGraphCap(len(a.Base))
-		pg.AddAll(a.Base)
-		if err := writeGraphFile(l.PartFile(i), dict, pg); err != nil {
+		if err := writeTriples(l.PartFile(i), dict, a.Tuples()); err != nil {
 			return err
 		}
 	}
@@ -275,7 +275,7 @@ func RunNodeContext(ctx context.Context, cfg NodeConfig) (*NodeResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fscluster: node %d: %w", cfg.ID, err)
 	}
-	if err := writeGraphFile(l.ClosureFile(cfg.ID), dict, g); err != nil {
+	if err := writeTriples(l.ClosureFile(cfg.ID), dict, g.SortedTriples()); err != nil {
 		return nil, err
 	}
 	return &NodeResult{Rounds: tm.Rounds, Derived: tm.Derived, Sent: tm.Sent,
@@ -302,13 +302,21 @@ type markers struct {
 // polls until all k markers of the round exist. A missing peer whose
 // dead-files lead to this node is claimed for adoption at the next round's
 // top; its marker gets a sentinel 1 so the round cannot read as quiescent
-// before the adopter has reasoned over the merged state.
+// before the adopter has reasoned over the merged state. A node whose own
+// marker its adopter already posted has been declared dead: Sync fails, and
+// the round loop steps aside.
 func (m *markers) Sync(ctx context.Context, id, round, sent int) (int, error) {
-	if err := writeAtomic(m.l.MarkerFile(round, id), strconv.Itoa(sent)); err != nil {
+	posted, err := postMarker(m.l.MarkerFile(round, id), strconv.Itoa(sent))
+	if err != nil {
 		return 0, err
 	}
+	if !posted {
+		return 0, fmt.Errorf("fscluster: node %d: round %d marker already posted by an adopter", id, round)
+	}
+	// A marker posted first by the peer itself (a false positive still
+	// running) stands; the claim stands too, since the dead-file does.
 	for _, v := range m.owned {
-		if err := writeAtomic(m.l.MarkerFile(round, v), "0"); err != nil {
+		if _, err := postMarker(m.l.MarkerFile(round, v), "0"); err != nil {
 			return 0, err
 		}
 	}
@@ -334,7 +342,7 @@ func (m *markers) Sync(ctx context.Context, id, round, sent int) (int, error) {
 			m.pending = append(m.pending, missing)
 			m.obs.Emit(obs.Event{Type: obs.EvDeath, TS: m.obs.Now(), Worker: missing,
 				Round: round, Name: "timeout", N: int64(id)})
-			if err := writeAtomic(m.l.MarkerFile(round, missing), "1"); err != nil {
+			if _, err := postMarker(m.l.MarkerFile(round, missing), "1"); err != nil {
 				return 0, err
 			}
 			continue
@@ -450,22 +458,48 @@ func readOwnerTable(path string, dict *rdf.Dict) ([]int32, error) {
 	return owner, nil
 }
 
-func writeGraphFile(path string, dict *rdf.Dict, g *rdf.Graph) error {
+// writeTriples writes ts to path as N-Triples through a temp file, so a
+// reader never sees a torn file.
+func writeTriples(path string, dict *rdf.Dict, ts []rdf.Triple) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := ntriples.WriteGraph(f, dict, g); err != nil {
-		f.Close()
-		return err
+	w := ntriples.NewWriter(f, dict)
+	err = w.WriteAll(ts)
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := f.Close(); err != nil {
+	if err := errors.Join(err, f.Close()); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
 }
 
+// postMarker publishes a round marker with exclusive create: it writes a
+// temp file of its own and links it into place, so a marker, once posted,
+// never changes. It reports false, and no error, when the marker was
+// already posted.
+func postMarker(path, content string) (bool, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return false, err
+	}
+	defer os.Remove(f.Name())
+	_, err = f.WriteString(content)
+	if err := errors.Join(err, f.Close()); err != nil {
+		return false, err
+	}
+	err = os.Link(f.Name(), path)
+	if errors.Is(err, fs.ErrExist) {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// writeAtomic replaces path's content through a rename: epoch files and
+// dead-files, which have one writer each.
 func writeAtomic(path, content string) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, []byte(content), 0o644); err != nil {

@@ -64,7 +64,7 @@ func runClusterIn(t *testing.T, dir string, ds *datagen.Dataset, k int, engine r
 
 func TestClusterMatchesSerial(t *testing.T) {
 	ds := datagen.LUBM(datagen.LUBMConfig{Universities: 2, Seed: 7, DeptsPerUniv: 4})
-	serial, err := core.MaterializeSerial(ds, core.ForwardEngine)
+	serial, err := core.Materialize(ds, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestClusterSizeRoundTrip(t *testing.T) {
 
 func TestClusterWithHybridEngine(t *testing.T) {
 	ds := datagen.MDC(datagen.MDCConfig{Fields: 2, Seed: 7})
-	serial, err := core.MaterializeSerial(ds, core.ForwardEngine)
+	serial, err := core.Materialize(ds, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestReusedDirStartsClean(t *testing.T) {
 	dir := t.TempDir()
 	runClusterIn(t, dir, datagen.MDC(datagen.MDCConfig{Fields: 4, Seed: 7}), 3, reason.Forward{})
 	second := datagen.LUBM(datagen.LUBMConfig{Universities: 1, Seed: 7, DeptsPerUniv: 3})
-	serial, err := core.MaterializeSerial(second, core.ForwardEngine)
+	serial, err := core.Materialize(second, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

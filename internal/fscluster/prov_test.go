@@ -56,7 +56,7 @@ func countExplainable(t *testing.T, g *rdf.Graph) (derived, withPrem int) {
 // disk (the protocol is the files, not shared memory).
 func TestNodeProvenance(t *testing.T) {
 	ds := datagen.MDC(datagen.MDCConfig{Fields: 4, Seed: 7})
-	serial, err := core.MaterializeSerial(ds, core.ForwardEngine)
+	serial, err := core.Materialize(ds, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestNodeProvenance(t *testing.T) {
 // graph keeps explainable lineage and the closure still matches serial.
 func TestProvenanceSurvivesAdoption(t *testing.T) {
 	ds := datagen.MDC(datagen.MDCConfig{Fields: 4, Seed: 7})
-	serial, err := core.MaterializeSerial(ds, core.ForwardEngine)
+	serial, err := core.Materialize(ds, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func runSupervisedCluster(t *testing.T, ds *datagen.Dataset, k int, injectors []
 // matches the sequential fixpoint exactly.
 func TestWorkerCrashRecovers(t *testing.T) {
 	ds := datagen.MDC(datagen.MDCConfig{Fields: 4, Seed: 7})
-	serial, err := core.MaterializeSerial(ds, core.ForwardEngine)
+	serial, err := core.Materialize(ds, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestWorkerCrashRecovers(t *testing.T) {
 // exist yet).
 func TestImmediateCrashRecovers(t *testing.T) {
 	ds := datagen.LUBM(datagen.LUBMConfig{Universities: 1, Seed: 7, DeptsPerUniv: 3})
-	serial, err := core.MaterializeSerial(ds, core.ForwardEngine)
+	serial, err := core.Materialize(ds, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSuperviseCleanRun(t *testing.T) {
 // messages on the master side.
 func TestMergeReconstructsLateDeath(t *testing.T) {
 	ds := datagen.MDC(datagen.MDCConfig{Fields: 4, Seed: 7})
-	serial, err := core.MaterializeSerial(ds, core.ForwardEngine)
+	serial, err := core.Materialize(ds, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestMergeReconstructsLateDeath(t *testing.T) {
 // the merged closure still matches the sequential fixpoint.
 func TestNodeRejoinsAfterRestart(t *testing.T) {
 	ds := datagen.MDC(datagen.MDCConfig{Fields: 4, Seed: 7})
-	serial, err := core.MaterializeSerial(ds, core.ForwardEngine)
+	serial, err := core.Materialize(ds, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,5 +300,78 @@ func TestRunNodeContextCancel(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled node kept waiting at the barrier")
+	}
+}
+
+// TestMarkerPostsAreExclusive: after a false positive the adopter and the
+// node it declared dead both post the dead node's round marker — the
+// adopter its sentinel 1, the node its own count. Whichever lands first
+// stays: the other post changes nothing, the late node gets an error (and
+// steps aside), and every node that reads the round sums the same total.
+func TestMarkerPostsAreExclusive(t *testing.T) {
+	for _, victimFirst := range []bool{true, false} {
+		dir := t.TempDir()
+		l := Layout{Dir: dir}
+		if err := os.MkdirAll(l.run(""), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeAtomic(l.DeadFile(1), "0"); err != nil {
+			t.Fatal(err)
+		}
+		node := func() *markers {
+			return &markers{l: l, k: 3, poll: time.Millisecond, timeout: 10 * time.Second}
+		}
+		marker := l.MarkerFile(0, 1)
+		waitMarker := func() {
+			for !exists(marker) {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		type sum struct {
+			id, total int
+			err       error
+		}
+		sums := make(chan sum, 3)
+		post := func(id, sent int) {
+			total, err := node().Sync(context.Background(), id, 0, sent)
+			sums <- sum{id, total, err}
+		}
+		want := "1" // the adopter's sentinel
+		if victimFirst {
+			want = "5"
+			go post(1, 5)
+			waitMarker()
+			// The adopter's sentinel, had it found the marker missing a
+			// moment earlier, now loses.
+			if posted, err := postMarker(marker, "1"); err != nil || posted {
+				t.Fatalf("sentinel over a posted marker: posted=%v err=%v", posted, err)
+			}
+			go post(0, 0)
+			go post(2, 2)
+		} else {
+			go post(0, 0)
+			waitMarker()
+			go post(1, 5)
+			go post(2, 2)
+		}
+		totals := map[int]bool{}
+		for range 3 {
+			s := <-sums
+			if (s.err != nil) != (!victimFirst && s.id == 1) {
+				t.Fatalf("victimFirst=%v: node %d: err=%v", victimFirst, s.id, s.err)
+			}
+			if s.err == nil {
+				totals[s.total] = true
+			}
+		}
+		if b, err := os.ReadFile(marker); err != nil || string(b) != want {
+			t.Fatalf("victimFirst=%v: marker holds %q (%v), want %q", victimFirst, b, err, want)
+		}
+		if len(totals) != 1 {
+			t.Fatalf("victimFirst=%v: nodes read different totals %v", victimFirst, totals)
+		}
+		if !node().Dead(1) {
+			t.Fatal("dead-file gone")
+		}
 	}
 }

@@ -3,8 +3,10 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 	"time"
 )
@@ -149,6 +151,41 @@ func (m MultiSink) Emit(e Event) {
 	for _, s := range m {
 		s.Emit(e)
 	}
+}
+
+// WriteFiles writes a run's events to a JSONL journal at journal and a
+// Chrome/Perfetto trace at trace, each only when its path is non-empty, and
+// notes every file it wrote on notes.
+func WriteFiles(notes io.Writer, events []Event, journal, trace string) error {
+	if journal != "" {
+		err := writeFile(journal, func(w io.Writer) error {
+			sink := NewJSONLSink(w)
+			for _, e := range events {
+				sink.Emit(e)
+			}
+			return sink.Flush()
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(notes, "wrote journal %s (%d events)\n", journal, len(events))
+	}
+	if trace != "" {
+		if err := writeFile(trace, func(w io.Writer) error { return WriteTrace(w, events) }); err != nil {
+			return err
+		}
+		fmt.Fprintf(notes, "wrote trace %s (load at ui.perfetto.dev)\n", trace)
+	}
+	return nil
+}
+
+// writeFile creates path and fills it through enc.
+func writeFile(path string, enc func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	return errors.Join(enc(f), f.Close())
 }
 
 // ParseJournal reads a JSONL journal back into events. Blank lines are

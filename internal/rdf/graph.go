@@ -308,8 +308,9 @@ func compareTriples(a, b Triple) int {
 
 // Clone returns a deep copy of the graph: flat copies of the log, the dedup
 // table and each index's slot table and arena chunks, with no per-triple or
-// per-key re-insertion. Writer-only on g; the clone is a fresh graph owned
-// by the caller, and appends to either leave the other unchanged.
+// per-key re-insertion. It only reads g, so goroutines may clone a graph
+// nobody writes at the same time; the clone is a fresh graph owned by the
+// caller, and appends to either leave the other unchanged.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{seen: dedup{slots: append([]uint32(nil), g.seen.slots...), shift: g.seen.shift, count: g.seen.count}}
 	g.log.cloneInto(&c.log)
