@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
+	"time"
 
 	"powl/internal/datagen"
 	"powl/internal/rdf"
@@ -58,35 +60,71 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// checkReadTriples asserts that ReadTriples over src, into a dictionary
-// holding pre, returns the reference's triples and error and leaves the
-// reference's dictionary, for blocks of one byte to the default size and
-// GOMAXPROCS 1, 2 and 4.
+// checkReadTriples asserts that ReadTriples and ReadGraph over src, into a
+// dictionary holding pre, match the reference: see checkReaders.
 func checkReadTriples(t testing.TB, src string, pre []rdf.Term) {
 	t.Helper()
+	checkReaders(t, func() io.Reader { return strings.NewReader(src) }, pre, nil)
+}
+
+// checkReaders asserts, for blocks of one byte to the default size and
+// GOMAXPROCS 1, 2 and 4, that ReadTriples over a reader from open, into a
+// dictionary holding pre, returns the reference's triples and error and
+// leaves the reference's dictionary; and that ReadGraph, into a graph
+// holding base, leaves the log, the count, the dictionary and the error of
+// the reference's triples added by AddAll.
+func checkReaders(t testing.TB, open func() io.Reader, pre []rdf.Term, base []rdf.Triple) {
+	t.Helper()
 	refDict := dictWith(pre)
-	want, wantErr := referenceRead(strings.NewReader(src), refDict)
+	want, wantErr := referenceRead(open(), refDict)
+	refGraph := graphWith(base)
+	wantAdded := refGraph.AddAll(want)
+	wantLog := refGraph.TriplesSince(0)
 	for _, size := range []int{1, 16, 97, blockSize} {
 		for _, procs := range []int{1, 2, 4} {
+			where := fmt.Sprintf("block %d B, GOMAXPROCS %d", size, procs)
+			checkErr := func(reader string, err error) {
+				t.Helper()
+				if errText(err) != errText(wantErr) {
+					t.Fatalf("%s: %s error %q, reference %q", where, reader, errText(err), errText(wantErr))
+				}
+				if errors.Is(err, bufio.ErrTooLong) != errors.Is(wantErr, bufio.ErrTooLong) {
+					t.Fatalf("%s: %s error %v does not wrap what the reference's does", where, reader, err)
+				}
+			}
 			dict := dictWith(pre)
 			var got []rdf.Triple
 			var err error
-			withBlocks(size, procs, func() { got, err = ReadTriples(strings.NewReader(src), dict) })
-			where := fmt.Sprintf("block %d B, GOMAXPROCS %d", size, procs)
-			if errText(err) != errText(wantErr) {
-				t.Fatalf("%s: error %q, reference %q", where, errText(err), errText(wantErr))
-			}
-			if errors.Is(err, bufio.ErrTooLong) != errors.Is(wantErr, bufio.ErrTooLong) {
-				t.Fatalf("%s: error %v does not wrap what the reference's does", where, err)
-			}
+			withBlocks(size, procs, func() { got, err = ReadTriples(open(), dict) })
+			checkErr("ReadTriples", err)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: %d triples differ from the reference's %d", where, len(got), len(want))
 			}
 			if !slices.Equal(dict.TermView(), refDict.TermView()) {
 				t.Fatalf("%s: dictionary of %d terms differs from the reference's %d", where, dict.Len(), refDict.Len())
 			}
+
+			dict, g := dictWith(pre), graphWith(base)
+			var added int
+			withBlocks(size, procs, func() { added, err = ReadGraph(open(), dict, g) })
+			checkErr("ReadGraph", err)
+			if added != wantAdded {
+				t.Fatalf("%s: ReadGraph added %d triples, the reference %d", where, added, wantAdded)
+			}
+			if !slices.Equal(g.TriplesSince(0), wantLog) {
+				t.Fatalf("%s: ReadGraph's log of %d triples differs from the reference's %d", where, g.Len(), len(wantLog))
+			}
+			if !slices.Equal(dict.TermView(), refDict.TermView()) {
+				t.Fatalf("%s: ReadGraph's dictionary of %d terms differs from the reference's %d", where, dict.Len(), refDict.Len())
+			}
 		}
 	}
+}
+
+func graphWith(ts []rdf.Triple) *rdf.Graph {
+	g := rdf.NewGraph()
+	g.AddAll(ts)
+	return g
 }
 
 var (
@@ -153,6 +191,41 @@ func TestReadTriplesMatchesReference(t *testing.T) {
 	}
 	checkReadTriples(t, "", nil)
 	checkReadTriples(t, "\n\n# only comments\n", nil)
+}
+
+// TestReadGraphMatchesReference: over random inputs with and without a bad
+// line, into a dictionary and a graph that already hold some of the terms
+// and triples, and over inputs whose reader fails at a random byte, both
+// readers match the reference for every block size and GOMAXPROCS, and no
+// goroutine of theirs outlives the call.
+func TestReadGraphMatchesReference(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rng := rand.New(rand.NewSource(37))
+	pre := []rdf.Term{{Kind: rdf.IRI, Value: "http://x/s1"}, {Kind: rdf.IRI, Value: "http://x/p0"}, {Kind: rdf.Literal, Value: `"plain"`}}
+	base := []rdf.Triple{{S: 1, P: 2, O: 3}, {S: 1, P: 2, O: 1}}
+	boom := errors.New("boom")
+	for i := 0; i < 40; i++ {
+		src := randomInput(rng, 1+rng.Intn(80), i%2 == 1)
+		checkReaders(t, func() io.Reader { return strings.NewReader(src) }, pre, base)
+		cut := rng.Intn(len(src) + 1)
+		failing := func() io.Reader { return io.MultiReader(strings.NewReader(src[:cut]), iotest.ErrReader(boom)) }
+		checkReaders(t, failing, pre, base)
+	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails t unless the goroutine count falls back to want
+// within a few seconds: a goroutine that has signalled its end may not have
+// exited yet.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > want; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before:\n%s", runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestReadTriplesLineBound: a line of 1 MiB or more fails in both readers
@@ -305,7 +378,7 @@ func TestReadTriplesSmallInline(t *testing.T) {
 			t.Errorf("read %d triples, err %v", len(ts), err)
 		}
 	}
-	const reader = "powl/internal/ntriples.ReadTriples"
+	const reader = "powl/internal/ntriples.readBlocks"
 	withBlocks(blockSize, 4, func() {
 		if spawnedBy(reader, 50, read) {
 			t.Error("a one-block input was parsed on a goroutine of its own")
@@ -382,6 +455,87 @@ func TestWriteGraphMatchesTermString(t *testing.T) {
 	}
 }
 
+// TestWriteGraphMatchesWriter: at GOMAXPROCS 1, 2 and 4, WriteGraph writes
+// byte for byte what the one-line-at-a-time Writer writes for the sorted
+// live triples — for graphs of none, one, a chunk less one, a chunk, a
+// chunk and one and many chunks of triples over IRIs, blank nodes and
+// plain, typed and tagged literals, with tombstoned triples — and a failing
+// io.Writer's error comes back with no formatter left running.
+func TestWriteGraphMatchesWriter(t *testing.T) {
+	before := runtime.NumGoroutine()
+	dict := rdf.NewDict()
+	var terms []rdf.ID
+	for _, s := range append(append(slices.Clone(subjects), preds...), objects...) {
+		term, err := ParseTerm(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		terms = append(terms, dict.Intern(term))
+	}
+	rng := rand.New(rand.NewSource(41))
+	boom := errors.New("boom")
+	for _, n := range []int{0, 1, writeChunk - 1, writeChunk, writeChunk + 1, 5*writeChunk + 7} {
+		// n live triples, plus some deleted again, over subjects numbered
+		// past the term pool so that the triples are distinct.
+		g := rdf.NewGraph()
+		for g.Len() < n+n/10 {
+			s := dict.InternIRI(fmt.Sprintf("http://x/n%d", rng.Intn(2*n+1)))
+			if rng.Intn(3) == 0 {
+				s = dict.InternBlank(fmt.Sprintf("b%d", rng.Intn(2*n+1)))
+			}
+			g.Add(rdf.Triple{S: s, P: terms[len(subjects)+rng.Intn(len(preds))], O: terms[rng.Intn(len(terms))]})
+		}
+		log := g.TriplesSince(0)
+		dead := slices.Clone(log[:len(log)-n])
+		rng.Shuffle(len(dead), func(i, j int) { dead[i], dead[j] = dead[j], dead[i] })
+		g.Delete(dead)
+		if g.LiveLen() != n {
+			t.Fatalf("built %d live triples, want %d", g.LiveLen(), n)
+		}
+		var want bytes.Buffer
+		w := NewWriter(&want, dict)
+		if err := w.WriteAll(g.SortedTriples()); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			withBlocks(blockSize, procs, func() {
+				var got bytes.Buffer
+				if err := WriteGraph(&got, dict, g); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("%d triples, GOMAXPROCS %d: WriteGraph wrote %d bytes that differ from the Writer's %d", n, procs, got.Len(), want.Len())
+				}
+				// The output is written a chunk at a time.
+				for _, after := range []int{0, 2} {
+					fails := (n+writeChunk-1)/writeChunk > after
+					if err := WriteGraph(&failingWriter{after: after, err: boom}, dict, g); errors.Is(err, boom) != fails || !fails && err != nil {
+						t.Fatalf("%d triples, GOMAXPROCS %d: writer failing after %d writes: WriteGraph returned %v", n, procs, after, err)
+					}
+				}
+			})
+		}
+	}
+	waitGoroutines(t, before)
+}
+
+// failingWriter accepts after writes, then fails every one with err.
+type failingWriter struct {
+	after int
+	err   error
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.after == 0 {
+		return 0, w.err
+	}
+	w.after--
+	return len(p), nil
+}
+
 var sinkTriples []rdf.Triple
 
 func BenchmarkReadTriples(b *testing.B) {
@@ -411,8 +565,38 @@ func BenchmarkReadTriplesSmall(b *testing.B) {
 	}
 }
 
-func BenchmarkWriteGraph(b *testing.B) {
-	ds := datagen.LUBM(datagen.LUBMConfig{Universities: 20, Seed: 1})
+var sinkAdded int
+
+// benchReadGraph loads LUBM with univ universities into a fresh graph per
+// iteration: the batch pipeline's first step.
+func benchReadGraph(b *testing.B, univ int) {
+	src := lubmLines(univ)
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n, err := ReadGraph(bytes.NewReader(src), rdf.NewDict(), rdf.NewGraph())
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkAdded = n
+	}
+}
+
+func BenchmarkReadGraph(b *testing.B) { benchReadGraph(b, 20) }
+
+// BenchmarkReadGraphLUBM100 is the batch workloads' input size, where the
+// reader's stages are not noise; CI does not gate it.
+func BenchmarkReadGraphLUBM100(b *testing.B) { benchReadGraph(b, 100) }
+
+func BenchmarkWriteGraph(b *testing.B) { benchWriteGraph(b, 20) }
+
+// BenchmarkWriteGraphLUBM100 writes the batch workloads' input graph; CI
+// does not gate it.
+func BenchmarkWriteGraphLUBM100(b *testing.B) { benchWriteGraph(b, 100) }
+
+func benchWriteGraph(b *testing.B, univ int) {
+	ds := datagen.LUBM(datagen.LUBMConfig{Universities: univ, Seed: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
