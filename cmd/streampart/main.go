@@ -1,8 +1,14 @@
 // Command streampart partitions an N-Triples dataset into per-partition
 // files in a single streaming pass, without loading the graph into memory —
 // the scalability property the paper highlights for the hash and
-// domain-specific policies (§III-A). The resulting files can be fed
-// directly to one owlinfer worker each.
+// domain-specific policies (§III-A). It shows that pass, nothing more: the
+// part files are not inputs for a cluster's workers.
+//   - A part's closure alone misses every derivation that joins tuples of
+//     two parts; only a run's round exchange supplies those.
+//   - owlnode reads owlcluster's work directory (owner.tsv, rules.rules,
+//     cluster.meta), none of which streampart writes.
+//   - Its schema test is not owlhorst's (see partition.StreamPartition), so
+//     the parts hold schema triples a planned worker would not own.
 //
 // Usage:
 //

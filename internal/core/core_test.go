@@ -9,6 +9,7 @@ import (
 	"powl/internal/faultinject"
 	"powl/internal/gpart"
 	"powl/internal/rdf"
+	"powl/internal/reason"
 	"powl/internal/rulepart"
 	"powl/internal/rules"
 )
@@ -259,7 +260,11 @@ func TestOwnerRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := rulepart.NewRouter(rs, rres)
+	prog, err := reason.Compile(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := rulepart.NewRouter(prog, rres)
 	grid := newOwnerRouter(ownerTable(owner), k, 2, groups)
 	preds := []rdf.ID{dict.InternIRI("http://t/p"), dict.InternIRI("http://t/q"), dict.InternIRI("http://t/r"), 99}
 	for s := rdf.ID(0); s < 8; s++ {

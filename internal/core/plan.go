@@ -78,7 +78,8 @@ func NewPlan(ds *datagen.Dataset, cfg Config) (*Plan, error) {
 // partitioning gives every worker all the data, and so does a single
 // worker, so neither needs such a property.
 func plan(ds *datagen.Dataset, w workload, cfg Config) (*Plan, error) {
-	if err := reason.ValidateRules(w.rules); err != nil {
+	prog, err := reason.Compile(w.rules)
+	if err != nil {
 		return nil, err
 	}
 	if cfg.Workers > 1 && (cfg.Strategy == DataPartitioning || cfg.Strategy == HybridPartitioning) {
@@ -93,10 +94,10 @@ func plan(ds *datagen.Dataset, w workload, cfg Config) (*Plan, error) {
 	case DataPartitioning:
 		return planData(ds, w, cfg.Workers, cfg)
 	case RulePartitioning:
-		return planRules(w, cfg.Workers, cfg.Seed)
+		return planRules(w, prog, cfg.Workers, cfg.Seed)
 	case HybridPartitioning:
 		kd, kr := factorWorkers(cfg.Workers, len(w.rules))
-		rp, err := planRules(w, kr, cfg.Seed)
+		rp, err := planRules(w, prog, kr, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -146,13 +147,14 @@ func planData(ds *datagen.Dataset, w workload, k int, cfg Config) (*Plan, error)
 }
 
 // planRules partitions the rules k ways (Algorithm 2); every worker holds
-// all the data.
-func planRules(w workload, k int, seed int64) (*Plan, error) {
+// all the data. prog is w.rules compiled, which the router matches tuples
+// against.
+func planRules(w workload, prog *reason.Program, k int, seed int64) (*Plan, error) {
 	rres, err := rulepart.Partition(w.rules, k, gpart.Options{Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Assignments: make([]cluster.Assignment, k), Router: rulepart.NewRouter(w.rules, rres),
+	p := &Plan{Assignments: make([]cluster.Assignment, k), Router: rulepart.NewRouter(prog, rres),
 		PartitionTime: rres.Elapsed, RuleCut: rres.CutWeight}
 	for i, group := range rres.Groups {
 		rs := make([]rules.Rule, len(group))

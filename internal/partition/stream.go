@@ -93,6 +93,13 @@ type StreamStats struct {
 // namespaces) are broadcast to every partition, mirroring Algorithm 1's
 // replicated schema; rdf:type triples are owned by their subject (class
 // IRIs are schema elements and never own data).
+//
+// That schema test is the predicate's namespace alone, not owlhorst's:
+// rdf:type owl:Class, owl:TransitiveProperty and the other vocabulary-typed
+// triples, which owlhorst splits off as schema and replicates, follow their
+// subject's owner here. With that, and with no exchange between the parts,
+// a part is not a worker's input: its closure alone misses the derivations
+// that join two parts. The parts measure the streaming pass (§III-A).
 func StreamPartition(r io.Reader, k int, a StreamAssigner, sinks []io.Writer) (*StreamStats, error) {
 	if k < 1 || len(sinks) != k {
 		return nil, fmt.Errorf("partition: need k=%d sinks, got %d", k, len(sinks))

@@ -25,29 +25,6 @@ func (n *ExplainNode) IsDerived() bool { return n.Rule != "" }
 // DefaultExplainDepth bounds Explain's recursion when callers pass depth<=0.
 const DefaultExplainDepth = 16
 
-// offsetOf resolves t to its log offset without touching the writer's dedup
-// table: it scans the shorter of the two pinned two-bound posting prefixes,
-// which carry the offset column. ok is false when t is not visible.
-func (s Snapshot) offsetOf(t Triple) (uint32, bool) {
-	w := uint32(len(s.log))
-	sp := cutEntries(s.g.bySP.get(key2(t.S, t.P)), w)
-	po := cutEntries(s.g.byPO.get(key2(t.P, t.O)), w)
-	if len(sp) <= len(po) {
-		for _, e := range sp {
-			if e.Term == t.O && !s.dead.has(e.Off) {
-				return e.Off, true
-			}
-		}
-	} else {
-		for _, e := range po {
-			if e.Term == t.S && !s.dead.has(e.Off) {
-				return e.Off, true
-			}
-		}
-	}
-	return 0, false
-}
-
 // Explain reconstructs the derivation DAG of t down to maxDepth levels of
 // premises (maxDepth <= 0 means DefaultExplainDepth). ok is false when t is
 // not visible in the snapshot or the graph records no provenance. Safe from

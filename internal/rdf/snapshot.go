@@ -109,27 +109,33 @@ func cutEntries(v []spEntry, w uint32) []spEntry {
 	return v[:lo]
 }
 
-// Has reports whether t is visible in the snapshot. It scans the shorter of
-// the (s,p) and (p,o) pinned posting prefixes rather than touching the
-// writer's dedup table.
+// Has reports whether t is visible in the snapshot (see offsetOf).
 func (s Snapshot) Has(t Triple) bool {
+	_, ok := s.offsetOf(t)
+	return ok
+}
+
+// offsetOf resolves t to its log offset without touching the writer's dedup
+// table: it scans the shorter of the two pinned two-bound posting prefixes,
+// which carry the offset column. ok is false when t is not visible.
+func (s Snapshot) offsetOf(t Triple) (uint32, bool) {
 	w := uint32(len(s.log))
 	sp := cutEntries(s.g.bySP.get(key2(t.S, t.P)), w)
 	po := cutEntries(s.g.byPO.get(key2(t.P, t.O)), w)
 	if len(sp) <= len(po) {
 		for _, e := range sp {
 			if e.Term == t.O && !s.dead.has(e.Off) {
-				return true
+				return e.Off, true
 			}
 		}
 	} else {
 		for _, e := range po {
 			if e.Term == t.S && !s.dead.has(e.Off) {
-				return true
+				return e.Off, true
 			}
 		}
 	}
-	return false
+	return 0, false
 }
 
 // ForEachMatch calls fn for every visible triple matching the pattern, where

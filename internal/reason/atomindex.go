@@ -29,6 +29,12 @@ type trigger struct {
 // instance rules are mostly (?x rdf:type #C) atoms, so on rdf:type the object
 // is what tells them apart.
 //
+// The body-atom indexes of a Program's strata are the one answer to "which
+// atoms can this triple meet": the fire loop dispatches and routes through
+// them, Rete's alpha nodes are their triggers, and AppendConsumers (the
+// rule-partition router's question) reads them. The subject is not
+// indexed; a reader that needs it exact checks subjectAgrees.
+//
 // Every list is a window into one flat array, so a lookup is one or two map
 // probes and allocates nothing.
 type atomIndex struct {
@@ -69,6 +75,10 @@ func (ix *atomIndex) lookup(t rdf.Triple) []trigger {
 	}
 	return ix.lists[sp.lo:sp.hi]
 }
+
+// subjectAgrees reports whether a's subject, when a constant, is t's: the
+// one position lookup does not index.
+func (a cAtom) subjectAgrees(t rdf.Triple) bool { return a.s.isVar || a.s.id == t.S }
 
 // newAtomIndex indexes trs; atoms[i] is the atom trs[i] names.
 func newAtomIndex(trs []trigger, atoms []cAtom) atomIndex {

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"powl/internal/rdf"
 	"powl/internal/rules"
@@ -134,6 +135,24 @@ func Compile(rs []rules.Rule) (*Program, error) {
 func ValidateRules(rs []rules.Rule) error {
 	_, err := Compile(rs)
 	return err
+}
+
+// AppendConsumers appends to dst the indices, ascending and each once, of
+// the rules with a body atom whose constants agree with t: the rules t can
+// feed. It asks the fire loop's per-stratum atom indexes, which agree t's
+// predicate and object, and makes the one check they leave out, the
+// constant subject. It allocates nothing once dst has room.
+func (p *Program) AppendConsumers(dst []int, t rdf.Triple) []int {
+	n := len(dst)
+	for s := range p.plans {
+		for _, tr := range p.plans[s].idx.lookup(t) {
+			if tr.rule.body[tr.atomIdx].subjectAgrees(t) {
+				dst = append(dst, tr.rule.idx)
+			}
+		}
+	}
+	slices.Sort(dst[n:])
+	return dst[:n+len(slices.Compact(dst[n:]))]
 }
 
 // must is the error handling of the engines' convenience methods, which run

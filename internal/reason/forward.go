@@ -60,13 +60,15 @@ func liveDelta(g *rdf.Graph) []rdf.Triple {
 //
 // When rec is set (the owning graph records provenance), fireOn and
 // joinRest additionally track the firing rule and the triples bound to the
-// first three body atoms, so emit can read the premises of the current
-// firing straight out of the scratch — still no per-firing allocation.
+// first three body atoms, so emit — or DRed's rederivation — can read the
+// premises of the current match straight out of the scratch, still with no
+// per-firing allocation.
 //
 // The buffers are reused across firings with no synchronization, so a
 // scratch must never be visible to two goroutines: the fire loop creates one
-// per shard inside the goroutine that fires it (see fireShard), and owlvet's
-// sharedscratch analyzer enforces the confinement via the directive below.
+// per shard inside the goroutine that fires it (see fireShard), Retract one
+// per call, and owlvet's sharedscratch analyzer enforces the confinement via
+// the directive below.
 //
 //powl:goroutinelocal
 type scratch struct {
@@ -109,18 +111,20 @@ func fireOn(g *rdf.Graph, sc *scratch, tr trigger, t rdf.Triple, emit func(rdf.T
 			rest = append(rest, i)
 		}
 	}
-	joinRest(g, sc, r, rest, e, func() {
+	joinRest(g, sc, r, rest, e, func() bool {
 		matches++
 		for _, h := range r.head {
 			firings++
 			emit(e.instantiate(h))
 		}
+		return true
 	})
 	return matches, firings
 }
 
 // joinRest extends e over the body atoms listed in rest (indices into
-// r.body), calling yield for every complete assignment. At each step it
+// r.body), calling yield for every complete assignment until yield returns
+// false, and reports whether it ran to the end. At each step it
 // picks the remaining atom with the smallest index cardinality under the
 // current bindings (CountMatch is O(1) for every pattern the OWL-Horst
 // bodies produce), which starts each join from its most selective extent —
@@ -129,10 +133,9 @@ func fireOn(g *rdf.Graph, sc *scratch, tr trigger, t rdf.Triple, emit func(rdf.T
 // whole join runs on the caller's scratch buffer with no per-level copies.
 //
 //powl:allocfree the innermost loop of every engine
-func joinRest(g *rdf.Graph, sc *scratch, r *cRule, rest []int, e env, yield func()) {
+func joinRest(g *rdf.Graph, sc *scratch, r *cRule, rest []int, e env, yield func() bool) bool {
 	if len(rest) == 0 {
-		yield()
-		return
+		return yield()
 	}
 	best, bestCount := 0, -1
 	for i, ai := range rest {
@@ -143,7 +146,7 @@ func joinRest(g *rdf.Graph, sc *scratch, r *cRule, rest []int, e env, yield func
 			if n == 0 {
 				// An empty extent annihilates the join; no need to rank the
 				// other atoms.
-				return
+				return true
 			}
 		}
 	}
@@ -151,6 +154,7 @@ func joinRest(g *rdf.Graph, sc *scratch, r *cRule, rest []int, e env, yield func
 	ai := rest[0]
 	a := r.body[ai]
 	tail := rest[1:]
+	done := true
 	g.ForEachMatch(e.resolve(a.s), e.resolve(a.p), e.resolve(a.o), func(t rdf.Triple) bool {
 		if bound, ok := e.bindTriple(a, t); ok {
 			if sc.rec && ai < len(sc.prem) {
@@ -159,9 +163,10 @@ func joinRest(g *rdf.Graph, sc *scratch, r *cRule, rest []int, e env, yield func
 				// round-trip verifier re-binds premises to body atoms.
 				sc.prem[ai] = t
 			}
-			joinRest(g, sc, r, tail, e, yield)
+			done = joinRest(g, sc, r, tail, e, yield)
 			e.unbind(bound)
 		}
-		return true
+		return done
 	})
+	return done
 }

@@ -245,19 +245,20 @@ func (s *solver) solve(goal rdf.Triple) *tableEntry {
 	if e.low == e.depth {
 		// e is its SCC's leader: close the whole component by iterating
 		// every member until no member gains an answer, then complete them.
-		scc := s.stack[stackPos:]
-		if len(scc) > 1 {
-			for {
-				before := s.total
-				for _, m := range scc {
-					s.evaluateOnce(m)
-				}
-				if s.total == before {
-					break
-				}
+		// A pass can open a subgoal that joins the component (it consumes a
+		// member's partial answers), so each pass rereads the members from
+		// the stack: a member left out would be popped still active, and
+		// every later solve of it would return its partial answers.
+		for len(s.stack) > stackPos+1 {
+			before := s.total
+			for _, m := range s.stack[stackPos:] {
+				s.evaluateOnce(m)
+			}
+			if s.total == before {
+				break
 			}
 		}
-		for _, m := range scc {
+		for _, m := range s.stack[stackPos:] {
 			m.complete = true
 			m.active = false
 		}

@@ -126,6 +126,33 @@ func TestVariablePredicateRule(t *testing.T) {
 	}
 }
 
+// TestHybridLateSCCMember: a pass over a tabled component opens a subgoal
+// that consumes the component's partial answers. The solver must iterate
+// and complete that subgoal with the component, not pop it still active:
+// the shared table then served its partial answers to later queries and
+// lost three of n3's b-triples.
+func TestHybridLateSCCMember(t *testing.T) {
+	f := newFx()
+	n := func(s string) rdf.ID { return f.id(s) }
+	for _, s := range []string{"a", "b", "c", "d", "n1", "n0", "n2", "n3"} {
+		n(s) // the resource order the queries run in is ID order
+	}
+	f.add(n("n1"), n("d"), n("n0"))
+	f.add(n("n3"), n("d"), n("n2"))
+	f.add(n("n3"), n("a"), n("n3"))
+	f.add(n("n2"), n("a"), n("n1"))
+	f.add(n("n2"), n("b"), n("n3"))
+	rs := f.parse(`
+[tr: (?x t:b ?y) (?y t:b ?z) -> (?x t:b ?z)]
+[ren: (?x t:d ?y) -> (?x t:a ?y)]
+[csubj: (t:n1 t:a ?y) -> (?y t:d t:n1)]
+[vpred: (?x ?p ?y) (?y t:d ?z) -> (?x t:b ?z)]
+`)
+	if closed := checkAllEngines(t, f, rs); !closed.Has(rdf.Triple{S: n("n3"), P: n("b"), O: n("n3")}) {
+		t.Error("(n3 b n3) missing")
+	}
+}
+
 func TestRepeatedVariableAtom(t *testing.T) {
 	f := newFx()
 	p, q := f.id("p"), f.id("q")
@@ -221,7 +248,9 @@ func TestClosureLeavesInputIntact(t *testing.T) {
 }
 
 // randomRuleSet builds a small random single-join rule universe over nPreds
-// predicates: transitivity, symmetry, and renaming rules.
+// predicates: transitivity, symmetry and renaming rules, then a rule with a
+// constant object, one with a constant subject (node n1 in both) and one
+// joining a variable-predicate atom.
 func randomRuleSet(f *fx, rng *rand.Rand, nPreds int) []rules.Rule {
 	var rs []rules.Rule
 	preds := make([]rdf.ID, nPreds)
@@ -253,7 +282,13 @@ func randomRuleSet(f *fx, rng *rand.Rand, nPreds int) []rules.Rule {
 			})
 		}
 	}
-	return rs
+	pick := func() rules.TermSpec { return rules.Const(preds[rng.Intn(nPreds)]) }
+	c, v := rules.Const(f.id("n1")), rules.Var("p")
+	return append(rs,
+		rules.Rule{Name: "cobj", Body: []rules.Atom{{S: x, P: pick(), O: c}}, Head: []rules.Atom{{S: x, P: pick(), O: c}}},
+		rules.Rule{Name: "csubj", Body: []rules.Atom{{S: c, P: pick(), O: y}}, Head: []rules.Atom{{S: y, P: pick(), O: c}}},
+		rules.Rule{Name: "vpred", Body: []rules.Atom{{S: x, P: v, O: y}, {S: y, P: pick(), O: z}}, Head: []rules.Atom{{S: x, P: pick(), O: z}}},
+	)
 }
 
 // TestEnginesAgreeProperty: on random graphs and random single-join rule

@@ -141,27 +141,14 @@ func premExtend(base [3]rdf.Triple, atomIdx int, t rdf.Triple) [3]rdf.Triple {
 	return base
 }
 
-// alphaNode filters asserted triples by one body atom's constants and fans
-// out to the join nodes consuming that atom.
+// alphaNode is the memory of one body atom: the triples that matched it,
+// and the join node right-activated by each new one. Which alphas a triple
+// meets is the Program's atom index's answer (see assert), so the node
+// holds no pattern of its own.
 type alphaNode struct {
-	pattern  cAtom
-	memory   []rdf.Triple
-	seen     map[rdf.Triple]struct{}
-	consumer []*joinNode // joins right-activated by this alpha
-	ruleIdx  int         // owning rule's compiled index (alphas are per-rule)
-}
-
-func (a *alphaNode) matches(t rdf.Triple) bool {
-	if !a.pattern.s.isVar && a.pattern.s.id != t.S {
-		return false
-	}
-	if !a.pattern.p.isVar && a.pattern.p.id != t.P {
-		return false
-	}
-	if !a.pattern.o.isVar && a.pattern.o.id != t.O {
-		return false
-	}
-	return true
+	memory []rdf.Triple
+	seen   map[rdf.Triple]struct{}
+	join   *joinNode
 }
 
 // joinNode joins the tokens of the previous stage with one alpha memory.
@@ -205,11 +192,10 @@ func (a *envArena) alloc(n int) env {
 
 // network is the compiled Rete graph.
 type network struct {
-	// alphasByPred indexes alpha nodes by their constant predicate;
-	// alphaAny holds variable-predicate alphas.
-	alphasByPred map[rdf.ID][]*alphaNode
-	alphaAny     []*alphaNode
-	roots        []*joinNode // first stage of each rule, for token seeding
+	// plans are the Program's strata, whose atom indexes pick the triggers
+	// an asserted triple meets; alphas[id] is trigger id's alpha node.
+	plans  []stratumPlan
+	alphas []alphaNode
 	// scratch is the trial-binding buffer: joins bind into it first and only
 	// copy into an arena env when the binding succeeds, so failed joins
 	// allocate nothing and successful ones allocate from the arena in bulk.
@@ -228,31 +214,24 @@ type network struct {
 	firePrem [3]rdf.Triple
 }
 
+// buildNetwork makes one alpha node and one join node per trigger of p's
+// plans. A plan lists each rule's body atoms consecutively and in order, so
+// every rule's join nodes chain in body order.
 func buildNetwork(p *Program) *network {
-	net := &network{alphasByPred: map[rdf.ID][]*alphaNode{}, scratch: make(env, p.maxSlot)}
-	for ri := range p.rules {
-		r := &p.rules[ri]
-		if len(r.body) == 0 {
-			continue // bodyless rules never fire from assertions
-		}
+	net := &network{plans: p.plans, alphas: make([]alphaNode, p.ntr), scratch: make(env, p.maxSlot)}
+	for s := range p.plans {
 		var prev *joinNode
-		for ai := range r.body {
-			alpha := &alphaNode{pattern: r.body[ai], seen: map[rdf.Triple]struct{}{}, ruleIdx: r.idx}
-			if r.body[ai].p.isVar {
-				net.alphaAny = append(net.alphaAny, alpha)
-			} else {
-				net.alphasByPred[r.body[ai].p.id] = append(net.alphasByPred[r.body[ai].p.id], alpha)
-			}
-			jn := &joinNode{rule: r, atomIdx: ai, alpha: alpha}
-			alpha.consumer = append(alpha.consumer, jn)
-			if prev == nil {
-				net.roots = append(net.roots, jn)
-			} else {
+		for _, tr := range p.plans[s].trs {
+			jn := &joinNode{rule: tr.rule, atomIdx: tr.atomIdx, alpha: &net.alphas[tr.id]}
+			net.alphas[tr.id] = alphaNode{seen: map[rdf.Triple]struct{}{}, join: jn}
+			if tr.atomIdx > 0 {
 				prev.next = jn
+			}
+			if tr.atomIdx == len(tr.rule.body)-1 {
+				jn.production = tr.rule
 			}
 			prev = jn
 		}
-		prev.production = r
 	}
 	return net
 }
@@ -262,57 +241,48 @@ func buildNetwork(p *Program) *network {
 //
 //powl:ignore wallclock per-rule profiling clock, same contract as fireShard.
 func (n *network) assert(t rdf.Triple, emit func(rdf.Triple)) {
-	if n.prof == nil {
-		for _, a := range n.alphasByPred[t.P] {
-			n.rightActivate(a, t, emit)
+	for s := range n.plans {
+		for _, tr := range n.plans[s].idx.lookup(t) {
+			if !tr.rule.body[tr.atomIdx].subjectAgrees(t) {
+				continue
+			}
+			if n.prof == nil {
+				n.rightActivate(&n.alphas[tr.id], t, emit)
+				continue
+			}
+			t0 := time.Now()
+			n.rightActivate(&n.alphas[tr.id], t, emit)
+			n.prof.time[tr.rule.idx] += time.Since(t0)
 		}
-		for _, a := range n.alphaAny {
-			n.rightActivate(a, t, emit)
-		}
-		return
-	}
-	for _, a := range n.alphasByPred[t.P] {
-		t0 := time.Now()
-		n.rightActivate(a, t, emit)
-		n.prof.time[a.ruleIdx] += time.Since(t0)
-	}
-	for _, a := range n.alphaAny {
-		t0 := time.Now()
-		n.rightActivate(a, t, emit)
-		n.prof.time[a.ruleIdx] += time.Since(t0)
 	}
 }
 
 func (n *network) rightActivate(a *alphaNode, t rdf.Triple, emit func(rdf.Triple)) {
-	if !a.matches(t) {
-		return
-	}
 	if _, dup := a.seen[t]; dup {
 		return
 	}
 	a.seen[t] = struct{}{}
 	a.memory = append(a.memory, t)
-	for _, jn := range a.consumer {
-		if jn.atomIdx == 0 {
-			// First stage: the triple itself creates a token.
-			if e, ok := n.tryExtend(nil, jn.rule, 0, t); ok {
-				nt := token{env: e}
-				if n.rec {
-					nt.prem = premExtend(nt.prem, 0, t)
-				}
-				n.leftActivate(jn, nt, emit)
+	jn := a.join
+	if jn.atomIdx == 0 {
+		// First stage: the triple itself creates a token.
+		if e, ok := n.tryExtend(nil, jn.rule, 0, t); ok {
+			nt := token{env: e}
+			if n.rec {
+				nt.prem = premExtend(nt.prem, 0, t)
 			}
-			continue
+			n.leftActivate(jn, nt, emit)
 		}
-		// Later stage: join the new right input against the left memory.
-		for _, tok := range jn.leftMemory {
-			if e, ok := n.tryExtend(tok.env, jn.rule, jn.atomIdx, t); ok {
-				nt := token{env: e}
-				if n.rec {
-					nt.prem = premExtend(tok.prem, jn.atomIdx, t)
-				}
-				n.leftActivate(jn, nt, emit)
+		return
+	}
+	// Later stage: join the new right input against the left memory.
+	for _, tok := range jn.leftMemory {
+		if e, ok := n.tryExtend(tok.env, jn.rule, jn.atomIdx, t); ok {
+			nt := token{env: e}
+			if n.rec {
+				nt.prem = premExtend(tok.prem, jn.atomIdx, t)
 			}
+			n.leftActivate(jn, nt, emit)
 		}
 	}
 }

@@ -90,9 +90,7 @@ type Retractor struct {
 	// single writer goroutine.
 	Threads int
 
-	p    *Program
-	env  env // the rederive join's bindings, sized for p's widest rule
-	prem [3]rdf.Triple
+	p *Program
 
 	// Per-graph state, reset when the graph identity changes.
 	g       *rdf.Graph
@@ -122,7 +120,6 @@ func NewRetractor(rs []rules.Rule) *Retractor {
 // the caller re-runs the fire loop if p derives more.
 func (r *Retractor) SetProgram(p *Program) {
 	r.p = p
-	r.env = make(env, p.maxSlot)
 	r.g = nil
 }
 
@@ -259,7 +256,10 @@ func (r *Retractor) Retract(g *rdf.Graph, dels []rdf.Triple) RetractStats {
 
 	// Restore pass, ascending: premises precede consumers in the log, so a
 	// candidate's overdeleted premises have already had their chance to come
-	// back when it is examined.
+	// back when it is examined. The rederive join's scratch lives for this
+	// call only (the sharedscratch invariant), recording premises.
+	sc := newScratch(r.p)
+	sc.rec = true
 	var seeds []rdf.Triple
 	for _, off := range offs {
 		t := logv[off]
@@ -275,7 +275,7 @@ func (r *Retractor) Retract(g *rdf.Graph, dels []rdf.Triple) RetractStats {
 				continue
 			}
 		}
-		if d, ok := r.deriveOnce(g, t); ok {
+		if d, ok := r.deriveOnce(g, sc, t); ok {
 			g.AddDerived(t, d)
 			seeds = append(seeds, t)
 			st.Rederived++
@@ -319,54 +319,28 @@ func (r *Retractor) altDerivation(g *rdf.Graph, logv []rdf.Triple, alt rdf.Deriv
 
 // deriveOnce looks for one derivation of t from the current live graph: for
 // every rule head the head index offers for t it joins the full body
-// through the graph's index, stopping at the first complete match. It
-// returns the provenance record of that derivation.
-func (r *Retractor) deriveOnce(g *rdf.Graph, t rdf.Triple) (rdf.Derivation, bool) {
+// through joinRest, stopping at the first complete match, whose premises
+// sc records. It returns the provenance record of that derivation.
+func (r *Retractor) deriveOnce(g *rdf.Graph, sc *scratch, t rdf.Triple) (rdf.Derivation, bool) {
 	for _, ht := range r.p.heads.lookup(t) {
 		cr := ht.rule
-		e := r.env[:cr.nslot]
-		for i := range e {
-			e[i] = 0
-		}
+		e := sc.env[:cr.nslot]
+		clear(e)
 		if _, ok := e.bindTriple(cr.head[ht.atomIdx], t); !ok {
 			continue
 		}
-		r.prem = [3]rdf.Triple{}
-		if !r.joinAll(g, cr, 0, e) {
-			continue
+		sc.prem = [3]rdf.Triple{}
+		rest := sc.rest[:0]
+		for i := range cr.body {
+			rest = append(rest, i)
 		}
-		np := min(len(cr.body), len(r.prem))
-		return rdf.Derivation{Rule: g.Prov().RuleID(cr.name), Prem: premOffsets(g, r.prem[:np])}, true
+		if joinRest(g, sc, cr, rest, e, func() bool { return false }) {
+			continue // ran to the end: no match
+		}
+		np := min(len(cr.body), len(sc.prem))
+		return rdf.Derivation{Rule: g.Prov().RuleID(cr.name), Prem: premOffsets(g, sc.prem[:np])}, true
 	}
 	return rdf.Derivation{}, false
-}
-
-// joinAll extends e over cr.body[i:] and reports whether a complete match
-// exists, leaving the matched premise triples (body-atom order, first
-// three) in r.prem. Unlike joinRest it stops at the first match — the
-// rederivation check needs existence, not enumeration.
-func (r *Retractor) joinAll(g *rdf.Graph, cr *cRule, i int, e env) bool {
-	if i == len(cr.body) {
-		return true
-	}
-	a := cr.body[i]
-	found := false
-	g.ForEachMatch(e.resolve(a.s), e.resolve(a.p), e.resolve(a.o), func(x rdf.Triple) bool {
-		bound, ok := e.bindTriple(a, x)
-		if !ok {
-			return true
-		}
-		if i < len(r.prem) {
-			r.prem[i] = x
-		}
-		if r.joinAll(g, cr, i+1, e) {
-			found = true
-			return false
-		}
-		e.unbind(bound)
-		return true
-	})
-	return found
 }
 
 // retractRebuild is the provenance-off fallback: tombstone the requested

@@ -8,10 +8,12 @@ package rulepart
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"powl/internal/gpart"
 	"powl/internal/rdf"
+	"powl/internal/reason"
 	"powl/internal/rules"
 )
 
@@ -64,67 +66,36 @@ func Partition(rs []rules.Rule, k int, opts gpart.Options) (*Result, error) {
 // Router routes newly derived tuples between rule partitions: a tuple goes
 // to every other partition owning a rule with a body atom the tuple matches
 // (§IV: "we match the newly generated [tuple] with all the rules of other
-// partitions").
+// partitions"). Which rules those are is the compiled Program's answer,
+// from the atom index its fire loop dispatches through.
 type Router struct {
-	k int
-	// byPred[p] lists partitions having a body atom with constant predicate
-	// p; anyPred lists partitions having a variable-predicate body atom.
-	byPred  map[rdf.ID][]int
-	anyPred []int
-	// atoms[i] are the body atoms of partition i, for the exact match test.
-	atoms [][]rules.Atom
+	prog *reason.Program
+	part []int // Result.RulePart
 }
 
-// NewRouter builds the routing table for a rule partitioning.
-func NewRouter(rs []rules.Rule, res *Result) *Router {
-	rt := &Router{k: res.K, byPred: map[rdf.ID][]int{}, atoms: make([][]rules.Atom, res.K)}
-	seenPred := map[rdf.ID]map[int]bool{}
-	seenAny := map[int]bool{}
-	for ri, p := range res.RulePart {
-		for _, a := range rs[ri].Body {
-			rt.atoms[p] = append(rt.atoms[p], a)
-			if a.P.IsVar {
-				if !seenAny[p] {
-					seenAny[p] = true
-					rt.anyPred = append(rt.anyPred, p)
-				}
-				continue
-			}
-			if seenPred[a.P.ID] == nil {
-				seenPred[a.P.ID] = map[int]bool{}
-			}
-			if !seenPred[a.P.ID][p] {
-				seenPred[a.P.ID][p] = true
-				rt.byPred[a.P.ID] = append(rt.byPred[a.P.ID], p)
-			}
-		}
-	}
-	return rt
+// NewRouter routes between the partitions of res; prog is the rule set res
+// partitions, compiled in the same order.
+func NewRouter(prog *reason.Program, res *Result) *Router {
+	return &Router{prog: prog, part: res.RulePart}
 }
 
-// Destinations returns the partitions (other than from) whose rules can
-// consume t.
+// Destinations returns the partitions other than from whose rules can
+// consume t, ascending. The consuming rules are gathered on the stack and
+// turned into partitions in place, so a call allocates its answer alone,
+// and nothing when the answer is empty.
 func (rt *Router) Destinations(t rdf.Triple, from int) []int {
-	var out []int
-	seen := map[int]bool{from: true}
-	consider := func(p int) {
-		if seen[p] {
-			return
+	var buf [64]int
+	ps := rt.prog.AppendConsumers(buf[:0], t)
+	n := 0
+	for _, r := range ps {
+		if p := rt.part[r]; p != from {
+			ps[n] = p
+			n++
 		}
-		for _, a := range rt.atoms[p] {
-			if a.MatchesTriple(t) {
-				seen[p] = true
-				out = append(out, p)
-				return
-			}
-		}
-		seen[p] = true
 	}
-	for _, p := range rt.byPred[t.P] {
-		consider(p)
+	slices.Sort(ps[:n])
+	if ps = slices.Compact(ps[:n]); len(ps) == 0 {
+		return nil
 	}
-	for _, p := range rt.anyPred {
-		consider(p)
-	}
-	return out
+	return append([]int(nil), ps...)
 }

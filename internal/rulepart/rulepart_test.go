@@ -1,12 +1,27 @@
 package rulepart
 
 import (
+	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 
+	"powl/internal/datagen"
 	"powl/internal/gpart"
+	"powl/internal/owlhorst"
 	"powl/internal/rdf"
+	"powl/internal/reason"
 	"powl/internal/rules"
 )
+
+func compile(t testing.TB, rs []rules.Rule) *reason.Program {
+	t.Helper()
+	prog, err := reason.Compile(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
 
 func parse(t *testing.T, src string, dict *rdf.Dict) []rules.Rule {
 	t.Helper()
@@ -97,7 +112,7 @@ func TestRouterDestinations(t *testing.T) {
 [r2: (?x t:d ?y) -> (?x t:e ?y)]
 `, dict)
 	res := &Result{K: 3, RulePart: []int{0, 1, 2}, Groups: [][]int{{0}, {1}, {2}}}
-	rt := NewRouter(rs, res)
+	rt := NewRouter(compile(t, rs), res)
 
 	a := dict.InternIRI("http://t/a")
 	b := dict.InternIRI("http://t/b")
@@ -133,7 +148,7 @@ func TestRouterVariablePredicate(t *testing.T) {
 [r1: (?x t:b ?y) -> (?x t:c ?y)]
 `, dict)
 	res := &Result{K: 2, RulePart: []int{0, 1}, Groups: [][]int{{0}, {1}}}
-	rt := NewRouter(rs, res)
+	rt := NewRouter(compile(t, rs), res)
 	x := dict.InternIRI("http://t/x")
 	y := dict.InternIRI("http://t/y")
 	anyP := dict.InternIRI("http://t/whatever")
@@ -152,7 +167,7 @@ func TestRouterGroundAtomFiltering(t *testing.T) {
 [r1: (?x t:p ?y) -> (?x t:r ?y)]
 `, dict)
 	res := &Result{K: 2, RulePart: []int{0, 1}, Groups: [][]int{{0}, {1}}}
-	rt := NewRouter(rs, res)
+	rt := NewRouter(compile(t, rs), res)
 	x := dict.InternIRI("http://t/x")
 	p := dict.InternIRI("http://t/p")
 	special := dict.InternIRI("http://t/special")
@@ -166,5 +181,108 @@ func TestRouterGroundAtomFiltering(t *testing.T) {
 	dsts = rt.Destinations(rdf.Triple{S: x, P: p, O: special}, 5)
 	if len(dsts) != 2 {
 		t.Fatalf("special triple should reach both partitions, got %v", dsts)
+	}
+}
+
+// TestRouterMatchesOracle: on random rule sets whose body atoms have
+// constant subjects, constant objects, variable predicates and repeated
+// variables, Destinations is the brute-force answer: the groups other than
+// from with a body atom whose constants agree with the triple, ascending.
+func TestRouterMatchesOracle(t *testing.T) {
+	const nIDs = 5 // constants and triple terms are IDs 1..nIDs
+	rng := rand.New(rand.NewSource(1))
+	term := func(vars []string) rules.TermSpec {
+		if rng.Intn(2) == 0 {
+			return rules.Var(vars[rng.Intn(len(vars))])
+		}
+		return rules.Const(rdf.ID(1 + rng.Intn(nIDs)))
+	}
+	agrees := func(a rules.Atom, t rdf.Triple) bool {
+		for _, c := range [3]struct {
+			ts rules.TermSpec
+			id rdf.ID
+		}{{a.S, t.S}, {a.P, t.P}, {a.O, t.O}} {
+			if !c.ts.IsVar && c.ts.ID != c.id {
+				return false
+			}
+		}
+		return true
+	}
+	for iter := 0; iter < 300; iter++ {
+		rs := make([]rules.Rule, 1+rng.Intn(8))
+		for i := range rs {
+			body := make([]rules.Atom, 1+rng.Intn(3))
+			for j := range body {
+				body[j] = rules.Atom{S: term([]string{"x", "y"}), P: term([]string{"p"}), O: term([]string{"x", "y"})}
+			}
+			// The head uses only the body's variables, so the rule is safe.
+			var vars []string
+			for _, a := range body {
+				for _, ts := range []rules.TermSpec{a.S, a.P, a.O} {
+					if ts.IsVar {
+						vars = append(vars, ts.Var)
+					}
+				}
+			}
+			head := rules.Atom{S: rules.Const(1), P: rules.Const(2), O: rules.Const(3)}
+			if len(vars) > 0 {
+				head.S = term(vars)
+			}
+			rs[i] = rules.Rule{Name: "r" + strconv.Itoa(i), Body: body, Head: []rules.Atom{head}}
+		}
+		k := 1 + rng.Intn(len(rs))
+		res := &Result{K: k, RulePart: make([]int, len(rs))}
+		for i := range res.RulePart {
+			res.RulePart[i] = rng.Intn(k)
+		}
+		rt := NewRouter(compile(t, rs), res)
+		for range 40 {
+			tr := rdf.Triple{S: rdf.ID(1 + rng.Intn(nIDs)), P: rdf.ID(1 + rng.Intn(nIDs)), O: rdf.ID(1 + rng.Intn(nIDs))}
+			from := rng.Intn(k+1) - 1
+			var want []int
+			for g := 0; g < k; g++ {
+				if g == from {
+					continue
+				}
+				for r, rule := range rs {
+					if res.RulePart[r] == g && slices.ContainsFunc(rule.Body, func(a rules.Atom) bool { return agrees(a, tr) }) {
+						want = append(want, g)
+						break
+					}
+				}
+			}
+			if got := rt.Destinations(tr, from); !slices.Equal(got, want) {
+				t.Fatalf("rules %v parts %v: Destinations(%v, %d) = %v, want %v", rs, res.RulePart, tr, from, got, want)
+			}
+		}
+	}
+}
+
+var sinkDests []int
+
+// BenchmarkRouterDestinations routes 1,024 triples of a LUBM closure between
+// three groups of LUBM's instance rules, each from one of the groups: the
+// path every triple a rule worker derives takes. One op routes all of them.
+func BenchmarkRouterDestinations(b *testing.B) {
+	ds := datagen.LUBM(datagen.LUBMConfig{Universities: 1, Seed: 7})
+	comp := owlhorst.Compile(ds.Dict, ds.Graph)
+	res, err := Partition(comp.InstanceRules, 3, gpart.Options{Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt := NewRouter(compile(b, comp.InstanceRules), res)
+	g := comp.Start(ds.Graph)
+	reason.Forward{}.Materialize(g, comp.InstanceRules)
+	all := g.TriplesSince(0)
+	sample := make([]rdf.Triple, 1024)
+	for i := range sample {
+		sample[i] = all[i*len(all)/len(sample)]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for i, t := range sample {
+			sinkDests = rt.Destinations(t, i%3)
+		}
 	}
 }

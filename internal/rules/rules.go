@@ -196,20 +196,6 @@ func unifies(a, b Atom) bool {
 	return true
 }
 
-// MatchesTriple reports whether the atom's constant positions agree with t.
-func (a Atom) MatchesTriple(t rdf.Triple) bool {
-	if !a.S.IsVar && a.S.ID != t.S {
-		return false
-	}
-	if !a.P.IsVar && a.P.ID != t.P {
-		return false
-	}
-	if !a.O.IsVar && a.O.ID != t.O {
-		return false
-	}
-	return true
-}
-
 // DepEdge is a directed, weighted edge of the rule dependency graph: a triple
 // produced by rule From may feed a body atom of rule To.
 type DepEdge struct {

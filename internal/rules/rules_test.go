@@ -154,22 +154,6 @@ func TestIsSingleJoin(t *testing.T) {
 	}
 }
 
-func TestMatchesTriple(t *testing.T) {
-	dict := rdf.NewDict()
-	p := dict.InternIRI("http://x/p")
-	a := Atom{S: Var("x"), P: Const(p), O: Var("y")}
-	if !a.MatchesTriple(rdf.Triple{S: 5, P: p, O: 6}) {
-		t.Error("atom should match triple with its predicate")
-	}
-	if a.MatchesTriple(rdf.Triple{S: 5, P: p + 1, O: 6}) {
-		t.Error("atom matched wrong predicate")
-	}
-	ground := Atom{S: Const(5), P: Const(p), O: Const(6)}
-	if !ground.MatchesTriple(rdf.Triple{S: 5, P: p, O: 6}) || ground.MatchesTriple(rdf.Triple{S: 5, P: p, O: 7}) {
-		t.Error("ground atom matching wrong")
-	}
-}
-
 func TestDependencyGraph(t *testing.T) {
 	dict := rdf.NewDict()
 	src := `
