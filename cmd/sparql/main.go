@@ -64,6 +64,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
+	g.BuildIndexes(parsed.Indexes())
 	start := time.Now()
 	res, err := parsed.SolveContext(ctx, g)
 	if errors.Is(err, context.DeadlineExceeded) {

@@ -12,9 +12,9 @@ import (
 )
 
 // TestAggregateSizesAndOR pins a fixed k=2 plan's per-worker output sizes
-// and the OR metric core reports from them. The result graph is worker 0's
-// own graph grown by the union, so a size read after the union would count
-// the whole closure for worker 0.
+// and the OR metric core reports from them. A size read after the
+// aggregate would count the whole closure for worker 0 wherever the result
+// grows worker 0's own graph (the union).
 func TestAggregateSizesAndOR(t *testing.T) {
 	for _, mode := range []Mode{Concurrent, Simulated} {
 		for _, kind := range []string{"mem", "tcp"} {
@@ -99,7 +99,8 @@ func TestAggregateSkipsDeadFirstWorker(t *testing.T) {
 		}
 	}
 
-	// The same, one level down: aggregate builds on the first live graph.
+	// The same, one level down: aggregate builds on the first live graph
+	// (with no router naming homes, it unions).
 	ws := make([]*worker, 2)
 	for i := range ws {
 		ws[i] = &worker{id: i, graph: rdf.NewGraph()}
@@ -108,7 +109,7 @@ func TestAggregateSkipsDeadFirstWorker(t *testing.T) {
 	coord := newCoordinator(2, RecoveryConfig{}.withDefaults(), newBarrier(2), nil, assigns)
 	coord.live[0] = false
 	dead := ws[0].graph.Len()
-	agg := aggregate(ws, coord)
+	agg := aggregate(Config{}, ws, coord)
 	if agg.Graph != ws[1].graph {
 		t.Fatal("aggregate did not build on worker 1's graph")
 	}

@@ -10,7 +10,7 @@
 // Per-worker wall-clock time is split into the categories of the paper's
 // Figure 2: Reason (rule engine), IO (send + receive through the
 // transport), Sync (waiting on the barrier), and — on the master side —
-// Aggregate (unioning worker outputs).
+// Aggregate (joining the worker outputs into one closure).
 package cluster
 
 import (
@@ -38,6 +38,19 @@ type Router interface {
 	Destinations(t rdf.Triple, from int) []int
 }
 
+// Homes is a Router under which every triple of the fixpoint is held by one
+// worker the triple itself names, its home. Data partitioning's owner
+// router is one: a triple travels to the owners of its subject and its
+// object, so the owner of its subject holds it, or, with an unowned
+// subject, the owner of its object. A run under such a router aggregates by
+// concatenating each worker's home triples, as the paper's workers
+// concatenated their result files.
+type Homes interface {
+	Router
+	// Home returns t's home worker, or -1 when neither term of t is owned.
+	Home(t rdf.Triple) int
+}
+
 // Assignment is one worker's slice of the problem.
 type Assignment struct {
 	// Base are the worker's initial tuples (its data partition plus the
@@ -62,7 +75,8 @@ func (a Assignment) Tuples() []rdf.Triple {
 }
 
 // Graph returns a fresh graph holding the assignment's base, owned by the
-// caller: a clone of Start's graph, or Base inserted into a new one.
+// caller: a clone of Start's graph, with the indexes it has built, or Base
+// inserted into a new one, with none.
 func (a Assignment) Graph() *rdf.Graph {
 	if a.Start != nil {
 		return a.Start().Clone()
@@ -162,10 +176,13 @@ type Timings struct {
 
 // Result of a parallel run.
 type Result struct {
-	// Graph is the first live worker's final graph with the other live
-	// workers' unioned into it. Its derived marks cover that worker's own
-	// derivations only (Union inserts as base); only reason.Retractor on a
-	// served graph reads such marks.
+	// Graph is the closure. Under a Homes router without provenance it is
+	// the concatenation of every live worker's home triples, with nothing
+	// built beyond the log: no index, and a dedup table built on first use.
+	// Otherwise it is the first live worker's final graph with the other
+	// live workers' unioned into it, whose derived marks cover that
+	// worker's own derivations only (Union inserts as base); only
+	// reason.Retractor on a served graph reads such marks.
 	Graph *rdf.Graph
 	// PerWorker holds each worker's timing breakdown.
 	PerWorker []Timings
@@ -249,19 +266,12 @@ func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result,
 	}
 	// One goroutine per worker graph: each graph still has one writer.
 	workers := make([]*worker, k)
-	var wg sync.WaitGroup
-	for i := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			workers[i] = newWorker(cfg, i, assigns[i], m, cpu, spans)
-		}()
-	}
-	wg.Wait()
+	eachWorker(k, func(i int) { workers[i] = newWorker(cfg, i, assigns[i], m, cpu, spans) })
 
 	coord := m.coord
 	errs := make([]error, k)
 	rounds := make([]int, k)
+	var wg sync.WaitGroup
 	for i, w := range workers {
 		// Under recovery each worker gets its own cancellable context so
 		// the coordinator can interrupt one declared dead mid-phase without
@@ -302,10 +312,7 @@ func RunContext(ctx context.Context, cfg Config, assigns []Assignment) (*Result,
 	}
 
 	aggAt := cfg.Obs.Now()
-	res := aggregate(workers, coord)
-	if coord != nil {
-		res.Recovered = coord.recoveredMap()
-	}
+	res := aggregate(cfg, workers, coord)
 	res.Rounds = slices.Max(rounds)
 	res.Elapsed = time.Since(start)
 	if cfg.Mode == Simulated {
@@ -411,9 +418,12 @@ type roundTime struct {
 	sent               int
 }
 
-// newWorker gives worker id a fresh graph holding its base tuples.
+// newWorker gives worker id a fresh graph holding its base tuples and the
+// indexes a forward closure under its rules joins through, so the reason
+// phase times reasoning alone.
 func newWorker(cfg Config, id int, a Assignment, m Membership, cpu chan struct{}, spans *obs.Run) *worker {
 	g := a.Graph()
+	g.BuildIndexes(reason.JoinIndexes(a.Rules))
 	if cfg.Provenance {
 		// The backfill records every base tuple as asserted.
 		g.EnableProv()
@@ -476,7 +486,8 @@ func (w *worker) phaseReason(ctx context.Context, cfg Config) (time.Duration, er
 func (w *worker) phaseSend(ctx context.Context, cfg Config, round int) (int, time.Duration, error) {
 	t0 := time.Now()
 	prov := w.graph.Prov() != nil
-	var delta []rdf.Triple
+	fresh := w.graph.TriplesSince(w.shipped)
+	delta := make([]rdf.Triple, 0, len(fresh)+len(w.reship))
 	var lins []rdf.Lineage
 	outbox := map[int][]rdf.Triple{}
 	linbox := map[int][]rdf.Lineage{}
@@ -501,7 +512,7 @@ func (w *worker) phaseSend(ctx context.Context, cfg Config, round int) (int, tim
 			}
 		}
 	}
-	for _, t := range w.graph.TriplesSince(w.shipped) {
+	for _, t := range fresh {
 		route(t)
 	}
 	w.shipped = w.graph.Len()
@@ -833,42 +844,136 @@ func retime(o *obs.Run, workers []*worker, res *Result) int64 {
 	return int64(clock)
 }
 
-// aggregate merges the live workers' outputs in place: it records every
-// worker's size, then unions the other live workers into the first live
-// worker's graph in id order — the log order, run to run, of a union into a
-// fresh graph, and with prov set the first derivation wins (Union carries
-// lineage). The timed step is those unions — the paper's Figure 2
-// "aggregation" (their implementation concatenated result files; ours
-// deduplicates into the indexed result in the same pass).
+// aggregate joins the live workers' outputs into the run's closure and
+// records every worker's size. It is the paper's Figure 2 "aggregation",
+// the one timed step of the master. Their implementation concatenated the
+// workers' result files; under a Homes router without provenance so does
+// this one (homeTriples): each triple is taken from its home alone, so the
+// pieces are disjoint and need no deduplication. Otherwise it unions the
+// other live workers into the first live worker's graph in id order — the
+// log order, run to run, of a union into a fresh graph, and with
+// provenance the first derivation wins (Union carries lineage).
 //
 //powl:ignore wallclock aggregation is real master-side work, timed on the real clock in both modes (Simulated adds it on top of the reconstructed time).
-func aggregate(workers []*worker, coord *coordinator) *Result {
+func aggregate(cfg Config, workers []*worker, coord *coordinator) *Result {
 	res := &Result{
 		PerWorker:   make([]Timings, len(workers)),
 		OutputSizes: make([]int, len(workers)),
 	}
-	var live []*rdf.Graph
+	if coord != nil {
+		res.Recovered = coord.recoveredMap()
+	}
+	var live []*worker
 	for i, w := range workers {
 		res.PerWorker[i] = w.tm
 		// A dead worker's graph died with it: its partition was
-		// reconstructed by its adopter, whose graph is unioned instead.
+		// reconstructed by its adopter, whose graph is aggregated instead.
 		// Excluding it here is what makes the recovery tests honest.
 		if coord.isDead(w.id) {
 			continue
 		}
 		res.OutputSizes[i] = w.graph.Len()
-		live = append(live, w.graph)
+		live = append(live, w)
 	}
 	aggStart := time.Now()
-	res.Graph = live[0]
-	for _, g := range live[1:] {
-		res.Graph.Union(g)
+	if homes, ok := cfg.Router.(Homes); ok && !cfg.Provenance {
+		res.Graph = rdf.FromDistinct(homeTriples(homes, live, len(workers), res.Recovered))
+	} else {
+		res.Graph = live[0].graph
+		for _, w := range live[1:] {
+			res.Graph.Union(w.graph)
+		}
 	}
 	agg := time.Since(aggStart)
 	for i := range res.PerWorker {
 		res.PerWorker[i].Aggregate = agg
 	}
 	return res
+}
+
+// homeTriples concatenates, in worker order, the triples each live worker
+// holds as their home: the home homes names, or for a dead home the worker
+// that adopted it (adopter). A triple with no owned term is kept by the
+// lowest live worker that holds it: the replicated schema once, and a
+// conclusion only some workers drew (a rule head with constant ends) too.
+// Each worker's log is scanned on a goroutine of its own, once to count
+// and once to copy into its region of the result; only the unowned
+// triples are checked against other graphs, on this goroutine.
+func homeTriples(homes Homes, live []*worker, k int, adopter map[int]int) []rdf.Triple {
+	at := make([]int, k) // at[h] is the id of the live worker holding home h
+	for h := range at {
+		at[h] = h
+		if a, ok := adopter[h]; ok {
+			at[h] = a
+		}
+	}
+	logs := make([][]rdf.Triple, len(live))
+	for i, w := range live {
+		logs[i] = w.graph.Snapshot().Triples()
+	}
+	counts := make([]int, len(live))
+	unowned := make([][]rdf.Triple, len(live))
+	eachWorker(len(live), func(i int) {
+		n := 0
+		for _, t := range logs[i] {
+			switch h := homes.Home(t); {
+			case h < 0:
+				unowned[i] = append(unowned[i], t)
+			case at[h] == live[i].id:
+				n++
+			}
+		}
+		counts[i] = n
+	})
+	total := 0
+	for i := range live {
+		kept := unowned[i][:0]
+		for _, t := range unowned[i] {
+			held := false
+			for _, w := range live[:i] {
+				if held = w.graph.Has(t); held {
+					break
+				}
+			}
+			if !held {
+				kept = append(kept, t)
+			}
+		}
+		unowned[i] = kept
+		total += counts[i] + len(kept)
+	}
+	out := make([]rdf.Triple, total)
+	regions := make([][]rdf.Triple, len(live))
+	lo := 0
+	for i := range live {
+		regions[i] = out[lo : lo+counts[i]]
+		lo += counts[i]
+		lo += copy(out[lo:], unowned[i])
+	}
+	eachWorker(len(live), func(i int) {
+		n := 0
+		for _, t := range logs[i] {
+			if h := homes.Home(t); h >= 0 && at[h] == live[i].id {
+				regions[i][n] = t
+				n++
+			}
+		}
+	})
+	return out
+}
+
+// eachWorker runs f(0), …, f(n-1) on goroutines of their own and returns
+// when all have.
+func eachWorker(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			f(i)
+		}(i)
+	}
+	wg.Wait()
 }
 
 // barrier is a reusable k-party barrier that also sums a per-round integer

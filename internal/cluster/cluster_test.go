@@ -63,8 +63,20 @@ func (f *chainFixture) assignments(k int) []Assignment {
 	return out
 }
 
+// ownerRouter is the data strategy's routing rule over an owner map, and
+// names each triple's home, so runs under it aggregate by concatenation.
 type ownerRouter struct {
 	owner map[rdf.ID]int
+}
+
+func (r ownerRouter) Home(t rdf.Triple) int {
+	if p, ok := r.owner[t.S]; ok {
+		return p
+	}
+	if q, ok := r.owner[t.O]; ok {
+		return q
+	}
+	return -1
 }
 
 func (r ownerRouter) Destinations(t rdf.Triple, from int) []int {

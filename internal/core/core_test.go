@@ -296,3 +296,29 @@ func TestOwnerRouter(t *testing.T) {
 		}
 	}
 }
+
+// TestHybridGridRoutesWithoutAllocating pins the hybrid grid's routing at
+// zero allocations per tuple: the rule groups answer as a bit mask, and
+// every answer is a window of the router's own array.
+func TestHybridGridRoutesWithoutAllocating(t *testing.T) {
+	ds := tinyLUBM()
+	p, err := NewPlan(ds, Config{Workers: 4, Strategy: HybridPartitioning, Policy: HashPolicy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grid := p.Router.(*ownerRouter); grid.groups == nil {
+		t.Fatal("a 4-worker hybrid plan has no rule groups")
+	}
+	all := ds.Graph.TriplesSince(0)
+	sample := make([]rdf.Triple, 256)
+	for i := range sample {
+		sample[i] = all[i*len(all)/len(sample)]
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for i, tr := range sample {
+			p.Router.Destinations(tr, i%4)
+		}
+	}); n != 0 {
+		t.Errorf("routing %d tuples through the hybrid grid allocates %.0f times", len(sample), n)
+	}
+}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"powl/internal/datagen"
 	"powl/internal/rdf"
 	"powl/internal/rules"
@@ -19,11 +17,11 @@ import (
 func MaterializeRules(ds *datagen.Dataset, rs []rules.Rule, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	p, err := plan(ds, workload{instance: ds.Graph.Triples(), rules: rs,
-		start: sync.OnceValue(func() *rdf.Graph {
+		start: func() *rdf.Graph {
 			g := ds.Graph.Clone()
 			g.ForgetDerivations()
 			return g
-		})}, cfg)
+		}}, cfg)
 	if err != nil {
 		return nil, err
 	}

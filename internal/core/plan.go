@@ -15,6 +15,7 @@ import (
 	"powl/internal/reason"
 	"powl/internal/rulepart"
 	"powl/internal/rules"
+	"powl/internal/vocab"
 )
 
 // Plan is the paper's batch set-up (§III, Algorithm 1 and 2): what every
@@ -44,9 +45,9 @@ type Plan struct {
 
 // workload is what a plan divides among the workers: the instance triples
 // (owned and routed), the schema triples (replicated to every worker), the
-// schema elements the data policies must not own, the rules, and the start
-// graph — instance and schema together, built on first use — that every
-// worker whose base is the whole input clones.
+// schema elements the data policies must not own, the rules, and how to
+// build the start graph — instance and schema together — that every worker
+// whose base is the whole input clones.
 type workload struct {
 	instance, schema []rdf.Triple
 	skip             map[rdf.ID]struct{}
@@ -58,13 +59,46 @@ type workload struct {
 // and plans the workers for cfg's strategy, policy and worker count.
 func NewPlan(ds *datagen.Dataset, cfg Config) (*Plan, error) {
 	compiled := owlhorst.Compile(ds.Dict, ds.Graph)
+	instance := owlhorst.SplitInstance(ds.Dict, ds.Graph)
+	skip := owlhorst.SchemaElements(ds.Dict, compiled.Schema)
+	ownIndividuals(skip, instance, ds.Dict.InternIRI(vocab.RDFType))
 	return plan(ds, workload{
-		instance: owlhorst.SplitInstance(ds.Dict, ds.Graph),
+		instance: instance,
 		schema:   compiled.Schema.Triples(),
-		skip:     owlhorst.SchemaElements(ds.Dict, compiled.Schema),
+		skip:     skip,
 		rules:    compiled.InstanceRules,
-		start:    sync.OnceValue(func() *rdf.Graph { return compiled.Start(ds.Graph) }),
+		start:    func() *rdf.Graph { return compiled.Start(ds.Graph) },
 	}, cfg.withDefaults())
+}
+
+// ownIndividuals removes from skip every term an instance triple uses as an
+// individual: its subject, and its object unless the predicate is rdf:type,
+// whose object is a class. Such a term is a schema element too when it sits
+// in a schema-namespace triple (an rdfs:label, an owl:sameAs, a hasValue
+// filler), but unowned it would place none of its instance triples, and a
+// join through it would never meet both premises (DESIGN.md §4, invariant
+// 3).
+func ownIndividuals(skip map[rdf.ID]struct{}, instance []rdf.Triple, typ rdf.ID) {
+	var last rdf.ID
+	for id := range skip {
+		last = max(last, id)
+	}
+	in := make([]bool, int(last)+1)
+	for id := range skip {
+		in[id] = true
+	}
+	drop := func(id rdf.ID) {
+		if id <= last && in[id] {
+			in[id] = false
+			delete(skip, id)
+		}
+	}
+	for _, t := range instance {
+		drop(t.S)
+		if t.P != typ {
+			drop(t.O)
+		}
+	}
 }
 
 // plan builds every Plan, through planData and planRules. The hybrid
@@ -82,6 +116,14 @@ func plan(ds *datagen.Dataset, w workload, cfg Config) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The start graph is built once, on first use, with the indexes the
+	// closure joins through, so the workers that clone it build none.
+	build := w.start
+	w.start = sync.OnceValue(func() *rdf.Graph {
+		g := build()
+		g.BuildIndexes(prog.Indexes())
+		return g
+	})
 	if cfg.Workers > 1 && (cfg.Strategy == DataPartitioning || cfg.Strategy == HybridPartitioning) {
 		for _, r := range w.rules {
 			if !r.IsSingleJoin() {
@@ -110,7 +152,7 @@ func plan(ds *datagen.Dataset, w workload, cfg Config) (*Plan, error) {
 			grid[i] = dp.Assignments[i/kr]
 			grid[i].Rules = rp.Assignments[i%kr].Rules
 		}
-		dp.Assignments, dp.Router = grid, newOwnerRouter(dp.Owner, kd, kr, rp.Router)
+		dp.Assignments, dp.Router = grid, newOwnerRouter(dp.Owner, kd, kr, rp.Router.(*rulepart.Router))
 		dp.PartitionTime += rp.PartitionTime
 		dp.RuleCut = rp.RuleCut
 		return dp, nil
@@ -142,7 +184,7 @@ func planData(ds *datagen.Dataset, w workload, k int, cfg Config) (*Plan, error)
 			p.Assignments[i] = cluster.Assignment{Base: slices.Concat(part, w.schema), Rules: w.rules}
 		}
 	}
-	p.Router = newOwnerRouter(p.Owner, k, 1, nil)
+	p.Router = homeRouter{newOwnerRouter(p.Owner, k, 1, nil)}
 	return p, nil
 }
 
@@ -219,13 +261,13 @@ func ownerTable(owner map[rdf.ID]int) []int32 {
 //
 // An answer is keyed on two halves, each a slice and a bit mask of its
 // groups, and every possible answer is a window of one flat array built up
-// front, so routing a tuple allocates nothing beyond what the rule-group
-// router does.
+// front; the rule groups answer as a mask too, so routing a tuple
+// allocates nothing.
 type ownerRouter struct {
 	owner  []int32
 	kr     int
-	groups cluster.Router // the rule groups' router; nil outside the hybrid strategy
-	n      int            // halves: slices << kr
+	groups *rulepart.Router // the rule groups' router; nil outside the hybrid strategy
+	n      int              // halves: slices << kr
 	flat   []int
 	off    []int32 // answer (a, b) is flat[off[a·n+b]:off[a·n+b+1]]
 }
@@ -233,10 +275,24 @@ type ownerRouter struct {
 // NewOwnerRouter routes by an owner table (Plan.Owner's layout) across k
 // data-partitioned workers.
 func NewOwnerRouter(owner []int32, k int) cluster.Router {
-	return newOwnerRouter(owner, k, 1, nil)
+	return homeRouter{newOwnerRouter(owner, k, 1, nil)}
 }
 
-func newOwnerRouter(owner []int32, kd, kr int, groups cluster.Router) *ownerRouter {
+// homeRouter is the data strategy's router, which also names each triple's
+// home (cluster.Homes): the owner of its subject, else of its object. Under
+// the hybrid strategy a triple's rule group is not fixed by ownership, so
+// the grid's ownerRouter names none.
+type homeRouter struct{ *ownerRouter }
+
+// Home implements cluster.Homes.
+func (r homeRouter) Home(t rdf.Triple) int {
+	if p := r.ownerOf(t.S); p >= 0 {
+		return p
+	}
+	return r.ownerOf(t.O)
+}
+
+func newOwnerRouter(owner []int32, kd, kr int, groups *rulepart.Router) *ownerRouter {
 	r := &ownerRouter{owner: owner, kr: kr, groups: groups, n: kd << kr}
 	r.off = make([]int32, 1, r.n*r.n+1)
 	for a := 0; a < r.n; a++ {
@@ -273,10 +329,7 @@ func (r *ownerRouter) Destinations(t rdf.Triple, from int) []int {
 	}
 	all := 1<<r.kr - 1
 	if r.groups != nil {
-		all = 0
-		for _, g := range r.groups.Destinations(t, -1) {
-			all |= 1 << g
-		}
+		all = int(r.groups.Mask(t))
 	}
 	mp, mq := all, all
 	if q < 0 || q == p {

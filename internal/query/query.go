@@ -96,10 +96,26 @@ type Source interface {
 
 // Solve evaluates the query against g. Patterns are joined in a greedy
 // selectivity order: at each step the pattern with the smallest estimated
-// extent under the current bindings runs next.
+// extent under the current bindings runs next. It reads g as g's writer
+// does, and first builds the indexes the patterns can read (Indexes).
 func (q *Query) Solve(g *rdf.Graph) *Result {
+	g.BuildIndexes(q.Indexes())
 	res, _ := q.SolveContext(context.Background(), g)
 	return res
+}
+
+// Indexes returns the graph indexes the join can read, whichever of a
+// pattern's variables are bound when it runs: bySP, byPO and byP for a
+// constant predicate, all five for a variable one.
+func (q *Query) Indexes() rdf.IndexSet {
+	var set rdf.IndexSet
+	for _, pat := range q.Patterns {
+		if pat.P.IsVar {
+			return rdf.AllIndexes
+		}
+		set |= rdf.IndexSP | rdf.IndexPO | rdf.IndexP
+	}
+	return set
 }
 
 // ctxCheckEvery is how many binding attempts pass between cancellation

@@ -3,13 +3,14 @@ package rdf
 import (
 	"cmp"
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
 // Graph is an in-memory triple store with set semantics, laid out as a
 // structure of arrays: a single append-only triple log plus per-key posting
 // lists. The log holds each distinct triple exactly once, in insertion
-// order; the five indexes the rule engines need are:
+// order; the five indexes the rule engines and queries read are:
 //
 //	byS, byP, byO — posting lists of log offsets (4 bytes/entry), for the
 //	                one-bound patterns and the (s,·,o) two-sided scan;
@@ -18,6 +19,14 @@ import (
 //	                the join path reads the answer directly with no log
 //	                indirection, and the offset lets a Snapshot cut the
 //	                list at its watermark.
+//
+// An index exists only once a reader has asked for it: BuildIndexes builds
+// it in bulk from the log, and every insert after that maintains it. Until
+// then the graph is its log and its dedup table, and a match that would
+// read the index scans the log instead, with the same answer in the same
+// order. So a graph that is only loaded, split, cloned, unioned or written
+// builds no index at all. FromDistinct goes further and leaves the dedup
+// table to its first use.
 //
 // Since PR 6 the store is a single-writer / multi-reader MVCC substrate:
 // exactly one goroutine may mutate the graph, but Snapshot may be called
@@ -30,19 +39,24 @@ import (
 // posting entries sit in per-index chunk arenas, their headers inline in the
 // slot tables, and membership is an offset table compared through the log.
 //
-// All mutating methods (Add, AddAll, Union, Grow) and the dedup-consulting
-// reads (Has, and through it the fully-bound ForEachMatch/CountMatch case)
-// remain writer-only: they touch the private dedup table. Concurrent readers
-// must go through Snapshot.
+// All mutating methods (Add, AddAll, Union, Grow, BuildIndexes) and the
+// dedup-consulting reads (Has, and through it the fully-bound
+// ForEachMatch/CountMatch case) remain writer-only: they touch the private
+// dedup table. Concurrent readers must go through Snapshot, or read a graph
+// whose writer is parked after building every index they read (the fire
+// loop's shards).
 type Graph struct {
 	log  alog[Triple]
 	seen dedup // writer-only membership: the live log offsets
-	byS  index[uint32]
-	byP  index[uint32]
-	byO  index[uint32]
-	bySP index[spEntry] // completing object for (s, p), in log order
-	byPO index[spEntry] // completing subject for (p, o), in log order
-	prov *Prov          // derivation side-column; nil = recording off
+	// lazySeen is set while seen is not built (FromDistinct): the writer
+	// builds it from the log on first use. Writer-only.
+	lazySeen bool
+	byS      index[uint32]
+	byP      index[uint32]
+	byO      index[uint32]
+	bySP     index[spEntry] // completing object for (s, p), in log order
+	byPO     index[spEntry] // completing subject for (p, o), in log order
+	prov     *Prov          // derivation side-column; nil = recording off
 	// dead is the published tombstone set (see tombstone.go); nil until the
 	// first Delete, so append-only graphs pay one pointer load per match
 	// call and nothing per candidate.
@@ -66,23 +80,158 @@ func NewGraphCap(n int) *Graph {
 	return g
 }
 
+// FromDistinct returns a graph whose log is ts, which must hold distinct
+// triples; the graph takes ts over. Nothing else is built: the dedup table
+// is built by the first write or membership test, the indexes by
+// BuildIndexes. A concatenation of disjoint closures becomes a graph at the
+// cost of one slice header.
+func FromDistinct(ts []Triple) *Graph {
+	g := &Graph{lazySeen: true}
+	g.log.arr.Store(&ts)
+	g.log.n.Store(uint32(len(ts)))
+	return g
+}
+
+// ensureSeen builds the dedup table if FromDistinct left it unbuilt.
+// Writer-only.
+func (g *Graph) ensureSeen() {
+	if g.lazySeen {
+		g.lazySeen = false
+		g.seen.rebuild(g.log.view(), g.dead.Load(), g.LiveLen())
+	}
+}
+
 // Grow reserves room for n additional triples in the log and the dedup
 // table, the two structures sized by triple count. The index tables are
 // sized by distinct keys, which only a source graph knows (reserveKeys);
 // arenas grow a chunk at a time.
 func (g *Graph) Grow(n int) {
+	g.ensureSeen()
 	g.log.grow(n)
 	g.seen.reserve(g.log.view(), g.dead.Load(), n)
 }
 
-// reserveKeys readies the five index tables for src's distinct keys on top
-// of g's own — an upper bound on the union, exact when g is empty.
-func (g *Graph) reserveKeys(src *Graph) {
-	g.byS.presize(g.byS.count + src.byS.count)
-	g.byP.presize(g.byP.count + src.byP.count)
-	g.byO.presize(g.byO.count + src.byO.count)
-	g.bySP.presize(g.bySP.count + src.bySP.count)
-	g.byPO.presize(g.byPO.count + src.byPO.count)
+// reserveKeys readies the indexes of set for src's distinct keys on top of
+// g's own, each where src's index is built — an upper bound on the union,
+// exact when g is empty.
+func (g *Graph) reserveKeys(src *Graph, set IndexSet) {
+	if set&IndexS != 0 {
+		g.byS.reserveFrom(&src.byS)
+	}
+	if set&IndexP != 0 {
+		g.byP.reserveFrom(&src.byP)
+	}
+	if set&IndexO != 0 {
+		g.byO.reserveFrom(&src.byO)
+	}
+	if set&IndexSP != 0 {
+		g.bySP.reserveFrom(&src.bySP)
+	}
+	if set&IndexPO != 0 {
+		g.byPO.reserveFrom(&src.byPO)
+	}
+}
+
+// IndexSet is a set of a graph's indexes, one bit each.
+type IndexSet uint8
+
+// The five indexes, as IndexSet bits.
+const (
+	IndexS IndexSet = 1 << iota
+	IndexP
+	IndexO
+	IndexSP
+	IndexPO
+	AllIndexes = IndexS | IndexP | IndexO | IndexSP | IndexPO
+)
+
+// IndexesFor returns the indexes a match of the pattern reads, Wildcard
+// marking an open position: none for the fully bound pattern (the dedup
+// table, or for a Snapshot bySP and byPO) and the fully open one (the log).
+func IndexesFor(s, p, o ID) IndexSet {
+	switch {
+	case s != Wildcard && p != Wildcard && o != Wildcard:
+		return 0
+	case s != Wildcard && p != Wildcard:
+		return IndexSP
+	case p != Wildcard && o != Wildcard:
+		return IndexPO
+	case s != Wildcard && o != Wildcard:
+		return IndexS | IndexO
+	case s != Wildcard:
+		return IndexS
+	case p != Wildcard:
+		return IndexP
+	case o != Wildcard:
+		return IndexO
+	default:
+		return 0
+	}
+}
+
+// Indexes returns the set of built indexes. Safe from any goroutine.
+func (g *Graph) Indexes() IndexSet {
+	var set IndexSet
+	for ix, built := range [...]bool{g.byS.built.Load(), g.byP.built.Load(), g.byO.built.Load(),
+		g.bySP.built.Load(), g.byPO.built.Load()} {
+		if built {
+			set |= 1 << ix
+		}
+	}
+	return set
+}
+
+// markBuilt publishes the built flag of the one index ix.
+func (g *Graph) markBuilt(ix IndexSet) {
+	switch ix {
+	case IndexS:
+		g.byS.built.Store(true)
+	case IndexP:
+		g.byP.built.Store(true)
+	case IndexO:
+		g.byO.built.Store(true)
+	case IndexSP:
+		g.bySP.built.Store(true)
+	case IndexPO:
+		g.byPO.built.Store(true)
+	}
+}
+
+// BuildIndexes builds every index of set that is not built yet, in bulk
+// from the published log, and the dedup table if FromDistinct left it
+// unbuilt; inserts maintain each index from then on. The indexes are
+// disjoint, so each one's pass runs on a goroutine of its own, and each
+// publishes its built flag when its pass is done: a Snapshot taken at any
+// time reads an index only after its flag, and scans its pinned log before.
+// Writer-only. A caller about to let other goroutines read the graph itself
+// (not through Snapshot) calls it first with every index they read.
+func (g *Graph) BuildIndexes(set IndexSet) {
+	g.ensureSeen()
+	g.buildIndexes(set &^ g.Indexes())
+}
+
+// buildIndexes runs the bulk pass of each index of set over the whole log.
+func (g *Graph) buildIndexes(set IndexSet) {
+	log := g.log.view()
+	build := func(ix IndexSet) {
+		g.indexPass(ix, log, 0)
+		g.markBuilt(ix)
+	}
+	var wg sync.WaitGroup
+	for ix := IndexS; ix <= IndexPO; ix <<= 1 {
+		switch {
+		case set&ix == 0:
+		case set == ix || len(log) == 0: // nothing to share out
+			build(ix)
+		default:
+			wg.Add(1)
+			go func(ix IndexSet) {
+				defer wg.Done()
+				build(ix)
+			}(ix)
+		}
+	}
+	wg.Wait()
 }
 
 // Add inserts t and reports whether it was not already present. Writer-only.
@@ -106,8 +255,8 @@ func (g *Graph) AddAll(ts []Triple) int {
 //     through the whole reserved log array, so a duplicate within ts meets
 //     the copy placed moments before; a new one is written into the log
 //     past the published length and placed in the table.
-//  2. Columns. For the new range [base, n), each index's postings in a pass
-//     of its own, then the provenance records and the derived bits.
+//  2. Columns. For the new range [base, n), each built index's postings in
+//     a pass of its own, then the provenance records and the derived bits.
 //  3. Commit. One store of the log length publishes the range. Every
 //     posting and record of it was written before that store, so a Snapshot
 //     that pins any watermark sees a fully indexed prefix (index.go).
@@ -117,6 +266,7 @@ func (g *Graph) AddAll(ts []Triple) int {
 // log should a writer panic strand them there. Room is reserved at the first
 // new triple, so a batch of duplicates grows nothing.
 func (g *Graph) insert(ts []Triple, d Derivation, derived bool) int {
+	g.ensureSeen()
 	base := g.log.length()
 	log := g.log.reserved()
 	n := base
@@ -135,7 +285,12 @@ func (g *Graph) insert(ts []Triple, d Derivation, derived bool) int {
 	if n == base {
 		return 0
 	}
-	g.indexRange(log[base:n], uint32(base))
+	built := g.Indexes()
+	for ix := IndexS; ix <= IndexPO; ix <<= 1 {
+		if built&ix != 0 {
+			g.indexPass(ix, log[base:n], uint32(base))
+		}
+	}
 	if derived {
 		for len(g.derived) < (n+63)>>6 {
 			g.derived = append(g.derived, 0)
@@ -155,30 +310,52 @@ func (g *Graph) insert(ts []Triple, d Derivation, derived bool) int {
 	return n - base
 }
 
-// indexRange writes the postings of the log range ts, which starts at offset
-// base, one index at a time: each pass walks the range once and touches one
-// slot table and one arena, instead of all five per triple.
-func (g *Graph) indexRange(ts []Triple, base uint32) {
-	for i, t := range ts {
-		g.byS.append1(key1(t.S), base+uint32(i))
-	}
-	for i, t := range ts {
-		g.byP.append1(key1(t.P), base+uint32(i))
-	}
-	for i, t := range ts {
-		g.byO.append1(key1(t.O), base+uint32(i))
-	}
-	for i, t := range ts {
-		g.bySP.append1(key2(t.S, t.P), spEntry{Term: t.O, Off: base + uint32(i)})
-	}
-	for i, t := range ts {
-		g.byPO.append1(key2(t.P, t.O), spEntry{Term: t.S, Off: base + uint32(i)})
+// indexPass writes the postings of the log range ts, which starts at offset
+// base, into the one index ix: a pass walks the range once and touches one
+// slot table and one arena, instead of all five per triple. Passes over
+// different indexes share nothing but the read-only range, so they may run
+// at once.
+func (g *Graph) indexPass(ix IndexSet, ts []Triple, base uint32) {
+	switch ix {
+	case IndexS:
+		for i, t := range ts {
+			g.byS.append1(key1(t.S), base+uint32(i))
+		}
+	case IndexP:
+		for i, t := range ts {
+			g.byP.append1(key1(t.P), base+uint32(i))
+		}
+	case IndexO:
+		for i, t := range ts {
+			g.byO.append1(key1(t.O), base+uint32(i))
+		}
+	case IndexSP:
+		for i, t := range ts {
+			g.bySP.append1(key2(t.S, t.P), spEntry{Term: t.O, Off: base + uint32(i)})
+		}
+	case IndexPO:
+		for i, t := range ts {
+			g.byPO.append1(key2(t.P, t.O), spEntry{Term: t.S, Off: base + uint32(i)})
+		}
 	}
 }
 
 // Has reports whether t is in the graph. Writer-only (it reads the dedup
-// table); concurrent readers use Snapshot.Has.
+// table, and builds it if FromDistinct left it unbuilt); concurrent readers
+// use Snapshot.Has.
 func (g *Graph) Has(t Triple) bool {
+	g.ensureSeen()
+	_, ok := g.seen.find(g.log.view(), t)
+	return ok
+}
+
+// contains is Has for the match paths, which never build: without a dedup
+// table it answers as a Snapshot of the whole log does.
+func (g *Graph) contains(t Triple) bool {
+	if g.lazySeen {
+		_, ok := g.Snapshot().offsetOf(t)
+		return ok
+	}
 	_, ok := g.seen.find(g.log.view(), t)
 	return ok
 }
@@ -307,12 +484,14 @@ func compareTriples(a, b Triple) int {
 }
 
 // Clone returns a deep copy of the graph: flat copies of the log, the dedup
-// table and each index's slot table and arena chunks, with no per-triple or
-// per-key re-insertion. It only reads g, so goroutines may clone a graph
-// nobody writes at the same time; the clone is a fresh graph owned by the
-// caller, and appends to either leave the other unchanged.
+// table and each built index's slot table and arena chunks, with no
+// per-triple or per-key re-insertion; what g has not built, the clone has
+// not either. It only reads g, so goroutines may clone a graph nobody writes
+// at the same time; the clone is a fresh graph owned by the caller, and
+// appends to either leave the other unchanged.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{seen: dedup{slots: append([]uint32(nil), g.seen.slots...), shift: g.seen.shift, count: g.seen.count}}
+	c := &Graph{lazySeen: g.lazySeen,
+		seen: dedup{slots: append([]uint32(nil), g.seen.slots...), shift: g.seen.shift, count: g.seen.count}}
 	g.log.cloneInto(&c.log)
 	// The tombstone set is immutable, so the clone shares it; the first
 	// Delete on either graph copies on write. The derived bitmap is
@@ -343,9 +522,11 @@ func (g *Graph) Clone() *Graph {
 
 // ForEachMatch calls fn for every triple matching the pattern, where Wildcard
 // in any position matches all terms. Iteration stops early if fn returns
-// false. Iteration order is the insertion order of the matching triples. The
-// graph must not be mutated during iteration; writer-only (the fully-bound
-// case consults the dedup table) — concurrent readers use Snapshot.
+// false. Iteration order is the insertion order of the matching triples. A
+// pattern whose index is not built is answered by a scan of the log, with
+// the same triples in the same order. The graph must not be mutated during
+// iteration; writer-only (the fully-bound case consults the dedup table) —
+// concurrent readers use Snapshot.
 //
 //powl:allocfree every join probe of every engine lands here
 func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
@@ -353,10 +534,10 @@ func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
 	switch {
 	case s != Wildcard && p != Wildcard && o != Wildcard:
 		t := Triple{s, p, o}
-		if g.Has(t) {
+		if g.contains(t) {
 			fn(t)
 		}
-	case s != Wildcard && p != Wildcard:
+	case s != Wildcard && p != Wildcard && g.bySP.built.Load():
 		for _, e := range g.bySP.get(key2(s, p)) {
 			if dead.has(e.Off) {
 				continue
@@ -365,7 +546,7 @@ func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
 				return
 			}
 		}
-	case p != Wildcard && o != Wildcard:
+	case p != Wildcard && o != Wildcard && g.byPO.built.Load():
 		for _, e := range g.byPO.get(key2(p, o)) {
 			if dead.has(e.Off) {
 				continue
@@ -374,7 +555,7 @@ func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
 				return
 			}
 		}
-	case s != Wildcard && o != Wildcard:
+	case s != Wildcard && o != Wildcard && p == Wildcard && g.byS.built.Load() && g.byO.built.Load():
 		// Scan the shorter of the two posting lists; both sides index the
 		// same log, so either yields exactly the (s,·,o) matches.
 		log := g.log.view()
@@ -397,46 +578,55 @@ func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
 				}
 			}
 		}
-	case s != Wildcard:
-		log := g.log.view()
-		for _, off := range g.byS.get(key1(s)) {
-			if dead.has(off) {
-				continue
-			}
-			if !fn(log[off]) {
-				return
-			}
-		}
-	case p != Wildcard:
-		log := g.log.view()
-		for _, off := range g.byP.get(key1(p)) {
-			if dead.has(off) {
-				continue
-			}
-			if !fn(log[off]) {
-				return
-			}
-		}
-	case o != Wildcard:
-		log := g.log.view()
-		for _, off := range g.byO.get(key1(o)) {
-			if dead.has(off) {
-				continue
-			}
-			if !fn(log[off]) {
-				return
-			}
-		}
+	case s != Wildcard && p == Wildcard && o == Wildcard && g.byS.built.Load():
+		matchOffsets(g.log.view(), dead, g.byS.get(key1(s)), fn)
+	case s == Wildcard && p != Wildcard && o == Wildcard && g.byP.built.Load():
+		matchOffsets(g.log.view(), dead, g.byP.get(key1(p)), fn)
+	case s == Wildcard && p == Wildcard && o != Wildcard && g.byO.built.Load():
+		matchOffsets(g.log.view(), dead, g.byO.get(key1(o)), fn)
 	default:
-		for i, t := range g.log.view() {
-			if dead.has(uint32(i)) {
-				continue
-			}
-			if !fn(t) {
-				return
-			}
+		scanMatch(g.log.view(), dead, s, p, o, fn)
+	}
+}
+
+// matchOffsets calls fn for the live triples at offs, a posting list of
+// log, until fn returns false.
+func matchOffsets(log []Triple, dead *tombSet, offs []uint32, fn func(Triple) bool) {
+	for _, off := range offs {
+		if dead.has(off) {
+			continue
+		}
+		if !fn(log[off]) {
+			return
 		}
 	}
+}
+
+// scanMatch answers a match from log alone: fn sees every live triple of
+// log that matches the pattern, in log order — the order of every posting
+// list — until it returns false. It is the fully open pattern's path, and
+// every other pattern's while its index is not built.
+func scanMatch(log []Triple, dead *tombSet, s, p, o ID, fn func(Triple) bool) {
+	for i, t := range log {
+		if (s == Wildcard || t.S == s) && (p == Wildcard || t.P == p) && (o == Wildcard || t.O == o) &&
+			!dead.has(uint32(i)) && !fn(t) {
+			return
+		}
+	}
+}
+
+// scanCount counts the triples of log that match the pattern, tombstoned
+// ones included unless dead is given: with dead nil, the length the
+// pattern's posting list would have if its index were built.
+func scanCount(log []Triple, dead *tombSet, s, p, o ID) int {
+	n := 0
+	for i, t := range log {
+		if (s == Wildcard || t.S == s) && (p == Wildcard || t.P == p) && (o == Wildcard || t.O == o) &&
+			!dead.has(uint32(i)) {
+			n++
+		}
+	}
+	return n
 }
 
 // Match returns all triples matching the pattern as a slice.
@@ -454,8 +644,9 @@ func (g *Graph) Match(s, p, o ID) []Triple {
 // the answer — all but (s,·,o) — is O(1): the stored posting-list cardinality
 // is returned directly. (s,·,o) scans the shorter of the two posting lists.
 // The rule engines use this as the selectivity estimate for join ordering,
-// so it must stay cheap for every pattern shape. Writer-only (the
-// fully-bound case consults the dedup table).
+// so it must stay cheap for every pattern shape; a pattern whose index is
+// not built is counted by a scan of the log, with the same result.
+// Writer-only (the fully-bound case consults the dedup table).
 //
 // Once the graph has tombstones, the O(1) index-backed shapes become upper
 // bounds (posting cardinalities count dead entries). That keeps the
@@ -468,18 +659,21 @@ func (g *Graph) Match(s, p, o ID) []Triple {
 func (g *Graph) CountMatch(s, p, o ID) int {
 	switch {
 	case s != Wildcard && p != Wildcard && o != Wildcard:
-		if g.Has(Triple{s, p, o}) {
+		if g.contains(Triple{s, p, o}) {
 			return 1
 		}
 		return 0
-	case s != Wildcard && p != Wildcard:
+	case s != Wildcard && p != Wildcard && g.bySP.built.Load():
 		return g.bySP.length(key2(s, p))
-	case p != Wildcard && o != Wildcard:
+	case p != Wildcard && o != Wildcard && g.byPO.built.Load():
 		return g.byPO.length(key2(p, o))
-	case s != Wildcard && o != Wildcard:
-		n := 0
+	case s != Wildcard && o != Wildcard && p == Wildcard:
 		dead := g.dead.Load()
 		log := g.log.view()
+		if !g.byS.built.Load() || !g.byO.built.Load() {
+			return scanCount(log, dead, s, p, o)
+		}
+		n := 0
 		if sl, ol := g.byS.get(key1(s)), g.byO.get(key1(o)); len(sl) <= len(ol) {
 			for _, off := range sl {
 				if log[off].O == o && !dead.has(off) {
@@ -494,14 +688,16 @@ func (g *Graph) CountMatch(s, p, o ID) int {
 			}
 		}
 		return n
-	case s != Wildcard:
+	case s != Wildcard && p == Wildcard && o == Wildcard && g.byS.built.Load():
 		return g.byS.length(key1(s))
-	case p != Wildcard:
+	case s == Wildcard && p != Wildcard && o == Wildcard && g.byP.built.Load():
 		return g.byP.length(key1(p))
-	case o != Wildcard:
+	case s == Wildcard && p == Wildcard && o != Wildcard && g.byO.built.Load():
 		return g.byO.length(key1(o))
-	default:
+	case s == Wildcard && p == Wildcard && o == Wildcard:
 		return g.LiveLen()
+	default:
+		return scanCount(g.log.view(), nil, s, p, o)
 	}
 }
 
@@ -537,14 +733,14 @@ func (g *Graph) Subjects() map[ID]struct{} {
 
 // Union adds every triple of other into g and returns the number newly
 // added. It walks other's log — deterministic order — and pre-sizes g's log,
-// dedup table and index tables from other's triple and key counts. Each run
+// dedup table and built index tables from other's triple and key counts. Each run
 // of live offsets goes in as one range insert. When both graphs record
 // provenance, each absorbed triple instead carries its lineage across, one
 // at a time: the log walk guarantees premises land before their dependents,
 // so offset translation succeeds. Writer-only on g.
 func (g *Graph) Union(other *Graph) int {
 	g.Grow(other.LiveLen())
-	g.reserveKeys(other)
+	g.reserveKeys(other, g.Indexes())
 	log, dead := other.log.view(), other.dead.Load()
 	n := 0
 	if g.prov != nil && other.prov != nil {

@@ -152,12 +152,26 @@ const (
 // goroutine looks up. Lists are contiguous segments of the chunks; the chunk
 // directory is copy-on-write and republished before any location that names
 // a new chunk, so readers load it after the location.
+//
+// An index exists only once built (Graph.BuildIndexes): built is stored
+// after the build's last posting is written, so a reader that loads it true
+// may read any posting below the watermark it pinned, and one that loads it
+// false answers from the log instead and touches nothing here.
 type index[T any] struct {
 	tab    atomic.Pointer[itable]
 	chunks atomic.Pointer[[][]T]
+	built  atomic.Bool
 	count  int    // distinct keys; writer-only
 	cur    int    // the bump chunk; writer-only
 	used   uint32 // entries handed out of it; writer-only
+}
+
+// reserveFrom readies the table for src's distinct keys on top of its own,
+// if src is built. Writer-only.
+func (ix *index[T]) reserveFrom(src *index[T]) {
+	if src.built.Load() {
+		ix.presize(ix.count + src.count)
+	}
 }
 
 // presize readies the table for about n distinct keys. Writer-only.
@@ -319,11 +333,15 @@ func (ix *index[T]) rehash(bits uint) *itable {
 	return nt
 }
 
-// cloneInto makes dst an independent copy of ix: the slot table and every
-// chunk are copied flat, so locations stay valid as they are and no key is
-// re-inserted. Writer-only on ix; dst must be unpublished (the slots are
-// copied whole, as in rehash).
+// cloneInto makes dst an independent copy of ix, if ix is built: the slot
+// table and every chunk are copied flat, so locations stay valid as they are
+// and no key is re-inserted. Writer-only on ix; dst must be unpublished (the
+// slots are copied whole, as in rehash).
 func (ix *index[T]) cloneInto(dst *index[T]) {
+	if !ix.built.Load() {
+		return
+	}
+	defer dst.built.Store(true)
 	if t := ix.tab.Load(); t != nil {
 		nt := &itable{slots: make([]islot, len(t.slots)), shift: t.shift}
 		copy(nt.slots, t.slots)

@@ -174,7 +174,11 @@ func TestRangeInsertMatchesPerTriple(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				for seed := int64(1); seed <= 2; seed++ {
 					rng := rand.New(rand.NewSource(seed*10 + int64(procs)))
+					// Both stores index every triple from the start, so
+					// their posting lists are comparable.
 					g, ref := NewGraph(), NewGraph()
+					g.BuildIndexes(AllIndexes)
+					ref.BuildIndexes(AllIndexes)
 					if prov {
 						g.EnableProv()
 						ref.EnableProv()

@@ -208,6 +208,7 @@ func (g *Graph) Prov() *Prov { return g.prov }
 
 // Offset returns the log offset of t, if present. Writer-only (dedup table).
 func (g *Graph) Offset(t Triple) (uint32, bool) {
+	g.ensureSeen()
 	return g.seen.find(g.log.view(), t)
 }
 

@@ -23,6 +23,14 @@ package rdf
 // dedup table: they scan the shorter of the two relevant pinned posting
 // prefixes instead.
 //
+// An index the writer has not built (Graph.BuildIndexes) is never read: a
+// pattern that needs it scans the pinned log, which gives the same triples
+// in the same order and, for CountMatch, the same count, because a posting
+// list is exactly its key's log offsets in log order, tombstoned ones
+// included. A build racing the snapshot publishes its flag only after its
+// last posting, and the snapshot cuts every list at its watermark, so it
+// answers the same whichever side of the flag it reads.
+//
 // Deletions pin the same way: the snapshot captures the graph's tombstone
 // set (an immutable bitset, see tombstone.go) when it is taken, and every
 // match filters through that pinned set. A snapshot taken before a Delete
@@ -117,9 +125,18 @@ func (s Snapshot) Has(t Triple) bool {
 
 // offsetOf resolves t to its log offset without touching the writer's dedup
 // table: it scans the shorter of the two pinned two-bound posting prefixes,
-// which carry the offset column. ok is false when t is not visible.
+// which carry the offset column, or the pinned log while either index is
+// not built. ok is false when t is not visible.
 func (s Snapshot) offsetOf(t Triple) (uint32, bool) {
 	w := uint32(len(s.log))
+	if !s.g.bySP.built.Load() || !s.g.byPO.built.Load() {
+		for i, x := range s.log {
+			if x == t && !s.dead.has(uint32(i)) {
+				return uint32(i), true
+			}
+		}
+		return 0, false
+	}
 	sp := cutEntries(s.g.bySP.get(key2(t.S, t.P)), w)
 	po := cutEntries(s.g.byPO.get(key2(t.P, t.O)), w)
 	if len(sp) <= len(po) {
@@ -140,7 +157,9 @@ func (s Snapshot) offsetOf(t Triple) (uint32, bool) {
 
 // ForEachMatch calls fn for every visible triple matching the pattern, where
 // Wildcard in any position matches all terms. Iteration stops early if fn
-// returns false; order is log insertion order. Safe concurrently with the
+// returns false; order is log insertion order. A pattern whose index was not
+// built when the call loaded its flag is answered by a scan of the pinned
+// log, with the same triples in the same order. Safe concurrently with the
 // writer and with other readers.
 //
 //powl:allocfree the serve read path probes here per query row
@@ -152,7 +171,7 @@ func (s Snapshot) ForEachMatch(sub, p, o ID, fn func(Triple) bool) {
 		if s.Has(t) {
 			fn(t)
 		}
-	case sub != Wildcard && p != Wildcard:
+	case sub != Wildcard && p != Wildcard && s.g.bySP.built.Load():
 		for _, e := range cutEntries(s.g.bySP.get(key2(sub, p)), w) {
 			if s.dead.has(e.Off) {
 				continue
@@ -161,7 +180,7 @@ func (s Snapshot) ForEachMatch(sub, p, o ID, fn func(Triple) bool) {
 				return
 			}
 		}
-	case p != Wildcard && o != Wildcard:
+	case p != Wildcard && o != Wildcard && s.g.byPO.built.Load():
 		for _, e := range cutEntries(s.g.byPO.get(key2(p, o)), w) {
 			if s.dead.has(e.Off) {
 				continue
@@ -170,7 +189,7 @@ func (s Snapshot) ForEachMatch(sub, p, o ID, fn func(Triple) bool) {
 				return
 			}
 		}
-	case sub != Wildcard && o != Wildcard:
+	case sub != Wildcard && o != Wildcard && p == Wildcard && s.g.byS.built.Load() && s.g.byO.built.Load():
 		sl := cutOffsets(s.g.byS.get(key1(sub)), w)
 		ol := cutOffsets(s.g.byO.get(key1(o)), w)
 		if len(sl) <= len(ol) {
@@ -192,42 +211,14 @@ func (s Snapshot) ForEachMatch(sub, p, o ID, fn func(Triple) bool) {
 				}
 			}
 		}
-	case sub != Wildcard:
-		for _, off := range cutOffsets(s.g.byS.get(key1(sub)), w) {
-			if s.dead.has(off) {
-				continue
-			}
-			if !fn(s.log[off]) {
-				return
-			}
-		}
-	case p != Wildcard:
-		for _, off := range cutOffsets(s.g.byP.get(key1(p)), w) {
-			if s.dead.has(off) {
-				continue
-			}
-			if !fn(s.log[off]) {
-				return
-			}
-		}
-	case o != Wildcard:
-		for _, off := range cutOffsets(s.g.byO.get(key1(o)), w) {
-			if s.dead.has(off) {
-				continue
-			}
-			if !fn(s.log[off]) {
-				return
-			}
-		}
+	case sub != Wildcard && p == Wildcard && o == Wildcard && s.g.byS.built.Load():
+		matchOffsets(s.log, s.dead, cutOffsets(s.g.byS.get(key1(sub)), w), fn)
+	case sub == Wildcard && p != Wildcard && o == Wildcard && s.g.byP.built.Load():
+		matchOffsets(s.log, s.dead, cutOffsets(s.g.byP.get(key1(p)), w), fn)
+	case sub == Wildcard && p == Wildcard && o != Wildcard && s.g.byO.built.Load():
+		matchOffsets(s.log, s.dead, cutOffsets(s.g.byO.get(key1(o)), w), fn)
 	default:
-		for i, t := range s.log {
-			if s.dead.has(uint32(i)) {
-				continue
-			}
-			if !fn(t) {
-				return
-			}
-		}
+		scanMatch(s.log, s.dead, sub, p, o, fn)
 	}
 }
 
@@ -243,10 +234,12 @@ func (s Snapshot) Match(sub, p, o ID) []Triple {
 
 // CountMatch returns the number of visible triples matching the pattern
 // without materializing them: O(log n) for every index-backed shape (the
-// binary-searched pinned prefix length), a shorter-side scan for (s,·,o).
-// With pinned tombstones the index-backed shapes become upper bounds, the
-// same soundness contract as Graph.CountMatch (never zero for a nonempty
-// extent); the fully-bound, (s,·,o), and unbound shapes stay exact.
+// binary-searched pinned prefix length), a shorter-side scan for (s,·,o),
+// and a scan of the pinned log with the same result for a pattern whose
+// index is not built. With pinned tombstones the index-backed shapes become
+// upper bounds, the same soundness contract as Graph.CountMatch (never zero
+// for a nonempty extent); the fully-bound, (s,·,o), and unbound shapes stay
+// exact.
 //
 //powl:allocfree query-planner selectivity ranking per join level
 func (s Snapshot) CountMatch(sub, p, o ID) int {
@@ -257,11 +250,14 @@ func (s Snapshot) CountMatch(sub, p, o ID) int {
 			return 1
 		}
 		return 0
-	case sub != Wildcard && p != Wildcard:
+	case sub != Wildcard && p != Wildcard && s.g.bySP.built.Load():
 		return len(cutEntries(s.g.bySP.get(key2(sub, p)), w))
-	case p != Wildcard && o != Wildcard:
+	case p != Wildcard && o != Wildcard && s.g.byPO.built.Load():
 		return len(cutEntries(s.g.byPO.get(key2(p, o)), w))
-	case sub != Wildcard && o != Wildcard:
+	case sub != Wildcard && o != Wildcard && p == Wildcard:
+		if !s.g.byS.built.Load() || !s.g.byO.built.Load() {
+			return scanCount(s.log, s.dead, sub, p, o)
+		}
 		n := 0
 		sl := cutOffsets(s.g.byS.get(key1(sub)), w)
 		ol := cutOffsets(s.g.byO.get(key1(o)), w)
@@ -279,13 +275,15 @@ func (s Snapshot) CountMatch(sub, p, o ID) int {
 			}
 		}
 		return n
-	case sub != Wildcard:
+	case sub != Wildcard && p == Wildcard && o == Wildcard && s.g.byS.built.Load():
 		return len(cutOffsets(s.g.byS.get(key1(sub)), w))
-	case p != Wildcard:
+	case sub == Wildcard && p != Wildcard && o == Wildcard && s.g.byP.built.Load():
 		return len(cutOffsets(s.g.byP.get(key1(p)), w))
-	case o != Wildcard:
+	case sub == Wildcard && p == Wildcard && o != Wildcard && s.g.byO.built.Load():
 		return len(cutOffsets(s.g.byO.get(key1(o)), w))
-	default:
+	case sub == Wildcard && p == Wildcard && o == Wildcard:
 		return s.Len()
+	default:
+		return scanCount(s.log, nil, sub, p, o)
 	}
 }

@@ -187,6 +187,7 @@ func TestSnapshotStableUnderConcurrentWriter(t *testing.T) {
 // reader races one large AddAll, which must publish all or nothing.
 func TestSnapshotOldPinSurvivesGrowth(t *testing.T) {
 	g := NewGraph()
+	g.BuildIndexes(AllIndexes) // the pin reads the growing posting lists
 	for i := 1; i <= 10; i++ {
 		g.Add(Triple{ID(i), 1, ID(i + 1)})
 	}

@@ -120,6 +120,7 @@ func (g *Graph) DeleteOffsets(offs []uint32) int {
 	if deleted == 0 {
 		return 0
 	}
+	g.ensureSeen()
 	g.dead.Store(&tombSet{bits: bits, n: old.count() + deleted})
 	// Prune the dedup table after publication so the triples can be
 	// re-added at fresh offsets. remove matches the offset, not the triple:
@@ -196,12 +197,13 @@ func (g *Graph) AssertedTriples() []Triple {
 // consistent on its own; the table is the only structure a writer-goroutine
 // panic can leave half-updated, and this restores it. Writer-only.
 func (g *Graph) RepairDedup() {
+	g.lazySeen = false
 	g.seen.rebuild(g.log.view(), g.dead.Load(), g.LiveLen())
 }
 
 // Compact rewrites the graph without its dead triples and returns the fresh
-// copy: a new log holding only live triples, rebuilt posting lists, no
-// tombstones. Provenance survives with premise offsets remapped to the new
+// copy: a new log holding only live triples, posting lists rebuilt in bulk
+// for the indexes g has built, no tombstones. Provenance survives with premise offsets remapped to the new
 // log; a premise that is itself dead (possible only transiently, between a
 // retraction's overdelete and its rederivation) degrades to NoPremise.
 // Alternate-derivation records (Prov.RecordAlt) are not carried over — they
@@ -218,7 +220,9 @@ func (g *Graph) Compact() *Graph {
 	logv := g.log.view()
 	live := len(logv) - dead.count()
 	c := NewGraphCap(live)
-	c.reserveKeys(g)
+	// The copy gets the indexes g has, built in bulk once the log is in.
+	built := g.Indexes()
+	c.reserveKeys(g, built)
 	var remap []uint32
 	if g.prov != nil {
 		c.prov = g.prov.cloneNames()
@@ -251,5 +255,6 @@ func (g *Graph) Compact() *Graph {
 		}
 		c.insert([]Triple{t}, d, g.IsDerivedOffset(off))
 	}
+	c.buildIndexes(built)
 	return c
 }

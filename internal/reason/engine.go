@@ -93,8 +93,46 @@ type Program struct {
 	heads   atomIndex      // head atoms; trigger.atomIdx indexes the rule's head
 	bodyLen map[string]int // rule name → body atom count
 
+	// joins is the set of graph indexes a fire-loop run builds before its
+	// first sweep (Indexes); reads is every index a join over the body
+	// atoms can touch, which DRed's rederivation builds.
+	joins, reads rdf.IndexSet
+
 	maxSlot, maxBody int
 }
+
+// Indexes returns the graph indexes the fire loop builds before its first
+// sweep: the ones its per-sweep dead-trigger test reads, and the two-bound
+// and predicate indexes a constant-predicate atom is joined through. The
+// byS and byO a variable-predicate atom reads are built by the first sweep
+// that can fire such an atom.
+func (p *Program) Indexes() rdf.IndexSet { return p.joins }
+
+// JoinIndexes is the Indexes of rs compiled, or none for a rule set Compile
+// rejects (the engine run reports that). A caller that builds a graph for a
+// forward closure under rs builds these with it.
+func JoinIndexes(rs []rules.Rule) rdf.IndexSet {
+	p, err := Compile(rs)
+	if err != nil {
+		return 0
+	}
+	return p.joins
+}
+
+// reads returns the graph indexes a join through a can read, whichever of
+// its variables are bound when it is joined: bySP, byPO and byP for a
+// constant predicate; for a variable one also byS and byO, its open
+// patterns.
+func (a cAtom) reads() rdf.IndexSet {
+	if a.p.isVar {
+		return rdf.AllIndexes
+	}
+	return rdf.IndexSP | rdf.IndexPO | rdf.IndexP
+}
+
+// extent returns the graph indexes a's constants-only pattern reads: the
+// extent the dead-trigger test counts. A variable's id is rdf.Wildcard.
+func (a cAtom) extent() rdf.IndexSet { return rdf.IndexesFor(a.s.id, a.p.id, a.o.id) }
 
 // Compile lowers, stratifies and indexes rs. It is the one construction-time
 // check of a rule set: it fails on an unsafe rule (a head variable the body
@@ -117,6 +155,13 @@ func Compile(rs []rules.Rule) (*Program, error) {
 		p.bodyLen[cr.name] = len(cr.body)
 		p.maxSlot = max(p.maxSlot, cr.nslot)
 		p.maxBody = max(p.maxBody, len(cr.body))
+		for _, a := range cr.body {
+			p.joins |= a.extent()
+			if !a.p.isVar {
+				p.joins |= a.reads()
+			}
+			p.reads |= a.reads()
+		}
 		for hi, h := range cr.head {
 			trs = append(trs, trigger{rule: cr, atomIdx: hi})
 			atoms = append(atoms, h)

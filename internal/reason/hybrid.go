@@ -60,6 +60,9 @@ func (h Hybrid) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rul
 	}
 	prof := newRuleProf(ctx, p.rules)
 	defer prof.flush()
+	// The resource queries are (r, ·, ·) and the bodies are evaluated in
+	// SLD order, so any index may be read.
+	g.BuildIndexes(rdf.AllIndexes)
 
 	// Query plan: every resource appearing as subject or object, in ID
 	// order for determinism. Inference cannot invent constants, so every

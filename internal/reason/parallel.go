@@ -113,18 +113,34 @@ func planStrata(crs []cRule) []stratumPlan {
 // firing, and exact: the fire phase joins only against the graph, which no
 // one writes until the commit, and CountMatch never reports 0 for a
 // non-empty extent.
-func (p *stratumPlan) markDead(g *rdf.Graph, dead []bool) {
+//
+// It returns the graph indexes the sweep's joins read: those of the other
+// atoms of each live trigger whose own atom has a non-empty extent. A delta
+// drawn from the graph, as every caller's is, activates no other trigger; a
+// trigger a foreign delta activates still joins correctly, through the
+// log scans of the indexes that are not built.
+func (p *stratumPlan) markDead(g *rdf.Graph, dead []bool) rdf.IndexSet {
+	var reads rdf.IndexSet
 	for _, tr := range p.trs {
 		dead[tr.id] = false
+		var need rdf.IndexSet
 		for k, a := range tr.rule.body {
+			if k == tr.atomIdx {
+				continue
+			}
 			// A variable's id is 0, rdf.Wildcard: the atom with only its
 			// constants bound.
-			if k != tr.atomIdx && g.CountMatch(a.s.id, a.p.id, a.o.id) == 0 {
+			if g.CountMatch(a.s.id, a.p.id, a.o.id) == 0 {
 				dead[tr.id] = true
 				break
 			}
+			need |= a.reads()
+		}
+		if own := tr.rule.body[tr.atomIdx]; !dead[tr.id] && g.CountMatch(own.s.id, own.p.id, own.o.id) > 0 {
+			reads |= need
 		}
 	}
+	return reads
 }
 
 // fireRun carries one materialization's state. Everything a shard writes
@@ -172,6 +188,7 @@ func (f Forward) Fire(ctx context.Context, g *rdf.Graph, p *Program, delta []rdf
 
 	threads := max(f.Threads, 1)
 	plans := p.plans
+	g.BuildIndexes(p.joins)
 	r := &fireRun{
 		g: g, p: p,
 		stage: rdf.NewDeltaStage(threads),
@@ -260,7 +277,8 @@ func (r *fireRun) fireStratum(ctx context.Context, plan *stratumPlan, d []rdf.Tr
 	if len(d) < parallelMinDelta {
 		nw = 1
 	}
-	plan.markDead(r.g, r.dead)
+	// The writer builds what the shards will read before any of them runs.
+	r.g.BuildIndexes(plan.markDead(r.g, r.dead))
 	chunk := max(len(d)/(nw*4), parallelMinChunk)
 	var next atomic.Int64
 	var failed atomic.Bool

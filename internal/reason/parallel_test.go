@@ -478,3 +478,46 @@ func TestRetractorSetProgram(t *testing.T) {
 		t.Error("Compile accepted a 66-variable rule")
 	}
 }
+
+// TestThreadsBuildVariablePredicateIndexes closes, on two shards, a graph
+// whose variable-predicate rule can fire only once an earlier sweep has
+// derived its owl:sameAs-like premise. Before the run the graph has no
+// index; the fire loop builds the join indexes up front and byS and byO
+// between sweeps, when the rule comes alive, each before the shards fan
+// out. The closure must equal the reference one; run it under -race.
+func TestThreadsBuildVariablePredicateIndexes(t *testing.T) {
+	const link, same = rdf.ID(1), rdf.ID(2)
+	x, y, p, z := rules.Var("x"), rules.Var("y"), rules.Var("p"), rules.Var("z")
+	rs := []rules.Rule{
+		{Name: "alias", Body: []rules.Atom{{S: x, P: rules.Const(link), O: y}},
+			Head: []rules.Atom{{S: x, P: rules.Const(same), O: y}}},
+		{Name: "same-subj", Body: []rules.Atom{{S: x, P: rules.Const(same), O: y}, {S: x, P: p, O: z}},
+			Head: []rules.Atom{{S: y, P: p, O: z}}},
+	}
+	g := rdf.NewGraph()
+	for n := rdf.ID(100); n < 140; n++ {
+		for a := rdf.ID(3); a < 13; a++ {
+			g.Add(rdf.Triple{S: n, P: a, O: 1000 + n*16 + a})
+		}
+		if n%2 == 0 {
+			g.Add(rdf.Triple{S: n, P: link, O: n + 1})
+		}
+	}
+	if g.Indexes() != 0 {
+		t.Fatalf("a loaded graph has indexes %05b", g.Indexes())
+	}
+	want := refclosure.Closure(g.Triples(), rs)
+	reason.Forward{Threads: 2}.Materialize(g, rs)
+	if g.Indexes() != rdf.AllIndexes {
+		t.Errorf("after a sweep that joined (?x ?p ?z), indexes are %05b", g.Indexes())
+	}
+	got := g.Triples()
+	if len(got) != len(want) {
+		t.Fatalf("closure has %d triples, reference %d", len(got), len(want))
+	}
+	for _, tr := range got {
+		if _, ok := want[tr]; !ok {
+			t.Fatalf("closure holds %v, which the reference lacks", tr)
+		}
+	}
+}

@@ -205,6 +205,7 @@ func (r *Retractor) Retract(g *rdf.Graph, dels []rdf.Triple) RetractStats {
 	if r.g != g {
 		r.rebind(g)
 	}
+	g.BuildIndexes(r.p.reads) // rederivation may join through any body atom
 	r.extend()
 	prov := g.Prov()
 

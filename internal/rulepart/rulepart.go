@@ -99,3 +99,17 @@ func (rt *Router) Destinations(t rdf.Triple, from int) []int {
 	}
 	return append([]int(nil), ps...)
 }
+
+// Mask is Destinations as a bit set, the sender not left out: bit p is set
+// when partition p owns a rule that can consume t. It covers partitions
+// below 64, which a few rule groups are, and allocates nothing, so a router
+// that folds the groups into an answer of its own (the hybrid grid's) reads
+// it instead of Destinations' slice.
+func (rt *Router) Mask(t rdf.Triple) uint64 {
+	var buf [64]int
+	var m uint64
+	for _, r := range rt.prog.AppendConsumers(buf[:0], t) {
+		m |= 1 << uint(rt.part[r])
+	}
+	return m
+}

@@ -267,6 +267,9 @@ func New(kb *KB, cfg Config) (*Server, error) {
 	// A prov-free KB makes every DELETE fall back to delete-and-
 	// rematerialize; the retractor journals each such degradation to Obs.
 	s.ret.SetProgram(prog)
+	// Queries read every index through snapshots, and only the writer may
+	// build one: build them all before the first reader is admitted.
+	kb.Graph.BuildIndexes(rdf.AllIndexes)
 	sn := kb.Graph.Snapshot()
 	s.snap.Store(&sn)
 	s.writerWG.Add(1)
