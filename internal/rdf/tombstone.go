@@ -203,9 +203,10 @@ func (g *Graph) RepairDedup() {
 
 // Compact rewrites the graph without its dead triples and returns the fresh
 // copy: a new log holding only live triples, posting lists rebuilt in bulk
-// for the indexes g has built, no tombstones. Provenance survives with premise offsets remapped to the new
-// log; a premise that is itself dead (possible only transiently, between a
-// retraction's overdelete and its rederivation) degrades to NoPremise.
+// for the indexes g has built, no tombstones. Provenance survives with
+// premise offsets remapped to the new log; a premise that is itself dead
+// (possible only transiently, between a retraction's overdelete and its
+// rederivation) degrades to NoPremise.
 // Alternate-derivation records (Prov.RecordAlt) are not carried over — they
 // are a cache and rebuild naturally.
 //
