@@ -419,11 +419,11 @@ type roundTime struct {
 }
 
 // newWorker gives worker id a fresh graph holding its base tuples and the
-// indexes a forward closure under its rules joins through, so the reason
+// index scope the engine's closure under its rules reads, so the reason
 // phase times reasoning alone.
 func newWorker(cfg Config, id int, a Assignment, m Membership, cpu chan struct{}, spans *obs.Run) *worker {
 	g := a.Graph()
-	g.BuildIndexes(reason.JoinIndexes(a.Rules))
+	g.BuildScope(reason.EngineScope(cfg.Engine, a.Rules))
 	if cfg.Provenance {
 		// The backfill records every base tuple as asserted.
 		g.EnableProv()

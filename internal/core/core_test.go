@@ -322,3 +322,26 @@ func TestHybridGridRoutesWithoutAllocating(t *testing.T) {
 		t.Errorf("routing %d tuples through the hybrid grid allocates %.0f times", len(sample), n)
 	}
 }
+
+// TestWorkersNeverScanTheLog runs LUBM-5 and UOBM-5 at k=2 under every
+// strategy and requires that no worker's closure fell back to a scan of the
+// log for a match or count on a constant predicate: each worker's graph
+// starts with its rules' join scope (cluster.newWorker, or the shared start
+// graph it clones), so every round's joins, incremental ones included, read
+// covered indexes.
+func TestWorkersNeverScanTheLog(t *testing.T) {
+	for _, ds := range []*datagen.Dataset{
+		datagen.LUBM(datagen.LUBMConfig{Universities: 5, Seed: 1}),
+		datagen.UOBM(datagen.UOBMConfig{Universities: 5, Seed: 1}),
+	} {
+		for _, st := range []Strategy{DataPartitioning, RulePartitioning, HybridPartitioning} {
+			before := rdf.LogScans()
+			if _, err := Materialize(ds, Config{Workers: 2, Strategy: st, Seed: 1}); err != nil {
+				t.Fatalf("%s %s: %v", ds.Name, st, err)
+			}
+			if n := rdf.LogScans() - before; n != 0 {
+				t.Errorf("%s %s k=2: the workers scanned the log %d times", ds.Name, st, n)
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"powl/internal/owlhorst"
 	"powl/internal/rdf"
 	"powl/internal/refclosure"
+	"powl/internal/serve"
 	"powl/internal/vocab"
 )
 
@@ -105,20 +106,51 @@ func TestDataPartitioningMatchesPDStar(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s k=%d: %v", seed, pol, k, err)
 				}
-				got := res.Graph.Triples()
-				held := map[rdf.Triple]struct{}{}
-				for _, tr := range got {
-					held[tr] = struct{}{}
-					if _, ok := want[tr]; !ok {
-						t.Fatalf("seed %d %s k=%d: %v is not in the pD* closure", seed, pol, k, tr)
-					}
-				}
-				if len(held) != len(want) || len(got) != len(want) {
-					t.Fatalf("seed %d %s k=%d: %d triples (%d distinct), pD* closure has %d",
-						seed, pol, k, len(got), len(held), len(want))
-				}
+				matchesPDStar(t, fmt.Sprintf("seed %d %s k=%d", seed, pol, k), res.Graph.Triples(), want)
 			}
 		}
+	}
+}
+
+// TestEveryStrategyMatchesPDStar holds the other closures to the same
+// oracle on the same random ontologies: serve.Build — the live path's
+// closure, through the fire loop's scoped indexes — at one and two
+// threads, and the rule and hybrid strategies at k = 2 and 3. The
+// ontologies' owl:sameAs links make the variable-predicate same-* rules
+// live, so their byS and byO builds are on the path too.
+func TestEveryStrategyMatchesPDStar(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		ds := randomOntology(seed)
+		want := refclosure.Closure(ds.Graph.Triples(), owlhorst.MetaRules(ds.Dict))
+		for _, threads := range []int{1, 2} {
+			kb := serve.Build(ds.Dict, ds.Graph.Clone(), serve.BuildConfig{Threads: threads})
+			matchesPDStar(t, fmt.Sprintf("seed %d serve.Build threads=%d", seed, threads), kb.Graph.Triples(), want)
+		}
+		for _, st := range []Strategy{RulePartitioning, HybridPartitioning} {
+			for _, k := range []int{2, 3} {
+				res, err := Materialize(ds, Config{Workers: k, Strategy: st, Seed: seed})
+				if err != nil {
+					t.Fatalf("seed %d %s k=%d: %v", seed, st, k, err)
+				}
+				matchesPDStar(t, fmt.Sprintf("seed %d %s k=%d", seed, st, k), res.Graph.Triples(), want)
+			}
+		}
+	}
+}
+
+// matchesPDStar fails unless got holds each triple of the pD* closure want
+// exactly once and nothing else.
+func matchesPDStar(t *testing.T, label string, got []rdf.Triple, want map[rdf.Triple]struct{}) {
+	t.Helper()
+	held := map[rdf.Triple]struct{}{}
+	for _, tr := range got {
+		held[tr] = struct{}{}
+		if _, ok := want[tr]; !ok {
+			t.Fatalf("%s: %v is not in the pD* closure", label, tr)
+		}
+	}
+	if len(held) != len(want) || len(got) != len(want) {
+		t.Fatalf("%s: %d triples (%d distinct), pD* closure has %d", label, len(got), len(held), len(want))
 	}
 }
 

@@ -116,12 +116,12 @@ func plan(ds *datagen.Dataset, w workload, cfg Config) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The start graph is built once, on first use, with the indexes the
+	// The start graph is built once, on first use, with the index scope the
 	// closure joins through, so the workers that clone it build none.
 	build := w.start
 	w.start = sync.OnceValue(func() *rdf.Graph {
 		g := build()
-		g.BuildIndexes(prog.Indexes())
+		g.BuildScope(prog.Scope())
 		return g
 	})
 	if cfg.Workers > 1 && (cfg.Strategy == DataPartitioning || cfg.Strategy == HybridPartitioning) {

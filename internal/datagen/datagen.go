@@ -10,8 +10,10 @@
 //     speedups).
 //   - UOBM  — the University Ontology Benchmark shape: LUBM-like entities
 //     plus dense cross-university links (symmetric friendships, cross
-//     enrolment, sameAs aliases), which raise the edge cut of any
-//     partitioning and push speedups sub-linear, as in the paper.
+//     enrolment, same-home-town links), which raise the edge cut of any
+//     partitioning and push speedups sub-linear, as in the paper. It has
+//     no owl:sameAs instance data (uobm.go says why); no generator emits
+//     owl:sameAs.
 //   - MDC   — a stand-in for the paper's proprietary Chevron oilfield
 //     dataset: fields, wells, devices, sensors with deep transitive partOf
 //     chains and near-perfect per-field locality.
@@ -68,6 +70,8 @@ func newBuilder(seed int64) *builder {
 	b.owlClass = d.InternIRI(vocab.OWLClass)
 	b.objectProp = d.InternIRI(vocab.OWLObjectProperty)
 	b.restriction = d.InternIRI(vocab.OWLRestriction)
+	// No generator emits owl:sameAs; the term is interned anyway so that
+	// every generated dictionary keeps the IDs it has always had.
 	b.sameAs = d.InternIRI(vocab.OWLSameAs)
 	return b
 }

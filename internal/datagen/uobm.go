@@ -14,8 +14,8 @@ const uobmNS = "http://benchmark.powl/uobm#"
 
 // UOBM generates a University-Ontology-Benchmark-shaped dataset. Its
 // distinguishing feature, relative to LUBM, is density: symmetric
-// cross-university friendships, cross enrolment, and sameAs aliases tie
-// universities together, so every partitioning policy cuts many edges and
+// cross-university friendships, cross enrolment, and same-home-town links
+// tie universities together, so every partitioning policy cuts many edges and
 // the replication (IR) stays high. The ontology deliberately has no
 // allValuesFrom axiom, so the backward engine's per-query work stays local
 // — this is the combination that made UOBM scale linearly and speed up

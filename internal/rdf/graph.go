@@ -26,7 +26,9 @@ import (
 // read the index scans the log instead, with the same answer in the same
 // order. So a graph that is only loaded, split, cloned, unioned or written
 // builds no index at all. FromDistinct goes further and leaves the dedup
-// table to its first use.
+// table to its first use. bySP, byPO and byP can also be built for only the
+// predicates a reader joins through (BuildScope, scope.go); a match on any
+// other predicate scans the log the same way.
 //
 // Since PR 6 the store is a single-writer / multi-reader MVCC substrate:
 // exactly one goroutine may mutate the graph, but Snapshot may be called
@@ -39,10 +41,10 @@ import (
 // posting entries sit in per-index chunk arenas, their headers inline in the
 // slot tables, and membership is an offset table compared through the log.
 //
-// All mutating methods (Add, AddAll, Union, Grow, BuildIndexes) and the
-// dedup-consulting reads (Has, and through it the fully-bound
-// ForEachMatch/CountMatch case) remain writer-only: they touch the private
-// dedup table. Concurrent readers must go through Snapshot, or read a graph
+// All mutating methods (Add, AddAll, Union, Grow, BuildIndexes,
+// BuildScope) and the dedup-consulting reads (Has, and through it the
+// fully-bound ForEachMatch/CountMatch case) remain writer-only: they touch
+// the private dedup table. Concurrent readers must go through Snapshot, or read a graph
 // whose writer is parked after building every index they read (the fire
 // loop's shards).
 type Graph struct {
@@ -113,7 +115,7 @@ func (g *Graph) Grow(n int) {
 
 // reserveKeys readies the indexes of set for src's distinct keys on top of
 // g's own, each where src's index is built — an upper bound on the union,
-// exact when g is empty.
+// exact when g is empty and covers what src covers.
 func (g *Graph) reserveKeys(src *Graph, set IndexSet) {
 	if set&IndexS != 0 {
 		g.byS.reserveFrom(&src.byS)
@@ -169,66 +171,57 @@ func IndexesFor(s, p, o ID) IndexSet {
 	}
 }
 
-// Indexes returns the set of built indexes. Safe from any goroutine.
-func (g *Graph) Indexes() IndexSet {
-	var set IndexSet
-	for ix, built := range [...]bool{g.byS.built.Load(), g.byP.built.Load(), g.byO.built.Load(),
-		g.bySP.built.Load(), g.byPO.built.Load()} {
-		if built {
-			set |= 1 << ix
+// BuildIndexes builds every index of set for every predicate: it builds
+// the ones not built yet and completes the ones built for some predicates
+// only (BuildScope).
+func (g *Graph) BuildIndexes(set IndexSet) { g.BuildScope(Scope{Full: set}) }
+
+// BuildScope extends each index to cover the predicates sc names for it, in
+// bulk from the published log, and builds the dedup table if FromDistinct
+// left it unbuilt; inserts maintain each index's coverage from then on. An
+// index already covering what sc asks is left alone, and none loses
+// coverage. The indexes are disjoint, so each one's pass runs on a goroutine
+// of its own, and each publishes its new coverage when its pass is done: a
+// Snapshot taken at any time reads a predicate's postings only after its
+// coverage names it, and scans its pinned log before. Writer-only. A caller
+// about to let other goroutines read the graph itself (not through
+// Snapshot) calls it first with every index and predicate they read.
+func (g *Graph) BuildScope(sc Scope) {
+	g.ensureSeen()
+	g.buildScope(sc)
+}
+
+// buildScope extends each index to sc's coverage by a bulk pass over the
+// whole log that writes the postings of the predicates it did not cover.
+// Their keys are new, so each new list is written whole, in log order.
+func (g *Graph) buildScope(sc Scope) {
+	log := g.log.view()
+	var grow [5]*PredSet
+	n := 0
+	for i := range grow {
+		ix := IndexSet(1) << i
+		if have := g.coverage(ix); !sc.Of(ix).SubsetOf(have) {
+			grow[i] = have.Union(sc.Of(ix))
+			n++
 		}
 	}
-	return set
-}
-
-// markBuilt publishes the built flag of the one index ix.
-func (g *Graph) markBuilt(ix IndexSet) {
-	switch ix {
-	case IndexS:
-		g.byS.built.Store(true)
-	case IndexP:
-		g.byP.built.Store(true)
-	case IndexO:
-		g.byO.built.Store(true)
-	case IndexSP:
-		g.bySP.built.Store(true)
-	case IndexPO:
-		g.byPO.built.Store(true)
-	}
-}
-
-// BuildIndexes builds every index of set that is not built yet, in bulk
-// from the published log, and the dedup table if FromDistinct left it
-// unbuilt; inserts maintain each index from then on. The indexes are
-// disjoint, so each one's pass runs on a goroutine of its own, and each
-// publishes its built flag when its pass is done: a Snapshot taken at any
-// time reads an index only after its flag, and scans its pinned log before.
-// Writer-only. A caller about to let other goroutines read the graph itself
-// (not through Snapshot) calls it first with every index they read.
-func (g *Graph) BuildIndexes(set IndexSet) {
-	g.ensureSeen()
-	g.buildIndexes(set &^ g.Indexes())
-}
-
-// buildIndexes runs the bulk pass of each index of set over the whole log.
-func (g *Graph) buildIndexes(set IndexSet) {
-	log := g.log.view()
-	build := func(ix IndexSet) {
-		g.indexPass(ix, log, 0)
-		g.markBuilt(ix)
+	build := func(ix IndexSet, to *PredSet) {
+		g.indexPass(ix, log, 0, to, g.coverage(ix))
+		g.publishCoverage(ix, to)
 	}
 	var wg sync.WaitGroup
-	for ix := IndexS; ix <= IndexPO; ix <<= 1 {
+	for i, to := range grow {
+		ix := IndexSet(1) << i
 		switch {
-		case set&ix == 0:
-		case set == ix || len(log) == 0: // nothing to share out
-			build(ix)
+		case to == nil:
+		case n == 1 || len(log) == 0: // nothing to share out
+			build(ix, to)
 		default:
 			wg.Add(1)
-			go func(ix IndexSet) {
+			go func() {
 				defer wg.Done()
-				build(ix)
-			}(ix)
+				build(ix, to)
+			}()
 		}
 	}
 	wg.Wait()
@@ -255,8 +248,9 @@ func (g *Graph) AddAll(ts []Triple) int {
 //     through the whole reserved log array, so a duplicate within ts meets
 //     the copy placed moments before; a new one is written into the log
 //     past the published length and placed in the table.
-//  2. Columns. For the new range [base, n), each built index's postings in
-//     a pass of its own, then the provenance records and the derived bits.
+//  2. Columns. For the new range [base, n), each built index's postings of
+//     the predicates it covers in a pass of its own, then the provenance
+//     records and the derived bits.
 //  3. Commit. One store of the log length publishes the range. Every
 //     posting and record of it was written before that store, so a Snapshot
 //     that pins any watermark sees a fully indexed prefix (index.go).
@@ -285,10 +279,9 @@ func (g *Graph) insert(ts []Triple, d Derivation, derived bool) int {
 	if n == base {
 		return 0
 	}
-	built := g.Indexes()
 	for ix := IndexS; ix <= IndexPO; ix <<= 1 {
-		if built&ix != 0 {
-			g.indexPass(ix, log[base:n], uint32(base))
+		if cov := g.coverage(ix); cov != nil {
+			g.indexPass(ix, log[base:n], uint32(base), cov, nil)
 		}
 	}
 	if derived {
@@ -310,12 +303,15 @@ func (g *Graph) insert(ts []Triple, d Derivation, derived bool) int {
 	return n - base
 }
 
-// indexPass writes the postings of the log range ts, which starts at offset
-// base, into the one index ix: a pass walks the range once and touches one
-// slot table and one arena, instead of all five per triple. Passes over
-// different indexes share nothing but the read-only range, so they may run
-// at once.
-func (g *Graph) indexPass(ix IndexSet, ts []Triple, base uint32) {
+// indexPass writes into the one index ix the postings of the triples of the
+// log range ts, which starts at offset base, whose predicate is in to and
+// not in have: a pass walks the range once and touches one slot table and
+// one arena, instead of all five per triple. Passes over different indexes
+// share nothing but the read-only range, so they may run at once. byS and
+// byO cover every predicate or none, so their passes take every triple.
+func (g *Graph) indexPass(ix IndexSet, ts []Triple, base uint32, to, have *PredSet) {
+	all := to.All() && have == nil
+	keep := func(p ID) bool { return all || to.Has(p) && !have.Has(p) }
 	switch ix {
 	case IndexS:
 		for i, t := range ts {
@@ -323,7 +319,9 @@ func (g *Graph) indexPass(ix IndexSet, ts []Triple, base uint32) {
 		}
 	case IndexP:
 		for i, t := range ts {
-			g.byP.append1(key1(t.P), base+uint32(i))
+			if keep(t.P) {
+				g.byP.append1(key1(t.P), base+uint32(i))
+			}
 		}
 	case IndexO:
 		for i, t := range ts {
@@ -331,11 +329,15 @@ func (g *Graph) indexPass(ix IndexSet, ts []Triple, base uint32) {
 		}
 	case IndexSP:
 		for i, t := range ts {
-			g.bySP.append1(key2(t.S, t.P), spEntry{Term: t.O, Off: base + uint32(i)})
+			if keep(t.P) {
+				g.bySP.append1(key2(t.S, t.P), spEntry{Term: t.O, Off: base + uint32(i)})
+			}
 		}
 	case IndexPO:
 		for i, t := range ts {
-			g.byPO.append1(key2(t.P, t.O), spEntry{Term: t.S, Off: base + uint32(i)})
+			if keep(t.P) {
+				g.byPO.append1(key2(t.P, t.O), spEntry{Term: t.S, Off: base + uint32(i)})
+			}
 		}
 	}
 }
@@ -485,8 +487,8 @@ func compareTriples(a, b Triple) int {
 
 // Clone returns a deep copy of the graph: flat copies of the log, the dedup
 // table and each built index's slot table and arena chunks, with no
-// per-triple or per-key re-insertion; what g has not built, the clone has
-// not either. It only reads g, so goroutines may clone a graph nobody writes
+// per-triple or per-key re-insertion; the clone covers what g covers and
+// builds nothing g has not built. It only reads g, so goroutines may clone a graph nobody writes
 // at the same time; the clone is a fresh graph owned by the caller, and
 // appends to either leave the other unchanged.
 func (g *Graph) Clone() *Graph {
@@ -523,8 +525,8 @@ func (g *Graph) Clone() *Graph {
 // ForEachMatch calls fn for every triple matching the pattern, where Wildcard
 // in any position matches all terms. Iteration stops early if fn returns
 // false. Iteration order is the insertion order of the matching triples. A
-// pattern whose index is not built is answered by a scan of the log, with
-// the same triples in the same order. The graph must not be mutated during
+// pattern whose index does not cover it is answered by a scan of the log,
+// with the same triples in the same order. The graph must not be mutated during
 // iteration; writer-only (the fully-bound case consults the dedup table) —
 // concurrent readers use Snapshot.
 //
@@ -537,7 +539,7 @@ func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
 		if g.contains(t) {
 			fn(t)
 		}
-	case s != Wildcard && p != Wildcard && g.bySP.built.Load():
+	case s != Wildcard && p != Wildcard && g.bySP.covers(p):
 		for _, e := range g.bySP.get(key2(s, p)) {
 			if dead.has(e.Off) {
 				continue
@@ -546,7 +548,7 @@ func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
 				return
 			}
 		}
-	case p != Wildcard && o != Wildcard && g.byPO.built.Load():
+	case p != Wildcard && o != Wildcard && g.byPO.covers(p):
 		for _, e := range g.byPO.get(key2(p, o)) {
 			if dead.has(e.Off) {
 				continue
@@ -555,7 +557,7 @@ func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
 				return
 			}
 		}
-	case s != Wildcard && o != Wildcard && p == Wildcard && g.byS.built.Load() && g.byO.built.Load():
+	case s != Wildcard && o != Wildcard && p == Wildcard && g.byS.full() && g.byO.full():
 		// Scan the shorter of the two posting lists; both sides index the
 		// same log, so either yields exactly the (s,·,o) matches.
 		log := g.log.view()
@@ -578,13 +580,14 @@ func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
 				}
 			}
 		}
-	case s != Wildcard && p == Wildcard && o == Wildcard && g.byS.built.Load():
+	case s != Wildcard && p == Wildcard && o == Wildcard && g.byS.full():
 		matchOffsets(g.log.view(), dead, g.byS.get(key1(s)), fn)
-	case s == Wildcard && p != Wildcard && o == Wildcard && g.byP.built.Load():
+	case s == Wildcard && p != Wildcard && o == Wildcard && g.byP.covers(p):
 		matchOffsets(g.log.view(), dead, g.byP.get(key1(p)), fn)
-	case s == Wildcard && p == Wildcard && o != Wildcard && g.byO.built.Load():
+	case s == Wildcard && p == Wildcard && o != Wildcard && g.byO.full():
 		matchOffsets(g.log.view(), dead, g.byO.get(key1(o)), fn)
 	default:
+		noteScan(p)
 		scanMatch(g.log.view(), dead, s, p, o, fn)
 	}
 }
@@ -605,7 +608,7 @@ func matchOffsets(log []Triple, dead *tombSet, offs []uint32, fn func(Triple) bo
 // scanMatch answers a match from log alone: fn sees every live triple of
 // log that matches the pattern, in log order — the order of every posting
 // list — until it returns false. It is the fully open pattern's path, and
-// every other pattern's while its index is not built.
+// every other pattern's while its index does not cover it.
 func scanMatch(log []Triple, dead *tombSet, s, p, o ID, fn func(Triple) bool) {
 	for i, t := range log {
 		if (s == Wildcard || t.S == s) && (p == Wildcard || t.P == p) && (o == Wildcard || t.O == o) &&
@@ -644,8 +647,8 @@ func (g *Graph) Match(s, p, o ID) []Triple {
 // the answer — all but (s,·,o) — is O(1): the stored posting-list cardinality
 // is returned directly. (s,·,o) scans the shorter of the two posting lists.
 // The rule engines use this as the selectivity estimate for join ordering,
-// so it must stay cheap for every pattern shape; a pattern whose index is
-// not built is counted by a scan of the log, with the same result.
+// so it must stay cheap for every pattern shape; a pattern whose index does
+// not cover it is counted by a scan of the log, with the same result.
 // Writer-only (the fully-bound case consults the dedup table).
 //
 // Once the graph has tombstones, the O(1) index-backed shapes become upper
@@ -663,14 +666,14 @@ func (g *Graph) CountMatch(s, p, o ID) int {
 			return 1
 		}
 		return 0
-	case s != Wildcard && p != Wildcard && g.bySP.built.Load():
+	case s != Wildcard && p != Wildcard && g.bySP.covers(p):
 		return g.bySP.length(key2(s, p))
-	case p != Wildcard && o != Wildcard && g.byPO.built.Load():
+	case p != Wildcard && o != Wildcard && g.byPO.covers(p):
 		return g.byPO.length(key2(p, o))
 	case s != Wildcard && o != Wildcard && p == Wildcard:
 		dead := g.dead.Load()
 		log := g.log.view()
-		if !g.byS.built.Load() || !g.byO.built.Load() {
+		if !g.byS.full() || !g.byO.full() {
 			return scanCount(log, dead, s, p, o)
 		}
 		n := 0
@@ -688,15 +691,16 @@ func (g *Graph) CountMatch(s, p, o ID) int {
 			}
 		}
 		return n
-	case s != Wildcard && p == Wildcard && o == Wildcard && g.byS.built.Load():
+	case s != Wildcard && p == Wildcard && o == Wildcard && g.byS.full():
 		return g.byS.length(key1(s))
-	case s == Wildcard && p != Wildcard && o == Wildcard && g.byP.built.Load():
+	case s == Wildcard && p != Wildcard && o == Wildcard && g.byP.covers(p):
 		return g.byP.length(key1(p))
-	case s == Wildcard && p == Wildcard && o != Wildcard && g.byO.built.Load():
+	case s == Wildcard && p == Wildcard && o != Wildcard && g.byO.full():
 		return g.byO.length(key1(o))
 	case s == Wildcard && p == Wildcard && o == Wildcard:
 		return g.LiveLen()
 	default:
+		noteScan(p)
 		return scanCount(g.log.view(), nil, s, p, o)
 	}
 }
@@ -733,14 +737,15 @@ func (g *Graph) Subjects() map[ID]struct{} {
 
 // Union adds every triple of other into g and returns the number newly
 // added. It walks other's log — deterministic order — and pre-sizes g's log,
-// dedup table and built index tables from other's triple and key counts. Each run
+// dedup table and built index tables from other's triple and key counts;
+// g's indexes keep their coverage. Each run
 // of live offsets goes in as one range insert. When both graphs record
 // provenance, each absorbed triple instead carries its lineage across, one
 // at a time: the log walk guarantees premises land before their dependents,
 // so offset translation succeeds. Writer-only on g.
 func (g *Graph) Union(other *Graph) int {
 	g.Grow(other.LiveLen())
-	g.reserveKeys(other, g.Indexes())
+	g.reserveKeys(other, g.built())
 	log, dead := other.log.view(), other.dead.Load()
 	n := 0
 	if g.prov != nil && other.prov != nil {

@@ -153,23 +153,32 @@ const (
 // directory is copy-on-write and republished before any location that names
 // a new chunk, so readers load it after the location.
 //
-// An index exists only once built (Graph.BuildIndexes): built is stored
-// after the build's last posting is written, so a reader that loads it true
-// may read any posting below the watermark it pinned, and one that loads it
-// false answers from the log instead and touches nothing here.
+// An index exists only once built (Graph.BuildIndexes, Graph.BuildScope),
+// and then only for the predicates its coverage names (scope.go): cov is
+// stored after the build's last posting is written, so a reader that finds
+// a predicate in it may read any of that predicate's postings below the
+// watermark it pinned, and one that does not answers from the log instead
+// and touches nothing here.
 type index[T any] struct {
 	tab    atomic.Pointer[itable]
 	chunks atomic.Pointer[[][]T]
-	built  atomic.Bool
-	count  int    // distinct keys; writer-only
-	cur    int    // the bump chunk; writer-only
-	used   uint32 // entries handed out of it; writer-only
+	cov    atomic.Pointer[PredSet] // nil: not built
+	count  int                     // distinct keys; writer-only
+	cur    int                     // the bump chunk; writer-only
+	used   uint32                  // entries handed out of it; writer-only
 }
+
+// covers reports whether the index answers predicate p. Safe from any
+// goroutine.
+func (ix *index[T]) covers(p ID) bool { return ix.cov.Load().Has(p) }
+
+// full reports whether the index is built for every predicate.
+func (ix *index[T]) full() bool { return ix.cov.Load().All() }
 
 // reserveFrom readies the table for src's distinct keys on top of its own,
 // if src is built. Writer-only.
 func (ix *index[T]) reserveFrom(src *index[T]) {
-	if src.built.Load() {
+	if src.cov.Load() != nil {
 		ix.presize(ix.count + src.count)
 	}
 }
@@ -333,15 +342,16 @@ func (ix *index[T]) rehash(bits uint) *itable {
 	return nt
 }
 
-// cloneInto makes dst an independent copy of ix, if ix is built: the slot
-// table and every chunk are copied flat, so locations stay valid as they are
-// and no key is re-inserted. Writer-only on ix; dst must be unpublished (the
-// slots are copied whole, as in rehash).
+// cloneInto makes dst an independent copy of ix, if ix is built, with the
+// same coverage: the slot table and every chunk are copied flat, so
+// locations stay valid as they are and no key is re-inserted. Writer-only on
+// ix; dst must be unpublished (the slots are copied whole, as in rehash).
 func (ix *index[T]) cloneInto(dst *index[T]) {
-	if !ix.built.Load() {
+	cov := ix.cov.Load()
+	if cov == nil {
 		return
 	}
-	defer dst.built.Store(true)
+	defer dst.cov.Store(cov)
 	if t := ix.tab.Load(); t != nil {
 		nt := &itable{slots: make([]islot, len(t.slots)), shift: t.shift}
 		copy(nt.slots, t.slots)

@@ -99,8 +99,8 @@ func TestLazyIndexesAnswerLikeBuilt(t *testing.T) {
 				}
 				sameAnswers(t, where, g, ref, probes)
 			}
-			if ref.Indexes() != AllIndexes {
-				t.Fatalf("the fully indexed graph lost indexes: %05b", ref.Indexes())
+			if ref.Scope().Full != AllIndexes {
+				t.Fatalf("the fully indexed graph lost indexes: %05b", ref.Scope().Full)
 			}
 		})
 	}
@@ -108,8 +108,9 @@ func TestLazyIndexesAnswerLikeBuilt(t *testing.T) {
 
 // TestSnapshotReadersDuringFirstBuild races snapshot readers against the
 // writer's first BuildIndexes and the inserts after it. Every reader's
-// answers must be those of its own pinned prefix, whichever side of each
-// index's built flag it reads; run it under -race.
+// answers must be those of its own pinned prefix, whether it reads each
+// index's coverage before or after the build publishes it; run it under
+// -race.
 func TestSnapshotReadersDuringFirstBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := NewGraph()

@@ -23,13 +23,14 @@ package rdf
 // dedup table: they scan the shorter of the two relevant pinned posting
 // prefixes instead.
 //
-// An index the writer has not built (Graph.BuildIndexes) is never read: a
-// pattern that needs it scans the pinned log, which gives the same triples
-// in the same order and, for CountMatch, the same count, because a posting
-// list is exactly its key's log offsets in log order, tombstoned ones
-// included. A build racing the snapshot publishes its flag only after its
-// last posting, and the snapshot cuts every list at its watermark, so it
-// answers the same whichever side of the flag it reads.
+// An index the writer has not built for the pattern's predicate
+// (Graph.BuildIndexes, Graph.BuildScope) is never read: a pattern that needs
+// it scans the pinned log, which gives the same triples in the same order
+// and, for CountMatch, the same count, because a posting list is exactly its
+// key's log offsets in log order, tombstoned ones included. A build racing
+// the snapshot publishes its coverage only after its last posting, and the
+// snapshot cuts every list at its watermark, so it answers the same
+// whichever coverage it reads.
 //
 // Deletions pin the same way: the snapshot captures the graph's tombstone
 // set (an immutable bitset, see tombstone.go) when it is taken, and every
@@ -124,12 +125,14 @@ func (s Snapshot) Has(t Triple) bool {
 }
 
 // offsetOf resolves t to its log offset without touching the writer's dedup
-// table: it scans the shorter of the two pinned two-bound posting prefixes,
-// which carry the offset column, or the pinned log while either index is
-// not built. ok is false when t is not visible.
+// table: it scans the shorter of the pinned two-bound posting prefixes that
+// cover t's predicate, which carry the offset column, or the pinned log
+// while neither does. ok is false when t is not visible.
 func (s Snapshot) offsetOf(t Triple) (uint32, bool) {
 	w := uint32(len(s.log))
-	if !s.g.bySP.built.Load() || !s.g.byPO.built.Load() {
+	bySP, byPO := s.g.bySP.covers(t.P), s.g.byPO.covers(t.P)
+	if !bySP && !byPO {
+		noteScan(t.P)
 		for i, x := range s.log {
 			if x == t && !s.dead.has(uint32(i)) {
 				return uint32(i), true
@@ -137,9 +140,14 @@ func (s Snapshot) offsetOf(t Triple) (uint32, bool) {
 		}
 		return 0, false
 	}
-	sp := cutEntries(s.g.bySP.get(key2(t.S, t.P)), w)
-	po := cutEntries(s.g.byPO.get(key2(t.P, t.O)), w)
-	if len(sp) <= len(po) {
+	var sp, po []spEntry
+	if bySP {
+		sp = cutEntries(s.g.bySP.get(key2(t.S, t.P)), w)
+	}
+	if byPO {
+		po = cutEntries(s.g.byPO.get(key2(t.P, t.O)), w)
+	}
+	if bySP && (!byPO || len(sp) <= len(po)) {
 		for _, e := range sp {
 			if e.Term == t.O && !s.dead.has(e.Off) {
 				return e.Off, true
@@ -157,9 +165,9 @@ func (s Snapshot) offsetOf(t Triple) (uint32, bool) {
 
 // ForEachMatch calls fn for every visible triple matching the pattern, where
 // Wildcard in any position matches all terms. Iteration stops early if fn
-// returns false; order is log insertion order. A pattern whose index was not
-// built when the call loaded its flag is answered by a scan of the pinned
-// log, with the same triples in the same order. Safe concurrently with the
+// returns false; order is log insertion order. A pattern whose index did not
+// cover it when the call loaded its coverage is answered by a scan of the
+// pinned log, with the same triples in the same order. Safe concurrently with the
 // writer and with other readers.
 //
 //powl:allocfree the serve read path probes here per query row
@@ -171,7 +179,7 @@ func (s Snapshot) ForEachMatch(sub, p, o ID, fn func(Triple) bool) {
 		if s.Has(t) {
 			fn(t)
 		}
-	case sub != Wildcard && p != Wildcard && s.g.bySP.built.Load():
+	case sub != Wildcard && p != Wildcard && s.g.bySP.covers(p):
 		for _, e := range cutEntries(s.g.bySP.get(key2(sub, p)), w) {
 			if s.dead.has(e.Off) {
 				continue
@@ -180,7 +188,7 @@ func (s Snapshot) ForEachMatch(sub, p, o ID, fn func(Triple) bool) {
 				return
 			}
 		}
-	case p != Wildcard && o != Wildcard && s.g.byPO.built.Load():
+	case p != Wildcard && o != Wildcard && s.g.byPO.covers(p):
 		for _, e := range cutEntries(s.g.byPO.get(key2(p, o)), w) {
 			if s.dead.has(e.Off) {
 				continue
@@ -189,7 +197,7 @@ func (s Snapshot) ForEachMatch(sub, p, o ID, fn func(Triple) bool) {
 				return
 			}
 		}
-	case sub != Wildcard && o != Wildcard && p == Wildcard && s.g.byS.built.Load() && s.g.byO.built.Load():
+	case sub != Wildcard && o != Wildcard && p == Wildcard && s.g.byS.full() && s.g.byO.full():
 		sl := cutOffsets(s.g.byS.get(key1(sub)), w)
 		ol := cutOffsets(s.g.byO.get(key1(o)), w)
 		if len(sl) <= len(ol) {
@@ -211,13 +219,14 @@ func (s Snapshot) ForEachMatch(sub, p, o ID, fn func(Triple) bool) {
 				}
 			}
 		}
-	case sub != Wildcard && p == Wildcard && o == Wildcard && s.g.byS.built.Load():
+	case sub != Wildcard && p == Wildcard && o == Wildcard && s.g.byS.full():
 		matchOffsets(s.log, s.dead, cutOffsets(s.g.byS.get(key1(sub)), w), fn)
-	case sub == Wildcard && p != Wildcard && o == Wildcard && s.g.byP.built.Load():
+	case sub == Wildcard && p != Wildcard && o == Wildcard && s.g.byP.covers(p):
 		matchOffsets(s.log, s.dead, cutOffsets(s.g.byP.get(key1(p)), w), fn)
-	case sub == Wildcard && p == Wildcard && o != Wildcard && s.g.byO.built.Load():
+	case sub == Wildcard && p == Wildcard && o != Wildcard && s.g.byO.full():
 		matchOffsets(s.log, s.dead, cutOffsets(s.g.byO.get(key1(o)), w), fn)
 	default:
+		noteScan(p)
 		scanMatch(s.log, s.dead, sub, p, o, fn)
 	}
 }
@@ -236,7 +245,7 @@ func (s Snapshot) Match(sub, p, o ID) []Triple {
 // without materializing them: O(log n) for every index-backed shape (the
 // binary-searched pinned prefix length), a shorter-side scan for (s,·,o),
 // and a scan of the pinned log with the same result for a pattern whose
-// index is not built. With pinned tombstones the index-backed shapes become
+// index does not cover it. With pinned tombstones the index-backed shapes become
 // upper bounds, the same soundness contract as Graph.CountMatch (never zero
 // for a nonempty extent); the fully-bound, (s,·,o), and unbound shapes stay
 // exact.
@@ -250,12 +259,12 @@ func (s Snapshot) CountMatch(sub, p, o ID) int {
 			return 1
 		}
 		return 0
-	case sub != Wildcard && p != Wildcard && s.g.bySP.built.Load():
+	case sub != Wildcard && p != Wildcard && s.g.bySP.covers(p):
 		return len(cutEntries(s.g.bySP.get(key2(sub, p)), w))
-	case p != Wildcard && o != Wildcard && s.g.byPO.built.Load():
+	case p != Wildcard && o != Wildcard && s.g.byPO.covers(p):
 		return len(cutEntries(s.g.byPO.get(key2(p, o)), w))
 	case sub != Wildcard && o != Wildcard && p == Wildcard:
-		if !s.g.byS.built.Load() || !s.g.byO.built.Load() {
+		if !s.g.byS.full() || !s.g.byO.full() {
 			return scanCount(s.log, s.dead, sub, p, o)
 		}
 		n := 0
@@ -275,15 +284,16 @@ func (s Snapshot) CountMatch(sub, p, o ID) int {
 			}
 		}
 		return n
-	case sub != Wildcard && p == Wildcard && o == Wildcard && s.g.byS.built.Load():
+	case sub != Wildcard && p == Wildcard && o == Wildcard && s.g.byS.full():
 		return len(cutOffsets(s.g.byS.get(key1(sub)), w))
-	case sub == Wildcard && p != Wildcard && o == Wildcard && s.g.byP.built.Load():
+	case sub == Wildcard && p != Wildcard && o == Wildcard && s.g.byP.covers(p):
 		return len(cutOffsets(s.g.byP.get(key1(p)), w))
-	case sub == Wildcard && p == Wildcard && o != Wildcard && s.g.byO.built.Load():
+	case sub == Wildcard && p == Wildcard && o != Wildcard && s.g.byO.full():
 		return len(cutOffsets(s.g.byO.get(key1(o)), w))
 	case sub == Wildcard && p == Wildcard && o == Wildcard:
 		return s.Len()
 	default:
+		noteScan(p)
 		return scanCount(s.log, nil, sub, p, o)
 	}
 }

@@ -203,10 +203,10 @@ func (g *Graph) RepairDedup() {
 
 // Compact rewrites the graph without its dead triples and returns the fresh
 // copy: a new log holding only live triples, posting lists rebuilt in bulk
-// for the indexes g has built, no tombstones. Provenance survives with
-// premise offsets remapped to the new log; a premise that is itself dead
-// (possible only transiently, between a retraction's overdelete and its
-// rederivation) degrades to NoPremise.
+// for the indexes and predicates g covers, no tombstones. Provenance
+// survives with premise offsets remapped to the new log; a premise that is
+// itself dead (possible only transiently, between a retraction's
+// overdelete and its rederivation) degrades to NoPremise.
 // Alternate-derivation records (Prov.RecordAlt) are not carried over — they
 // are a cache and rebuild naturally.
 //
@@ -221,9 +221,9 @@ func (g *Graph) Compact() *Graph {
 	logv := g.log.view()
 	live := len(logv) - dead.count()
 	c := NewGraphCap(live)
-	// The copy gets the indexes g has, built in bulk once the log is in.
-	built := g.Indexes()
-	c.reserveKeys(g, built)
+	// The copy gets the coverage g has, built in bulk once the log is in.
+	scope := g.Scope()
+	c.reserveKeys(g, g.built())
 	var remap []uint32
 	if g.prov != nil {
 		c.prov = g.prov.cloneNames()
@@ -256,6 +256,6 @@ func (g *Graph) Compact() *Graph {
 		}
 		c.insert([]Triple{t}, d, g.IsDerivedOffset(off))
 	}
-	c.buildIndexes(built)
+	c.buildScope(scope)
 	return c
 }

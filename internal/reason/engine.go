@@ -93,36 +93,50 @@ type Program struct {
 	heads   atomIndex      // head atoms; trigger.atomIdx indexes the rule's head
 	bodyLen map[string]int // rule name → body atom count
 
-	// joins is the set of graph indexes a fire-loop run builds before its
-	// first sweep (Indexes); reads is every index a join over the body
-	// atoms can touch, which DRed's rederivation builds.
-	joins, reads rdf.IndexSet
+	// scope is what a fire-loop run builds of the graph's indexes before
+	// its first sweep (Scope); reads is every index a join over the body
+	// atoms can touch, for every predicate, which DRed's rederivation
+	// builds.
+	scope rdf.Scope
+	reads rdf.IndexSet
 
 	maxSlot, maxBody int
 }
 
-// Indexes returns the graph indexes the fire loop builds before its first
-// sweep: the ones its per-sweep dead-trigger test reads, and the two-bound
-// and predicate indexes a constant-predicate atom is joined through. The
-// byS and byO a variable-predicate atom reads are built by the first sweep
-// that can fire such an atom.
-func (p *Program) Indexes() rdf.IndexSet { return p.joins }
+// Scope returns what the fire loop builds of the graph's indexes before its
+// first sweep (joinScope): the predicates its joins, their join-order
+// counts and its per-sweep dead-trigger test read through bySP, byPO and
+// byP. The byS and byO a variable-predicate atom reads are built by the
+// first sweep that can fire such an atom.
+func (p *Program) Scope() rdf.Scope { return p.scope }
 
-// JoinIndexes is the Indexes of rs compiled, or none for a rule set Compile
+// JoinScope is the Scope of rs compiled, or nothing for a rule set Compile
 // rejects (the engine run reports that). A caller that builds a graph for a
-// forward closure under rs builds these with it.
-func JoinIndexes(rs []rules.Rule) rdf.IndexSet {
+// forward closure under rs builds this with it.
+func JoinScope(rs []rules.Rule) rdf.Scope {
 	p, err := Compile(rs)
 	if err != nil {
-		return 0
+		return rdf.Scope{}
 	}
-	return p.joins
+	return p.scope
 }
 
-// reads returns the graph indexes a join through a can read, whichever of
-// its variables are bound when it is joined: bySP, byPO and byP for a
-// constant predicate; for a variable one also byS and byO, its open
-// patterns.
+// EngineScope is what e's closures under rs read of a graph's indexes:
+// every index for every predicate for Hybrid, whose backward queries may
+// ask any pattern, and JoinScope for the others — Forward's fire loop, and
+// Rete, which joins in its own memories. A caller that builds a graph for
+// e builds this with it, so e's run times reasoning alone.
+func EngineScope(e Engine, rs []rules.Rule) rdf.Scope {
+	if _, ok := e.(Hybrid); ok {
+		return rdf.Scope{Full: rdf.AllIndexes}
+	}
+	return JoinScope(rs)
+}
+
+// reads returns the graph indexes a join through a can read, for every
+// predicate and whichever of its variables are bound when it is joined:
+// bySP, byPO and byP for a constant predicate; for a variable one also byS
+// and byO, its open patterns.
 func (a cAtom) reads() rdf.IndexSet {
 	if a.p.isVar {
 		return rdf.AllIndexes
@@ -130,9 +144,101 @@ func (a cAtom) reads() rdf.IndexSet {
 	return rdf.IndexSP | rdf.IndexPO | rdf.IndexP
 }
 
-// extent returns the graph indexes a's constants-only pattern reads: the
-// extent the dead-trigger test counts. A variable's id is rdf.Wildcard.
-func (a cAtom) extent() rdf.IndexSet { return rdf.IndexesFor(a.s.id, a.p.id, a.o.id) }
+// Binding states a body position can be in when its atom is joined.
+var (
+	alwaysBound = []bool{true}
+	neverBound  = []bool{false}
+	eitherBound = []bool{true, false}
+)
+
+// joinScope works out, from the compiled bodies alone, which predicates
+// bySP, byPO and byP must answer for the fire loop never to scan the log on
+// a constant predicate. A rule of one body atom reads no index: its atom is
+// the trigger. In a longer body each constant-predicate atom is joined with
+// some of its subject and object bound (binding), and the shape picks the
+// index:
+//
+//	subject bound, object free → bySP(p)
+//	object bound, subject free → byPO(p)
+//	both free                  → byP(p), and markDead's (?, p, ?) extent
+//	both bound                 → the dedup table
+//
+// A variable predicate another body atom shares can be bound to any
+// predicate when its atom is joined, so it makes all three indexes full.
+// One no other atom shares is never bound and reads byS and byO, which the
+// fire loop builds per sweep.
+func joinScope(crs []cRule) rdf.Scope {
+	var sc rdf.Scope
+	var sp, po, pp []rdf.ID
+	for i := range crs {
+		body := crs[i].body
+		if len(body) < 2 {
+			continue
+		}
+		for k, a := range body {
+			if a.p.isVar {
+				if sharesVar(body, k, a.p.slot) {
+					sc.Full |= rdf.IndexSP | rdf.IndexPO | rdf.IndexP
+				}
+				continue
+			}
+			p := a.p.id
+			same := a.s.isVar && a.o.isVar && a.s.slot == a.o.slot
+			for _, sb := range binding(body, k, a.s) {
+				for _, ob := range binding(body, k, a.o) {
+					switch {
+					case same && sb != ob:
+					case sb && !ob:
+						sp = append(sp, p)
+					case ob && !sb:
+						po = append(po, p)
+					case !sb && !ob:
+						pp = append(pp, p)
+					}
+				}
+			}
+			if a.s.isVar && a.o.isVar {
+				pp = append(pp, p)
+			}
+		}
+	}
+	sc.SP, sc.PO, sc.P = rdf.Preds(sp...), rdf.Preds(po...), rdf.Preds(pp...)
+	return sc
+}
+
+// binding returns the states position t of body[k] can be in when that atom
+// is joined: bound if t is a constant or a variable another body atom
+// shares, free if no other atom binds it. In a two-atom body the other atom
+// is the trigger, which binds all its variables before the join, so the
+// answer is exact; in a longer one a shared variable may not be bound yet,
+// so it can be either.
+func binding(body []cAtom, k int, t slotTerm) []bool {
+	switch {
+	case !t.isVar:
+		return alwaysBound
+	case !sharesVar(body, k, t.slot):
+		return neverBound
+	case len(body) == 2:
+		return alwaysBound
+	default:
+		return eitherBound
+	}
+}
+
+// sharesVar reports whether a body atom other than body[k] mentions slot.
+func sharesVar(body []cAtom, k int, slot int) bool {
+	for j, a := range body {
+		if j == k {
+			continue
+		}
+		for _, t := range [3]slotTerm{a.s, a.p, a.o} {
+			if t.isVar && t.slot == slot {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // Compile lowers, stratifies and indexes rs. It is the one construction-time
 // check of a rule set: it fails on an unsafe rule (a head variable the body
@@ -156,10 +262,6 @@ func Compile(rs []rules.Rule) (*Program, error) {
 		p.maxSlot = max(p.maxSlot, cr.nslot)
 		p.maxBody = max(p.maxBody, len(cr.body))
 		for _, a := range cr.body {
-			p.joins |= a.extent()
-			if !a.p.isVar {
-				p.joins |= a.reads()
-			}
 			p.reads |= a.reads()
 		}
 		for hi, h := range cr.head {
@@ -167,6 +269,7 @@ func Compile(rs []rules.Rule) (*Program, error) {
 			atoms = append(atoms, h)
 		}
 	}
+	p.scope = joinScope(crs)
 	p.heads = newAtomIndex(trs, atoms)
 	p.plans = planStrata(crs)
 	for s := range p.plans {

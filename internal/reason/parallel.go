@@ -110,15 +110,16 @@ func planStrata(crs []cRule) []stratumPlan {
 // extent with only its constants bound (same-subj while the graph holds no
 // owl:sameAs triple) — and clears it for the rest. It is joinRest's "an empty
 // extent annihilates the join" exit taken once per sweep instead of once per
-// firing, and exact: the fire phase joins only against the graph, which no
-// one writes until the commit, and CountMatch never reports 0 for a
-// non-empty extent.
+// firing, and sound: the fire phase joins only against the graph, which no
+// one writes until the commit, CountMatch never reports 0 for a non-empty
+// extent, and an extent no index counts (extent) leaves the trigger live.
 //
-// It returns the graph indexes the sweep's joins read: those of the other
-// atoms of each live trigger whose own atom has a non-empty extent. A delta
-// drawn from the graph, as every caller's is, activates no other trigger; a
-// trigger a foreign delta activates still joins correctly, through the
-// log scans of the indexes that are not built.
+// It returns the byS and byO the sweep's joins read: those a
+// variable-predicate atom of a live trigger is joined through, when the
+// trigger's own atom may have a non-empty extent. A delta drawn from the
+// graph, as every caller's is, activates no other trigger; a trigger a
+// foreign delta activates still joins correctly, through the log scans of
+// the indexes that are not built.
 func (p *stratumPlan) markDead(g *rdf.Graph, dead []bool) rdf.IndexSet {
 	var reads rdf.IndexSet
 	for _, tr := range p.trs {
@@ -128,19 +129,43 @@ func (p *stratumPlan) markDead(g *rdf.Graph, dead []bool) rdf.IndexSet {
 			if k == tr.atomIdx {
 				continue
 			}
-			// A variable's id is 0, rdf.Wildcard: the atom with only its
-			// constants bound.
-			if g.CountMatch(a.s.id, a.p.id, a.o.id) == 0 {
+			if n, ok := extent(g, a); ok && n == 0 {
 				dead[tr.id] = true
 				break
 			}
-			need |= a.reads()
+			if a.p.isVar {
+				// Its open patterns read byS and byO. If another atom
+				// binds its predicate, the scope already has bySP, byPO
+				// and byP full (joinScope).
+				need |= rdf.IndexS | rdf.IndexO
+			}
 		}
-		if own := tr.rule.body[tr.atomIdx]; !dead[tr.id] && g.CountMatch(own.s.id, own.p.id, own.o.id) > 0 {
+		if need == 0 || dead[tr.id] {
+			continue
+		}
+		if n, ok := extent(g, tr.rule.body[tr.atomIdx]); !ok || n > 0 {
 			reads |= need
 		}
 	}
 	return reads
+}
+
+// extent counts a's constants-only pattern — a variable's id is 0,
+// rdf.Wildcard — through an index that covers it, and reports false when
+// none does, so markDead never scans the log. A constant-predicate pattern
+// the Program's scope leaves uncovered, such as (?, p, C) in a rule that
+// always joins it with the subject bound, is counted by its predicate's
+// byP list when the scope covers that: an upper bound, so a zero is still
+// exact.
+func extent(g *rdf.Graph, a cAtom) (int, bool) {
+	s, p, o := a.s.id, a.p.id, a.o.id
+	switch {
+	case g.Indexed(s, p, o):
+		return g.CountMatch(s, p, o), true
+	case p != rdf.Wildcard && g.Indexed(rdf.Wildcard, p, rdf.Wildcard):
+		return g.CountMatch(rdf.Wildcard, p, rdf.Wildcard), true
+	}
+	return 0, false
 }
 
 // fireRun carries one materialization's state. Everything a shard writes
@@ -188,7 +213,7 @@ func (f Forward) Fire(ctx context.Context, g *rdf.Graph, p *Program, delta []rdf
 
 	threads := max(f.Threads, 1)
 	plans := p.plans
-	g.BuildIndexes(p.joins)
+	g.BuildScope(p.scope)
 	r := &fireRun{
 		g: g, p: p,
 		stage: rdf.NewDeltaStage(threads),

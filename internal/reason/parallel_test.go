@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -482,9 +483,10 @@ func TestRetractorSetProgram(t *testing.T) {
 // TestThreadsBuildVariablePredicateIndexes closes, on two shards, a graph
 // whose variable-predicate rule can fire only once an earlier sweep has
 // derived its owl:sameAs-like premise. Before the run the graph has no
-// index; the fire loop builds the join indexes up front and byS and byO
-// between sweeps, when the rule comes alive, each before the shards fan
-// out. The closure must equal the reference one; run it under -race.
+// index; the fire loop builds the join scope up front — bySP and byP for
+// the one predicate same-subj joins through — and byS and byO between
+// sweeps, when the rule comes alive, each before the shards fan out. The
+// closure must equal the reference one; run it under -race.
 func TestThreadsBuildVariablePredicateIndexes(t *testing.T) {
 	const link, same = rdf.ID(1), rdf.ID(2)
 	x, y, p, z := rules.Var("x"), rules.Var("y"), rules.Var("p"), rules.Var("z")
@@ -503,13 +505,16 @@ func TestThreadsBuildVariablePredicateIndexes(t *testing.T) {
 			g.Add(rdf.Triple{S: n, P: link, O: n + 1})
 		}
 	}
-	if g.Indexes() != 0 {
-		t.Fatalf("a loaded graph has indexes %05b", g.Indexes())
+	if sc := g.Scope(); sc != (rdf.Scope{}) {
+		t.Fatalf("a loaded graph has indexes %+v", sc)
 	}
 	want := refclosure.Closure(g.Triples(), rs)
 	reason.Forward{Threads: 2}.Materialize(g, rs)
-	if g.Indexes() != rdf.AllIndexes {
-		t.Errorf("after a sweep that joined (?x ?p ?z), indexes are %05b", g.Indexes())
+	if sc := g.Scope(); sc.Full != rdf.IndexS|rdf.IndexO {
+		t.Errorf("after a sweep that joined (?x ?p ?z), the full indexes are %05b", sc.Full)
+	} else if sp, po, p := predIDs(sc.SP, 2000), predIDs(sc.PO, 2000), predIDs(sc.P, 2000); !slices.Equal(sp, []rdf.ID{same}) ||
+		po != nil || !slices.Equal(p, []rdf.ID{same}) {
+		t.Errorf("same-subj joins through bySP(same) and counts byP(same), but bySP covers %v, byPO %v, byP %v", sp, po, p)
 	}
 	got := g.Triples()
 	if len(got) != len(want) {
@@ -520,4 +525,107 @@ func TestThreadsBuildVariablePredicateIndexes(t *testing.T) {
 			t.Fatalf("closure holds %v, which the reference lacks", tr)
 		}
 	}
+}
+
+// TestClosuresNeverScanTheLog closes LUBM-5 and UOBM-5 at one and two
+// shards, in full and incrementally, from graphs that start with no index,
+// and requires that no match or count on a constant predicate fell back to
+// a scan of the log: the Program's scope covers every predicate its joins,
+// their join-order counts and the dead-trigger test read. A predicate the
+// scope missed would still close correctly, one log scan per probe, so this
+// is the test that turns such a gap into a failure.
+func TestClosuresNeverScanTheLog(t *testing.T) {
+	for _, ds := range []*datagen.Dataset{
+		datagen.LUBM(datagen.LUBMConfig{Universities: 5, Seed: 1}),
+		datagen.UOBM(datagen.UOBMConfig{Universities: 5, Seed: 1}),
+	} {
+		compiled := owlhorst.Compile(ds.Dict, ds.Graph)
+		instance := owlhorst.SplitInstance(ds.Dict, ds.Graph)
+		cut := len(instance) * 9 / 10
+		for _, threads := range []int{1, 2} {
+			f := reason.Forward{Threads: threads}
+			before := rdf.LogScans()
+			full := compiled.Start(ds.Graph)
+			f.Materialize(full, compiled.InstanceRules)
+			if n := rdf.LogScans() - before; n != 0 {
+				t.Errorf("%s threads=%d: the closure scanned the log %d times", ds.Name, threads, n)
+			}
+
+			g := rdf.NewGraph()
+			g.Union(compiled.Schema)
+			g.AddAll(instance[:cut])
+			f.Materialize(g, compiled.InstanceRules)
+			before = rdf.LogScans()
+			var seeds []rdf.Triple
+			for _, tr := range instance[cut:] {
+				if g.Add(tr) {
+					seeds = append(seeds, tr)
+				}
+			}
+			f.MaterializeFrom(g, compiled.InstanceRules, seeds)
+			if n := rdf.LogScans() - before; n != 0 {
+				t.Errorf("%s threads=%d: the incremental close scanned the log %d times", ds.Name, threads, n)
+			}
+			if !g.Equal(full) {
+				t.Errorf("%s threads=%d: the incremental close has %d triples, the full one %d", ds.Name, threads, g.LiveLen(), full.LiveLen())
+			}
+		}
+	}
+}
+
+// TestJoinScope pins the coverage rule on a hand-made rule set: no index
+// for a single-atom rule; in a two-atom body the exact shape each atom is
+// joined with (the other atom binds every shared variable), in a longer one
+// every shape its shared variables allow; byP for every (?, p, ?) extent
+// the dead-trigger test counts; and all three full once a variable
+// predicate is shared with another body atom.
+func TestJoinScope(t *testing.T) {
+	const typ, c1 = rdf.ID(100), rdf.ID(101)
+	x, y, z, w, v := rules.Var("x"), rules.Var("y"), rules.Var("z"), rules.Var("w"), rules.Var("v")
+	p := func(id rdf.ID) rules.TermSpec { return rules.Const(id) }
+	rs := []rules.Rule{
+		{Name: "single", Body: []rules.Atom{{S: x, P: p(1), O: y}}, Head: []rules.Atom{{S: y, P: p(1), O: x}}},
+		{Name: "chain", Body: []rules.Atom{{S: x, P: p(2), O: y}, {S: y, P: p(3), O: z}}, Head: []rules.Atom{{S: x, P: p(4), O: z}}},
+		{Name: "typed", Body: []rules.Atom{{S: x, P: p(typ), O: p(c1)}, {S: x, P: p(5), O: y}}, Head: []rules.Atom{{S: y, P: p(typ), O: p(c1)}}},
+		{Name: "three", Body: []rules.Atom{{S: x, P: p(6), O: y}, {S: y, P: p(7), O: z}, {S: z, P: p(8), O: w}},
+			Head: []rules.Atom{{S: x, P: p(9), O: w}}},
+		{Name: "loop", Body: []rules.Atom{{S: x, P: p(10), O: x}, {S: x, P: p(11), O: y}}, Head: []rules.Atom{{S: y, P: p(10), O: y}}},
+		{Name: "vfree", Body: []rules.Atom{{S: x, P: p(12), O: y}, {S: x, P: v, O: z}}, Head: []rules.Atom{{S: y, P: v, O: z}}},
+	}
+	prog, err := reason.Compile(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := prog.Scope()
+	for _, c := range []struct {
+		name      string
+		got, want []rdf.ID
+	}{
+		{"bySP", predIDs(sc.SP, typ), []rdf.ID{3, 5, 7, 8, 11, 12}},
+		{"byPO", predIDs(sc.PO, typ), []rdf.ID{2, 6, 7}},
+		{"byP", predIDs(sc.P, typ), []rdf.ID{2, 3, 5, 6, 7, 8, 10, 11, 12}},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("%s covers %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	if sc.Full != 0 {
+		t.Errorf("an unshared variable predicate made %05b full", sc.Full)
+	}
+	rs = append(rs, rules.Rule{Name: "vbound", Body: []rules.Atom{{S: x, P: v, O: y}, {S: y, P: v, O: z}},
+		Head: []rules.Atom{{S: x, P: v, O: z}}})
+	if full := reason.JoinScope(rs).Full; full != rdf.IndexSP|rdf.IndexPO|rdf.IndexP {
+		t.Errorf("a shared variable predicate made %05b full, want bySP, byPO and byP", full)
+	}
+}
+
+// predIDs lists the predicates up to top that ps holds, nil for none.
+func predIDs(ps *rdf.PredSet, top rdf.ID) []rdf.ID {
+	var out []rdf.ID
+	for id := rdf.ID(1); id <= top; id++ {
+		if ps.Has(id) {
+			out = append(out, id)
+		}
+	}
+	return out
 }

@@ -249,8 +249,10 @@ func TestClosureLeavesInputIntact(t *testing.T) {
 
 // randomRuleSet builds a small random single-join rule universe over nPreds
 // predicates: transitivity, symmetry and renaming rules, then a rule with a
-// constant object, one with a constant subject (node n1 in both) and one
-// joining a variable-predicate atom.
+// constant object, one with a constant subject (node n1 in both), one
+// joining a variable-predicate atom and, in half the sets, one whose
+// variable predicate the other body atom binds — a join through it reads
+// bySP, byPO or byP for any predicate, so the whole set's scope is full.
 func randomRuleSet(f *fx, rng *rand.Rand, nPreds int) []rules.Rule {
 	var rs []rules.Rule
 	preds := make([]rdf.ID, nPreds)
@@ -284,11 +286,16 @@ func randomRuleSet(f *fx, rng *rand.Rand, nPreds int) []rules.Rule {
 	}
 	pick := func() rules.TermSpec { return rules.Const(preds[rng.Intn(nPreds)]) }
 	c, v := rules.Const(f.id("n1")), rules.Var("p")
-	return append(rs,
+	rs = append(rs,
 		rules.Rule{Name: "cobj", Body: []rules.Atom{{S: x, P: pick(), O: c}}, Head: []rules.Atom{{S: x, P: pick(), O: c}}},
 		rules.Rule{Name: "csubj", Body: []rules.Atom{{S: c, P: pick(), O: y}}, Head: []rules.Atom{{S: y, P: pick(), O: c}}},
 		rules.Rule{Name: "vpred", Body: []rules.Atom{{S: x, P: v, O: y}, {S: y, P: pick(), O: z}}, Head: []rules.Atom{{S: x, P: pick(), O: z}}},
 	)
+	if rng.Intn(2) == 0 {
+		rs = append(rs, rules.Rule{Name: "vshared", Body: []rules.Atom{{S: x, P: v, O: y}, {S: y, P: v, O: z}},
+			Head: []rules.Atom{{S: x, P: pick(), O: z}}})
+	}
+	return rs
 }
 
 // TestEnginesAgreeProperty: on random graphs and random single-join rule
