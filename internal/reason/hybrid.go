@@ -74,16 +74,15 @@ func (h Hybrid) MaterializeCtx(ctx context.Context, g *rdf.Graph, rs []rules.Rul
 	}
 	sort.Slice(resources, func(i, j int) bool { return resources[i] < resources[j] })
 
-	rec := newDerivRecorder(g, p.rules)
+	s := newSolver(g, p, prof, newDerivRecorder(g, p.rules))
 	added := 0
-	var s *solver
 	var pending []rdf.Triple
-	for _, r := range resources {
+	for i, r := range resources {
 		if err := ctx.Err(); err != nil {
 			return added, err
 		}
-		if s == nil || !h.SharedTable {
-			s = newSolver(g, p, prof, rec)
+		if i > 0 && !h.SharedTable {
+			s.resetTable()
 		}
 		goal := rdf.Triple{S: r, P: rdf.Wildcard, O: rdf.Wildcard}
 		e := s.solve(goal)
@@ -125,7 +124,9 @@ func (s *solver) addDerived(t rdf.Triple) bool {
 
 // tableEntry is the memo record for one subgoal pattern.
 type tableEntry struct {
-	goal     rdf.Triple
+	goal rdf.Triple
+	// answers is nil until the first answer: most subgoals of a
+	// per-resource query have none.
 	answers  map[rdf.Triple]struct{}
 	active   bool // on the SLD stack (its SCC is still being computed)
 	complete bool // answers are final
@@ -190,6 +191,14 @@ func newSolver(g *rdf.Graph, p *Program, prof *ruleProf, rec *derivRecorder) *so
 	return s
 }
 
+// resetTable empties the subgoal table (and the lineage captured for its
+// answers) for the next per-resource query. The head index and the env
+// pool depend only on the Program, so they carry over.
+func (s *solver) resetTable() {
+	clear(s.table)
+	clear(s.lin)
+}
+
 // getEnv pops a zeroed environment of the given width from the pool (or
 // grows the pool by one buffer sized for the widest rule); putEnv retires it
 // for reuse once a resolution completes.
@@ -215,7 +224,7 @@ func (s *solver) putEnv(e env) {
 func (s *solver) entry(goal rdf.Triple) *tableEntry {
 	e := s.table[goal]
 	if e == nil {
-		e = &tableEntry{goal: goal, answers: map[rdf.Triple]struct{}{}}
+		e = &tableEntry{goal: goal}
 		s.table[goal] = e
 	}
 	return e
@@ -359,6 +368,9 @@ func (s *solver) captureLin(r *cRule, en env, t rdf.Triple) {
 
 func (s *solver) addAnswer(e *tableEntry, t rdf.Triple) {
 	if _, ok := e.answers[t]; !ok {
+		if e.answers == nil {
+			e.answers = map[rdf.Triple]struct{}{}
+		}
 		e.answers[t] = struct{}{}
 		s.total++
 	}
