@@ -66,7 +66,7 @@ func main() {
 	}
 	g.BuildIndexes(parsed.Indexes())
 	start := time.Now()
-	res, err := parsed.SolveContext(ctx, g)
+	res, err := parsed.SolveContext(ctx, g.Snapshot())
 	if errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "query aborted after %v (%d partial rows discarded)\n", *timeout, len(res.Rows))
 		os.Exit(1)

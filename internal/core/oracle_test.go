@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"powl/internal/cluster"
 	"powl/internal/datagen"
+	"powl/internal/faultinject"
 	"powl/internal/owlhorst"
 	"powl/internal/rdf"
 	"powl/internal/refclosure"
@@ -159,7 +161,8 @@ func matchesPDStar(t *testing.T, label string, got []rdf.Triple, want map[rdf.Tr
 // at k=4 under both policies. The labels put those nodes into
 // schema-namespace triples; left unowned, their chain triples were placed
 // by one end only and the closure came back with about a tenth of its
-// triples.
+// triples. Each policy runs once more with recovery on and worker 1 crashed
+// at round 1: its adopter must own the same labelled individuals.
 func TestLabelledTransitiveChain(t *testing.T) {
 	dict := rdf.NewDict()
 	g := rdf.NewGraph()
@@ -186,13 +189,23 @@ func TestLabelledTransitiveChain(t *testing.T) {
 		t.Fatalf("serial closure has %d triples, want 841", serial.Graph.Len())
 	}
 	for _, pol := range []PolicyKind{GraphPolicy, HashPolicy} {
-		res, err := Materialize(ds, Config{Workers: 4, Policy: pol, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Graph.Equal(serial.Graph) {
-			t.Fatalf("%s k=4: closure has %d triples, serial %d; missing %v",
-				pol, res.Graph.Len(), serial.Graph.Len(), len(serial.Graph.Diff(res.Graph)))
+		for _, crash := range []bool{false, true} {
+			cfg := Config{Workers: 4, Policy: pol, Seed: 42}
+			if crash {
+				cfg.Recovery = &cluster.RecoveryConfig{}
+				cfg.Inject = []*faultinject.Injector{nil, faultinject.New(faultinject.Config{CrashRound: 1})}
+			}
+			res, err := Materialize(ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Graph.Equal(serial.Graph) {
+				t.Fatalf("%s k=4 crash=%v: closure has %d triples, serial %d; missing %v",
+					pol, crash, res.Graph.Len(), serial.Graph.Len(), len(serial.Graph.Diff(res.Graph)))
+			}
+			if crash && len(res.Recovered) == 0 {
+				t.Fatalf("%s k=4: worker 1 crashed at round 1 and nothing was recovered", pol)
+			}
 		}
 	}
 }

@@ -82,25 +82,14 @@ func MustParse(src string, dict *rdf.Dict) *Query {
 	return q
 }
 
-// Source is what a query evaluates against: the two pattern primitives
-// shared by *rdf.Graph (single-owner access, as the engines and CLIs use)
-// and rdf.Snapshot (the epoch-pinned MVCC view the query server hands each
-// request while a writer keeps appending).
-type Source interface {
-	// ForEachMatch visits every triple matching the pattern (rdf.Wildcard
-	// matches anything), stopping early if fn returns false.
-	ForEachMatch(s, p, o rdf.ID, fn func(rdf.Triple) bool)
-	// CountMatch estimates the pattern's extent, used for join ordering.
-	CountMatch(s, p, o rdf.ID) int
-}
-
 // Solve evaluates the query against g. Patterns are joined in a greedy
 // selectivity order: at each step the pattern with the smallest estimated
-// extent under the current bindings runs next. It reads g as g's writer
-// does, and first builds the indexes the patterns can read (Indexes).
+// extent under the current bindings runs next. It first builds the indexes
+// the patterns can read (Indexes), so it is writer-only on g, and then reads
+// a snapshot of g.
 func (q *Query) Solve(g *rdf.Graph) *Result {
 	g.BuildIndexes(q.Indexes())
-	res, _ := q.SolveContext(context.Background(), g)
+	res, _ := q.SolveContext(context.Background(), g.Snapshot())
 	return res
 }
 
@@ -123,12 +112,12 @@ func (q *Query) Indexes() rdf.IndexSet {
 // within microseconds, rare enough to stay invisible on the hot path.
 const ctxCheckEvery = 1024
 
-// SolveContext evaluates the query against src, honouring ctx cancellation
+// SolveContext evaluates the query against sn, honouring ctx cancellation
 // and deadlines. The recursive join is unbounded in the worst case (a
 // pattern set with no shared variables is a cross product), so the walk
 // checks ctx every few thousand binding attempts and unwinds with ctx's
 // error; the partial Result accumulated so far is returned alongside it.
-func (q *Query) SolveContext(ctx context.Context, src Source) (*Result, error) {
+func (q *Query) SolveContext(ctx context.Context, sn rdf.Snapshot) (*Result, error) {
 	res := &Result{Vars: q.Vars}
 	if len(q.Patterns) == 0 {
 		return res, nil
@@ -196,7 +185,7 @@ func (q *Query) SolveContext(ctx context.Context, src Source) (*Result, error) {
 		best, bestCount := 0, -1
 		for i, pat := range rem {
 			s, p, o := resolveTerm(pat.S, env, slots), resolveTerm(pat.P, env, slots), resolveTerm(pat.O, env, slots)
-			n := src.CountMatch(s, p, o)
+			n := sn.CountMatch(s, p, o)
 			if bestCount < 0 || n < bestCount {
 				best, bestCount = i, n
 			}
@@ -208,7 +197,7 @@ func (q *Query) SolveContext(ctx context.Context, src Source) (*Result, error) {
 
 		s, p, o := resolveTerm(pat.S, env, slots), resolveTerm(pat.P, env, slots), resolveTerm(pat.O, env, slots)
 		cont := true
-		src.ForEachMatch(s, p, o, func(t rdf.Triple) bool {
+		sn.ForEachMatch(s, p, o, func(t rdf.Triple) bool {
 			bound, ok := bindPattern(pat, t, env, slots)
 			if ok {
 				cont = walk(rest)

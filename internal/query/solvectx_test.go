@@ -33,7 +33,7 @@ func TestSolveContextCancelsPathologicalQuery(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := q.SolveContext(ctx, g)
+	res, err := q.SolveContext(ctx, g.Snapshot())
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -55,7 +55,7 @@ func TestSolveContextPreCancelled(t *testing.T) {
 	// A tiny query may finish before the first periodic check; it must
 	// never return rows AND an error inconsistently — either the full
 	// result with nil error, or a ctx error.
-	res, err := q.SolveContext(ctx, g)
+	res, err := q.SolveContext(ctx, g.Snapshot())
 	if err == nil && len(res.Rows) != 3 {
 		t.Fatalf("no error but %d rows, want 3", len(res.Rows))
 	}

@@ -40,7 +40,7 @@ func (s Snapshot) Explain(t Triple, maxDepth int) (*ExplainNode, bool) {
 	if s.g.prov == nil {
 		return nil, false
 	}
-	off, ok := s.offsetOf(t)
+	off, ok := s.offsetOf(s.g.access(t.S, t.P, t.O, false), t)
 	if !ok {
 		return nil, false
 	}

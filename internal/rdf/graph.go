@@ -42,11 +42,12 @@ import (
 // slot tables, and membership is an offset table compared through the log.
 //
 // All mutating methods (Add, AddAll, Union, Grow, BuildIndexes,
-// BuildScope) and the dedup-consulting reads (Has, and through it the
-// fully-bound ForEachMatch/CountMatch case) remain writer-only: they touch
-// the private dedup table. Concurrent readers must go through Snapshot, or read a graph
-// whose writer is parked after building every index they read (the fire
-// loop's shards).
+// BuildScope) and the dedup-consulting reads (Has, and the fully-bound
+// ForEachMatch/CountMatch probe) remain writer-only: they touch the private
+// dedup table. Every other match and count on the graph reads through a
+// Snapshot of its whole log. Concurrent readers must go through Snapshot, or
+// read a graph whose writer is parked after building every index they read
+// (the fire loop's shards).
 type Graph struct {
 	log  alog[Triple]
 	seen dedup // writer-only membership: the live log offsets
@@ -146,30 +147,6 @@ const (
 	IndexPO
 	AllIndexes = IndexS | IndexP | IndexO | IndexSP | IndexPO
 )
-
-// IndexesFor returns the indexes a match of the pattern reads, Wildcard
-// marking an open position: none for the fully bound pattern (the dedup
-// table, or for a Snapshot bySP and byPO) and the fully open one (the log).
-func IndexesFor(s, p, o ID) IndexSet {
-	switch {
-	case s != Wildcard && p != Wildcard && o != Wildcard:
-		return 0
-	case s != Wildcard && p != Wildcard:
-		return IndexSP
-	case p != Wildcard && o != Wildcard:
-		return IndexPO
-	case s != Wildcard && o != Wildcard:
-		return IndexS | IndexO
-	case s != Wildcard:
-		return IndexS
-	case p != Wildcard:
-		return IndexP
-	case o != Wildcard:
-		return IndexO
-	default:
-		return 0
-	}
-}
 
 // BuildIndexes builds every index of set for every predicate: it builds
 // the ones not built yet and completes the ones built for some predicates
@@ -351,17 +328,6 @@ func (g *Graph) Has(t Triple) bool {
 	return ok
 }
 
-// contains is Has for the match paths, which never build: without a dedup
-// table it answers as a Snapshot of the whole log does.
-func (g *Graph) contains(t Triple) bool {
-	if g.lazySeen {
-		_, ok := g.Snapshot().offsetOf(t)
-		return ok
-	}
-	_, ok := g.seen.find(g.log.view(), t)
-	return ok
-}
-
 // Len reports the raw log length — the MVCC watermark, which counts
 // tombstoned triples too. Use LiveLen for the live-triple count; the two
 // agree until the first Delete. Safe from any goroutine.
@@ -525,84 +491,24 @@ func (g *Graph) Clone() *Graph {
 // ForEachMatch calls fn for every triple matching the pattern, where Wildcard
 // in any position matches all terms. Iteration stops early if fn returns
 // false. Iteration order is the insertion order of the matching triples. A
-// pattern whose index does not cover it is answered by a scan of the log,
-// with the same triples in the same order. The graph must not be mutated during
-// iteration; writer-only (the fully-bound case consults the dedup table) —
-// concurrent readers use Snapshot.
+// fully bound pattern probes the dedup table; every other pattern is
+// answered as a Snapshot of the whole log answers it, and one whose index
+// does not cover it by a scan of the log, with the same triples in the same
+// order. The graph must not be mutated during iteration; writer-only (the
+// dedup probe) — concurrent readers use Snapshot.
 //
 //powl:allocfree every join probe of every engine lands here
 func (g *Graph) ForEachMatch(s, p, o ID, fn func(Triple) bool) {
-	dead := g.dead.Load()
-	switch {
-	case s != Wildcard && p != Wildcard && o != Wildcard:
-		t := Triple{s, p, o}
-		if g.contains(t) {
-			fn(t)
-		}
-	case s != Wildcard && p != Wildcard && g.bySP.covers(p):
-		for _, e := range g.bySP.get(key2(s, p)) {
-			if dead.has(e.Off) {
-				continue
-			}
-			if !fn(Triple{s, p, e.Term}) {
-				return
-			}
-		}
-	case p != Wildcard && o != Wildcard && g.byPO.covers(p):
-		for _, e := range g.byPO.get(key2(p, o)) {
-			if dead.has(e.Off) {
-				continue
-			}
-			if !fn(Triple{e.Term, p, o}) {
-				return
-			}
-		}
-	case s != Wildcard && o != Wildcard && p == Wildcard && g.byS.full() && g.byO.full():
-		// Scan the shorter of the two posting lists; both sides index the
-		// same log, so either yields exactly the (s,·,o) matches.
-		log := g.log.view()
-		if sl, ol := g.byS.get(key1(s)), g.byO.get(key1(o)); len(sl) <= len(ol) {
-			for _, off := range sl {
-				if dead.has(off) {
-					continue
-				}
-				if t := log[off]; t.O == o && !fn(t) {
-					return
-				}
-			}
-		} else {
-			for _, off := range ol {
-				if dead.has(off) {
-					continue
-				}
-				if t := log[off]; t.S == s && !fn(t) {
-					return
-				}
-			}
-		}
-	case s != Wildcard && p == Wildcard && o == Wildcard && g.byS.full():
-		matchOffsets(g.log.view(), dead, g.byS.get(key1(s)), fn)
-	case s == Wildcard && p != Wildcard && o == Wildcard && g.byP.covers(p):
-		matchOffsets(g.log.view(), dead, g.byP.get(key1(p)), fn)
-	case s == Wildcard && p == Wildcard && o != Wildcard && g.byO.full():
-		matchOffsets(g.log.view(), dead, g.byO.get(key1(o)), fn)
-	default:
-		noteScan(p)
-		scanMatch(g.log.view(), dead, s, p, o, fn)
+	if a := g.access(s, p, o, true); a != viaDedup {
+		g.Snapshot().match(a, s, p, o, fn)
+	} else if _, ok := g.seen.find(g.log.view(), Triple{s, p, o}); ok {
+		fn(Triple{s, p, o})
 	}
 }
 
-// matchOffsets calls fn for the live triples at offs, a posting list of
-// log, until fn returns false.
-func matchOffsets(log []Triple, dead *tombSet, offs []uint32, fn func(Triple) bool) {
-	for _, off := range offs {
-		if dead.has(off) {
-			continue
-		}
-		if !fn(log[off]) {
-			return
-		}
-	}
+// matches reports whether t matches the pattern.
+func matches(t Triple, s, p, o ID) bool {
+	return (s == Wildcard || t.S == s) && (p == Wildcard || t.P == p) && (o == Wildcard || t.O == o)
 }
 
 // scanMatch answers a match from log alone: fn sees every live triple of
@@ -611,21 +517,19 @@ func matchOffsets(log []Triple, dead *tombSet, offs []uint32, fn func(Triple) bo
 // every other pattern's while its index does not cover it.
 func scanMatch(log []Triple, dead *tombSet, s, p, o ID, fn func(Triple) bool) {
 	for i, t := range log {
-		if (s == Wildcard || t.S == s) && (p == Wildcard || t.P == p) && (o == Wildcard || t.O == o) &&
-			!dead.has(uint32(i)) && !fn(t) {
+		if matches(t, s, p, o) && !dead.has(uint32(i)) && !fn(t) {
 			return
 		}
 	}
 }
 
 // scanCount counts the triples of log that match the pattern, tombstoned
-// ones included unless dead is given: with dead nil, the length the
-// pattern's posting list would have if its index were built.
-func scanCount(log []Triple, dead *tombSet, s, p, o ID) int {
+// ones included: the length the pattern's posting list would have if its
+// index were built.
+func scanCount(log []Triple, s, p, o ID) int {
 	n := 0
-	for i, t := range log {
-		if (s == Wildcard || t.S == s) && (p == Wildcard || t.P == p) && (o == Wildcard || t.O == o) &&
-			!dead.has(uint32(i)) {
+	for _, t := range log {
+		if matches(t, s, p, o) {
 			n++
 		}
 	}
@@ -643,66 +547,30 @@ func (g *Graph) Match(s, p, o ID) []Triple {
 }
 
 // CountMatch returns the number of triples matching the pattern without
-// materializing them. Every pattern that lands on an index whose length is
-// the answer — all but (s,·,o) — is O(1): the stored posting-list cardinality
-// is returned directly. (s,·,o) scans the shorter of the two posting lists.
-// The rule engines use this as the selectivity estimate for join ordering,
-// so it must stay cheap for every pattern shape; a pattern whose index does
-// not cover it is counted by a scan of the log, with the same result.
-// Writer-only (the fully-bound case consults the dedup table).
+// materializing them. A fully bound pattern probes the dedup table; every
+// other pattern is counted as a Snapshot of the whole log counts it, which
+// for every shape an index answers but (s,·,o) is the length of a posting
+// list, checked in O(1) against the watermark. (s,·,o) counts the matches
+// in the shorter of its two posting lists. The rule engines use this as the
+// selectivity estimate for join ordering, so it must stay cheap for every
+// pattern shape; a pattern whose index does not cover it is counted by a
+// scan of the log, with the same result. Writer-only (the dedup probe).
 //
-// Once the graph has tombstones, the O(1) index-backed shapes become upper
-// bounds (posting cardinalities count dead entries). That keeps the
-// estimate sound for its two consumers — join ordering, and the "zero
-// extent annihilates the join" early exit, which only needs that a zero is
-// never reported for a nonempty extent. The fully-bound and (s,·,o) shapes
-// stay exact.
+// Once the graph has tombstones, the posting-list lengths become upper
+// bounds (they count dead entries). That keeps the estimate sound for its
+// two consumers — join ordering, and the "zero extent annihilates the join"
+// early exit, which only needs that a zero is never reported for a nonempty
+// extent. The fully-bound, (s,·,o) and fully open shapes stay exact.
 //
 //powl:allocfree selectivity ranking runs before every join level
 func (g *Graph) CountMatch(s, p, o ID) int {
-	switch {
-	case s != Wildcard && p != Wildcard && o != Wildcard:
-		if g.contains(Triple{s, p, o}) {
-			return 1
-		}
-		return 0
-	case s != Wildcard && p != Wildcard && g.bySP.covers(p):
-		return g.bySP.length(key2(s, p))
-	case p != Wildcard && o != Wildcard && g.byPO.covers(p):
-		return g.byPO.length(key2(p, o))
-	case s != Wildcard && o != Wildcard && p == Wildcard:
-		dead := g.dead.Load()
-		log := g.log.view()
-		if !g.byS.full() || !g.byO.full() {
-			return scanCount(log, dead, s, p, o)
-		}
-		n := 0
-		if sl, ol := g.byS.get(key1(s)), g.byO.get(key1(o)); len(sl) <= len(ol) {
-			for _, off := range sl {
-				if log[off].O == o && !dead.has(off) {
-					n++
-				}
-			}
-		} else {
-			for _, off := range ol {
-				if log[off].S == s && !dead.has(off) {
-					n++
-				}
-			}
-		}
-		return n
-	case s != Wildcard && p == Wildcard && o == Wildcard && g.byS.full():
-		return g.byS.length(key1(s))
-	case s == Wildcard && p != Wildcard && o == Wildcard && g.byP.covers(p):
-		return g.byP.length(key1(p))
-	case s == Wildcard && p == Wildcard && o != Wildcard && g.byO.full():
-		return g.byO.length(key1(o))
-	case s == Wildcard && p == Wildcard && o == Wildcard:
-		return g.LiveLen()
-	default:
-		noteScan(p)
-		return scanCount(g.log.view(), nil, s, p, o)
+	if a := g.access(s, p, o, true); a != viaDedup {
+		return g.Snapshot().count(a, s, p, o)
 	}
+	if _, ok := g.seen.find(g.log.view(), Triple{s, p, o}); ok {
+		return 1
+	}
+	return 0
 }
 
 // Resources returns the set of IDs that appear as subject or object of some

@@ -119,63 +119,69 @@ func checkCoherent(t *testing.T, g *Graph, m graphModel, rng *rand.Rand) {
 // operation that the set, the log, and all the posting-list indexes agree.
 // Clone switches the walk onto the copy and later re-verifies the original,
 // so mutations of a clone must never leak backing arrays into its source.
+// It runs with no index built and with every index built.
 func TestGraphPropertyCoherence(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := NewGraph()
-		m := graphModel{}
-		// Snapshots taken at Clone points: the original graph and a frozen
-		// copy of its model, re-checked at the end for leaked mutations.
-		type snap struct {
-			g *Graph
-			m graphModel
-		}
-		var snaps []snap
-		for step := 0; step < 120; step++ {
-			switch op := rng.Intn(10); {
-			case op < 4: // Add one
-				tr := randTriple(rng)
-				_, had := m[tr]
-				if added := g.Add(tr); added == had {
-					t.Fatalf("seed %d step %d: Add(%v) = %v, model had %v", seed, step, tr, added, had)
+	for _, ix := range indexings {
+		t.Run(ix.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 8; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				g := NewGraph()
+				g.BuildIndexes(ix.set)
+				m := graphModel{}
+				// Snapshots taken at Clone points: the original graph and a frozen
+				// copy of its model, re-checked at the end for leaked mutations.
+				type snap struct {
+					g *Graph
+					m graphModel
 				}
-				m.add(tr)
-			case op < 6: // AddAll a batch
-				batch := make([]Triple, rng.Intn(20))
-				for i := range batch {
-					batch[i] = randTriple(rng)
+				var snaps []snap
+				for step := 0; step < 120; step++ {
+					switch op := rng.Intn(10); {
+					case op < 4: // Add one
+						tr := randTriple(rng)
+						_, had := m[tr]
+						if added := g.Add(tr); added == had {
+							t.Fatalf("seed %d step %d: Add(%v) = %v, model had %v", seed, step, tr, added, had)
+						}
+						m.add(tr)
+					case op < 6: // AddAll a batch
+						batch := make([]Triple, rng.Intn(20))
+						for i := range batch {
+							batch[i] = randTriple(rng)
+						}
+						g.AddAll(batch)
+						for _, tr := range batch {
+							m.add(tr)
+						}
+					case op < 8: // Union with a random other graph
+						other := NewGraph()
+						for i, k := 0, rng.Intn(25); i < k; i++ {
+							other.Add(randTriple(rng))
+						}
+						g.Union(other)
+						for _, tr := range other.Triples() {
+							m.add(tr)
+						}
+					default: // Clone and continue on the copy
+						fm := graphModel{}
+						for tr := range m {
+							fm.add(tr)
+						}
+						snaps = append(snaps, snap{g: g, m: fm})
+						g = g.Clone()
+					}
+					checkCoherent(t, g, m, rng)
 				}
-				g.AddAll(batch)
-				for _, tr := range batch {
-					m.add(tr)
+				// The clones diverged after the snapshots; the originals must not
+				// have moved.
+				for i, s := range snaps {
+					checkCoherent(t, s.g, s.m, rng)
+					if i > 20 {
+						break
+					}
 				}
-			case op < 8: // Union with a random other graph
-				other := NewGraph()
-				for i, k := 0, rng.Intn(25); i < k; i++ {
-					other.Add(randTriple(rng))
-				}
-				g.Union(other)
-				for _, tr := range other.Triples() {
-					m.add(tr)
-				}
-			default: // Clone and continue on the copy
-				fm := graphModel{}
-				for tr := range m {
-					fm.add(tr)
-				}
-				snaps = append(snaps, snap{g: g, m: fm})
-				g = g.Clone()
 			}
-			checkCoherent(t, g, m, rng)
-		}
-		// The clones diverged after the snapshots; the originals must not
-		// have moved.
-		for i, s := range snaps {
-			checkCoherent(t, s.g, s.m, rng)
-			if i > 20 {
-				break
-			}
-		}
+		})
 	}
 }
 

@@ -225,14 +225,6 @@ func (ix *index[T]) get(key uint64) []T {
 	return (*ix.chunks.Load())[loc>>32][off : off+n : off+n]
 }
 
-// length returns the published length of key's posting list.
-func (ix *index[T]) length(key uint64) int {
-	if s := ix.find(key); s != nil {
-		return int(s.n.Load())
-	}
-	return 0
-}
-
 // append1 appends x to key's list, creating the list at capacity 1 if the
 // key is new. Writer-only. A full list is extended in place when its segment
 // ends at the bump frontier (runs of one subject land here), and otherwise

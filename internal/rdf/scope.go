@@ -181,17 +181,72 @@ func (g *Graph) built() IndexSet {
 // fully open pattern — rather than scanning the log. Safe from any goroutine
 // for every pattern but the fully bound one, which reads the writer's
 // lazy-dedup flag.
-func (g *Graph) Indexed(s, p, o ID) bool {
-	if s != Wildcard && p != Wildcard && o != Wildcard && g.lazySeen {
-		return g.bySP.covers(p) || g.byPO.covers(p)
-	}
-	need := IndexesFor(s, p, o)
-	for ix := IndexS; ix <= IndexPO; ix <<= 1 {
-		if need&ix != 0 && !g.coverage(ix).Has(p) {
-			return false
+func (g *Graph) Indexed(s, p, o ID) bool { return g.access(s, p, o, true) != viaScan }
+
+// access is the path that answers a pattern, as Graph.access picks it.
+type access uint8
+
+const (
+	viaScan  access = iota // a scan of the log, filtered on the pattern
+	viaLog                 // the fully open pattern: the whole log
+	viaDedup               // the fully bound pattern, on the writer: the dedup table
+	viaSP                  // bySP(s, p)
+	viaPO                  // byPO(p, o)
+	viaSPPO                // the fully bound pattern: the shorter of bySP(s, p) and byPO(p, o)
+	viaSO                  // (s,·,o): the shorter of byS(s) and byO(o)
+	viaS                   // byS(s)
+	viaP                   // byP(p)
+	viaO                   // byO(o)
+)
+
+// access picks the path that answers the pattern, Wildcard marking an open
+// position, from the index coverage it loads now; writer says the caller may
+// probe the dedup table, which a fully bound pattern then reads if it is
+// built. Every match, count and membership test, on the graph and on a
+// Snapshot, and Indexed, read the index it names; an index that does not
+// cover the pattern is never read, and the answer is viaScan.
+func (g *Graph) access(s, p, o ID, writer bool) access {
+	switch {
+	case s != Wildcard && p != Wildcard && o != Wildcard:
+		if writer && !g.lazySeen {
+			return viaDedup
 		}
+		switch sp, po := g.bySP.covers(p), g.byPO.covers(p); {
+		case sp && po:
+			return viaSPPO
+		case sp:
+			return viaSP
+		case po:
+			return viaPO
+		}
+	case s != Wildcard && p != Wildcard:
+		if g.bySP.covers(p) {
+			return viaSP
+		}
+	case p != Wildcard && o != Wildcard:
+		if g.byPO.covers(p) {
+			return viaPO
+		}
+	case s != Wildcard && o != Wildcard:
+		if g.byS.full() && g.byO.full() {
+			return viaSO
+		}
+	case s != Wildcard:
+		if g.byS.full() {
+			return viaS
+		}
+	case p != Wildcard:
+		if g.byP.covers(p) {
+			return viaP
+		}
+	case o != Wildcard:
+		if g.byO.full() {
+			return viaO
+		}
+	default:
+		return viaLog
 	}
-	return true
+	return viaScan
 }
 
 // logScans counts the matches and counts on a constant predicate that were

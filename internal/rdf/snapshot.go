@@ -7,11 +7,12 @@ package rdf
 // A snapshot pinned at watermark W sees exactly the first W triples of the
 // log — never more, never fewer — no matter how far the writer has appended
 // since. Pattern matches run over the same posting lists the writer is
-// extending, pinned per lookup by binary-searching the list's log-offset
-// column down to W: posting lists grow in log order, so "the list as of W"
-// is a prefix, found in O(log n) with no allocation. That prefix is the
-// "pinned posting-list length" — it is computed, not stored, which is what
-// keeps Snapshot itself two words wide.
+// extending, pinned per lookup at W: posting lists grow in log order, so
+// "the list as of W" is a prefix. A list whose last offset is below W is
+// its own prefix, found in O(1); only a pin older than the list's tail
+// binary-searches for it, in O(log n). Either way nothing is allocated, and
+// the "pinned posting-list length" is computed, not stored, which is what
+// keeps Snapshot itself small.
 //
 // Snapshots may be taken from any goroutine at any time while a single
 // writer mutates the graph, and any number of snapshots may be read
@@ -19,9 +20,11 @@ package rdf
 // does pin the log array it captured, so an extremely long-lived snapshot
 // keeps at most one superseded backing array alive.
 //
-// The fully-bound and (s,·,o) cases deliberately avoid the writer's private
-// dedup table: they scan the shorter of the two relevant pinned posting
-// prefixes instead.
+// Which index answers a pattern is decided in one place, Graph.access, from
+// the coverage the call loads; the graph's own matches and counts take the
+// same path through a snapshot of the whole log. The fully-bound case
+// avoids the writer's private dedup table: it scans the shorter of the
+// pinned bySP and byPO lists that cover the predicate.
 //
 // An index the writer has not built for the pattern's predicate
 // (Graph.BuildIndexes, Graph.BuildScope) is never read: a pattern that needs
@@ -90,8 +93,14 @@ func (s Snapshot) Triples() []Triple {
 }
 
 // cutOffsets returns the prefix of v whose offsets are below w. Posting
-// lists grow in log-offset order, so this is the pinned view of the list.
+// lists grow in log-offset order, so this is the pinned view of the list. A
+// list whose last offset is below w is the whole answer, so only a pin older
+// than the list's tail binary-searches: the writer and a snapshot of the
+// current log never do.
 func cutOffsets(v []uint32, w uint32) []uint32 {
+	if len(v) == 0 || v[len(v)-1] < w {
+		return v
+	}
 	lo, hi := 0, len(v)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -106,6 +115,9 @@ func cutOffsets(v []uint32, w uint32) []uint32 {
 
 // cutEntries is cutOffsets for (term, offset) pair postings.
 func cutEntries(v []spEntry, w uint32) []spEntry {
+	if len(v) == 0 || v[len(v)-1].Off < w {
+		return v
+	}
 	lo, hi := 0, len(v)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -118,20 +130,38 @@ func cutEntries(v []spEntry, w uint32) []spEntry {
 	return v[:lo]
 }
 
+// postings returns the pinned list of log offsets that a reads, one of
+// viaS, viaP, viaO and viaSO: for viaSO the shorter of byS(sub) and byO(o),
+// either of which holds every match.
+func (s Snapshot) postings(a access, sub, p, o ID) []uint32 {
+	w := uint32(len(s.log))
+	switch a {
+	case viaS:
+		return cutOffsets(s.g.byS.get(key1(sub)), w)
+	case viaP:
+		return cutOffsets(s.g.byP.get(key1(p)), w)
+	case viaO:
+		return cutOffsets(s.g.byO.get(key1(o)), w)
+	}
+	sl, ol := cutOffsets(s.g.byS.get(key1(sub)), w), cutOffsets(s.g.byO.get(key1(o)), w)
+	if len(ol) < len(sl) {
+		return ol
+	}
+	return sl
+}
+
 // Has reports whether t is visible in the snapshot (see offsetOf).
 func (s Snapshot) Has(t Triple) bool {
-	_, ok := s.offsetOf(t)
+	_, ok := s.offsetOf(s.g.access(t.S, t.P, t.O, false), t)
 	return ok
 }
 
-// offsetOf resolves t to its log offset without touching the writer's dedup
-// table: it scans the shorter of the pinned two-bound posting prefixes that
-// cover t's predicate, which carry the offset column, or the pinned log
-// while neither does. ok is false when t is not visible.
-func (s Snapshot) offsetOf(t Triple) (uint32, bool) {
-	w := uint32(len(s.log))
-	bySP, byPO := s.g.bySP.covers(t.P), s.g.byPO.covers(t.P)
-	if !bySP && !byPO {
+// offsetOf resolves t to its log offset along a, which access picked for t
+// without the writer's dedup table: it scans the shorter of the pinned
+// bySP and byPO lists a names, which carry the offset column, or the pinned
+// log. ok is false when t is not visible.
+func (s Snapshot) offsetOf(a access, t Triple) (uint32, bool) {
+	if a == viaScan {
 		noteScan(t.P)
 		for i, x := range s.log {
 			if x == t && !s.dead.has(uint32(i)) {
@@ -140,24 +170,21 @@ func (s Snapshot) offsetOf(t Triple) (uint32, bool) {
 		}
 		return 0, false
 	}
+	w := uint32(len(s.log))
 	var sp, po []spEntry
-	if bySP {
+	if a != viaPO {
 		sp = cutEntries(s.g.bySP.get(key2(t.S, t.P)), w)
 	}
-	if byPO {
+	if a != viaSP {
 		po = cutEntries(s.g.byPO.get(key2(t.P, t.O)), w)
 	}
-	if bySP && (!byPO || len(sp) <= len(po)) {
-		for _, e := range sp {
-			if e.Term == t.O && !s.dead.has(e.Off) {
-				return e.Off, true
-			}
-		}
-	} else {
-		for _, e := range po {
-			if e.Term == t.S && !s.dead.has(e.Off) {
-				return e.Off, true
-			}
+	es, term := sp, t.O
+	if a == viaPO || a == viaSPPO && len(po) < len(sp) {
+		es, term = po, t.S
+	}
+	for _, e := range es {
+		if e.Term == term && !s.dead.has(e.Off) {
+			return e.Off, true
 		}
 	}
 	return 0, false
@@ -172,62 +199,39 @@ func (s Snapshot) offsetOf(t Triple) (uint32, bool) {
 //
 //powl:allocfree the serve read path probes here per query row
 func (s Snapshot) ForEachMatch(sub, p, o ID, fn func(Triple) bool) {
+	s.match(s.g.access(sub, p, o, false), sub, p, o, fn)
+}
+
+// match is ForEachMatch along a, the path access picked for the pattern.
+func (s Snapshot) match(a access, sub, p, o ID, fn func(Triple) bool) {
 	w := uint32(len(s.log))
 	switch {
 	case sub != Wildcard && p != Wildcard && o != Wildcard:
 		t := Triple{sub, p, o}
-		if s.Has(t) {
+		if _, ok := s.offsetOf(a, t); ok {
 			fn(t)
 		}
-	case sub != Wildcard && p != Wildcard && s.g.bySP.covers(p):
+	case a == viaSP:
 		for _, e := range cutEntries(s.g.bySP.get(key2(sub, p)), w) {
-			if s.dead.has(e.Off) {
-				continue
-			}
-			if !fn(Triple{sub, p, e.Term}) {
+			if !s.dead.has(e.Off) && !fn(Triple{sub, p, e.Term}) {
 				return
 			}
 		}
-	case p != Wildcard && o != Wildcard && s.g.byPO.covers(p):
+	case a == viaPO:
 		for _, e := range cutEntries(s.g.byPO.get(key2(p, o)), w) {
-			if s.dead.has(e.Off) {
-				continue
-			}
-			if !fn(Triple{e.Term, p, o}) {
+			if !s.dead.has(e.Off) && !fn(Triple{e.Term, p, o}) {
 				return
 			}
 		}
-	case sub != Wildcard && o != Wildcard && p == Wildcard && s.g.byS.full() && s.g.byO.full():
-		sl := cutOffsets(s.g.byS.get(key1(sub)), w)
-		ol := cutOffsets(s.g.byO.get(key1(o)), w)
-		if len(sl) <= len(ol) {
-			for _, off := range sl {
-				if s.dead.has(off) {
-					continue
-				}
-				if t := s.log[off]; t.O == o && !fn(t) {
-					return
-				}
-			}
-		} else {
-			for _, off := range ol {
-				if s.dead.has(off) {
-					continue
-				}
-				if t := s.log[off]; t.S == sub && !fn(t) {
-					return
-				}
-			}
-		}
-	case sub != Wildcard && p == Wildcard && o == Wildcard && s.g.byS.full():
-		matchOffsets(s.log, s.dead, cutOffsets(s.g.byS.get(key1(sub)), w), fn)
-	case sub == Wildcard && p != Wildcard && o == Wildcard && s.g.byP.covers(p):
-		matchOffsets(s.log, s.dead, cutOffsets(s.g.byP.get(key1(p)), w), fn)
-	case sub == Wildcard && p == Wildcard && o != Wildcard && s.g.byO.full():
-		matchOffsets(s.log, s.dead, cutOffsets(s.g.byO.get(key1(o)), w), fn)
-	default:
+	case a == viaScan || a == viaLog:
 		noteScan(p)
 		scanMatch(s.log, s.dead, sub, p, o, fn)
+	default:
+		for _, off := range s.postings(a, sub, p, o) {
+			if t := s.log[off]; matches(t, sub, p, o) && !s.dead.has(off) && !fn(t) {
+				return
+			}
+		}
 	}
 }
 
@@ -242,58 +246,39 @@ func (s Snapshot) Match(sub, p, o ID) []Triple {
 }
 
 // CountMatch returns the number of visible triples matching the pattern
-// without materializing them: O(log n) for every index-backed shape (the
-// binary-searched pinned prefix length), a shorter-side scan for (s,·,o),
-// and a scan of the pinned log with the same result for a pattern whose
-// index does not cover it. With pinned tombstones the index-backed shapes become
-// upper bounds, the same soundness contract as Graph.CountMatch (never zero
-// for a nonempty extent); the fully-bound, (s,·,o), and unbound shapes stay
-// exact.
+// without materializing them: the length of the pinned posting list for
+// every index-backed shape but (s,·,o), which counts the matches in the
+// shorter of its two lists, and a scan of the pinned log with the same
+// result for a pattern whose index does not cover it. With pinned
+// tombstones the list lengths become upper bounds, the same soundness
+// contract as Graph.CountMatch (never zero for a nonempty extent); the
+// fully-bound, (s,·,o), and unbound shapes stay exact.
 //
 //powl:allocfree query-planner selectivity ranking per join level
 func (s Snapshot) CountMatch(sub, p, o ID) int {
+	return s.count(s.g.access(sub, p, o, false), sub, p, o)
+}
+
+// count is CountMatch along a, the path access picked for the pattern.
+func (s Snapshot) count(a access, sub, p, o ID) int {
 	w := uint32(len(s.log))
 	switch {
-	case sub != Wildcard && p != Wildcard && o != Wildcard:
-		if s.Has(Triple{sub, p, o}) {
-			return 1
-		}
-		return 0
-	case sub != Wildcard && p != Wildcard && s.g.bySP.covers(p):
-		return len(cutEntries(s.g.bySP.get(key2(sub, p)), w))
-	case p != Wildcard && o != Wildcard && s.g.byPO.covers(p):
-		return len(cutEntries(s.g.byPO.get(key2(p, o)), w))
-	case sub != Wildcard && o != Wildcard && p == Wildcard:
-		if !s.g.byS.full() || !s.g.byO.full() {
-			return scanCount(s.log, s.dead, sub, p, o)
-		}
-		n := 0
-		sl := cutOffsets(s.g.byS.get(key1(sub)), w)
-		ol := cutOffsets(s.g.byO.get(key1(o)), w)
-		if len(sl) <= len(ol) {
-			for _, off := range sl {
-				if s.log[off].O == o && !s.dead.has(off) {
-					n++
-				}
-			}
-		} else {
-			for _, off := range ol {
-				if s.log[off].S == sub && !s.dead.has(off) {
-					n++
-				}
-			}
-		}
-		return n
-	case sub != Wildcard && p == Wildcard && o == Wildcard && s.g.byS.full():
-		return len(cutOffsets(s.g.byS.get(key1(sub)), w))
-	case sub == Wildcard && p != Wildcard && o == Wildcard && s.g.byP.covers(p):
-		return len(cutOffsets(s.g.byP.get(key1(p)), w))
-	case sub == Wildcard && p == Wildcard && o != Wildcard && s.g.byO.full():
-		return len(cutOffsets(s.g.byO.get(key1(o)), w))
-	case sub == Wildcard && p == Wildcard && o == Wildcard:
+	case a == viaLog:
 		return s.Len()
-	default:
+	case sub != Wildcard && o != Wildcard: // the exact shapes
+		n := 0
+		s.match(a, sub, p, o, func(Triple) bool {
+			n++
+			return true
+		})
+		return n
+	case a == viaSP:
+		return len(cutEntries(s.g.bySP.get(key2(sub, p)), w))
+	case a == viaPO:
+		return len(cutEntries(s.g.byPO.get(key2(p, o)), w))
+	case a == viaScan:
 		noteScan(p)
-		return scanCount(s.log, nil, sub, p, o)
+		return scanCount(s.log, sub, p, o)
 	}
+	return len(s.postings(a, sub, p, o))
 }

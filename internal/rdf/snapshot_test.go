@@ -34,51 +34,65 @@ func patternShapes(t Triple) [8][3]ID {
 	}
 }
 
+// indexings are the two ways the model tests build their graphs: with no
+// index, so every pattern shape is answered by a scan of the log, and with
+// every index built, so every shape is answered by its posting lists.
+var indexings = []struct {
+	name string
+	set  IndexSet
+}{{"log", 0}, {"indexed", AllIndexes}}
+
 // TestSnapshotPrefixSemantics pins a snapshot after every insertion and
 // verifies, once the graph has grown far past each pin, that every snapshot
-// still answers exactly as a graph containing only its prefix would.
+// still answers exactly as a graph containing only its prefix would, once
+// with no index built and once with every index built.
 func TestSnapshotPrefixSemantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const n = 400
-	stream := make([]Triple, n)
-	for i := range stream {
-		stream[i] = Triple{ID(rng.Intn(20) + 1), ID(rng.Intn(6) + 1), ID(rng.Intn(20) + 1)}
-	}
-	g := NewGraph()
-	var snaps []Snapshot
-	for _, tr := range stream {
-		g.Add(tr)
-		snaps = append(snaps, g.Snapshot())
-	}
-	full := g.Triples()
-	for i, sn := range snaps {
-		if sn.Len() != sn.Watermark() {
-			t.Fatalf("snapshot %d: Len %d != Watermark %d", i, sn.Len(), sn.Watermark())
-		}
-		prefix := full[:sn.Len()]
-		if got := sn.Triples(); len(got) != len(prefix) {
-			t.Fatalf("snapshot %d: %d visible triples, want %d", i, len(got), len(prefix))
-		}
-		// Check a sample of patterns: in-prefix, most recent (boundary), and
-		// beyond-watermark triples.
-		samples := []Triple{prefix[0], prefix[len(prefix)-1]}
-		if sn.Len() < len(full) {
-			samples = append(samples, full[sn.Len()])
-		}
-		for _, tr := range samples {
-			for _, pat := range patternShapes(tr) {
-				want := refCount(prefix, pat[0], pat[1], pat[2])
-				if got := sn.CountMatch(pat[0], pat[1], pat[2]); got != want {
-					t.Fatalf("snapshot %d: CountMatch(%v) = %d, want %d", i, pat, got, want)
+	for _, ix := range indexings {
+		t.Run(ix.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			const n = 400
+			stream := make([]Triple, n)
+			for i := range stream {
+				stream[i] = Triple{ID(rng.Intn(20) + 1), ID(rng.Intn(6) + 1), ID(rng.Intn(20) + 1)}
+			}
+			g := NewGraph()
+			g.BuildIndexes(ix.set)
+			var snaps []Snapshot
+			for _, tr := range stream {
+				g.Add(tr)
+				snaps = append(snaps, g.Snapshot())
+			}
+			full := g.Triples()
+			for i, sn := range snaps {
+				if sn.Len() != sn.Watermark() {
+					t.Fatalf("snapshot %d: Len %d != Watermark %d", i, sn.Len(), sn.Watermark())
 				}
-				if got := len(sn.Match(pat[0], pat[1], pat[2])); got != want {
-					t.Fatalf("snapshot %d: Match(%v) = %d rows, want %d", i, pat, got, want)
+				prefix := full[:sn.Len()]
+				if got := sn.Triples(); len(got) != len(prefix) {
+					t.Fatalf("snapshot %d: %d visible triples, want %d", i, len(got), len(prefix))
+				}
+				// Check a sample of patterns: in-prefix, most recent (boundary), and
+				// beyond-watermark triples.
+				samples := []Triple{prefix[0], prefix[len(prefix)-1]}
+				if sn.Len() < len(full) {
+					samples = append(samples, full[sn.Len()])
+				}
+				for _, tr := range samples {
+					for _, pat := range patternShapes(tr) {
+						want := refCount(prefix, pat[0], pat[1], pat[2])
+						if got := sn.CountMatch(pat[0], pat[1], pat[2]); got != want {
+							t.Fatalf("snapshot %d: CountMatch(%v) = %d, want %d", i, pat, got, want)
+						}
+						if got := len(sn.Match(pat[0], pat[1], pat[2])); got != want {
+							t.Fatalf("snapshot %d: Match(%v) = %d rows, want %d", i, pat, got, want)
+						}
+					}
+					if got, want := sn.Has(tr), refCount(prefix, tr.S, tr.P, tr.O) > 0; got != want {
+						t.Fatalf("snapshot %d: Has(%v) = %v, want %v", i, tr, got, want)
+					}
 				}
 			}
-			if got, want := sn.Has(tr), refCount(prefix, tr.S, tr.P, tr.O) > 0; got != want {
-				t.Fatalf("snapshot %d: Has(%v) = %v, want %v", i, tr, got, want)
-			}
-		}
+		})
 	}
 }
 
@@ -88,93 +102,99 @@ func TestSnapshotPrefixSemantics(t *testing.T) {
 // view holds exactly its watermark — same length on re-read, pattern counts
 // that agree with a brute-force scan of the pinned triples, and no triple
 // from beyond the watermark leaking in. Run under -race this also proves
-// the lock-free publication protocol has no data races.
+// the lock-free publication protocol has no data races. It runs with no
+// index built and with every index built.
 func TestSnapshotStableUnderConcurrentWriter(t *testing.T) {
-	g := NewGraph()
-	const writerTriples = 30000
-	var done atomic.Bool
-	var wg sync.WaitGroup
+	for _, ix := range indexings {
+		t.Run(ix.name, func(t *testing.T) {
+			g := NewGraph()
+			g.BuildIndexes(ix.set)
+			const writerTriples = 30000
+			var done atomic.Bool
+			var wg sync.WaitGroup
 
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer done.Store(true)
-		rng := rand.New(rand.NewSource(7))
-		i := 0
-		for i < writerTriples {
-			if rng.Intn(4) == 0 {
-				batch := make([]Triple, rng.Intn(64)+1)
-				for j := range batch {
-					batch[j] = Triple{ID(rng.Intn(500) + 1), ID(rng.Intn(12) + 1), ID(rng.Intn(500) + 1)}
-				}
-				g.AddAll(batch)
-				i += len(batch)
-			} else {
-				g.Add(Triple{ID(rng.Intn(500) + 1), ID(rng.Intn(12) + 1), ID(rng.Intn(500) + 1)})
-				i++
-			}
-		}
-	}()
-
-	const readers = 8
-	errs := make(chan error, readers)
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for !done.Load() {
-				sn := g.Snapshot()
-				w := sn.Len()
-				visible := sn.Triples()
-				if len(visible) != w {
-					t.Errorf("reader: Triples() returned %d, watermark %d", len(visible), w)
-					return
-				}
-				// The wildcard scan must see exactly the watermark.
-				count := 0
-				sn.ForEachMatch(Wildcard, Wildcard, Wildcard, func(Triple) bool {
-					count++
-					return true
-				})
-				if count != w {
-					t.Errorf("reader: wildcard scan saw %d triples, watermark %d", count, w)
-					return
-				}
-				if w == 0 {
-					continue
-				}
-				// Spot-check pattern shapes against a brute-force scan of the
-				// pinned view. The writer keeps appending while this runs; a
-				// stable snapshot answers identically regardless.
-				tr := visible[rng.Intn(len(visible))]
-				for _, pat := range patternShapes(tr) {
-					want := refCount(visible, pat[0], pat[1], pat[2])
-					if got := sn.CountMatch(pat[0], pat[1], pat[2]); got != want {
-						t.Errorf("reader: CountMatch(%v)@%d = %d, want %d", pat, w, got, want)
-						return
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer done.Store(true)
+				rng := rand.New(rand.NewSource(7))
+				i := 0
+				for i < writerTriples {
+					if rng.Intn(4) == 0 {
+						batch := make([]Triple, rng.Intn(64)+1)
+						for j := range batch {
+							batch[j] = Triple{ID(rng.Intn(500) + 1), ID(rng.Intn(12) + 1), ID(rng.Intn(500) + 1)}
+						}
+						g.AddAll(batch)
+						i += len(batch)
+					} else {
+						g.Add(Triple{ID(rng.Intn(500) + 1), ID(rng.Intn(12) + 1), ID(rng.Intn(500) + 1)})
+						i++
 					}
 				}
-				if !sn.Has(tr) {
-					t.Errorf("reader: Has(%v)@%d = false for a visible triple", tr, w)
-					return
-				}
-				// Re-pinning must never shrink: watermarks are monotone.
-				if w2 := g.Snapshot().Len(); w2 < w {
-					t.Errorf("reader: watermark went backwards: %d then %d", w, w2)
-					return
-				}
-			}
-			errs <- nil
-		}(int64(100 + r))
-	}
-	wg.Wait()
+			}()
 
-	// After the writer stops, a late snapshot sees everything, and an early
-	// pinned view re-checked now is still exactly its prefix.
-	final := g.Snapshot()
-	if final.Len() != g.Len() {
-		t.Fatalf("final snapshot %d != graph %d", final.Len(), g.Len())
+			const readers = 8
+			errs := make(chan error, readers)
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for !done.Load() {
+						sn := g.Snapshot()
+						w := sn.Len()
+						visible := sn.Triples()
+						if len(visible) != w {
+							t.Errorf("reader: Triples() returned %d, watermark %d", len(visible), w)
+							return
+						}
+						// The wildcard scan must see exactly the watermark.
+						count := 0
+						sn.ForEachMatch(Wildcard, Wildcard, Wildcard, func(Triple) bool {
+							count++
+							return true
+						})
+						if count != w {
+							t.Errorf("reader: wildcard scan saw %d triples, watermark %d", count, w)
+							return
+						}
+						if w == 0 {
+							continue
+						}
+						// Spot-check pattern shapes against a brute-force scan of the
+						// pinned view. The writer keeps appending while this runs; a
+						// stable snapshot answers identically regardless.
+						tr := visible[rng.Intn(len(visible))]
+						for _, pat := range patternShapes(tr) {
+							want := refCount(visible, pat[0], pat[1], pat[2])
+							if got := sn.CountMatch(pat[0], pat[1], pat[2]); got != want {
+								t.Errorf("reader: CountMatch(%v)@%d = %d, want %d", pat, w, got, want)
+								return
+							}
+						}
+						if !sn.Has(tr) {
+							t.Errorf("reader: Has(%v)@%d = false for a visible triple", tr, w)
+							return
+						}
+						// Re-pinning must never shrink: watermarks are monotone.
+						if w2 := g.Snapshot().Len(); w2 < w {
+							t.Errorf("reader: watermark went backwards: %d then %d", w, w2)
+							return
+						}
+					}
+					errs <- nil
+				}(int64(100 + r))
+			}
+			wg.Wait()
+
+			// After the writer stops, a late snapshot sees everything, and an early
+			// pinned view re-checked now is still exactly its prefix.
+			final := g.Snapshot()
+			if final.Len() != g.Len() {
+				t.Fatalf("final snapshot %d != graph %d", final.Len(), g.Len())
+			}
+		})
 	}
 }
 

@@ -256,61 +256,67 @@ func TestCompact(t *testing.T) {
 }
 
 // TestDeleteRandomizedVsModel drives random add/delete/re-add traffic and
-// checks every pattern shape against a map reference model after each step.
+// checks every pattern shape against a map reference model after each step,
+// with no index built and with every index built.
 func TestDeleteRandomizedVsModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := NewGraph()
-	model := map[Triple]struct{}{}
-	universe := func() Triple {
-		return tr(ID(rng.Intn(12)+1), ID(rng.Intn(4)+1), ID(rng.Intn(12)+1))
-	}
-	check := func(step int) {
-		if g.LiveLen() != len(model) {
-			t.Fatalf("step %d: LiveLen=%d model=%d", step, g.LiveLen(), len(model))
-		}
-		sn := g.Snapshot()
-		for i := 0; i < 6; i++ {
-			x := universe()
-			pats := [][3]ID{
-				{x.S, x.P, x.O}, {x.S, x.P, Wildcard}, {Wildcard, x.P, x.O},
-				{x.S, Wildcard, x.O}, {x.S, Wildcard, Wildcard},
-				{Wildcard, x.P, Wildcard}, {Wildcard, Wildcard, x.O},
-				{Wildcard, Wildcard, Wildcard},
+	for _, ix := range indexings {
+		t.Run(ix.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(8))
+			g := NewGraph()
+			g.BuildIndexes(ix.set)
+			model := map[Triple]struct{}{}
+			universe := func() Triple {
+				return tr(ID(rng.Intn(12)+1), ID(rng.Intn(4)+1), ID(rng.Intn(12)+1))
 			}
-			for _, pat := range pats {
-				want := map[Triple]int{}
-				for m := range model {
-					if (pat[0] == Wildcard || pat[0] == m.S) &&
-						(pat[1] == Wildcard || pat[1] == m.P) &&
-						(pat[2] == Wildcard || pat[2] == m.O) {
-						want[m]++
-					}
+			check := func(step int) {
+				if g.LiveLen() != len(model) {
+					t.Fatalf("step %d: LiveLen=%d model=%d", step, g.LiveLen(), len(model))
 				}
-				for _, got := range [][]Triple{g.Match(pat[0], pat[1], pat[2]), sn.Match(pat[0], pat[1], pat[2])} {
-					if len(got) != len(want) {
-						t.Fatalf("step %d pat %v: got %d matches, want %d", step, pat, len(got), len(want))
+				sn := g.Snapshot()
+				for i := 0; i < 6; i++ {
+					x := universe()
+					pats := [][3]ID{
+						{x.S, x.P, x.O}, {x.S, x.P, Wildcard}, {Wildcard, x.P, x.O},
+						{x.S, Wildcard, x.O}, {x.S, Wildcard, Wildcard},
+						{Wildcard, x.P, Wildcard}, {Wildcard, Wildcard, x.O},
+						{Wildcard, Wildcard, Wildcard},
 					}
-					for _, m := range got {
-						if want[m] == 0 {
-							t.Fatalf("step %d pat %v: spurious %v", step, pat, m)
+					for _, pat := range pats {
+						want := map[Triple]int{}
+						for m := range model {
+							if (pat[0] == Wildcard || pat[0] == m.S) &&
+								(pat[1] == Wildcard || pat[1] == m.P) &&
+								(pat[2] == Wildcard || pat[2] == m.O) {
+								want[m]++
+							}
+						}
+						for _, got := range [][]Triple{g.Match(pat[0], pat[1], pat[2]), sn.Match(pat[0], pat[1], pat[2])} {
+							if len(got) != len(want) {
+								t.Fatalf("step %d pat %v: got %d matches, want %d", step, pat, len(got), len(want))
+							}
+							for _, m := range got {
+								if want[m] == 0 {
+									t.Fatalf("step %d pat %v: spurious %v", step, pat, m)
+								}
+							}
 						}
 					}
 				}
 			}
-		}
+			for step := 0; step < 400; step++ {
+				x := universe()
+				if rng.Intn(3) == 0 {
+					g.Delete([]Triple{x})
+					delete(model, x)
+				} else {
+					g.Add(x)
+					model[x] = struct{}{}
+				}
+				if step%40 == 39 {
+					check(step)
+				}
+			}
+			check(400)
+		})
 	}
-	for step := 0; step < 400; step++ {
-		x := universe()
-		if rng.Intn(3) == 0 {
-			g.Delete([]Triple{x})
-			delete(model, x)
-		} else {
-			g.Add(x)
-			model[x] = struct{}{}
-		}
-		if step%40 == 39 {
-			check(step)
-		}
-	}
-	check(400)
 }
