@@ -473,12 +473,6 @@ func (g *Graph) Clone() *Graph {
 	if g.prov != nil {
 		c.prov = g.prov.cloneNames()
 		g.prov.recs.cloneInto(&c.prov.recs)
-		if len(g.prov.alt) > 0 {
-			c.prov.alt = make(map[uint32]Derivation, len(g.prov.alt))
-			for off, d := range g.prov.alt {
-				c.prov.alt[off] = d
-			}
-		}
 	}
 	g.byS.cloneInto(&c.byS)
 	g.byP.cloneInto(&c.byP)

@@ -52,14 +52,6 @@ type Prov struct {
 	recs   alog[Derivation] // one record per log offset, published like the triple log
 	names  atomic.Pointer[[]string]
 	byName map[string]uint16 // writer-only
-	// alt records at most one alternate derivation per log offset: the
-	// first duplicate firing the engines observed for an already-present
-	// triple. First derivation still wins the primary record (immutable);
-	// the alternate is the counting-style fast path DRed consults — a
-	// triple whose alternate's premises all survive a deletion needs no
-	// rederivation join. Writer-only, lazily allocated, best-effort (it is
-	// a cache: Retract verifies premise liveness before trusting it).
-	alt map[uint32]Derivation
 }
 
 // RuleID interns name and returns its compact id. Writer-only. Returns
@@ -145,32 +137,6 @@ func (p *Prov) At(off uint32) Derivation {
 		return baseDerivation()
 	}
 	return v[off]
-}
-
-// RecordAlt stores an alternate derivation for the triple at log offset off.
-// First alternate wins; records equal to nothing are not validated here —
-// consumers must check premise liveness themselves. Writer-only.
-func (p *Prov) RecordAlt(off uint32, d Derivation) {
-	if p == nil || !d.IsDerived() {
-		return
-	}
-	if _, ok := p.alt[off]; ok {
-		return
-	}
-	if p.alt == nil {
-		p.alt = map[uint32]Derivation{}
-	}
-	p.alt[off] = d
-}
-
-// AltAt returns the alternate derivation recorded for off, if any.
-// Writer-only.
-func (p *Prov) AltAt(off uint32) (Derivation, bool) {
-	if p == nil {
-		return Derivation{}, false
-	}
-	d, ok := p.alt[off]
-	return d, ok
 }
 
 // EnableProv switches provenance recording on and returns the side-column.

@@ -207,8 +207,6 @@ func (g *Graph) RepairDedup() {
 // survives with premise offsets remapped to the new log; a premise that is
 // itself dead (possible only transiently, between a retraction's
 // overdelete and its rederivation) degrades to NoPremise.
-// Alternate-derivation records (Prov.RecordAlt) are not carried over — they
-// are a cache and rebuild naturally.
 //
 // The receiver is left untouched, so snapshots pinned on it remain valid
 // forever; the owner swaps the fresh graph in (a single pointer publish in

@@ -37,9 +37,8 @@ func premOffsets(g *rdf.Graph, prem []rdf.Triple) [3]uint32 {
 // shared by every engine. It writes Prov, so it is writer-only — the fire
 // loop calls it from commit, never from a shard.
 type derivRecorder struct {
-	g    *rdf.Graph
-	prov *rdf.Prov
-	ids  []uint16
+	g   *rdf.Graph
+	ids []uint16
 }
 
 // newDerivRecorder returns a recorder for g, or nil when g records no
@@ -49,43 +48,21 @@ func newDerivRecorder(g *rdf.Graph, crs []cRule) *derivRecorder {
 	if prov == nil {
 		return nil
 	}
-	rec := &derivRecorder{g: g, prov: prov, ids: make([]uint16, len(crs))}
+	rec := &derivRecorder{g: g, ids: make([]uint16, len(crs))}
 	for i := range crs {
 		rec.ids[i] = prov.RuleID(crs[i].name)
 	}
 	return rec
 }
 
-// derivation rebuilds pd on its premises' current log offsets. round
-// saturates at the record's 16 bits.
-func (rec *derivRecorder) derivation(pd pendDeriv, round int) rdf.Derivation {
-	return rdf.Derivation{
+// add inserts t as derived by pd and reports whether it was new to the
+// graph; round saturates at the record's 16 bits. Premises are resolved
+// before the insert, so they land below t in the log — what keeps Explain's
+// premise walk acyclic.
+func (rec *derivRecorder) add(t rdf.Triple, pd pendDeriv, round int) bool {
+	return rec.g.AddDerived(t, rdf.Derivation{
 		Rule:  rec.ids[pd.rule.idx],
 		Round: uint16(min(round, int(^uint16(0)))),
 		Prem:  premOffsets(rec.g, pd.prem[:pd.np]),
-	}
-}
-
-// add inserts t as derived by pd and reports whether it was new to the
-// graph. Premises are resolved before the insert, so they land below t in
-// the log — what keeps Explain's premise walk acyclic.
-func (rec *derivRecorder) add(t rdf.Triple, pd pendDeriv, round int) bool {
-	return rec.g.AddDerived(t, rec.derivation(pd, round))
-}
-
-// addAlt records pd as t's alternate derivation — the counting-style fast
-// path Retract consults — when t is live, the rule's whole body fits the
-// record, and no alternate is on file yet.
-func (rec *derivRecorder) addAlt(t rdf.Triple, pd pendDeriv, round int) {
-	if len(pd.rule.body) > len(pd.prem) {
-		return
-	}
-	off, ok := rec.g.Offset(t)
-	if !ok {
-		return
-	}
-	if _, have := rec.prov.AltAt(off); have {
-		return
-	}
-	rec.prov.RecordAlt(off, rec.derivation(pd, round))
+	})
 }

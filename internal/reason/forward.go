@@ -137,20 +137,24 @@ func joinRest(g *rdf.Graph, sc *scratch, r *cRule, rest []int, e env, yield func
 	if len(rest) == 0 {
 		return yield()
 	}
-	best, bestCount := 0, -1
-	for i, ai := range rest {
-		a := r.body[ai]
-		n := g.CountMatch(e.resolve(a.s), e.resolve(a.p), e.resolve(a.o))
-		if bestCount < 0 || n < bestCount {
-			best, bestCount = i, n
-			if n == 0 {
-				// An empty extent annihilates the join; no need to rank the
-				// other atoms.
-				return true
+	if len(rest) > 1 {
+		// With one atom left there is nothing to rank: its count decides
+		// nothing, and an empty extent yields nothing below either.
+		best, bestCount := 0, -1
+		for i, ai := range rest {
+			a := r.body[ai]
+			n := g.CountMatch(e.resolve(a.s), e.resolve(a.p), e.resolve(a.o))
+			if bestCount < 0 || n < bestCount {
+				best, bestCount = i, n
+				if n == 0 {
+					// An empty extent annihilates the join; no need to rank
+					// the other atoms.
+					return true
+				}
 			}
 		}
+		rest[0], rest[best] = rest[best], rest[0]
 	}
-	rest[0], rest[best] = rest[best], rest[0]
 	ai := rest[0]
 	a := r.body[ai]
 	tail := rest[1:]

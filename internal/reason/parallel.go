@@ -53,12 +53,12 @@ import (
 // derived-triple set, is the same at every shard count, and every record
 // round-trips through the verifier. With one shard the run is also
 // reproducible: triggers are dispatched in rule order, conclusions are
-// staged in firing order and committed in staging order, so the log, the
-// recorded derivations and the alternates are identical run to run. With
-// several shards the chunk claims race, so log order within a sweep and
-// *which* derivation is recorded for a multiply-derivable triple may
-// differ between runs. Journal counts (per-rule firings/derived/duplicates)
-// reconcile with the work performed.
+// staged in firing order and committed in staging order, so the log and the
+// recorded derivations are identical run to run. With several shards the
+// chunk claims race, so log order within a sweep and *which* derivation is
+// recorded for a multiply-derivable triple may differ between runs. Journal
+// counts (per-rule firings/derived/duplicates) reconcile with the work
+// performed.
 
 // parallelMinDelta is the queue size below which a stratum is fired on one
 // shard whatever Forward.Threads says: forking over a handful of triples
@@ -179,11 +179,9 @@ type fireRun struct {
 
 	// Provenance on: rec turns captured firings into records at commit (it
 	// writes Prov, so shards never call it); sidecars[w] is aligned with
-	// shard w's staged triples, alts[w] holds the first alternate-derivation
-	// candidate per duplicate conclusion.
+	// shard w's staged triples.
 	rec      *derivRecorder
 	sidecars [][]pendDeriv
-	alts     []map[rdf.Triple]pendDeriv
 
 	// Profiling on: ruleProf's slices are not goroutine-safe, so each shard
 	// tallies into its own and the caller folds them in after the join.
@@ -230,10 +228,6 @@ func (f Forward) Fire(ctx context.Context, g *rdf.Graph, p *Program, delta []rdf
 	}
 	if r.rec != nil {
 		r.sidecars = make([][]pendDeriv, threads)
-		r.alts = make([]map[rdf.Triple]pendDeriv, threads)
-		for w := range r.alts {
-			r.alts[w] = map[rdf.Triple]pendDeriv{}
-		}
 	}
 
 	// Queue the initial delta at every stratum. The three-index slice caps
@@ -368,35 +362,15 @@ func (r *fireRun) fireShard(ctx context.Context, plan *stratumPlan, d []rdf.Trip
 		// is untouched by provenance, so the disabled path stays zero-alloc
 		// per delta triple.
 		sc.rec = true
-		alt := r.alts[w]
 		emit = func(t rdf.Triple) {
-			off, inGraph := g.Offset(t)
-			if !inGraph && sh.Add(t) {
+			if !g.Has(t) && sh.Add(t) {
 				r.sidecars[w] = append(r.sidecars[w], capture(sc.cur, sc.prem))
-				return
-			}
-			// A duplicate firing is an independent derivation of a triple
-			// that is in the graph or already staged by this shard. Buffer
-			// the first one per triple as its alternate candidate; commit
-			// records it once the triple has an offset. The AltAt probe is
-			// a read of a map nothing writes during the fire phase, and it
-			// is what keeps this path allocation-free once the alternate is
-			// on record.
-			if tl != nil {
+			} else if tl != nil {
+				// A duplicate: the triple is in the graph or already
+				// staged by this shard, and its first derivation keeps the
+				// record.
 				tl.dup[sc.cur.idx]++
 			}
-			if len(sc.cur.body) > len(sc.prem) {
-				return
-			}
-			if _, have := alt[t]; have {
-				return
-			}
-			if inGraph {
-				if _, on := r.rec.prov.AltAt(off); on {
-					return
-				}
-			}
-			alt[t] = capture(sc.cur, sc.prem)
 		}
 	}
 	dead := r.dead
@@ -444,8 +418,8 @@ claim:
 // order, and returns the triples that were new to the graph: the log range
 // the commit appended, a read-only view. Without provenance each shard goes
 // in as one range insert; with it, triple by triple, and a triple staged by
-// two shards loses the second AddDerived and is recorded as the winner's
-// alternate derivation. Caller's goroutine only.
+// two shards keeps the record of the first AddDerived. Caller's goroutine
+// only.
 func (r *fireRun) commit(sweep int) []rdf.Triple {
 	base := r.g.Len()
 	for w := 0; w < r.stage.Shards(); w++ {
@@ -464,15 +438,10 @@ func (r *fireRun) commit(sweep int) []rdf.Triple {
 				r.prof.addDerived(pd.rule.idx, 1, 0)
 			} else {
 				r.prof.addDerived(pd.rule.idx, 0, 1)
-				r.rec.addAlt(t, pd, sweep)
 			}
 		}
 		sh.Reset()
 		r.sidecars[w] = r.sidecars[w][:0]
-		for t, pd := range r.alts[w] {
-			r.rec.addAlt(t, pd, sweep)
-		}
-		clear(r.alts[w])
 	}
 	return r.g.TriplesSince(base)
 }

@@ -23,19 +23,16 @@ import (
 // (premise offset → consumer offsets) bounds the cone a deletion can
 // affect.
 //
-// The classic three DRed phases map onto the log like this:
+// The two DRed phases map onto the log like this:
 //
 //  1. Overdelete: BFS the consumers index from the requested offsets,
 //     tombstoning the whole cone in one atomic tombstone-set publication.
 //     Overdeletion is a superset of the true deletion — anything in the
-//     cone that is still derivable comes back in phase 3.
-//  2. Counting-style fast path: triples for which the engines observed a
-//     second, independent derivation (Prov.RecordAlt) are reinstated
-//     without a join if every alternate premise is still live.
-//  3. Rederive: each remaining overdeleted triple is checked for one
-//     derivation from the surviving graph (head bound to the triple, body
-//     joined through the index); everything reinstated then seeds the
-//     incremental semi-naive engine, which restores the fixpoint.
+//     cone that is still derivable comes back in phase 2.
+//  2. Rederive: each overdeleted triple is checked for one derivation from
+//     the surviving graph (head bound to the triple, body joined through
+//     the index); everything restored then seeds the incremental
+//     semi-naive engine, which restores the fixpoint.
 //
 // Soundness of the record-driven cone: a surviving derived triple's record
 // premises are live (else it would be in the cone), so by induction on
@@ -58,8 +55,9 @@ type RetractStats struct {
 	// Overdeleted is the total tombstoned count: the requested triples plus
 	// the provenance cone (or, without provenance, all derived triples).
 	Overdeleted int
-	// Reinstated is the overdeleted triples restored by the
-	// alternate-derivation fast path, without a join.
+	// Reinstated is always 0: every overdeleted triple that comes back does
+	// so through the rederive join and is counted in Rederived. The field
+	// is kept only while cmd/owlbench still reads it.
 	Reinstated int
 	// Rederived is the overdeleted triples restored by the one-step join.
 	Rederived int
@@ -207,7 +205,6 @@ func (r *Retractor) Retract(g *rdf.Graph, dels []rdf.Triple) RetractStats {
 	}
 	g.BuildIndexes(r.p.reads) // rederivation may join through any body atom
 	r.extend()
-	prov := g.Prov()
 
 	// Overdelete cone: requested offsets, fragile offsets, and transitively
 	// every recorded consumer.
@@ -268,14 +265,6 @@ func (r *Retractor) Retract(g *rdf.Graph, dels []rdf.Triple) RetractStats {
 			// A re-added duplicate of an earlier dead offset.
 			continue
 		}
-		if alt, ok := prov.AltAt(off); ok {
-			if d, valid := r.altDerivation(g, logv, alt); valid {
-				g.AddDerived(t, d)
-				seeds = append(seeds, t)
-				st.Reinstated++
-				continue
-			}
-		}
 		if d, ok := r.deriveOnce(g, sc, t); ok {
 			g.AddDerived(t, d)
 			seeds = append(seeds, t)
@@ -290,32 +279,6 @@ func (r *Retractor) Retract(g *rdf.Graph, dels []rdf.Triple) RetractStats {
 		st.Propagated = r.fire(g, seeds)
 	}
 	return st
-}
-
-// altDerivation validates an alternate-derivation record against the
-// current graph: the rule must be known with all premises recorded, and
-// every premise triple must be live (checked by value, so a premise that
-// was deleted and re-added at a fresh offset still counts). It returns the
-// record rebuilt on the premises' current offsets.
-func (r *Retractor) altDerivation(g *rdf.Graph, logv []rdf.Triple, alt rdf.Derivation) (rdf.Derivation, bool) {
-	bl := r.recLen(g.Prov(), alt.Rule)
-	if bl <= 0 || bl > len(alt.Prem) {
-		return rdf.Derivation{}, false
-	}
-	d := rdf.Derivation{Rule: alt.Rule, Round: alt.Round,
-		Prem: [3]uint32{rdf.NoPremise, rdf.NoPremise, rdf.NoPremise}}
-	for i := 0; i < bl; i++ {
-		p := alt.Prem[i]
-		if p == rdf.NoPremise || int(p) >= len(logv) {
-			return rdf.Derivation{}, false
-		}
-		cur, ok := g.Offset(logv[p])
-		if !ok {
-			return rdf.Derivation{}, false
-		}
-		d.Prem[i] = cur
-	}
-	return d, true
 }
 
 // deriveOnce looks for one derivation of t from the current live graph: for

@@ -580,7 +580,7 @@ func (s *Server) apply(batch writeBatch) {
 		s.deleteBatches.Add(1)
 		s.deletedTriples.Add(int64(st.Requested))
 		s.retractedTriples.Add(int64(st.Overdeleted))
-		s.rederivedTriples.Add(int64(st.Reinstated + st.Rederived + st.Propagated))
+		s.rederivedTriples.Add(int64(st.Rederived + st.Propagated))
 		s.maybeCompact()
 	} else {
 		seeds := batch.ts[:0]
